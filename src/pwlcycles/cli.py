@@ -7,9 +7,7 @@ codes: 0 success, 1 usage or parameter error, 2 non-sliding certificate
 violation, 3 verification discrepancy.
 
 Numeric output carries full double precision in JSON and 12 significant
-digits in CSV so cross-run diffs are meaningful.  The environment
-variable PWL_CYCLES_THREADS caps the number of worker threads used for
-displacement scans.
+digits in CSV so cross-run diffs are meaningful.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PWL_CYCLES_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_config(path: str | None) -> dict:
@@ -163,16 +152,12 @@ def cmd_cycles(args) -> int:
 
 
 def _displacement_rows(system: PWLSystem, ys, opts: IntegrationOptions):
-    def one(y: float):
+    rows = []
+    for y in ys:
         fa = analytic.displacement(y, system)
         fn = oracle.numeric_displacement(system, y, opts)
-        return (float(y), fa, fn, abs(fa - fn))
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ys))
-    return [one(y) for y in ys]
+        rows.append((float(y), fa, fn, abs(fa - fn)))
+    return rows
 
 
 def cmd_displacement(args) -> int:
@@ -264,13 +249,11 @@ def cmd_portrait(args) -> int:
         turns=int(_merged(args, cfg, "turns", 3)),
         include_cycles=not args.no_cycles,
     )
-    svg = portrait.render(system, spec, result.cycles)
+    segments = [seg for seed in seeds for seg in portrait.sample_orbit(system, seed, spec.turns)]
+    svg = portrait.render(system, spec, result.cycles, segments)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.csv:
-        segments = []
-        for seed in seeds:
-            segments.extend(portrait.sample_orbit(system, seed, spec.turns))
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(oracle.segments_to_csv(segments))
     return EXIT_OK

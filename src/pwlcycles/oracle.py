@@ -3,16 +3,21 @@
 Everything here works only with the discontinuous vector field itself:
 fixed-step 4th-order (Runge-Kutta) integration inside one zone at a
 time, with boundary and section crossings bracketed between steps and
-localized by bisection.  No crossing-time or displacement formula enters
-any code path, so agreement with the closed forms is meaningful
-cross-validation.
+localized on the integrator's own one-step polynomial.  No crossing-time
+or displacement formula enters any code path, so agreement with the
+closed forms is meaningful cross-validation.
 
 Implementation note: on a linear system the classic RK4 step is exactly
 multiplication by the degree-4 Taylor polynomial of exp(step*A).  The
-stepper therefore propagates whole blocks of steps through the (complex)
-eigenpair of that one-step matrix, which reproduces the RK4 iterates to
-roundoff at a fraction of the cost; truncation error and convergence
-order are those of RK4 by construction.
+stepper propagates short chunks of ``_BLOCK_TIME`` time units through the
+(complex) eigenpair of that one-step matrix: the powers lam**k of its
+eigenvalue are tabulated once per leg, and each chunk scales the table by
+a coefficient taken from the chunk's start state.  This reproduces the
+RK4 iterates to roundoff; truncation error and convergence order are
+those of RK4 by construction.  A crossing bracketed between two steps is
+landed on the same one-step polynomial, x(tau) = sum_k (tau*A)**k x / k!
+for a substep tau, by Illinois (bracketed regula falsi) iteration on the
+event function.
 
 Backward integration is forward integration of the negated field; event
 logic is unchanged.
@@ -41,9 +46,10 @@ from .core import (
 )
 from .cycles import StabilityClass
 
-# Longest uninterrupted stretch propagated per block, in time units.
-# Any half-turn of these systems takes at most 3*pi/2 < 8.
-_BLOCK_TIME = 8.0
+# Time units propagated per chunk before the stop event is searched for.
+# A leg wastes at most one chunk past its event, and every chunk pays a
+# fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
+_BLOCK_TIME = 0.5
 _MAX_BISECT = 200
 
 # Smallest meaningful radius drift per return-map pass; drifts inside this
@@ -163,98 +169,125 @@ def _step_transfer(matrix: np.ndarray, step: float) -> np.ndarray:
     return t
 
 
-def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """States x_k = transfer^k @ x0 for k = 0..n, shape (n+1, 2).
-
-    Uses the complex eigenpair of the 2x2 transfer (always a conjugate
-    pair here since both zones are foci); falls back to plain stepping
-    for a degenerate spectrum.
-    """
-    tr = transfer[0, 0] + transfer[1, 1]
+def _eigenvalue(transfer: np.ndarray) -> complex | None:
+    """Upper eigenvalue of the 2x2 transfer, or None unless the pair is complex."""
     # (t00 - t11)^2 + 4*t01*t10 equals tr^2 - 4*det without the subtractive
     # cancellation that would otherwise poison the rotation angle per step.
     diag = transfer[0, 0] - transfer[1, 1]
     disc = diag * diag + 4.0 * transfer[0, 1] * transfer[1, 0]
     if disc >= 0.0 or abs(transfer[0, 1]) < 1e-300:
+        return None
+    return complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
+
+
+def _power_table(transfer: np.ndarray, n: int) -> np.ndarray | None:
+    """lam**k for k = 0..n, lam the transfer's upper eigenvalue (None if real)."""
+    lam = _eigenvalue(transfer)
+    if lam is None:
+        return None
+    return np.exp(np.arange(n + 1) * np.log(lam))
+
+
+def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
+                      powers: np.ndarray | None = None) -> np.ndarray:
+    """States x_k = transfer^k @ x0 for k = 0..n, shape (n+1, 2).
+
+    Uses the complex eigenpair of the 2x2 transfer (always a conjugate
+    pair here since both zones are foci): x_k = 2 Re(a lam**k v), with the
+    coefficient a fixed by x0.  ``powers`` is a ``_power_table`` of the
+    same transfer with at least n+1 entries, built here when not given.
+    Falls back to plain stepping for a degenerate spectrum.
+    """
+    lam = _eigenvalue(transfer)
+    if lam is None:
         out = np.empty((n + 1, 2))
         out[0] = x0
         for k in range(n):
             out[k + 1] = transfer @ out[k]
         return out
-    lam = complex(0.5 * tr, 0.5 * math.sqrt(-disc))
+    if powers is None:
+        powers = _power_table(transfer, n)
     v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
     vc = np.conj(v)
     den = v[0] * vc[1] - v[1] * vc[0]
     a = (x0[0] * vc[1] - x0[1] * vc[0]) / den
-    powers = np.exp(np.arange(n + 1) * np.log(lam))
-    out = 2.0 * np.real(np.outer(a * powers, v))
+    c = a * powers[:n + 1]
+    out = np.empty((n + 1, 2))
+    # v[0] is real, so the first column needs only the real part of c
+    np.multiply(c.real, 2.0 * v[0].real, out=out[:, 0])
+    out[:, 1] = (c * (2.0 * v[1])).real
     out[0] = x0
     return out
 
 
-def _event_values(system: PWLSystem, kind: str, states: np.ndarray) -> np.ndarray:
-    if kind == "axis":
-        return states[:, 0].copy()
-    return manifold_values(system, states)
-
-
-def _event_value_scalar(system: PWLSystem, kind: str, x: np.ndarray) -> float:
+def _event_value_scalar(system: PWLSystem, kind: str, x) -> float:
     if kind == "axis":
         return float(x[0])
     return manifold_value(system, Point(float(x[0]), float(x[1])))
 
 
-def _crossing_pairs(g: np.ndarray, direction: int) -> np.ndarray:
-    """Indices k where g crosses zero with the requested direction between k and k+1."""
-    if direction > 0:
-        return np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0) & (g[1:] - g[:-1] > 0.0))
-    return np.flatnonzero((g[:-1] > 0.0) & (g[1:] <= 0.0) & (g[1:] - g[:-1] < 0.0))
+def _crossings(g: np.ndarray, direction: int, first: bool, event_tol: float) -> np.ndarray:
+    """Mask over step pairs (k, k+1) on which g crosses zero in ``direction``.
 
-
-def _count_descending_sigma(system: PWLSystem, states: np.ndarray, g_man: np.ndarray,
-                            first_block: bool, event_tol: float) -> int:
-    """Descending switching-curve crossings with y > 0, skipping a start residue."""
-    ks = _crossing_pairs(g_man, -1)
-    count = 0
-    for k in ks:
-        if first_block and k == 0 and abs(g_man[0]) <= event_tol:
-            continue
-        if states[k, 1] > 0.0 and states[k + 1, 1] > 0.0:
-            count += 1
-    return count
-
-
-def _count_ascending_axis(states: np.ndarray, g_axis: np.ndarray,
-                          first_block: bool, event_tol: float) -> int:
-    ks = _crossing_pairs(g_axis, +1)
-    count = 0
-    for k in ks:
-        if first_block and k == 0 and abs(g_axis[0]) <= event_tol:
-            continue
-        if states[k, 1] < 0.0 and states[k + 1, 1] < 0.0:
-            count += 1
-    return count
+    In the first chunk of a leg a start residue |g[0]| <= event_tol is
+    not a crossing.
+    """
+    ahead = g < 0.0 if direction > 0 else g > 0.0
+    mask = ahead[:-1] & ~ahead[1:]
+    if first and abs(g[0]) <= event_tol:
+        mask[0] = False
+    return mask
 
 
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
-              g_from: float, kind: str, event_tol: float) -> tuple[float, np.ndarray, float]:
-    """Bisect the substep tau in (0, step] where the event function vanishes."""
-    lo, hi = 0.0, step
-    g_lo = g_from
-    tau = step
-    x_t = _step_transfer(matrix, tau) @ x_from
-    g_t = _event_value_scalar(system, kind, x_t)
+              g_from: float, kind: str, event_tol: float) -> tuple[float, np.ndarray]:
+    """Land on the event inside the substep (0, step] that brackets it.
+
+    On a substep tau the RK4 state is the quartic x(tau) = sum_k c_k tau**k
+    with c_k = A**k x_from / k!; the coefficients are built once and
+    evaluated by Horner.  The root of g(x(tau)) is found by Illinois
+    iteration, bisecting whenever the secant point leaves the bracket,
+    until |g| <= event_tol or _MAX_BISECT iterations.
+    """
+    (a00, a01), (a10, a11) = matrix.tolist()
+    cx, cy = [float(x_from[0])], [float(x_from[1])]
+    for k in (1.0, 2.0, 3.0, 4.0):
+        px, py = cx[-1], cy[-1]
+        cx.append((a00 * px + a01 * py) / k)
+        cy.append((a10 * px + a11 * py) / k)
+
+    def state(tau: float) -> tuple[float, float]:
+        x, y = cx[4], cy[4]
+        for k in (3, 2, 1, 0):
+            x = x * tau + cx[k]
+            y = y * tau + cy[k]
+        return x, y
+
+    lo, g_lo = 0.0, g_from
+    hi = tau = step
+    x_t = state(tau)
+    g_t = g_hi = _event_value_scalar(system, kind, x_t)
+    side = 0
     for _ in range(_MAX_BISECT):
-        if abs(g_t) <= event_tol:
+        # a same-signed bracket only arises from roundoff at the substep end
+        if abs(g_t) <= event_tol or (g_hi < 0.0) == (g_lo < 0.0):
             break
-        if (g_t < 0.0) == (g_lo < 0.0):
-            lo, g_lo = tau, g_t
-        else:
-            hi = tau
-        tau = 0.5 * (lo + hi)
-        x_t = _step_transfer(matrix, tau) @ x_from
+        tau = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+        x_t = state(tau)
         g_t = _event_value_scalar(system, kind, x_t)
-    return tau, x_t, g_t
+        if (g_t < 0.0) == (g_hi < 0.0):
+            hi, g_hi = tau, g_t
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
+        else:
+            lo, g_lo = tau, g_t
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+    return tau, np.array(x_t)
 
 
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
@@ -267,9 +300,9 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     The start may sit on the stop section provided the velocity carries it
     off (a residual event value within event_tol at the start is ignored
-    for the first step).  record_stride thins interior samples; 0 keeps
-    only the endpoints.  Times are t0 plus elapsed integration time and
-    increase regardless of direction.
+    for the first step).  record_stride keeps the interior samples at step
+    indices divisible by it; 0 keeps only the endpoints.  Times are t0 plus
+    elapsed integration time and increase regardless of direction.
     """
     opts = opts or IntegrationOptions()
     if isinstance(direction, str):
@@ -301,87 +334,77 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                     f"start {start!r} sits on the stop section with tangent velocity"
                 )
 
+    chunk = max(1, math.ceil(_BLOCK_TIME / opts.step))
+    powers = _power_table(transfer, chunk)
     stride = max(0, int(record_stride))
     rec_t: list[np.ndarray] = []
     rec_p: list[np.ndarray] = []
     sigma_count = 0
     section_count = 0
-    elapsed = 0.0
-    first_block = True
+    done = 0  # steps taken before the current chunk
+    terminal = TerminalEvent.TIME_OUT
 
-    while True:
-        remaining = opts.max_time - elapsed
-        if remaining <= 0.5 * opts.step:
-            break
-        n = int(min(math.ceil(remaining / opts.step),
-                    math.ceil(_BLOCK_TIME / opts.step)))
-        states = _propagate_states(transfer, x, n)
+    while opts.max_time - done * opts.step > 0.5 * opts.step:
+        n = min(math.ceil((opts.max_time - done * opts.step) / opts.step), chunk)
+        states = _propagate_states(transfer, x, n, powers)
+        first = done == 0
         g_axis = states[:, 0]
         g_man = manifold_values(system, states)
         g_stop = g_axis if stop.kind == "axis" else g_man
+        y = states[:, 1]
+        lower = (y[:-1] < 0.0) & (y[1:] < 0.0)
+        descending_sigma = _crossings(g_man, -1, first, opts.event_tol)
+        section = _crossings(g_axis, +1, first, opts.event_tol) & lower
+        # The usual stops are the crossings the diagnostics count anyway.
+        if stop == LOWER_AXIS_ASCENDING:
+            hits = section
+        elif stop == MANIFOLD_DESCENDING:
+            hits = descending_sigma
+        else:
+            hits = _crossings(g_stop, stop.direction, first, opts.event_tol)
+            if stop.require_negative_y:
+                hits = hits & lower
+        hit = int(np.argmax(hits)) if hits.any() else None
 
-        candidates = _crossing_pairs(g_stop, stop.direction)
-        hit = None
-        for k in candidates:
-            if first_block and k == 0 and abs(g_stop[0]) <= opts.event_tol:
-                continue
-            if stop.require_negative_y and not (states[k, 1] < 0.0 and states[k + 1, 1] < 0.0):
-                continue
-            hit = int(k)
-            break
-
-        upto = hit if hit is not None else n
-        # Crossing diagnostics over the part of the block actually consumed.
-        sigma_count += _count_descending_sigma(system, states[:upto + 1], g_man[:upto + 1],
-                                               first_block, opts.event_tol)
-        section_count += _count_ascending_axis(states[:upto + 1], g_axis[:upto + 1],
-                                               first_block, opts.event_tol)
-
-        if hit is not None:
-            if g_stop[hit + 1] == 0.0:
-                tau, x_t = opts.step, states[hit + 1]
-            else:
-                tau, x_t, _ = _localize(system, matrix, states[hit], opts.step,
-                                        float(g_stop[hit]), stop.kind, opts.event_tol)
-            if stride > 0:
-                idx = np.arange(0, hit + 1, stride)
-                rec_t.append(elapsed + idx * opts.step)
-                rec_p.append(states[idx])
-            else:
-                rec_t.append(np.array([elapsed]))
-                rec_p.append(states[:1])
-            rec_t.append(np.array([elapsed + hit * opts.step + tau]))
-            rec_p.append(x_t[None, :])
-            terminal = (TerminalEvent.AXIS_CROSS if stop.kind == "axis"
-                        else TerminalEvent.BOUNDARY_CROSS)
-            if stop.kind == "manifold":
-                sigma_count += 1
-            else:
-                section_count += 1
-            times = np.concatenate(rec_t) + t0
-            points = np.concatenate(rec_p)
-            return TrajectorySegment(zone=zone, times=times, points=points,
-                                     terminal_event=terminal,
-                                     sigma_crossings=sigma_count,
-                                     section_returns=section_count)
+        # Crossing diagnostics over the part of the chunk actually consumed.
+        upto = n if hit is None else hit
+        sigma = descending_sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+        sigma_count += int(np.count_nonzero(sigma[:upto]))
+        section_count += int(np.count_nonzero(section[:upto]))
 
         if stride > 0:
-            idx = np.arange(0, n, stride)
-            rec_t.append(elapsed + idx * opts.step)
+            idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
+            rec_t.append((done + idx) * opts.step)
             rec_p.append(states[idx])
-        elif first_block:
-            rec_t.append(np.array([elapsed]))
+        elif first:
+            rec_t.append(np.zeros(1))
             rec_p.append(states[:1])
-        x = states[-1]
-        elapsed += n * opts.step
-        first_block = False
 
-    rec_t.append(np.array([elapsed]))
+        if hit is None:
+            x = states[-1]
+            done += n
+            continue
+        if g_stop[hit + 1] == 0.0:
+            tau, x = opts.step, states[hit + 1]
+        else:
+            tau, x = _localize(system, matrix, states[hit], opts.step,
+                               float(g_stop[hit]), stop.kind, opts.event_tol)
+        end_time = (done + hit) * opts.step + tau
+        if stop.kind == "manifold":
+            terminal = TerminalEvent.BOUNDARY_CROSS
+            sigma_count += 1
+        else:
+            terminal = TerminalEvent.AXIS_CROSS
+            section_count += 1
+        break
+
+    if terminal is TerminalEvent.TIME_OUT:
+        end_time = done * opts.step
+    rec_t.append(np.array([end_time]))
     rec_p.append(x[None, :])
-    times = np.concatenate(rec_t) + t0
-    points = np.concatenate(rec_p)
-    return TrajectorySegment(zone=zone, times=times, points=points,
-                             terminal_event=TerminalEvent.TIME_OUT,
+    return TrajectorySegment(zone=zone, times=np.concatenate(rec_t) + t0,
+                             points=np.concatenate(rec_p),
+                             terminal_event=terminal,
                              sigma_crossings=sigma_count,
                              section_returns=section_count)
 

@@ -160,8 +160,13 @@ class _Canvas:
                 f'stroke-width="{width:g}"{dash_attr}/>')
 
 
-def render(system: PWLSystem, spec: PortraitSpec, cycles: list[CycleReport]) -> str:
-    """Assemble the SVG document; pure function of its inputs."""
+def render(system: PWLSystem, spec: PortraitSpec, cycles: list[CycleReport],
+           orbits: list[TrajectorySegment] | None = None) -> str:
+    """Assemble the SVG document; pure function of its inputs.
+
+    ``orbits`` holds the already sampled segments of the seed orbits, in
+    seed order; without it every seed of ``spec`` is sampled here.
+    """
     st = spec.style
     cv = _Canvas(st, spec.window)
     parts = [
@@ -181,10 +186,12 @@ def render(system: PWLSystem, spec: PortraitSpec, cycles: list[CycleReport]) -> 
         hs = np.asarray(system.boundary.evaluate(ys), dtype=float)
         parts.append(cv.path(hs, ys, st.sigma_color, st.sigma_width, st.sigma_dash))
 
-    for seed in spec.seed_points:
-        for seg in sample_orbit(system, seed, spec.turns):
-            parts.append(cv.path(seg.points[:, 0], seg.points[:, 1],
-                                 st.orbit_color, st.orbit_width))
+    if orbits is None:
+        orbits = [seg for seed in spec.seed_points
+                  for seg in sample_orbit(system, seed, spec.turns)]
+    for seg in orbits:
+        parts.append(cv.path(seg.points[:, 0], seg.points[:, 1],
+                             st.orbit_color, st.orbit_width))
 
     if spec.include_cycles:
         for rep in cycles:

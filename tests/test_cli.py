@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from pwlcycles import Point, PortraitSpec, find_limit_cycles, portrait, render, sample_orbit
 from pwlcycles.cli import main
+from pwlcycles.oracle import segments_to_csv
 
 EXP_M_075PI = 0.09478022484215486
 
@@ -130,13 +132,6 @@ class TestDisplacement:
             assert math.copysign(1.0, f) == math.copysign(1.0, h)
             assert float(row["abs_diff"]) < 1e-6
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PWL_CYCLES_THREADS", "2")
-        code, out, _ = run(capsys, ["displacement", "--gamma", "0.75", "--family", "zero",
-                                    "--range", "0.5", "1.5", "--points", "6"])
-        assert code == 0
-        assert len(out.strip().split("\n")) == 7
-
 
 class TestVerify:
     def test_sine_passes(self, capsys):
@@ -184,6 +179,31 @@ class TestPortrait:
         lines = dump.read_text().strip().split("\n")
         assert lines[0] == "t,x,y,zone"
         assert len(lines) > 100
+
+    def test_orbits_sampled_once_for_svg_and_csv(self, capsys, tmp_path, monkeypatch,
+                                                 sine_system):
+        seeds = [Point(0.0, 2.2), Point(0.0, 0.5)]
+        calls = []
+
+        def counting(system, seed, turns, *args, **kwargs):
+            calls.append(seed)
+            return sample_orbit(system, seed, turns, *args, **kwargs)
+
+        monkeypatch.setattr(portrait, "sample_orbit", counting)
+        svg, dump = tmp_path / "p.svg", tmp_path / "p.csv"
+        code, _, _ = run(capsys, ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                                  "--range", "0.1", "4", "--window", "-2.6", "2.6", "-2.6", "2.6",
+                                  "--seed", "0,2.2", "--seed", "0,0.5", "--turns", "2",
+                                  "--out", str(svg), "--csv", str(dump)])
+        assert code == 0
+        assert calls == seeds
+        monkeypatch.undo()
+        # the same bytes as rendering and exporting with separate sampling
+        spec = PortraitSpec(window=(-2.6, 2.6, -2.6, 2.6), seed_points=seeds, turns=2)
+        cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
+        assert svg.read_bytes() == render(sine_system, spec, cycles).encode()
+        segments = [seg for seed in seeds for seg in sample_orbit(sine_system, seed, 2)]
+        assert dump.read_bytes() == segments_to_csv(segments).encode()
 
 
 class TestUsageErrors:
