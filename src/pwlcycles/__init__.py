@@ -19,7 +19,6 @@ from .core import (
     SystemParams,
     TangencyError,
     Zone,
-    ZoneMatrices,
     manifold_value,
     system_descriptor,
     vector_field,

@@ -27,17 +27,19 @@ with aR, aL the two arctangents above.  f vanishes exactly at the zeros
 of h, and each isolated zero y* yields a periodic orbit through (0, y*)
 and (0, -exp(-gamma*pi)*y*) of period 2*pi.
 
-All square-root arguments are evaluated in factored form (via hypot) to
-avoid cancellation for small y.
+Both half-turns are one arc kernel, (atan(x/(y - gamma*x)),
+hypot(y - gamma*x, x)), taken at x = h for the right zone and at x = -h
+for the left: aL is minus the left arc's angle.  Every function here
+wraps that kernel, and ``displacement`` evaluates h once for both arcs.
+The radius goes through hypot, in factored form, to avoid cancellation
+for small y.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .core import (
-    Boundary,
     DomainError,
     EvaluationError,
     HypothesisError,
@@ -48,25 +50,6 @@ from .core import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-
-class HalfReturn(NamedTuple):
-    """One half-turn from a boundary point to the lower section.
-
-    crossing_time lies in (pi/2, 3*pi/2) for the forward left half-turn
-    and in (-3*pi/2, -pi/2) for the backward right half-turn; exit_y is
-    negative in both cases.
-    """
-
-    crossing_time: float
-    exit_y: float
-
-
-class DisplacementSample(NamedTuple):
-    """A (y, f(y)) pair, from either the closed form or the integrator."""
-
-    y: float
-    f: float
 
 
 def flow(zone: Zone, t: float, p: Point, params: SystemParams) -> Point:
@@ -97,15 +80,30 @@ def _boundary_offset(y: float, system: PWLSystem) -> float:
     return h
 
 
+def _arc(y: float, x: float, g: float) -> tuple[float, float]:
+    """Angle and radius (atan(x/(y - g*x)), hypot(y - g*x, x)) of a half-turn.
+
+    The backward right half-turn from (h(y), y) is the arc at x = h, the
+    forward left half-turn is the arc at x = -h.  Negation is exact, atan
+    is odd and hypot is even, so both half-turns share this one kernel.
+    """
+    d = y - g * x
+    return math.atan(x / d), math.hypot(d, x)
+
+
+def _landing_y(y: float, x: float, g: float) -> float:
+    """Ordinate -exp(-gamma*pi + gamma*a) * r where the arc at x meets {x=0, y<0}."""
+    a, r = _arc(y, x, g)
+    return -math.exp(-g * math.pi + g * a) * r
+
+
 def crossing_time_left(y: float, system: PWLSystem) -> float:
     """Time for the left-zone orbit from (h(y), y) to reach {x=0, y<0}.
 
     Lies in (pi/2, 3*pi/2); equals pi exactly when h(y) = 0 and is larger
     (smaller) when h(y) is positive (negative).
     """
-    g = system.gamma
-    h = _boundary_offset(y, system)
-    return math.pi + math.atan(h / (y + g * h))
+    return math.pi - _arc(y, -_boundary_offset(y, system), system.gamma)[0]
 
 
 def crossing_time_right(y: float, system: PWLSystem) -> float:
@@ -113,9 +111,7 @@ def crossing_time_right(y: float, system: PWLSystem) -> float:
 
     Lies in (-3*pi/2, -pi/2) and equals -pi exactly when h(y) = 0.
     """
-    g = system.gamma
-    h = _boundary_offset(y, system)
-    return -math.pi + math.atan(h / (y - g * h))
+    return -math.pi + _arc(y, _boundary_offset(y, system), system.gamma)[0]
 
 
 def left_exit_y(y: float, system: PWLSystem) -> float:
@@ -123,10 +119,7 @@ def left_exit_y(y: float, system: PWLSystem) -> float:
 
     Closed form: -exp(-gamma*pi - gamma*aL) * hypot(y + gamma*h, h) < 0.
     """
-    g = system.gamma
-    h = _boundary_offset(y, system)
-    a = math.atan(h / (y + g * h))
-    return -math.exp(-g * math.pi - g * a) * math.hypot(y + g * h, h)
+    return _landing_y(y, -_boundary_offset(y, system), system.gamma)
 
 
 def right_entry_y(y: float, system: PWLSystem) -> float:
@@ -134,10 +127,7 @@ def right_entry_y(y: float, system: PWLSystem) -> float:
 
     Closed form: -exp(-gamma*pi + gamma*aR) * hypot(y - gamma*h, h) < 0.
     """
-    g = system.gamma
-    h = _boundary_offset(y, system)
-    a = math.atan(h / (y - g * h))
-    return -math.exp(-g * math.pi + g * a) * math.hypot(y - g * h, h)
+    return _landing_y(y, _boundary_offset(y, system), system.gamma)
 
 
 def displacement(y: float, system: PWLSystem) -> float:
@@ -146,7 +136,8 @@ def displacement(y: float, system: PWLSystem) -> float:
     Zero iff h(y) = 0; shares the sign of h(y) elsewhere, which is what
     makes zeros of h correspond one-to-one to periodic orbits.
     """
-    return left_exit_y(y, system) - right_entry_y(y, system)
+    h = _boundary_offset(y, system)
+    return _landing_y(y, -h, system.gamma) - _landing_y(y, h, system.gamma)
 
 
 def delta(y: float, x: float, params: SystemParams) -> float:
@@ -168,7 +159,8 @@ def delta(y: float, x: float, params: SystemParams) -> float:
         raise DomainError(f"y must be a positive real, got {y!r}")
     if abs(x) * g >= y:
         raise DomainError(f"|x| < y/gamma required, got x={x!r}, y/gamma={y / g!r}")
-    return math.exp(g * math.atan(x / (y - g * x))) * math.hypot(y - g * x, x)
+    a, r = _arc(y, x, g)
+    return math.exp(g * a) * r
 
 
 def displacement_f3_at_root(y_star: float, hprime: float, params: SystemParams) -> float:

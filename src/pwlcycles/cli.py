@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -58,21 +59,48 @@ def _merged(args, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
+def _number(args, cfg: dict, key: str, default=None, kind=float):
+    """Option ``key`` from the flags or the config, converted with ``kind``; None stays None."""
+    val = _merged(args, cfg, key, default)
+    if val is None:
+        return None
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise families.ParameterError(f"{key} must be a number, got {val!r}") from None
+
+
+def _points(args, cfg: dict, default: int) -> int:
+    """The displacement scan size, a non-negative integer."""
+    points = _number(args, cfg, "points", default, kind=int)
+    if points < 0:
+        raise families.ParameterError(f"points must be a non-negative integer, got {points!r}")
+    return points
+
+
+def _floats(value, count: int, what: str) -> tuple:
+    """``value`` as exactly ``count`` finite floats."""
+    try:
+        out = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        out = ()
+    if len(out) != count or not all(math.isfinite(v) for v in out):
+        raise families.ParameterError(f"{what} must be {count} finite numbers, got {value!r}")
+    return out
+
+
 def _build_system(args, cfg: dict) -> PWLSystem:
     gamma = _merged(args, cfg, "gamma")
     family = getattr(args, "family", None)
     if family is not None:
         params: dict = {}
-        if family in ("sine", "cosine"):
-            n = getattr(args, "n", None)
-            if n is None:
-                n = cfg.get("boundary", {}).get("params", {}).get("n")
-            params["n"] = n
-        elif family == "oscillatory":
-            alpha = getattr(args, "alpha", None)
-            if alpha is None:
-                alpha = cfg.get("boundary", {}).get("params", {}).get("alpha")
-            params["alpha"] = alpha
+        key = {"sine": "n", "cosine": "n", "oscillatory": "alpha"}.get(family)
+        if key is not None:
+            params[key] = getattr(args, key, None)
+            if params[key] is None:
+                given = cfg.get("boundary")
+                fp = given.get("params") if isinstance(given, dict) else None
+                params[key] = fp.get(key) if isinstance(fp, dict) else None
         boundary = {"family": family, "params": params}
     else:
         boundary = cfg.get("boundary")
@@ -102,21 +130,21 @@ def _csv_text(header, rows) -> str:
 
 def _range(args, cfg: dict, default=(0.01, 5.0)) -> tuple[float, float]:
     rng = _merged(args, cfg, "range", list(default))
-    if len(rng) != 2 or not rng[0] < rng[1]:
+    lo, hi = _floats(rng, 2, "range")
+    if not lo < hi:
         raise families.ParameterError(f"range must be LO HI with LO < HI, got {rng!r}")
-    return float(rng[0]), float(rng[1])
+    return lo, hi
 
 
 def _opts(args, cfg: dict) -> IntegrationOptions:
-    step = _merged(args, cfg, "step", 1e-4)
-    return IntegrationOptions(step=float(step))
+    return IntegrationOptions(step=_number(args, cfg, "step", 1e-4))
 
 
 def _analytic_cycles(system: PWLSystem, args, cfg: dict, lo: float, hi: float,
                      certify: bool) -> cyc.CycleSearchResult:
-    kmax = _merged(args, cfg, "kmax")
+    kmax = _number(args, cfg, "kmax", kind=int)
     if system.boundary.descriptor.get("family") == "oscillatory" and kmax:
-        roots = [families.oscillatory_root(k) for k in range(1, int(kmax) + 1)]
+        roots = [families.oscillatory_root(k) for k in range(1, kmax + 1)]
         return cyc.CycleSearchResult(
             cycles=cyc.reports_for_roots(system, roots),
             continuum=False, origin="stable focus", hypothesis_report=None)
@@ -127,7 +155,7 @@ def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     system = _build_system(args, cfg)
     lo, hi = _range(args, cfg)
-    points = int(_merged(args, cfg, "grid-points", hypotheses.DEFAULT_GRID_POINTS))
+    points = _number(args, cfg, "grid-points", hypotheses.DEFAULT_GRID_POINTS, kind=int)
     grid = hypotheses.geometric_grid(lo, hi, points)
     report = hypotheses.check_boundary_hypotheses(system, grid)
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
@@ -164,7 +192,7 @@ def cmd_displacement(args) -> int:
     cfg = _load_config(args.config)
     system = _build_system(args, cfg)
     lo, hi = _range(args, cfg)
-    points = int(_merged(args, cfg, "points", 200))
+    points = _points(args, cfg, 200)
     rows = _displacement_rows(system, np.linspace(lo, hi, points), _opts(args, cfg))
     _emit(_csv_text(("y", "f_analytic", "f_numeric", "abs_diff"), rows), args.out)
     return EXIT_OK
@@ -175,7 +203,7 @@ def cmd_verify(args) -> int:
     system = _build_system(args, cfg)
     lo, hi = _range(args, cfg)
     opts = _opts(args, cfg)
-    tol = float(_merged(args, cfg, "tol", 1e-6))
+    tol = _number(args, cfg, "tol", 1e-6)
 
     grid = hypotheses.geometric_grid(lo, hi, hypotheses.DEFAULT_GRID_POINTS)
     hreport = hypotheses.check_boundary_hypotheses(system, grid)
@@ -211,7 +239,7 @@ def cmd_verify(args) -> int:
         if stab is not rep.stability:
             discrepancies.append({"kind": "stability", **rec})
 
-    points = int(_merged(args, cfg, "points", 40))
+    points = _points(args, cfg, 40)
     rows = _displacement_rows(system, np.linspace(lo, hi, points), opts)
     max_diff = max((r[3] for r in rows), default=0.0)
     if max_diff > tol:
@@ -236,17 +264,14 @@ def cmd_portrait(args) -> int:
     window = _merged(args, cfg, "window")
     if window is None:
         window = portrait.default_window(result.cycles)
-    seeds = []
-    for s in (args.seed or cfg.get("seeds", [])):
-        if isinstance(s, str):
-            xy = [float(v) for v in s.split(",")]
-        else:
-            xy = [float(v) for v in s]
-        seeds.append(Point(xy[0], xy[1]))
+    given = args.seed or cfg.get("seeds", [])
+    if not isinstance(given, list):
+        raise families.ParameterError(f"seeds must be a list of X,Y pairs, got {given!r}")
+    seeds = [Point(*_floats(s.split(",") if isinstance(s, str) else s, 2, "seed")) for s in given]
     spec = portrait.PortraitSpec(
-        window=tuple(float(v) for v in window),
+        window=_floats(window, 4, "window"),
         seed_points=seeds,
-        turns=int(_merged(args, cfg, "turns", 3)),
+        turns=_number(args, cfg, "turns", 3, kind=int),
         include_cycles=not args.no_cycles,
     )
     segments = [seg for seed in seeds for seg in portrait.sample_orbit(system, seed, spec.turns)]

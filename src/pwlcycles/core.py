@@ -85,57 +85,14 @@ class SystemParams:
             raise ParameterError(f"gamma must be a finite positive real, got {self.gamma!r}")
 
 
-@dataclass(frozen=True)
-class ZoneMatrices:
-    """Entries of the two zone matrices [[+-2*gamma, -1], [gamma^2+1, 0]].
+def zone_matrix(params: SystemParams, zone: Zone) -> np.ndarray:
+    """2x2 matrix [[+-2*gamma, -1], [gamma^2+1, 0]] of the zone as a fresh ndarray.
 
     Both matrices have determinant gamma^2 + 1 and trace +-2*gamma, hence
     complex eigenvalues +-gamma +- i: each zone is a focus, expanding on
-    the right and contracting on the left.
+    the right and contracting on the left.  This is the one representation
+    of the zone matrices in the package.
     """
-
-    g11_plus: float
-    g12_plus: float
-    g21_plus: float
-    g22_plus: float
-    g11_minus: float
-    g12_minus: float
-    g21_minus: float
-    g22_minus: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "ZoneMatrices":
-        g = params.gamma
-        return cls(
-            g11_plus=2.0 * g, g12_plus=-1.0, g21_plus=g * g + 1.0, g22_plus=0.0,
-            g11_minus=-2.0 * g, g12_minus=-1.0, g21_minus=g * g + 1.0, g22_minus=0.0,
-        )
-
-    @property
-    def plus(self) -> np.ndarray:
-        return np.array([[self.g11_plus, self.g12_plus],
-                         [self.g21_plus, self.g22_plus]])
-
-    @property
-    def minus(self) -> np.ndarray:
-        return np.array([[self.g11_minus, self.g12_minus],
-                         [self.g21_minus, self.g22_minus]])
-
-    def trace(self, zone: Zone) -> float:
-        return self.g11_plus + self.g22_plus if zone is Zone.RIGHT else self.g11_minus + self.g22_minus
-
-    def det(self, zone: Zone) -> float:
-        if zone is Zone.RIGHT:
-            return self.g11_plus * self.g22_plus - self.g12_plus * self.g21_plus
-        return self.g11_minus * self.g22_minus - self.g12_minus * self.g21_minus
-
-    def discriminant(self, zone: Zone) -> float:
-        t = self.trace(zone)
-        return t * t - 4.0 * self.det(zone)
-
-
-def zone_matrix(params: SystemParams, zone: Zone) -> np.ndarray:
-    """2x2 matrix of the requested zone as a fresh ndarray."""
     g = params.gamma
     return np.array([[zone.sign * 2.0 * g, -1.0], [g * g + 1.0, 0.0]])
 
@@ -171,10 +128,6 @@ class PWLSystem:
     def gamma(self) -> float:
         return self.params.gamma
 
-    @property
-    def matrices(self) -> ZoneMatrices:
-        return ZoneMatrices.from_params(self.params)
-
 
 def manifold_value(system: PWLSystem, p: Point) -> float:
     """Signed switching function: x for y <= 0, x - h(y) for y > 0.
@@ -193,18 +146,26 @@ def manifold_value(system: PWLSystem, p: Point) -> float:
     return float(x) - h
 
 
+def _boundary_values(fn: Callable, ys: np.ndarray) -> np.ndarray:
+    """fn(ys) as a float array, for ``fn`` a boundary's evaluate or derivative.
+
+    Raises EvaluationError naming the first y where the value is not finite.
+    """
+    vals = np.asarray(fn(ys), dtype=float)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise EvaluationError(f"boundary value not finite at y={float(ys[bad][0])!r}")
+    return vals
+
+
 def manifold_values(system: PWLSystem, points: np.ndarray) -> np.ndarray:
     """Vectorized ``manifold_value`` over an (m, 2) array of points."""
     xs = points[:, 0]
     ys = points[:, 1]
-    out = xs.astype(float).copy()
+    out = xs.astype(float)
     mask = ys > 0.0
     if np.any(mask):
-        hv = np.asarray(system.boundary.evaluate(ys[mask]), dtype=float)
-        if not np.all(np.isfinite(hv)):
-            bad = ys[mask][~np.isfinite(hv)][0]
-            raise EvaluationError(f"boundary value not finite at y={bad!r}")
-        out[mask] = xs[mask] - hv
+        out[mask] -= _boundary_values(system.boundary.evaluate, ys[mask])
     return out
 
 

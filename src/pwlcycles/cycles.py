@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .analytic import TWO_PI, displacement_f3_at_root
-from .core import Boundary, DomainError, EvaluationError, HypothesisError, Point, PWLSystem
+from .core import Boundary, DomainError, HypothesisError, Point, PWLSystem, _boundary_values
 from .hypotheses import HypothesisReport, check_boundary_hypotheses, geometric_grid
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -105,14 +105,6 @@ class CycleSearchResult:
         }
 
 
-def _eval_array(boundary: Boundary, ys: np.ndarray) -> np.ndarray:
-    vals = np.asarray(boundary.evaluate(ys), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = ys[~np.isfinite(vals)][0]
-        raise EvaluationError(f"boundary value not finite at y={float(bad)!r}")
-    return vals
-
-
 def _bisect(fn, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     while b - a > tol:
         m = 0.5 * (a + b)
@@ -162,7 +154,7 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
         raise DomainError("scan needs at least 2 points")
 
     ys = np.linspace(y_min, y_max, scan_points)
-    hv = _eval_array(boundary, ys)
+    hv = _boundary_values(boundary.evaluate, ys)
 
     if np.all(np.abs(hv) <= tol):
         return RootScan(roots=(), continuum=True)

@@ -19,7 +19,10 @@ Four built-in families plus tabulated user data:
                  cycles.  Requires 0 < gamma < sqrt(3/13).
     table        monotone C1 cubic through user samples (y, h, h').
 
-Every evaluate/derivative pair accepts floats or 1-d arrays.  Parameter
+Every evaluate/derivative pair accepts floats or 1-d arrays.  Each
+family writes h and h' once, as formula(y, m) with m = math for a float
+and m = numpy for an array, so a float skips numpy's ufuncs.  scipy is
+imported only by ``make_table``, the one family that needs it.  Parameter
 ranges are enforced strictly at construction: each family's cycle
 inventory is only guaranteed inside its stated range.
 """
@@ -30,7 +33,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from .core import Boundary, ParameterError, PWLSystem, SystemParams
 
@@ -45,6 +47,42 @@ def _check_count(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     return n
+
+
+def _windowed(formula, window: float, tail: float):
+    """formula(y, m) for y <= window and the constant ``tail`` beyond.
+
+    ``m`` is ``math`` for a scalar argument and ``numpy`` for an array, so
+    a float is computed with math functions, not numpy ufuncs.
+    """
+
+    def fn(y):
+        arr = np.asarray(y, dtype=float)
+        if arr.ndim == 0:
+            y = float(arr)
+            return formula(y, math) if y <= window else tail
+        return np.where(arr <= window, formula(arr, np), tail)
+
+    return fn
+
+
+def _positive(formula):
+    """formula(y, m) for y > 0 and 0 elsewhere, with ``m`` as in ``_windowed``.
+
+    The array path evaluates the formula only on the positive entries.
+    """
+
+    def fn(y):
+        arr = np.asarray(y, dtype=float)
+        if arr.ndim == 0:
+            y = float(arr)
+            return formula(y, math) if y > 0.0 else 0.0
+        out = np.zeros_like(arr)
+        pos = arr > 0.0
+        out[pos] = formula(arr[pos], np)
+        return out
+
+    return fn
 
 
 def make_zero() -> Boundary:
@@ -73,19 +111,8 @@ def make_sine(params: SystemParams, n: int) -> Boundary:
     slope = 2.0 * g / (g * g + 1.0)
     window = (2.0 * n + 1.0) / 2.0
     tail = amp * (-1.0) ** n
-
-    def evaluate(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return amp * math.sin(math.pi * float(arr)) if float(arr) <= window else tail
-        return np.where(arr <= window, amp * np.sin(np.pi * arr), tail)
-
-    def derivative(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return slope * math.cos(math.pi * float(arr)) if float(arr) <= window else 0.0
-        return np.where(arr <= window, slope * np.cos(np.pi * arr), 0.0)
-
+    evaluate = _windowed(lambda y, m: amp * m.sin(m.pi * y), window, tail)
+    derivative = _windowed(lambda y, m: slope * m.cos(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "sine", "params": {"n": n}})
 
@@ -102,31 +129,8 @@ def make_oscillatory(alpha: float) -> Boundary:
             f"oscillatory family requires 0 < alpha < (sqrt(3)-1)/2 ~= {OSCILLATORY_ALPHA_LIMIT:.6f}, got {alpha!r}"
         )
     a = float(alpha)
-
-    def evaluate(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            yv = float(arr)
-            return a * yv * yv * math.sin(1.0 / yv) if yv > 0.0 else 0.0
-        out = np.zeros_like(arr)
-        m = arr > 0.0
-        ym = arr[m]
-        out[m] = a * ym * ym * np.sin(1.0 / ym)
-        return out
-
-    def derivative(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            yv = float(arr)
-            if yv <= 0.0:
-                return 0.0
-            return 2.0 * a * yv * math.sin(1.0 / yv) - a * math.cos(1.0 / yv)
-        out = np.zeros_like(arr)
-        m = arr > 0.0
-        ym = arr[m]
-        out[m] = 2.0 * a * ym * np.sin(1.0 / ym) - a * np.cos(1.0 / ym)
-        return out
-
+    evaluate = _positive(lambda y, m: a * y * y * m.sin(1.0 / y))
+    derivative = _positive(lambda y, m: 2.0 * a * y * m.sin(1.0 / y) - a * m.cos(1.0 / y))
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "oscillatory", "params": {"alpha": a}})
 
@@ -158,21 +162,21 @@ def make_cosine(params: SystemParams, n: int) -> Boundary:
     slope = 2.0 * g / (g * g + 1.0)
     window = 2.0 * n + 1.0
     tail = 2.0 * amp
-
-    def evaluate(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return amp * (1.0 - math.cos(math.pi * float(arr))) if float(arr) <= window else tail
-        return np.where(arr <= window, amp * (1.0 - np.cos(np.pi * arr)), tail)
-
-    def derivative(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return slope * math.sin(math.pi * float(arr)) if float(arr) <= window else 0.0
-        return np.where(arr <= window, slope * np.sin(np.pi * arr), 0.0)
-
+    evaluate = _windowed(lambda y, m: amp * (1.0 - m.cos(m.pi * y)), window, tail)
+    derivative = _windowed(lambda y, m: slope * m.sin(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "cosine", "params": {"n": n}})
+
+
+def _table_row(sample) -> tuple:
+    """(y, h, h' or None) from a sample of 2 or 3 numbers; h' may be None."""
+    try:
+        if len(sample) in (2, 3):
+            slope = sample[2] if len(sample) == 3 else None
+            return float(sample[0]), float(sample[1]), None if slope is None else float(slope)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"each table sample must be [y, h] or [y, h, h'], got {sample!r}")
 
 
 def make_table(samples: Sequence[tuple]) -> Boundary:
@@ -185,15 +189,18 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     """
     if len(samples) < 2:
         raise ParameterError("table boundary needs at least 2 samples")
-    ys = np.array([float(s[0]) for s in samples])
-    hs = np.array([float(s[1]) for s in samples])
-    slopes = [s[2] if len(s) > 2 else None for s in samples]
+    rows = [_table_row(s) for s in samples]
+    ys = np.array([r[0] for r in rows])
+    hs = np.array([r[1] for r in rows])
+    slopes = [r[2] for r in rows]
     if ys[0] != 0.0 or hs[0] != 0.0:
         raise ParameterError("first sample must be (0, 0, .)")
     if np.any(np.diff(ys) <= 0.0):
         raise ParameterError("sample ordinates must be strictly increasing")
     if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(hs))):
         raise ParameterError("samples must be finite")
+
+    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
     ds = np.empty_like(ys)
     missing = [i for i, s in enumerate(slopes) if s is None]
@@ -202,7 +209,7 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
         ds[missing] = fill
     for i, s in enumerate(slopes):
         if s is not None:
-            ds[i] = float(s)
+            ds[i] = s
     if not np.all(np.isfinite(ds)):
         raise ParameterError("sample slopes must be finite")
 
@@ -224,8 +231,12 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
 
 def boundary_from_descriptor(descriptor: dict, params: SystemParams) -> Boundary:
     """Rebuild a boundary from its JSON descriptor."""
+    if not isinstance(descriptor, dict):
+        raise ParameterError(f"boundary must be an object with a 'family' entry, got {descriptor!r}")
     family = descriptor.get("family")
     fp = descriptor.get("params", {}) or {}
+    if not isinstance(fp, dict):
+        raise ParameterError(f"boundary params must be an object, got {fp!r}")
     if family == "zero":
         return make_zero()
     if family == "sine":
@@ -239,7 +250,10 @@ def boundary_from_descriptor(descriptor: dict, params: SystemParams) -> Boundary
     if family == "cosine":
         return make_cosine(params, fp.get("n"))
     if family == "table":
-        return make_table([tuple(s) for s in fp.get("samples", [])])
+        samples = fp.get("samples", [])
+        if not isinstance(samples, (list, tuple)):
+            raise ParameterError(f"table samples must be a list, got {samples!r}")
+        return make_table(samples)
     raise ParameterError(f"unknown boundary family {family!r}")
 
 

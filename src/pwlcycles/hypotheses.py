@@ -15,9 +15,12 @@ Boundary level (checked on a user grid of y > 0 samples):
 H2' and H3' are exactly the statements that the two inner products of the
 switching-set normal (1, -h'(y)) with the two zone fields at (h(y), y)
 are negative, i.e. every boundary point with y > 0 is a right-to-left
-crossing point and no sliding segment exists.  Certification is
-grid-based; the closed-form parameter ranges of the built-in boundary
-families are enforced separately by their constructors.
+crossing point and no sliding segment exists.  The grid certificate
+and the pointwise ``check_transversality`` share one formula for those
+inner products, and M1/M2 are read off ``core.zone_matrix``.
+Certification is grid-based; the closed-form parameter ranges of the
+built-in boundary families are enforced separately by their
+constructors.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, EvaluationError, PWLSystem, SystemParams, Zone, ZoneMatrices
+from .core import (
+    DomainError,
+    EvaluationError,
+    PWLSystem,
+    SystemParams,
+    Zone,
+    _boundary_values,
+    zone_matrix,
+)
 
 # Margins tighter than this (while still passing) are reported as warnings.
 NEAR_VIOLATION_TOL = 1e-9
@@ -104,23 +115,26 @@ def check_matrix_hypotheses(params: SystemParams) -> tuple[bool, bool]:
     Both hold for every gamma > 0 under this parameterization; they are
     computed rather than asserted so the certificate is self-documenting.
     """
-    m = ZoneMatrices.from_params(params)
-    h1 = m.g12_plus < 0.0 and m.g12_minus < 0.0
-    complex_eigs = m.discriminant(Zone.RIGHT) < 0.0 and m.discriminant(Zone.LEFT) < 0.0
-    real_parts_split = m.trace(Zone.LEFT) / 2.0 < 0.0 < m.trace(Zone.RIGHT) / 2.0
-    return h1, complex_eigs and real_parts_split
+    left, right = (zone_matrix(params, zone) for zone in (Zone.LEFT, Zone.RIGHT))
+    h1 = left[0, 1] < 0.0 and right[0, 1] < 0.0
+    complex_eigs = all(
+        np.trace(m) ** 2 - 4.0 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) < 0.0 for m in (left, right)
+    )
+    real_parts_split = np.trace(left) / 2.0 < 0.0 < np.trace(right) / 2.0
+    return bool(h1), bool(complex_eigs and real_parts_split)
 
 
-def _boundary_arrays(system: PWLSystem, y_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hv = np.asarray(system.boundary.evaluate(y_grid), dtype=float)
-    dv = np.asarray(system.boundary.derivative(y_grid), dtype=float)
-    for name, arr in (("h", hv), ("h'", dv)):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            raise EvaluationError(
-                f"boundary {name} not finite at y={float(y_grid[bad][0])!r}"
-            )
-    return hv, dv
+def _inner_products(g, y, h, hp):
+    """Boundary normal (1, -h') dotted with the two zone fields at (h, y).
+
+    Returns (left_ip, right_ip, lhs2, lhs3): the left and right inner
+    products and the H2'/H3' left-hand sides they are made of,
+    right_ip = lhs2 - y and left_ip = -y - lhs3.  Plain arithmetic, so
+    the arguments may be floats or arrays alike.
+    """
+    lhs2 = h * (2.0 * g - (1.0 + g * g) * hp)
+    lhs3 = h * (2.0 * g + (1.0 + g * g) * hp)
+    return -y - lhs3, lhs2 - y, lhs2, lhs3
 
 
 def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> HypothesisReport:
@@ -134,22 +148,18 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
         raise DomainError("grid must be strictly increasing")
 
     g = system.gamma
-    hv, dv = _boundary_arrays(system, y_grid)
+    hv = _boundary_values(system.boundary.evaluate, y_grid)
+    dv = _boundary_values(system.boundary.derivative, y_grid)
+    left_ip, right_ip, lhs2, lhs3 = _inner_products(g, y_grid, hv, dv)
 
     lhs1 = np.abs(hv)
     rhs1 = y_grid / g
-    lhs2 = hv * (2.0 * g - (1.0 + g * g) * dv)
     rhs2 = y_grid
-    lhs3 = hv * (2.0 * g + (1.0 + g * g) * dv)
     rhs3 = -y_grid
 
     h1p = lhs1 < rhs1
     h2p = lhs2 < rhs2
     h3p = lhs3 > rhs3
-
-    # The two crossing margins in printed form; negative means transversal.
-    right_ip = lhs2 - y_grid
-    left_ip = -y_grid - lhs3
     transversal = (right_ip < 0.0) & (left_ip < 0.0)
 
     violations: list[InequalityRecord] = []
@@ -184,11 +194,9 @@ def check_transversality(system: PWLSystem, y: float) -> tuple[float, float, boo
     """
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be a positive real, got {y!r}")
-    g = system.gamma
     h = float(system.boundary.evaluate(y))
     hp = float(system.boundary.derivative(y))
     if not (math.isfinite(h) and math.isfinite(hp)):
         raise EvaluationError(f"boundary evaluation not finite at y={y!r}")
-    right_ip = -y + h * (2.0 * g - (1.0 + g * g) * hp)
-    left_ip = -y + h * (-2.0 * g - (1.0 + g * g) * hp)
+    left_ip, right_ip, _, _ = _inner_products(system.gamma, y, h, hp)
     return left_ip, right_ip, (left_ip < 0.0 and right_ip < 0.0)

@@ -52,8 +52,10 @@ from .cycles import StabilityClass
 _BLOCK_TIME = 0.5
 _MAX_BISECT = 200
 
-# Smallest meaningful radius drift per return-map pass; drifts inside this
-# band are treated as numerical noise when resolving stability.
+# Smallest meaningful radius drift, relative to the cycle's lower-section
+# radius; drifts inside this band are treated as numerical noise when
+# resolving stability.  Relative, because the drifts of a small cycle
+# shrink with its radius.
 DRIFT_FLOOR = 1e-9
 
 
@@ -564,7 +566,7 @@ def resolve_stability(system: PWLSystem, y_star: float,
         for _ in range(iters):
             y_in = return_map(system, y_in, opts).y_out
             drifts.append((-y_in) - r_star)
-        verdicts[side] = _side_trend(drifts, DRIFT_FLOOR)
+        verdicts[side] = _side_trend(drifts, DRIFT_FLOOR * r_star)
 
     interior, exterior = verdicts[-1.0], verdicts[+1.0]
     if interior is None or exterior is None:

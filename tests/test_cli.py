@@ -232,3 +232,31 @@ class TestUsageErrors:
         code, _, err = run(capsys, ["cycles", "--config", str(path)])
         assert code == 2
         assert "violation" in err
+
+
+SINE_CFG = {"gamma": 0.75, "boundary": {"family": "sine", "params": {"n": 2}}, "range": [0.1, 4]}
+PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--range", "0.1", "4"]
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (PORTRAIT + ["--seed", "0"], None),
+    (PORTRAIT + ["--seed", "a,b"], None),
+    (["displacement"], {**SINE_CFG, "step": "abc"}),
+    (["check"], {"gamma": 0.75, "range": [0.1, 1],
+                 "boundary": {"family": "table", "params": {"samples": [[0, 0], [1]]}}}),
+    (["check"], {"gamma": 0.75, "boundary": {"family": "table", "params": {"samples": 5}}}),
+    (["check"], {"gamma": 0.75, "boundary": {"family": "sine", "params": 5}}),
+    (["check", "--family", "sine"], {"gamma": 0.75, "boundary": 5}),
+    (["displacement", "--points", "-1"], SINE_CFG),
+], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
+        "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
+        "negative-points"])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "error:" in err and "Traceback" not in err

@@ -11,7 +11,6 @@ from pwlcycles import (
     PWLSystem,
     SystemParams,
     Zone,
-    ZoneMatrices,
     make_oscillatory,
     manifold_value,
     system_descriptor,
@@ -30,25 +29,18 @@ class TestSystemParams:
         assert SystemParams(0.75).gamma == 0.75
 
 
-class TestZoneMatrices:
+class TestZoneMatrix:
     def test_entries(self, params075):
-        m = ZoneMatrices.from_params(params075)
-        assert (m.g11_plus, m.g12_plus, m.g21_plus, m.g22_plus) == (1.5, -1.0, 1.5625, 0.0)
-        assert (m.g11_minus, m.g12_minus, m.g21_minus, m.g22_minus) == (-1.5, -1.0, 1.5625, 0.0)
+        np.testing.assert_array_equal(zone_matrix(params075, Zone.RIGHT), [[1.5, -1.0], [1.5625, 0.0]])
+        np.testing.assert_array_equal(zone_matrix(params075, Zone.LEFT), [[-1.5, -1.0], [1.5625, 0.0]])
 
     def test_focus_invariants(self, params075):
-        m = ZoneMatrices.from_params(params075)
         for zone in Zone:
-            assert m.det(zone) == pytest.approx(0.75 ** 2 + 1.0)
-            assert m.discriminant(zone) == pytest.approx(-4.0)
-        assert m.trace(Zone.RIGHT) == 1.5
-        assert m.trace(Zone.LEFT) == -1.5
-
-    def test_zone_matrix_helper(self, params075):
-        np.testing.assert_allclose(zone_matrix(params075, Zone.RIGHT),
-                                   ZoneMatrices.from_params(params075).plus)
-        np.testing.assert_allclose(zone_matrix(params075, Zone.LEFT),
-                                   ZoneMatrices.from_params(params075).minus)
+            m = zone_matrix(params075, zone)
+            assert np.linalg.det(m) == pytest.approx(0.75 ** 2 + 1.0)
+            assert np.trace(m) ** 2 - 4.0 * np.linalg.det(m) == pytest.approx(-4.0)
+        assert np.trace(zone_matrix(params075, Zone.RIGHT)) == 1.5
+        assert np.trace(zone_matrix(params075, Zone.LEFT)) == -1.5
 
 
 class TestManifoldValue:
@@ -101,11 +93,12 @@ class TestVectorField:
         assert vector_field(zero_system, Point(-1.0, 0.0)) == Point(1.5, -1.5625)
 
     def test_zone_dichotomy(self, sine_system):
-        m = sine_system.matrices
+        right = zone_matrix(sine_system.params, Zone.RIGHT)
+        left = zone_matrix(sine_system.params, Zone.LEFT)
         rng = np.random.default_rng(11)
         for x, y in rng.uniform(-3.0, 3.0, size=(256, 2)):
             p = Point(float(x), float(y))
-            expected = (m.plus if manifold_value(sine_system, p) >= 0.0 else m.minus) @ [p.x, p.y]
+            expected = (right if manifold_value(sine_system, p) >= 0.0 else left) @ [p.x, p.y]
             got = vector_field(sine_system, p)
             np.testing.assert_allclose([got.x, got.y], expected, rtol=0, atol=1e-14)
 

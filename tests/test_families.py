@@ -238,3 +238,28 @@ class TestDescriptors:
             system_from_descriptor({"gamma": 1.0})
         with pytest.raises(ParameterError):
             system_from_descriptor({"gamma": "one", "boundary": {"family": "zero"}})
+
+
+def _agreement_boundaries():
+    sine = make_sine(SystemParams(0.75), 2)
+    return {
+        "zero": make_zero(),
+        "sine": sine,
+        "cosine": make_cosine(SystemParams(0.4), 2),
+        "oscillatory": make_oscillatory(0.3),
+        "table": make_table([(0.0, 0.0, None), (0.7, 0.2, None), (1.5, -0.1, 0.3), (3.0, 0.05, None)]),
+    }
+
+
+@pytest.mark.parametrize("family", ["zero", "sine", "cosine", "oscillatory", "table"])
+def test_scalar_path_equals_array_path_bitwise(family):
+    """A float goes through math, an array through numpy; both give the same bits."""
+    b = _agreement_boundaries()[family]
+    # y <= 0, the sine window edge 2.5 and cosine edge 5 with their neighbours, and the tails
+    edges = [e for w in (2.5, 5.0) for e in (np.nextafter(w, 0.0), w, np.nextafter(w, 9.0))]
+    ys = np.concatenate([np.linspace(-1.0, 8.0, 3001), np.geomspace(1e-6, 1.0, 1000),
+                         [0.0, -0.0, *edges]])
+    for fn in (b.evaluate, b.derivative):
+        scalars = [fn(float(y)) for y in ys]
+        assert all(type(v) is float for v in scalars)
+        assert np.array(scalars).tobytes() == np.asarray(fn(ys), dtype=float).tobytes()

@@ -9,6 +9,7 @@ from pwlcycles import (
     EvaluationError,
     PWLSystem,
     SystemParams,
+    Zone,
     check_boundary_hypotheses,
     check_matrix_hypotheses,
     check_transversality,
@@ -16,6 +17,7 @@ from pwlcycles import (
     make_cosine,
     make_sine,
 )
+from pwlcycles.core import zone_matrix
 
 
 def violating_system(gamma: float = 0.75) -> PWLSystem:
@@ -148,14 +150,15 @@ class TestTransversality:
     def test_formulas_equal_matrix_arithmetic(self, sine_system, cosine_system,
                                               oscillatory_system):
         for system in (sine_system, cosine_system, oscillatory_system):
-            m = system.matrices
+            left_m = zone_matrix(system.params, Zone.LEFT)
+            right_m = zone_matrix(system.params, Zone.RIGHT)
             for y in np.geomspace(0.05, 3.0, 40):
                 y = float(y)
                 h = float(system.boundary.evaluate(y))
                 hp = float(system.boundary.derivative(y))
                 grad = np.array([1.0, -hp])
-                raw_left = grad @ (m.minus @ [h, y])
-                raw_right = grad @ (m.plus @ [h, y])
+                raw_left = grad @ (left_m @ [h, y])
+                raw_right = grad @ (right_m @ [h, y])
                 left, right, _ = check_transversality(system, y)
                 assert left == pytest.approx(raw_left, abs=1e-12)
                 assert right == pytest.approx(raw_right, abs=1e-12)

@@ -337,11 +337,9 @@ class TestResolveStability:
         got = resolve_stability(zero_system, 1.0, eps=0.05, iters=5)
         assert got is StabilityClass.UNDETERMINED
 
-    @pytest.mark.xfail(strict=True, reason="the absolute DRIFT_FLOOR and the fixed 30 "
-                       "iterations leave small oscillatory cycles undetermined")
-    @pytest.mark.parametrize("k", [24, 31])
+    @pytest.mark.parametrize("k", [24, 31, 36])
     def test_small_oscillatory_cycles(self, oscillatory_system, k):
-        roots = [families.oscillatory_root(j) for j in range(1, 32)]
+        roots = [families.oscillatory_root(j) for j in range(1, 38)]
         expected = reports_for_roots(oscillatory_system, roots)[k - 1].stability
         eps = probe_eps(roots[k - 1], roots[:k - 1] + roots[k:])
         got = resolve_stability(oscillatory_system, roots[k - 1], eps=eps,
