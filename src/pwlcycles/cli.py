@@ -143,6 +143,8 @@ def _opts(args, cfg: dict) -> IntegrationOptions:
 def _analytic_cycles(system: PWLSystem, args, cfg: dict, lo: float, hi: float,
                      certify: bool) -> cyc.CycleSearchResult:
     kmax = _number(args, cfg, "kmax", kind=int)
+    if kmax is not None and kmax < 1:
+        raise families.ParameterError(f"kmax must be a positive integer, got {kmax!r}")
     if system.boundary.descriptor.get("family") == "oscillatory" and kmax:
         roots = [families.oscillatory_root(k) for k in range(1, kmax + 1)]
         return cyc.CycleSearchResult(

@@ -89,7 +89,8 @@ def make_zero() -> Boundary:
     """Straight-line boundary h = 0; the two zones join into a continuous field."""
 
     def evaluate(y):
-        return np.zeros_like(np.asarray(y, dtype=float)) if np.ndim(y) else 0.0
+        arr = np.asarray(y, dtype=float)
+        return np.zeros_like(arr) if arr.ndim else 0.0
 
     return Boundary(evaluate=evaluate, derivative=evaluate,
                     descriptor={"family": "zero", "params": {}})
@@ -217,12 +218,14 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     dspline = spline.derivative()
 
     def evaluate(y):
-        out = spline(y)
-        return float(out) if np.ndim(y) == 0 else out
+        arr = np.asarray(y, dtype=float)
+        out = spline(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def derivative(y):
-        out = dspline(y)
-        return float(out) if np.ndim(y) == 0 else out
+        arr = np.asarray(y, dtype=float)
+        out = dspline(arr)
+        return float(out) if arr.ndim == 0 else out
 
     stored = [[float(a), float(b), float(c)] for a, b, c in zip(ys, hs, ds)]
     return Boundary(evaluate=evaluate, derivative=derivative,

@@ -11,8 +11,9 @@ Implementation note: on a linear system the classic RK4 step is exactly
 multiplication by the degree-4 Taylor polynomial of exp(step*A).  The
 stepper propagates short chunks of ``_BLOCK_TIME`` time units through the
 (complex) eigenpair of that one-step matrix: the powers lam**k of its
-eigenvalue are tabulated once per leg, and each chunk scales the table by
-a coefficient taken from the chunk's start state.  This reproduces the
+eigenvalue are tabulated per one-step matrix and chunk length, kept for
+the legs that follow, and each chunk scales the table by a coefficient
+taken from the chunk's start state.  This reproduces the
 RK4 iterates to roundoff; truncation error and convergence order are
 those of RK4 by construction.  A crossing bracketed between two steps is
 landed on the same one-step polynomial, x(tau) = sum_k (tau*A)**k x / k!
@@ -21,14 +22,22 @@ event function.
 
 Backward integration is forward integration of the negated field; event
 logic is unchanged.
+
+Stability is decided from one return-map turn on each side of a cycle.
+A planar return map is strictly increasing, so with no other cycle
+between the probe and the cycle the sign of the drift P(r) - r settles
+that side.  The drift is trusted only when it exceeds ``MARGIN`` times an
+error bar made of the change when the step is doubled and the ordinate
+error the landings' actual residuals allow.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -52,11 +61,9 @@ from .cycles import StabilityClass
 _BLOCK_TIME = 0.5
 _MAX_BISECT = 200
 
-# Smallest meaningful radius drift, relative to the cycle's lower-section
-# radius; drifts inside this band are treated as numerical noise when
-# resolving stability.  Relative, because the drifts of a small cycle
-# shrink with its radius.
-DRIFT_FLOOR = 1e-9
+# A side of a cycle gets a stability verdict only when its one-turn drift
+# exceeds this multiple of the drift's error bar.
+MARGIN = 10.0
 
 
 class TerminalEvent(str, Enum):
@@ -119,6 +126,7 @@ class TrajectorySegment:
     terminal_event: TerminalEvent
     sigma_crossings: int = 0
     section_returns: int = 0
+    landing_error: float = 0.0
 
     @property
     def states(self) -> list[tuple[float, Point]]:
@@ -151,6 +159,7 @@ class ReturnMapResult:
 
     A valid turn crosses the switching curve exactly once and returns to
     {x=0, y<0} exactly once; the counters let callers verify that.
+    ``landing_error`` sums the two legs' ``TrajectorySegment.landing_error``.
     """
 
     y_in: float
@@ -158,6 +167,7 @@ class ReturnMapResult:
     flight_time: float
     sigma_crossings: int
     section_returns: int
+    landing_error: float = 0.0
 
 
 def _step_transfer(matrix: np.ndarray, step: float) -> np.ndarray:
@@ -183,11 +193,24 @@ def _eigenvalue(transfer: np.ndarray) -> complex | None:
 
 
 def _power_table(transfer: np.ndarray, n: int) -> np.ndarray | None:
-    """lam**k for k = 0..n, lam the transfer's upper eigenvalue (None if real)."""
-    lam = _eigenvalue(transfer)
+    """lam**k for k = 0..n, lam the transfer's upper eigenvalue (None if real).
+
+    The last two tables built are kept and shared, so a table is read-only.
+    """
+    return _cached_power_table(transfer.tobytes(), n)
+
+
+# Every leg of one zone, direction and step uses the same table.  Two
+# cover the legs of one return-map turn or of one displacement; each table
+# held is 80 KB at step 1e-4, which peak memory shows.
+@functools.lru_cache(maxsize=2)
+def _cached_power_table(transfer: bytes, n: int) -> np.ndarray | None:
+    lam = _eigenvalue(np.frombuffer(transfer).reshape(2, 2))
     if lam is None:
         return None
-    return np.exp(np.arange(n + 1) * np.log(lam))
+    table = np.exp(np.arange(n + 1) * np.log(lam))
+    table.flags.writeable = False
+    return table
 
 
 def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
@@ -241,15 +264,28 @@ def _crossings(g: np.ndarray, direction: int, first: bool, event_tol: float) -> 
     return mask
 
 
+def _event_rate(system: PWLSystem, kind: str, matrix: np.ndarray,
+                x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(dg/dt, velocity) of the field x' = matrix @ x at x, g the event function."""
+    vel = matrix @ x
+    if kind == "axis":
+        return float(vel[0]), vel
+    y = float(x[1])
+    hp = float(system.boundary.derivative(y)) if y > 0.0 else 0.0
+    return float(vel[0] - hp * vel[1]), vel
+
+
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
-              g_from: float, kind: str, event_tol: float) -> tuple[float, np.ndarray]:
+              g_from: float, kind: str,
+              event_tol: float) -> tuple[float, np.ndarray, float]:
     """Land on the event inside the substep (0, step] that brackets it.
 
     On a substep tau the RK4 state is the quartic x(tau) = sum_k c_k tau**k
     with c_k = A**k x_from / k!; the coefficients are built once and
     evaluated by Horner.  The root of g(x(tau)) is found by Illinois
     iteration, bisecting whenever the secant point leaves the bracket,
-    until |g| <= event_tol or _MAX_BISECT iterations.
+    until |g| <= event_tol or _MAX_BISECT iterations.  Returns tau, the
+    landed state and the residual |g| reached there.
     """
     (a00, a01), (a10, a11) = matrix.tolist()
     cx, cy = [float(x_from[0])], [float(x_from[1])]
@@ -289,7 +325,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
             if side < 0:
                 g_hi *= 0.5
             side = -1
-    return tau, np.array(x_t)
+    return tau, np.array(x_t), abs(g_t)
 
 
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
@@ -305,6 +341,10 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     for the first step).  record_stride keeps the interior samples at step
     indices divisible by it; 0 keeps only the endpoints.  Times are t0 plus
     elapsed integration time and increase regardless of direction.
+
+    The segment's ``landing_error`` is the first-order ordinate offset
+    between the landed state and the event, |y'|*|g|/|dg/dt| from the
+    residual |g| the landing reached (0 for an exact hit or a time-out).
     """
     opts = opts or IntegrationOptions()
     if isinstance(direction, str):
@@ -322,19 +362,12 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     g0 = _event_value_scalar(system, stop.kind, x)
     if abs(g0) <= opts.event_tol:
-        speed = float(np.hypot(*(matrix @ x)))
-        if speed > 1e-14:
-            if stop.kind == "axis":
-                dgdt = float((matrix @ x)[0])
-            else:
-                y = float(x[1])
-                hp = float(system.boundary.derivative(y)) if y > 0.0 else 0.0
-                vel = matrix @ x
-                dgdt = float(vel[0] - hp * vel[1])
-            if abs(dgdt) <= 1e-12 * speed:
-                raise TangencyError(
-                    f"start {start!r} sits on the stop section with tangent velocity"
-                )
+        dgdt, vel = _event_rate(system, stop.kind, matrix, x)
+        speed = float(np.hypot(*vel))
+        if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
+            raise TangencyError(
+                f"start {start!r} sits on the stop section with tangent velocity"
+            )
 
     chunk = max(1, math.ceil(_BLOCK_TIME / opts.step))
     powers = _power_table(transfer, chunk)
@@ -345,6 +378,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     section_count = 0
     done = 0  # steps taken before the current chunk
     terminal = TerminalEvent.TIME_OUT
+    landing_error = 0.0
 
     while opts.max_time - done * opts.step > 0.5 * opts.step:
         n = min(math.ceil((opts.max_time - done * opts.step) / opts.step), chunk)
@@ -389,8 +423,11 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
         if g_stop[hit + 1] == 0.0:
             tau, x = opts.step, states[hit + 1]
         else:
-            tau, x = _localize(system, matrix, states[hit], opts.step,
-                               float(g_stop[hit]), stop.kind, opts.event_tol)
+            tau, x, residual = _localize(system, matrix, states[hit], opts.step,
+                                         float(g_stop[hit]), stop.kind, opts.event_tol)
+            if residual > 0.0:
+                dgdt, vel = _event_rate(system, stop.kind, matrix, x)
+                landing_error = residual * abs(float(vel[1])) / abs(dgdt) if dgdt else math.inf
         end_time = (done + hit) * opts.step + tau
         if stop.kind == "manifold":
             terminal = TerminalEvent.BOUNDARY_CROSS
@@ -408,7 +445,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                              points=np.concatenate(rec_p),
                              terminal_event=terminal,
                              sigma_crossings=sigma_count,
-                             section_returns=section_count)
+                             section_returns=section_count,
+                             landing_error=landing_error)
 
 
 def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float,
@@ -482,6 +520,7 @@ def return_map(system: PWLSystem, y_in: float,
         flight_time=leg1.terminal_time + leg2.terminal_time,
         sigma_crossings=leg1.sigma_crossings + leg2.sigma_crossings,
         section_returns=leg1.section_returns + leg2.section_returns,
+        landing_error=leg1.landing_error + leg2.landing_error,
     )
 
 
@@ -522,34 +561,52 @@ def probe_eps(y_star: float, neighbors=(), frac_gap: float = 0.25,
     return min(frac_radius * y_star, frac_gap * min(gaps))
 
 
-def _side_trend(drifts: list[float], floor: float) -> str | None:
-    """'approach' or 'retreat' of |distance to the fixed radius|, else None."""
-    start, end = abs(drifts[0]), abs(drifts[-1])
-    steps = np.diff(np.abs(drifts))
-    if end < floor:
-        return "approach"
-    total = end - start
-    if abs(total) < floor:
-        return None
-    moving = steps[np.abs(steps) > 0.0]
-    if moving.size == 0:
-        return None
-    frac = float(np.mean(np.sign(moving) == np.sign(total)))
-    if frac < 0.7:
-        return None
-    return "approach" if total < 0.0 else "retreat"
+def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
+                   opts: IntegrationOptions) -> list[tuple[str | None, float]]:
+    """('approach' | 'retreat' | None, margin ratio) of the inner and the outer probe.
+
+    Each probe is the orbit through (0, y* -+ eps); one turn of the return
+    map runs from its lower crossing r = -y_in at ``opts.step`` and at
+    twice that step from the same r.  The drift d = P(r) - r has the error
+    bar |d(step) - d(2 step)| plus the turn's landing error at
+    ``opts.step``; the margin ratio is |d| / bar.  The inner probe
+    approaches when d > 0, the outer one when d < 0.  All turns at one
+    step run before those at the other, so the power tables are reused.
+
+    The landing of ``upper_to_lower`` only places the probe: the turn
+    starts exactly at (0, y_in), so it does not enter the bar.  A late or
+    early switching-curve landing moves the turn's end by the field jump
+    4*gamma*x times the time offset, carried through the left zone; that
+    is at most about 1.5 times its ordinate offset (gamma^2+1)*|x| times
+    the time offset, which ``MARGIN`` covers.
+    """
+    sides = (-1.0, +1.0)
+    y_ins = [upper_to_lower(system, y_star + side * eps, opts) for side in sides]
+    fine = [return_map(system, y_in, opts) for y_in in y_ins]
+    coarse_opts = replace(opts, step=2.0 * opts.step)
+    coarse = [return_map(system, y_in, coarse_opts) for y_in in y_ins]
+    out = []
+    for side, y_in, f, c in zip(sides, y_ins, fine, coarse):
+        drift = y_in - f.y_out
+        bar = abs(f.y_out - c.y_out) + f.landing_error
+        ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
+        verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
+        out.append((verdict if ratio > MARGIN else None, ratio))
+    return out
 
 
 def resolve_stability(system: PWLSystem, y_star: float,
-                      eps: float | None = None, iters: int = 30,
+                      eps: float | None = None,
                       opts: IntegrationOptions | None = None) -> StabilityClass:
-    """Empirical stability: iterate the return map from both sides of the cycle.
+    """Empirical stability from one checked return-map turn on each side.
 
-    Starts orbits at the upper crossings y* -+ eps, follows the lower
-    section radius over ``iters`` turns, and classifies each side by
-    whether the distance to the cycle's radius shrinks or grows
-    monotonically.  Ambiguous drifts (below the noise floor or
-    non-monotone) give UNDETERMINED.
+    Starts orbits at the upper crossings y* -+ eps and takes one turn of
+    the lower-section map from each.  A planar return map is strictly
+    increasing, so with no other cycle between probe and cycle the sign
+    of its drift P(r) - r settles whether that side approaches or
+    retreats.  The drift counts only when it exceeds ``MARGIN`` times its
+    error bar: the change when the step is doubled plus the landing
+    error.  Otherwise the result is UNDETERMINED.
     """
     opts = opts or IntegrationOptions()
     if not (math.isfinite(y_star) and y_star > 0.0):
@@ -557,18 +614,8 @@ def resolve_stability(system: PWLSystem, y_star: float,
     eps = eps if eps is not None else 0.02 * y_star
     if not (0.0 < eps < y_star):
         raise DomainError(f"eps must lie in (0, y_star), got {eps!r}")
-    r_star = math.exp(-system.gamma * math.pi) * y_star
 
-    verdicts: dict[float, str | None] = {}
-    for side in (-1.0, +1.0):
-        y_in = upper_to_lower(system, y_star + side * eps, opts)
-        drifts = [(-y_in) - r_star]
-        for _ in range(iters):
-            y_in = return_map(system, y_in, opts).y_out
-            drifts.append((-y_in) - r_star)
-        verdicts[side] = _side_trend(drifts, DRIFT_FLOOR * r_star)
-
-    interior, exterior = verdicts[-1.0], verdicts[+1.0]
+    (interior, _), (exterior, _) = _side_verdicts(system, y_star, eps, opts)
     if interior is None or exterior is None:
         return StabilityClass.UNDETERMINED
     if interior == "approach" and exterior == "approach":

@@ -77,7 +77,7 @@ def test_criterion_1_sine_family_reproduction():
             assert rep.stability is expected
             eps = probe_eps(rep.y_star, [r for r in roots if r != rep.y_star],
                             frac_gap=0.25, frac_radius=0.05)
-            oracle_verdict = resolve_stability(system, rep.y_star, eps=eps, iters=30)
+            oracle_verdict = resolve_stability(system, rep.y_star, eps=eps)
             assert oracle_verdict is expected, (
                 f"n={n} k={k}: oracle says {oracle_verdict}, classified {expected}")
             checked += 1
@@ -95,7 +95,7 @@ def test_criterion_2_cosine_family_semi_stable():
         for k, rep in enumerate(result.cycles, start=1):
             assert abs(rep.y_star - 2.0 * k) < 1e-6
             assert rep.stability is StabilityClass.SEMI_STABLE_OUTER_STABLE
-            verdict = resolve_stability(system, rep.y_star, eps=0.05 * rep.y_star, iters=30)
+            verdict = resolve_stability(system, rep.y_star, eps=0.05 * rep.y_star)
             assert verdict is StabilityClass.SEMI_STABLE_OUTER_STABLE, (
                 f"n={n} k={k}: oracle says {verdict}")
     _pass(2, "cosine family n in {1,2}: tangential roots at 2k within 1e-6, "
@@ -116,7 +116,7 @@ def test_criterion_3_oscillatory_family_parity():
         expected = StabilityClass.STABLE if slope > 0.0 else StabilityClass.UNSTABLE
         assert rep.stability is expected
         eps = probe_eps(rep.y_star, [r for r in roots if r != rep.y_star])
-        verdict = resolve_stability(system, rep.y_star, eps=eps, iters=30)
+        verdict = resolve_stability(system, rep.y_star, eps=eps)
         recorded.append((k, verdict))
         assert verdict is expected, f"k={k}: oracle says {verdict}, slope rule says {expected}"
     kinds = [v for _, v in recorded]

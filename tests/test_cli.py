@@ -235,6 +235,7 @@ class TestUsageErrors:
 
 
 SINE_CFG = {"gamma": 0.75, "boundary": {"family": "sine", "params": {"n": 2}}, "range": [0.1, 4]}
+OSC_CYCLES = ["cycles", "--gamma", "1", "--family", "oscillatory", "--alpha", "0.3"]
 PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--range", "0.1", "4"]
 
 
@@ -248,9 +249,11 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (["check"], {"gamma": 0.75, "boundary": {"family": "sine", "params": 5}}),
     (["check", "--family", "sine"], {"gamma": 0.75, "boundary": 5}),
     (["displacement", "--points", "-1"], SINE_CFG),
+    (OSC_CYCLES + ["--kmax", "-2"], None),
+    (OSC_CYCLES + ["--kmax", "0"], None),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
-        "negative-points"])
+        "negative-points", "kmax-negative", "kmax-zero"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:

@@ -88,6 +88,15 @@ class TestStepper:
             np.testing.assert_array_equal(_propagate_states(t, x0, n, table), ref)
             np.testing.assert_array_equal(_propagate_states(t, x0, n), ref)
 
+    def test_power_table_is_shared_and_read_only(self, params075):
+        from pwlcycles.core import zone_matrix
+        t = _step_transfer(zone_matrix(params075, Zone.LEFT), 1e-3)
+        table = _power_table(t, 500)
+        assert _power_table(t.copy(), 500) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
     def test_propagate_fixed_matches_flow(self, zero_system, params075):
         for zone in Zone:
             for t in (0.17, 1.0, 2.9):
@@ -237,6 +246,20 @@ class TestEventLanding:
                 p = seg.terminal_point
                 assert abs(p.x - float(sine_system.boundary.evaluate(p.y))) <= 1e-12
 
+    def test_landing_error_comes_from_the_residual_reached(self, sine_system):
+        from pwlcycles.core import zone_matrix
+        a = zone_matrix(sine_system.params, Zone.RIGHT)
+        for y_in in (-0.3, -1.0, -2.2):
+            seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, y_in),
+                                    stop=MANIFOLD_DESCENDING, record_stride=0)
+            p = seg.terminal_point
+            g = p.x - float(sine_system.boundary.evaluate(p.y))
+            vx, vy = a @ np.array(p)
+            rate = vx - float(sine_system.boundary.derivative(p.y)) * vy
+            assert seg.landing_error == pytest.approx(abs(g) * abs(vy) / abs(rate), rel=1e-15)
+        rm = return_map(sine_system, -1.0)
+        assert 0.0 <= rm.landing_error < 1e-12
+
     def test_return_map_propagates_about_the_states_it_uses(self, sine_system, monkeypatch):
         built = []
         propagate = orc._propagate_states
@@ -324,18 +347,72 @@ class TestReturnMap:
             return_map(zero_system, -1.0, IntegrationOptions(step=1e-3, max_time=2.0))
 
 
+def _sine_table_system(gamma, n):
+    # the sine boundary as (y, h, h') samples, four per unit, exact zeros at 1..n
+    amp, slope = 2 * gamma / ((gamma * gamma + 1) * math.pi), 2 * gamma / (gamma * gamma + 1)
+    samples = [[i / 4, 0.0 if i % 4 == 0 else amp * math.sin(math.pi * i / 4),
+                slope * math.cos(math.pi * i / 4)] for i in range(4 * n + 3)]
+    return families.system_from_descriptor(
+        {"gamma": gamma, "boundary": {"family": "table", "params": {"samples": samples}}})
+
+
+def _family_system(gamma, family, **params):
+    return families.system_from_descriptor(
+        {"gamma": gamma, "boundary": {"family": family, "params": params}})
+
+
+S, U = StabilityClass.STABLE, StabilityClass.UNSTABLE
+OUTER = StabilityClass.SEMI_STABLE_OUTER_STABLE
+
+# The four systems of the benchmark's verify workload: system, cycles, paper class.
+VERIFY_SYSTEMS = {
+    "sine": lambda: (_family_system(0.75, "sine", n=2), [1.0, 2.0], [U, S]),
+    "cosine": lambda: (_family_system(0.3, "cosine", n=2), [2.0, 4.0], [OUTER, OUTER]),
+    "oscillatory": lambda: (_family_system(1.0, "oscillatory", alpha=0.3),
+                            [families.oscillatory_root(k) for k in (4, 3, 2, 1)],
+                            [U, S, U, S]),
+    "table": lambda: (_sine_table_system(0.75, 2), [1.0, 2.0], [U, S]),
+}
+
+
 class TestResolveStability:
     def test_sine_cycles(self, sine_system):
-        assert resolve_stability(sine_system, 2.0, eps=0.05, iters=30) is StabilityClass.STABLE
-        assert resolve_stability(sine_system, 1.0, eps=0.05, iters=30) is StabilityClass.UNSTABLE
+        assert resolve_stability(sine_system, 2.0, eps=0.05) is StabilityClass.STABLE
+        assert resolve_stability(sine_system, 1.0, eps=0.05) is StabilityClass.UNSTABLE
 
     def test_cosine_semi_stable(self, cosine_system):
-        got = resolve_stability(cosine_system, 2.0, eps=0.05, iters=30)
+        got = resolve_stability(cosine_system, 2.0, eps=0.05)
         assert got is StabilityClass.SEMI_STABLE_OUTER_STABLE
 
     def test_center_is_undetermined(self, zero_system):
-        got = resolve_stability(zero_system, 1.0, eps=0.05, iters=5)
+        got = resolve_stability(zero_system, 1.0, eps=0.05)
         assert got is StabilityClass.UNDETERMINED
+        for verdict, ratio in orc._side_verdicts(zero_system, 1.0, 0.05, IntegrationOptions()):
+            assert verdict is None and ratio < orc.MARGIN
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_verify_systems_keep_their_class_by_a_wide_margin(self, name):
+        system, roots, expected = VERIFY_SYSTEMS[name]()
+        opts = IntegrationOptions()
+        for i, (y_star, cls) in enumerate(zip(roots, expected)):
+            eps = probe_eps(y_star, roots[:i] + roots[i + 1:])
+            assert resolve_stability(system, y_star, eps=eps, opts=opts) is cls
+            for verdict, ratio in orc._side_verdicts(system, y_star, eps, opts):
+                assert verdict is not None and ratio >= 1e3, (y_star, ratio)
+
+    def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
+        calls = []
+        integrate = orc.integrate_in_zone
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(orc, "integrate_in_zone", counting)
+        for y_star in (1.0, 2.0):
+            calls.clear()
+            resolve_stability(sine_system, y_star, eps=0.05)
+            assert 0 < len(calls) <= 16
 
     @pytest.mark.parametrize("k", [24, 31, 36])
     def test_small_oscillatory_cycles(self, oscillatory_system, k):
