@@ -142,9 +142,11 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
     value dips to zero without changing sign) are caught by refining
     local minima of |h| whose quadratic extrapolation reaches below
     tol**(2/3), and accepted when the refined |h| is below that same
-    threshold; the 2/3 power matches how a quadratic touch scales.
-    If every scan sample is already a zero within tol the boundary is
-    degenerate and a continuum marker is returned instead of roots.
+    threshold; the 2/3 power matches how a quadratic touch scales.  A
+    sample where h is exactly 0 between same-signed neighbours is such a
+    touch too, pinned on h' the same way.  If every scan sample is already
+    a zero within tol the boundary is degenerate and a continuum marker is
+    returned instead of roots.
     """
     if not (math.isfinite(y_min) and y_min > 0.0):
         raise DomainError(f"y_min must be a positive real, got {y_min!r}")
@@ -165,7 +167,12 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
     roots: list[float] = []
     signs = np.sign(hv)
     for i in np.flatnonzero(signs == 0.0):
-        roots.append(float(ys[i]))
+        y_c = None
+        # h rounds to 0 over about sqrt(eps) around a double zero, so a
+        # zero sample between same-signed neighbours is pinned on h'.
+        if 0 < i < scan_points - 1 and signs[i - 1] * signs[i + 1] > 0.0:
+            y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]), tol)
+        roots.append(float(ys[i]) if y_c is None else y_c)
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
         roots.append(_bisect(h_at, float(ys[i]), float(ys[i + 1]),
                              float(hv[i]), float(hv[i + 1]), tol))

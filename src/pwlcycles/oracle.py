@@ -23,6 +23,18 @@ event function.
 Backward integration is forward integration of the negated field; event
 logic is unchanged.
 
+A leg that records no interior samples first computes only the end state
+of each chunk, from the same coefficient and power table, so it has the
+bits the full chunk would give.  A chunk turns the eigenvalue by less
+than pi, so x and y each change sign at most once inside it.  When x has
+the same strict sign at both ends and y <= 0 at both ends (where the
+switching function is x), the chunk holds no stop event, no section
+return and no switching-curve crossing, and the leg hops to its end
+without building its states or evaluating the boundary.  Callers that
+read only where an axis-stop leg lands (the numerical displacement and
+the probe placement of the stability check) waive the crossing counters,
+so for them x alone decides, and the boundary is never evaluated.
+
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
 between the probe and the cycle the sign of the drift P(r) - r settles
@@ -58,7 +70,16 @@ from .cycles import StabilityClass
 # Time units propagated per chunk before the stop event is searched for.
 # A leg wastes at most one chunk past its event, and every chunk pays a
 # fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
+#
+# A chunk whose states are not recorded is skipped whole when its end
+# states prove it holds no event.  The premise: a chunk of n steps turns
+# the one-step eigenvalue by n*arg(lam), about _BLOCK_TIME radians and
+# below pi, so each coordinate |lam|**k * cos(k*arg(lam) + phi) changes
+# sign at most once in it.  A coordinate with the same strict sign at both
+# ends then keeps it throughout.  Chunks that turn further than
+# _MAX_HOP_TURN (very large steps), and real spectra, are taken in full.
 _BLOCK_TIME = 0.5
+_MAX_HOP_TURN = 0.5 * math.pi
 _MAX_BISECT = 200
 
 # A side of a cycle gets a stability verdict only when its one-turn drift
@@ -117,7 +138,8 @@ class TrajectorySegment:
 
     times/points include the start and the localized terminal state;
     interior samples are thinned by the caller's record stride.  The
-    crossing counters cover the whole segment regardless of thinning.
+    crossing counters cover the whole segment regardless of thinning; they
+    read -1 where the caller waived them (see ``integrate_in_zone``).
     """
 
     zone: Zone
@@ -192,6 +214,25 @@ def _eigenvalue(transfer: np.ndarray) -> complex | None:
     return complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
 
 
+class _Eigenpair:
+    """A transfer's upper eigenvalue lam as its turn arg(lam) per step, its
+    eigenvector v, conj(v), and the denominator that solves x0 = 2 Re(a v)
+    for the coefficient a."""
+
+    __slots__ = ("turn", "v", "vc", "den")
+
+    def __init__(self, transfer: np.ndarray, lam: complex):
+        self.turn = math.atan2(lam.imag, lam.real)
+        self.v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
+        self.vc = np.conj(self.v)
+        self.den = self.v[0] * self.vc[1] - self.v[1] * self.vc[0]
+
+
+def _eigenpair(transfer: np.ndarray) -> _Eigenpair | None:
+    lam = _eigenvalue(transfer)
+    return None if lam is None else _Eigenpair(transfer, lam)
+
+
 def _power_table(transfer: np.ndarray, n: int) -> np.ndarray | None:
     """lam**k for k = 0..n, lam the transfer's upper eigenvalue (None if real).
 
@@ -213,18 +254,35 @@ def _cached_power_table(transfer: bytes, n: int) -> np.ndarray | None:
     return table
 
 
+def _states(pair: _Eigenpair, x0: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """States 2 Re(a p v) for each power p = lam**k given, shape (len(powers), 2).
+
+    The coefficient a is fixed by x0.  Any slice of one table gives the
+    same bits for the same k, so a chunk's last state can be had alone.
+    """
+    a = (x0[0] * pair.vc[1] - x0[1] * pair.vc[0]) / pair.den
+    c = a * powers
+    out = np.empty((len(powers), 2))
+    # v[0] is real, so the first column needs only the real part of c
+    np.multiply(c.real, 2.0 * pair.v[0].real, out=out[:, 0])
+    out[:, 1] = (c * (2.0 * pair.v[1])).real
+    return out
+
+
 def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
-                      powers: np.ndarray | None = None) -> np.ndarray:
+                      powers: np.ndarray | None = None,
+                      pair: _Eigenpair | None = None) -> np.ndarray:
     """States x_k = transfer^k @ x0 for k = 0..n, shape (n+1, 2).
 
     Uses the complex eigenpair of the 2x2 transfer (always a conjugate
     pair here since both zones are foci): x_k = 2 Re(a lam**k v), with the
-    coefficient a fixed by x0.  ``powers`` is a ``_power_table`` of the
-    same transfer with at least n+1 entries, built here when not given.
-    Falls back to plain stepping for a degenerate spectrum.
+    coefficient a fixed by x0.  ``powers`` is a ``_power_table`` and
+    ``pair`` the ``_eigenpair`` of the same transfer, built here when not
+    given.  Falls back to plain stepping for a degenerate spectrum.
     """
-    lam = _eigenvalue(transfer)
-    if lam is None:
+    if pair is None:
+        pair = _eigenpair(transfer)
+    if pair is None:
         out = np.empty((n + 1, 2))
         out[0] = x0
         for k in range(n):
@@ -232,15 +290,7 @@ def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
         return out
     if powers is None:
         powers = _power_table(transfer, n)
-    v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
-    vc = np.conj(v)
-    den = v[0] * vc[1] - v[1] * vc[0]
-    a = (x0[0] * vc[1] - x0[1] * vc[0]) / den
-    c = a * powers[:n + 1]
-    out = np.empty((n + 1, 2))
-    # v[0] is real, so the first column needs only the real part of c
-    np.multiply(c.real, 2.0 * v[0].real, out=out[:, 0])
-    out[:, 1] = (c * (2.0 * v[1])).real
+    out = _states(pair, x0, powers[:n + 1])
     out[0] = x0
     return out
 
@@ -333,7 +383,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                       stop: EventSpec = LOWER_AXIS_ASCENDING,
                       opts: IntegrationOptions | None = None,
                       record_stride: int = 1,
-                      t0: float = 0.0) -> TrajectorySegment:
+                      t0: float = 0.0, *,
+                      _count_crossings: bool = True) -> TrajectorySegment:
     """Integrate one zone's linear field until the stop event or max_time.
 
     The start may sit on the stop section provided the velocity carries it
@@ -345,6 +396,12 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     The segment's ``landing_error`` is the first-order ordinate offset
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
+
+    With record_stride 0 a chunk is skipped whole when its end states show
+    it holds no event (see ``_BLOCK_TIME``).  ``_count_crossings=False``
+    on an axis stop is for callers that read only the terminal state: the
+    switching function is then never evaluated, more chunks are skipped,
+    and both counters read -1.
     """
     opts = opts or IntegrationOptions()
     if isinstance(direction, str):
@@ -370,10 +427,14 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             )
 
     chunk = max(1, math.ceil(_BLOCK_TIME / opts.step))
+    pair = _eigenpair(transfer)
     powers = _power_table(transfer, chunk)
     stride = max(0, int(record_stride))
-    rec_t: list[np.ndarray] = []
-    rec_p: list[np.ndarray] = []
+    counted = _count_crossings or stop.kind != "axis"
+    hop = (stride == 0 and pair is not None
+           and chunk * abs(pair.turn) < _MAX_HOP_TURN)
+    rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
+    rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
     sigma_count = 0
     section_count = 0
     done = 0  # steps taken before the current chunk
@@ -382,17 +443,26 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     while opts.max_time - done * opts.step > 0.5 * opts.step:
         n = min(math.ceil((opts.max_time - done * opts.step) / opts.step), chunk)
-        states = _propagate_states(transfer, x, n, powers)
+        if hop and (not counted or x[1] <= 0.0):
+            end = _states(pair, x, powers[n:n + 1])[0]
+            # x keeps its strict sign: no axis event.  y <= 0 at both ends as
+            # well: g = x throughout, so no switching-curve event either.
+            if x[0] * end[0] > 0.0 and (not counted or end[1] <= 0.0):
+                x = end
+                done += n
+                continue
+        states = _propagate_states(transfer, x, n, powers, pair)
         first = done == 0
         g_axis = states[:, 0]
-        g_man = manifold_values(system, states)
-        g_stop = g_axis if stop.kind == "axis" else g_man
         y = states[:, 1]
         lower = (y[:-1] < 0.0) & (y[1:] < 0.0)
-        descending_sigma = _crossings(g_man, -1, first, opts.event_tol)
-        section = _crossings(g_axis, +1, first, opts.event_tol) & lower
+        if counted:
+            g_man = manifold_values(system, states)
+            descending_sigma = _crossings(g_man, -1, first, opts.event_tol)
+            section = _crossings(g_axis, +1, first, opts.event_tol) & lower
+        g_stop = g_axis if stop.kind == "axis" else g_man
         # The usual stops are the crossings the diagnostics count anyway.
-        if stop == LOWER_AXIS_ASCENDING:
+        if counted and stop == LOWER_AXIS_ASCENDING:
             hits = section
         elif stop == MANIFOLD_DESCENDING:
             hits = descending_sigma
@@ -402,19 +472,17 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                 hits = hits & lower
         hit = int(np.argmax(hits)) if hits.any() else None
 
-        # Crossing diagnostics over the part of the chunk actually consumed.
-        upto = n if hit is None else hit
-        sigma = descending_sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-        sigma_count += int(np.count_nonzero(sigma[:upto]))
-        section_count += int(np.count_nonzero(section[:upto]))
+        if counted:
+            # Crossing diagnostics over the part of the chunk actually consumed.
+            upto = n if hit is None else hit
+            sigma = descending_sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+            sigma_count += int(np.count_nonzero(sigma[:upto]))
+            section_count += int(np.count_nonzero(section[:upto]))
 
         if stride > 0:
             idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
             rec_t.append((done + idx) * opts.step)
             rec_p.append(states[idx])
-        elif first:
-            rec_t.append(np.zeros(1))
-            rec_p.append(states[:1])
 
         if hit is None:
             x = states[-1]
@@ -439,6 +507,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     if terminal is TerminalEvent.TIME_OUT:
         end_time = done * opts.step
+    if not counted:
+        sigma_count = section_count = -1
     rec_t.append(np.array([end_time]))
     rec_p.append(x[None, :])
     return TrajectorySegment(zone=zone, times=np.concatenate(rec_t) + t0,
@@ -488,11 +558,13 @@ def numeric_displacement(system: PWLSystem, y: float,
     h = float(system.boundary.evaluate(y))
     start = Point(h, y)
     fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD,
-                            LOWER_AXIS_ASCENDING, opts, record_stride=0)
+                            LOWER_AXIS_ASCENDING, opts, record_stride=0,
+                            _count_crossings=False)
     if fwd.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"forward half-turn from y={y!r} timed out")
     bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD,
-                            LOWER_AXIS_DESCENDING, opts, record_stride=0)
+                            LOWER_AXIS_DESCENDING, opts, record_stride=0,
+                            _count_crossings=False)
     if bwd.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"backward half-turn from y={y!r} timed out")
     return fwd.terminal_point.y - bwd.terminal_point.y
@@ -543,7 +615,8 @@ def upper_to_lower(system: PWLSystem, y0: float,
             raise IntegrationError(f"no switching-curve crossing from (0, {y0!r})")
         p = leg.terminal_point
     leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD,
-                            LOWER_AXIS_ASCENDING, opts, record_stride=0)
+                            LOWER_AXIS_ASCENDING, opts, record_stride=0,
+                            _count_crossings=False)
     if leg.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"no section return from (0, {y0!r})")
     return leg.terminal_point.y

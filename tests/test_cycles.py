@@ -20,7 +20,7 @@ from pwlcycles import (
     oscillatory_root,
     reports_for_roots,
 )
-from pwlcycles.cycles import CYCLE_CSV_HEADER
+from pwlcycles.cycles import CYCLE_CSV_HEADER, DEFAULT_SCAN_POINTS
 
 
 class TestFindRoots:
@@ -39,6 +39,18 @@ class TestFindRoots:
         assert len(scan.roots) == 2
         for r, k in zip(scan.roots, (2.0, 4.0)):
             assert abs(r - k) < 1e-6
+
+    def test_exact_zero_sample_at_a_touch_is_pinned(self):
+        # 1 - cos(pi y) rounds to 0 within about 1e-8 of y = 4, and the scan
+        # has a sample 1.06e-9 from it
+        b = make_cosine(SystemParams(0.3951812281808069), 4)
+        y_min, y_max = 0.7283683235165715, 8.679307024314046
+        ys = np.linspace(y_min, y_max, DEFAULT_SCAN_POINTS)
+        assert np.any(np.asarray(b.evaluate(ys))[np.abs(ys - 4.0) < 1e-8] == 0.0)
+        scan = find_roots(b, y_min, y_max)
+        assert len(scan.roots) == 4
+        for r, k in zip(scan.roots, (2.0, 4.0, 6.0, 8.0)):
+            assert abs(r - k) <= 1e-10
 
     def test_zero_boundary_is_continuum(self):
         scan = find_roots(make_zero(), 0.1, 3.0)

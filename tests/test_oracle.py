@@ -1,10 +1,13 @@
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcycles import (
     Boundary,
@@ -12,6 +15,7 @@ from pwlcycles import (
     IntegrationError,
     IntegrationOptions,
     Point,
+    PWLError,
     PWLSystem,
     StabilityClass,
     SystemParams,
@@ -30,12 +34,15 @@ from pwlcycles import (
 from pwlcycles import oracle as orc
 from pwlcycles.oracle import (
     Direction,
+    EventSpec,
     LOWER_AXIS_ASCENDING,
+    LOWER_AXIS_DESCENDING,
     MANIFOLD_DESCENDING,
     _power_table,
     _propagate_states,
     _step_transfer,
     probe_eps,
+    upper_to_lower,
     propagate_fixed,
     segments_to_csv,
 )
@@ -373,6 +380,158 @@ VERIFY_SYSTEMS = {
                             [U, S, U, S]),
     "table": lambda: (_sine_table_system(0.75, 2), [1.0, 2.0], [U, S]),
 }
+
+
+SKIP_FAMILIES = {
+    "sine": lambda: _family_system(0.75, "sine", n=2),
+    "cosine": lambda: _family_system(0.3, "cosine", n=2),
+    "oscillatory": lambda: _family_system(1.0, "oscillatory", alpha=0.3),
+}
+STOPS = [LOWER_AXIS_ASCENDING, LOWER_AXIS_DESCENDING, MANIFOLD_DESCENDING,
+         EventSpec("axis", -1, False), EventSpec("manifold", +1, False)]
+
+
+def _full_chunks():
+    """Every chunk propagated in full: the reference the skipping must match."""
+    return mock.patch.object(orc, "_MAX_HOP_TURN", 0.0)
+
+
+def _leg_bits(seg):
+    return (seg.times.tobytes(), seg.points.tobytes(), seg.terminal_event,
+            seg.sigma_crossings, seg.section_returns, seg.landing_error)
+
+
+def _counted_displacement(system, y, opts):
+    """numeric_displacement from counted legs in full chunks."""
+    start = Point(float(system.boundary.evaluate(y)), y)
+    with _full_chunks():
+        fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD,
+                                LOWER_AXIS_ASCENDING, opts, record_stride=0)
+        bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD,
+                                LOWER_AXIS_DESCENDING, opts, record_stride=0)
+    return fwd.terminal_point.y - bwd.terminal_point.y
+
+
+def _counted_upper_to_lower(system, y0, opts):
+    """upper_to_lower from counted legs in full chunks."""
+    p = Point(0.0, y0)
+    with _full_chunks():
+        if orc.manifold_value(system, p) > opts.event_tol:
+            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD,
+                                  MANIFOLD_DESCENDING, opts, record_stride=0).terminal_point
+        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD,
+                                LOWER_AXIS_ASCENDING, opts, record_stride=0)
+    return leg.terminal_point.y
+
+
+class TestChunkSkipping:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
+           zone=st.sampled_from(list(Zone)),
+           direction=st.sampled_from(list(Direction)),
+           stop=st.sampled_from(STOPS),
+           x=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2),
+           y=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2), on_axis=st.booleans(),
+           step=st.floats(1e-4, 2e-3))
+    def test_unrecorded_leg_equals_full_chunks(self, family, zone, direction, stop,
+                                               x, y, on_axis, step):
+        system = SKIP_FAMILIES[family]()
+        start = Point(0.0 if on_axis else x, y)
+        opts = IntegrationOptions(step=step, max_time=10.0)
+
+        def leg():
+            # Skipping must not change whether or how a leg fails either: the
+            # oscillatory h is not finite below y = 1/DBL_MAX, where numpy warns
+            # (an error under this suite) and the float path raises ValueError.
+            try:
+                return _leg_bits(integrate_in_zone(system, zone, start, direction, stop,
+                                                   opts, record_stride=0))
+            except (PWLError, ValueError, RuntimeWarning) as exc:
+                return type(exc), str(exc)
+
+        with _full_chunks():
+            ref = leg()
+        assert leg() == ref
+
+    def test_small_orbits_equal_full_chunks(self, sine_system):
+        # near the origin a chunk can leave y <= 0 and meet the switching curve
+        opts = IntegrationOptions(step=1e-3, max_time=20.0)
+        for start in (Point(0.05, -0.1), Point(0.2, -0.02), Point(-0.1, -0.2)):
+            for zone in Zone:
+                for direction in Direction:
+                    for stop in STOPS:
+                        seg = integrate_in_zone(sine_system, zone, start, direction, stop,
+                                                opts, record_stride=0)
+                        with _full_chunks():
+                            ref = integrate_in_zone(sine_system, zone, start, direction,
+                                                    stop, opts, record_stride=0)
+                        assert _leg_bits(seg) == _leg_bits(ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
+           y=st.floats(0.05, 4.0), step=st.floats(1e-4, 2e-3))
+    def test_float_callers_equal_counted_full_chunks(self, family, y, step):
+        system = SKIP_FAMILIES[family]()
+        opts = IntegrationOptions(step=step)
+        assert numeric_displacement(system, y, opts) == _counted_displacement(system, y, opts)
+        assert upper_to_lower(system, y, opts) == _counted_upper_to_lower(system, y, opts)
+
+    def test_displacement_builds_at_most_three_chunks(self, sine_system, monkeypatch):
+        built = []
+        propagate = orc._propagate_states
+
+        def counting(transfer, x0, n, *args):
+            built.append(n)
+            return propagate(transfer, x0, n, *args)
+
+        monkeypatch.setattr(orc, "_propagate_states", counting)
+        opts = IntegrationOptions(step=1e-4)
+        chunk = math.ceil(orc._BLOCK_TIME / opts.step)
+        for y in (0.3, 1.5, 3.9):
+            built.clear()
+            numeric_displacement(sine_system, y, opts)
+            assert sum(built) <= 3 * chunk, (y, sum(built))
+
+    @pytest.mark.parametrize("step", [0.5, 1.5])
+    def test_large_step_equals_full_chunks(self, sine_system, step):
+        opts = IntegrationOptions(step=step)
+        for zone in Zone:
+            for stop in STOPS:
+                seg = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), Direction.FORWARD,
+                                        stop, opts, record_stride=0)
+                with _full_chunks():
+                    ref = integrate_in_zone(sine_system, zone, Point(0.4, -1.3),
+                                            Direction.FORWARD, stop, opts, record_stride=0)
+                assert _leg_bits(seg) == _leg_bits(ref)
+        for y in (0.7, 2.2):
+            assert numeric_displacement(sine_system, y, opts) == \
+                _counted_displacement(sine_system, y, opts)
+
+    def test_chunk_turning_past_the_bound_is_taken_in_full(self, sine_system, monkeypatch):
+        # a 6-unit chunk turns about 6 rad, so a coordinate may change sign twice in it
+        monkeypatch.setattr(orc, "_BLOCK_TIME", 6.0)
+        opts = IntegrationOptions(step=1e-3)
+        for start in (Point(0.4, -1.3), Point(1.2, -0.2), Point(-0.9, -0.5)):
+            for zone in Zone:
+                for stop in STOPS:
+                    seg = integrate_in_zone(sine_system, zone, start, Direction.FORWARD,
+                                            stop, opts, record_stride=0)
+                    with _full_chunks():
+                        ref = integrate_in_zone(sine_system, zone, start, Direction.FORWARD,
+                                                stop, opts, record_stride=0)
+                    assert _leg_bits(seg) == _leg_bits(ref)
+        for y in (0.7, 2.2):
+            assert numeric_displacement(sine_system, y, opts) == \
+                _counted_displacement(sine_system, y, opts)
+
+    def test_waived_counters_read_minus_one(self, sine_system):
+        seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.0), record_stride=0,
+                                _count_crossings=False)
+        assert seg.terminal_event is TerminalEvent.AXIS_CROSS
+        assert seg.sigma_crossings == seg.section_returns == -1
+        counted = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.0), record_stride=0)
+        assert counted.section_returns == 1
+        assert seg.terminal_point == counted.terminal_point
 
 
 class TestResolveStability:
