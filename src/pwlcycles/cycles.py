@@ -223,6 +223,15 @@ def _settled_sign(boundary: Boundary, y_star: float, side: float,
     return 0
 
 
+def _stability_class(interior_stable: bool, exterior_stable: bool) -> StabilityClass:
+    """Class of a cycle from whether orbits inside and outside it approach it."""
+    if interior_stable == exterior_stable:
+        return StabilityClass.STABLE if interior_stable else StabilityClass.UNSTABLE
+    if exterior_stable:
+        return StabilityClass.SEMI_STABLE_OUTER_STABLE
+    return StabilityClass.SEMI_STABLE_INNER_STABLE
+
+
 def classify(boundary: Boundary, y_star: float, probe: float | None = None) -> StabilityClass:
     """Stability of the cycle through (0, y*) from the local behavior of h.
 
@@ -244,15 +253,7 @@ def classify(boundary: Boundary, y_star: float, probe: float | None = None) -> S
     s_out = _settled_sign(boundary, y_star, +1.0, probe0, floor)
     if s_in == 0 or s_out == 0:
         return StabilityClass.UNDETERMINED
-    interior_stable = s_in < 0
-    exterior_stable = s_out > 0
-    if interior_stable and exterior_stable:
-        return StabilityClass.STABLE
-    if not interior_stable and not exterior_stable:
-        return StabilityClass.UNSTABLE
-    if exterior_stable:
-        return StabilityClass.SEMI_STABLE_OUTER_STABLE
-    return StabilityClass.SEMI_STABLE_INNER_STABLE
+    return _stability_class(s_in < 0, s_out > 0)
 
 
 def report_for_root(system: PWLSystem, y_star: float,

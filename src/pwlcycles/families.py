@@ -85,6 +85,18 @@ def _positive(formula):
     return fn
 
 
+def _recip(y, m):
+    """1/y with ``m`` as in ``_windowed``, NaN where it overflows (y below
+    about 5.6e-309): there h is not finite, and both paths say so alike."""
+    if m is math:
+        r = 1.0 / y
+        return math.nan if r == math.inf else r
+    with np.errstate(over="ignore"):
+        r = 1.0 / y
+    r[np.isinf(r)] = np.nan
+    return r
+
+
 def make_zero() -> Boundary:
     """Straight-line boundary h = 0; the two zones join into a continuous field."""
 
@@ -130,8 +142,9 @@ def make_oscillatory(alpha: float) -> Boundary:
             f"oscillatory family requires 0 < alpha < (sqrt(3)-1)/2 ~= {OSCILLATORY_ALPHA_LIMIT:.6f}, got {alpha!r}"
         )
     a = float(alpha)
-    evaluate = _positive(lambda y, m: a * y * y * m.sin(1.0 / y))
-    derivative = _positive(lambda y, m: 2.0 * a * y * m.sin(1.0 / y) - a * m.cos(1.0 / y))
+    evaluate = _positive(lambda y, m: a * y * y * m.sin(_recip(y, m)))
+    derivative = _positive(lambda y, m: 2.0 * a * y * m.sin(_recip(y, m))
+                           - a * m.cos(_recip(y, m)))
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "oscillatory", "params": {"alpha": a}})
 

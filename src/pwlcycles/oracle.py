@@ -20,8 +20,11 @@ landed on the same one-step polynomial, x(tau) = sum_k (tau*A)**k x / k!
 for a substep tau, by Illinois (bracketed regula falsi) iteration on the
 event function.
 
-Backward integration is forward integration of the negated field; event
-logic is unchanged.
+Each leg runs through one zone and stops where it leaves it, so the zone
+and the direction pick the stop: forward-left and backward-right legs
+stop on the lower section {x = 0, y < 0}, forward-right and backward-left
+legs on the switching curve x = h(y).  Backward integration is forward
+integration of the negated field.
 
 A leg that records no interior samples first computes only the end state
 of each chunk, from the same coefficient and power table, so it has the
@@ -65,7 +68,7 @@ from .core import (
     manifold_values,
     zone_matrix,
 )
-from .cycles import StabilityClass
+from .cycles import StabilityClass, _stability_class
 
 # Time units propagated per chunk before the stop event is searched for.
 # A leg wastes at most one chunk past its event, and every chunk pays a
@@ -99,25 +102,6 @@ class Direction(str, Enum):
 
 
 @dataclass(frozen=True)
-class EventSpec:
-    """Stop condition: a zero crossing of one scalar event function.
-
-    kind 'axis' watches the x coordinate, 'manifold' the switching
-    function.  direction +1 fires on ascending crossings, -1 on
-    descending ones.  require_negative_y restricts to the lower section.
-    """
-
-    kind: str
-    direction: int
-    require_negative_y: bool = False
-
-
-LOWER_AXIS_ASCENDING = EventSpec("axis", +1, True)
-LOWER_AXIS_DESCENDING = EventSpec("axis", -1, True)
-MANIFOLD_DESCENDING = EventSpec("manifold", -1, False)
-
-
-@dataclass(frozen=True)
 class IntegrationOptions:
     step: float = 1e-4
     event_tol: float = 1e-12
@@ -138,8 +122,11 @@ class TrajectorySegment:
 
     times/points include the start and the localized terminal state;
     interior samples are thinned by the caller's record stride.  The
-    crossing counters cover the whole segment regardless of thinning; they
-    read -1 where the caller waived them (see ``integrate_in_zone``).
+    crossing counters cover the whole segment regardless of thinning and
+    count switching-curve crossings in y > 0 and lower-section crossings
+    in the sense the forward flow takes them, so a backward leg counts
+    those of the orbit it retraces.  They read -1 where the caller waived
+    them (see ``integrate_in_zone``).
     """
 
     zone: Zone
@@ -295,8 +282,8 @@ def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
     return out
 
 
-def _event_value_scalar(system: PWLSystem, kind: str, x) -> float:
-    if kind == "axis":
+def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
+    if axis:
         return float(x[0])
     return manifold_value(system, Point(float(x[0]), float(x[1])))
 
@@ -314,11 +301,12 @@ def _crossings(g: np.ndarray, direction: int, first: bool, event_tol: float) -> 
     return mask
 
 
-def _event_rate(system: PWLSystem, kind: str, matrix: np.ndarray,
+def _event_rate(system: PWLSystem, axis: bool, matrix: np.ndarray,
                 x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(dg/dt, velocity) of the field x' = matrix @ x at x, g the event function."""
+    """(dg/dt, velocity) of the field x' = matrix @ x at x, g the event function
+    (x on an axis stop, the switching function otherwise)."""
     vel = matrix @ x
-    if kind == "axis":
+    if axis:
         return float(vel[0]), vel
     y = float(x[1])
     hp = float(system.boundary.derivative(y)) if y > 0.0 else 0.0
@@ -326,7 +314,7 @@ def _event_rate(system: PWLSystem, kind: str, matrix: np.ndarray,
 
 
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
-              g_from: float, kind: str,
+              g_from: float, axis: bool,
               event_tol: float) -> tuple[float, np.ndarray, float]:
     """Land on the event inside the substep (0, step] that brackets it.
 
@@ -354,7 +342,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     lo, g_lo = 0.0, g_from
     hi = tau = step
     x_t = state(tau)
-    g_t = g_hi = _event_value_scalar(system, kind, x_t)
+    g_t = g_hi = _event_value_scalar(system, axis, x_t)
     side = 0
     for _ in range(_MAX_BISECT):
         # a same-signed bracket only arises from roundoff at the substep end
@@ -364,7 +352,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
         if not lo < tau < hi:
             tau = 0.5 * (lo + hi)
         x_t = state(tau)
-        g_t = _event_value_scalar(system, kind, x_t)
+        g_t = _event_value_scalar(system, axis, x_t)
         if (g_t < 0.0) == (g_hi < 0.0):
             hi, g_hi = tau, g_t
             if side > 0:
@@ -380,12 +368,18 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
 
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                       direction: Direction = Direction.FORWARD,
-                      stop: EventSpec = LOWER_AXIS_ASCENDING,
                       opts: IntegrationOptions | None = None,
                       record_stride: int = 1,
                       t0: float = 0.0, *,
                       _count_crossings: bool = True) -> TrajectorySegment:
-    """Integrate one zone's linear field until the stop event or max_time.
+    """Integrate one zone's linear field until the leg leaves the zone or max_time.
+
+    The zone and the direction fix where the leg leaves.  Forward-left and
+    backward-right legs stop on the lower section {x = 0, y < 0}, with x
+    rising in the left zone and falling in the right (AXIS_CROSS).
+    Forward-right and backward-left legs stop on the switching curve, with
+    the switching function falling in the right zone and rising in the
+    left (BOUNDARY_CROSS).
 
     The start may sit on the stop section provided the velocity carries it
     off (a residual event value within event_tol at the start is ignored
@@ -399,9 +393,9 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     With record_stride 0 a chunk is skipped whole when its end states show
     it holds no event (see ``_BLOCK_TIME``).  ``_count_crossings=False``
-    on an axis stop is for callers that read only the terminal state: the
-    switching function is then never evaluated, more chunks are skipped,
-    and both counters read -1.
+    on a section-stop leg is for callers that read only the terminal
+    state: the switching function is then never evaluated, more chunks are
+    skipped, and both counters read -1.
     """
     opts = opts or IntegrationOptions()
     if isinstance(direction, str):
@@ -413,13 +407,20 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
         raise DomainError(f"non-finite start point {start!r}")
 
     matrix = zone_matrix(system.params, zone)
-    if direction is Direction.BACKWARD:
+    forward = direction is Direction.FORWARD
+    if not forward:
         matrix = -matrix
     transfer = _step_transfer(matrix, opts.step)
+    # A forward orbit crosses the section with x rising and the curve with
+    # x - h(y) falling; a backward leg meets the same crossings reversed.
+    # Forward, the left zone is left through the section and the right zone
+    # through the curve; backward, the other way round.
+    sense = 1 if forward else -1
+    axis = (zone is Zone.LEFT) == forward
 
-    g0 = _event_value_scalar(system, stop.kind, x)
+    g0 = _event_value_scalar(system, axis, x)
     if abs(g0) <= opts.event_tol:
-        dgdt, vel = _event_rate(system, stop.kind, matrix, x)
+        dgdt, vel = _event_rate(system, axis, matrix, x)
         speed = float(np.hypot(*vel))
         if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
             raise TangencyError(
@@ -430,7 +431,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     pair = _eigenpair(transfer)
     powers = _power_table(transfer, chunk)
     stride = max(0, int(record_stride))
-    counted = _count_crossings or stop.kind != "axis"
+    counted = _count_crossings or not axis
     hop = (stride == 0 and pair is not None
            and chunk * abs(pair.turn) < _MAX_HOP_TURN)
     rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
@@ -455,28 +456,20 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
         first = done == 0
         g_axis = states[:, 0]
         y = states[:, 1]
-        lower = (y[:-1] < 0.0) & (y[1:] < 0.0)
+        # One crossing mask per kind; the exit mask is the counter of its kind.
+        section = (_crossings(g_axis, sense, first, opts.event_tol)
+                   & (y[:-1] < 0.0) & (y[1:] < 0.0))
         if counted:
             g_man = manifold_values(system, states)
-            descending_sigma = _crossings(g_man, -1, first, opts.event_tol)
-            section = _crossings(g_axis, +1, first, opts.event_tol) & lower
-        g_stop = g_axis if stop.kind == "axis" else g_man
-        # The usual stops are the crossings the diagnostics count anyway.
-        if counted and stop == LOWER_AXIS_ASCENDING:
-            hits = section
-        elif stop == MANIFOLD_DESCENDING:
-            hits = descending_sigma
-        else:
-            hits = _crossings(g_stop, stop.direction, first, opts.event_tol)
-            if stop.require_negative_y:
-                hits = hits & lower
+            sigma = _crossings(g_man, -sense, first, opts.event_tol)
+        g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
         hit = int(np.argmax(hits)) if hits.any() else None
 
         if counted:
             # Crossing diagnostics over the part of the chunk actually consumed.
             upto = n if hit is None else hit
-            sigma = descending_sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-            sigma_count += int(np.count_nonzero(sigma[:upto]))
+            upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+            sigma_count += int(np.count_nonzero(upper[:upto]))
             section_count += int(np.count_nonzero(section[:upto]))
 
         if stride > 0:
@@ -492,17 +485,17 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             tau, x = opts.step, states[hit + 1]
         else:
             tau, x, residual = _localize(system, matrix, states[hit], opts.step,
-                                         float(g_stop[hit]), stop.kind, opts.event_tol)
+                                         float(g_stop[hit]), axis, opts.event_tol)
             if residual > 0.0:
-                dgdt, vel = _event_rate(system, stop.kind, matrix, x)
+                dgdt, vel = _event_rate(system, axis, matrix, x)
                 landing_error = residual * abs(float(vel[1])) / abs(dgdt) if dgdt else math.inf
         end_time = (done + hit) * opts.step + tau
-        if stop.kind == "manifold":
-            terminal = TerminalEvent.BOUNDARY_CROSS
-            sigma_count += 1
-        else:
+        if axis:
             terminal = TerminalEvent.AXIS_CROSS
             section_count += 1
+        else:
+            terminal = TerminalEvent.BOUNDARY_CROSS
+            sigma_count += 1
         break
 
     if terminal is TerminalEvent.TIME_OUT:
@@ -557,14 +550,12 @@ def numeric_displacement(system: PWLSystem, y: float,
         raise DomainError(f"y must be a positive real, got {y!r}")
     h = float(system.boundary.evaluate(y))
     start = Point(h, y)
-    fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD,
-                            LOWER_AXIS_ASCENDING, opts, record_stride=0,
-                            _count_crossings=False)
+    fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD, opts,
+                            record_stride=0, _count_crossings=False)
     if fwd.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"forward half-turn from y={y!r} timed out")
-    bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD,
-                            LOWER_AXIS_DESCENDING, opts, record_stride=0,
-                            _count_crossings=False)
+    bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD, opts,
+                            record_stride=0, _count_crossings=False)
     if bwd.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"backward half-turn from y={y!r} timed out")
     return fwd.terminal_point.y - bwd.terminal_point.y
@@ -577,12 +568,12 @@ def return_map(system: PWLSystem, y_in: float,
     if not (math.isfinite(y_in) and y_in < 0.0):
         raise DomainError(f"y_in must be negative, got {y_in!r}")
     leg1 = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), Direction.FORWARD,
-                             MANIFOLD_DESCENDING, opts, record_stride=0)
+                             opts, record_stride=0)
     if leg1.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"no switching-curve crossing from y_in={y_in!r} "
                                f"within max_time={opts.max_time!r}")
     leg2 = integrate_in_zone(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD,
-                             LOWER_AXIS_ASCENDING, opts, record_stride=0)
+                             opts, record_stride=0)
     if leg2.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"no section return from y_in={y_in!r} "
                                f"within max_time={opts.max_time!r}")
@@ -609,14 +600,13 @@ def upper_to_lower(system: PWLSystem, y0: float,
     p = Point(0.0, y0)
     hv = manifold_value(system, p)
     if hv > opts.event_tol:
-        leg = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD,
-                                MANIFOLD_DESCENDING, opts, record_stride=0)
+        leg = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, opts,
+                                record_stride=0)
         if leg.terminal_event is TerminalEvent.TIME_OUT:
             raise IntegrationError(f"no switching-curve crossing from (0, {y0!r})")
         p = leg.terminal_point
-    leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD,
-                            LOWER_AXIS_ASCENDING, opts, record_stride=0,
-                            _count_crossings=False)
+    leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, opts,
+                            record_stride=0, _count_crossings=False)
     if leg.terminal_event is TerminalEvent.TIME_OUT:
         raise IntegrationError(f"no section return from (0, {y0!r})")
     return leg.terminal_point.y
@@ -691,10 +681,4 @@ def resolve_stability(system: PWLSystem, y_star: float,
     (interior, _), (exterior, _) = _side_verdicts(system, y_star, eps, opts)
     if interior is None or exterior is None:
         return StabilityClass.UNDETERMINED
-    if interior == "approach" and exterior == "approach":
-        return StabilityClass.STABLE
-    if interior == "retreat" and exterior == "retreat":
-        return StabilityClass.UNSTABLE
-    if exterior == "approach":
-        return StabilityClass.SEMI_STABLE_OUTER_STABLE
-    return StabilityClass.SEMI_STABLE_INNER_STABLE
+    return _stability_class(interior == "approach", exterior == "approach")

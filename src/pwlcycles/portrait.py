@@ -19,16 +19,17 @@ from .core import DomainError, Point, PWLSystem, Zone, manifold_value, vector_fi
 from .cycles import CycleReport, StabilityClass
 from .oracle import (
     Direction,
-    EventSpec,
     IntegrationOptions,
-    LOWER_AXIS_ASCENDING,
-    MANIFOLD_DESCENDING,
     TerminalEvent,
     TrajectorySegment,
     integrate_in_zone,
 )
 
 CYCLE_SAMPLES_PER_TURN = 720
+# Seed orbits are integrated at this step and keep every tenth state,
+# one sample per 0.01 time units.
+ORBIT_STEP = 1e-3
+ORBIT_RECORD_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,7 @@ def _zone_at(system: PWLSystem, p: Point) -> Zone:
     return Zone.LEFT if dhdt < 0.0 else Zone.RIGHT
 
 
-def sample_orbit(system: PWLSystem, seed: Point, turns: int,
-                 opts: IntegrationOptions | None = None,
-                 record_stride: int | None = None) -> list[TrajectorySegment]:
+def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectorySegment]:
     """Forward orbit through ``seed`` for the given number of revolutions.
 
     Every revolution of these systems lasts close to 2*pi (exactly 2*pi
@@ -97,19 +96,15 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int,
         raise DomainError("seed must differ from the origin")
     if turns < 1:
         raise DomainError("turns must be >= 1")
-    opts = opts or IntegrationOptions(step=1e-3)
-    if record_stride is None:
-        record_stride = max(1, int(round(0.01 / opts.step)))
+    opts = IntegrationOptions(step=ORBIT_STEP)
 
     horizon = turns * 2.0 * math.pi * (1.0 - 1e-9)
     segments: list[TrajectorySegment] = []
     p = seed
     t0 = 0.0
     for _ in range(2 * turns + 4):
-        zone = _zone_at(system, p)
-        stop: EventSpec = MANIFOLD_DESCENDING if zone is Zone.RIGHT else LOWER_AXIS_ASCENDING
-        seg = integrate_in_zone(system, zone, p, Direction.FORWARD, stop, opts,
-                                record_stride=record_stride, t0=t0)
+        seg = integrate_in_zone(system, _zone_at(system, p), p, Direction.FORWARD, opts,
+                                record_stride=ORBIT_RECORD_STRIDE, t0=t0)
         segments.append(seg)
         if seg.terminal_event is TerminalEvent.TIME_OUT:
             break

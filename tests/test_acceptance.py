@@ -38,7 +38,7 @@ from pwlcycles import (
 )
 from pwlcycles import check_boundary_hypotheses, check_transversality, geometric_grid
 from pwlcycles.cli import main
-from pwlcycles.oracle import LOWER_AXIS_ASCENDING, integrate_in_zone, probe_eps
+from pwlcycles.oracle import integrate_in_zone, probe_eps
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,7 +244,7 @@ def test_criterion_7_oracle_analytic_equivalence():
     ref = -math.exp(-0.75 * math.pi)
     errors = []
     for step in (2e-2, 1e-2):
-        seg = integrate_in_zone(zero, Zone.LEFT, (0.0, 1.0), stop=LOWER_AXIS_ASCENDING,
+        seg = integrate_in_zone(zero, Zone.LEFT, (0.0, 1.0),
                                 opts=IntegrationOptions(step=step), record_stride=0)
         errors.append(abs(seg.terminal_point.y - ref))
     ratio = errors[0] / errors[1]

@@ -118,12 +118,10 @@ class TestCrossingTimes:
     def test_event_times_match_integrator(self):
         from pwlcycles import oracle
         system = linear_offset_system(1.0, 0.1)
-        seg = oracle.integrate_in_zone(system, Zone.LEFT, Point(0.1, 1.0),
-                                       stop=oracle.LOWER_AXIS_ASCENDING, record_stride=0)
+        seg = oracle.integrate_in_zone(system, Zone.LEFT, Point(0.1, 1.0), record_stride=0)
         assert seg.terminal_time == pytest.approx(crossing_time_left(1.0, system), abs=1e-8)
         seg = oracle.integrate_in_zone(system, Zone.RIGHT, Point(0.1, 1.0),
-                                       direction=oracle.Direction.BACKWARD,
-                                       stop=oracle.LOWER_AXIS_DESCENDING, record_stride=0)
+                                       direction=oracle.Direction.BACKWARD, record_stride=0)
         assert seg.terminal_time == pytest.approx(-crossing_time_right(1.0, system), abs=1e-8)
 
     def test_amplitude_bound_enforced(self):

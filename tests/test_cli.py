@@ -251,9 +251,11 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (["displacement", "--points", "-1"], SINE_CFG),
     (OSC_CYCLES + ["--kmax", "-2"], None),
     (OSC_CYCLES + ["--kmax", "0"], None),
+    (["displacement", "--gamma", "1", "--family", "oscillatory", "--alpha", "0.3",
+      "--range", "1e-310", "1", "--points", "2"], None),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
-        "negative-points", "kmax-negative", "kmax-zero"])
+        "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:

@@ -255,10 +255,11 @@ def _agreement_boundaries():
 def test_scalar_path_equals_array_path_bitwise(family):
     """A float goes through math, an array through numpy; both give the same bits."""
     b = _agreement_boundaries()[family]
-    # y <= 0, the sine window edge 2.5 and cosine edge 5 with their neighbours, and the tails
+    # y <= 0, the sine window edge 2.5 and cosine edge 5 with their neighbours, the tails,
+    # and 5e-309, where 1/y overflows and the oscillatory h is NaN on both paths
     edges = [e for w in (2.5, 5.0) for e in (np.nextafter(w, 0.0), w, np.nextafter(w, 9.0))]
     ys = np.concatenate([np.linspace(-1.0, 8.0, 3001), np.geomspace(1e-6, 1.0, 1000),
-                         [0.0, -0.0, *edges]])
+                         [0.0, -0.0, 5e-309, *edges]])
     for fn in (b.evaluate, b.derivative):
         scalars = [fn(float(y)) for y in ys]
         assert all(type(v) is float for v in scalars)

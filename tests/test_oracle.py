@@ -34,10 +34,6 @@ from pwlcycles import (
 from pwlcycles import oracle as orc
 from pwlcycles.oracle import (
     Direction,
-    EventSpec,
-    LOWER_AXIS_ASCENDING,
-    LOWER_AXIS_DESCENDING,
-    MANIFOLD_DESCENDING,
     _power_table,
     _propagate_states,
     _step_transfer,
@@ -121,16 +117,14 @@ class TestStepper:
 
 class TestIntegrateInZone:
     def test_reference_half_turn(self, zero_system):
-        seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                stop=LOWER_AXIS_ASCENDING, record_stride=0)
+        seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), record_stride=0)
         assert seg.terminal_event is TerminalEvent.AXIS_CROSS
         assert abs(seg.terminal_point.x) < 1e-11
         assert seg.terminal_point.y == pytest.approx(-EXP_M_075PI, abs=1e-8)
         assert seg.terminal_time == pytest.approx(math.pi, abs=1e-8)
 
     def test_terminal_lands_on_switching_curve(self, sine_system):
-        seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, -1.0),
-                                stop=MANIFOLD_DESCENDING, record_stride=0)
+        seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, -1.0), record_stride=0)
         assert seg.terminal_event is TerminalEvent.BOUNDARY_CROSS
         p = seg.terminal_point
         assert p.y > 0.0
@@ -138,10 +132,32 @@ class TestIntegrateInZone:
         ref = flow(Zone.RIGHT, seg.terminal_time, Point(0.0, -1.0), sine_system.params)
         assert abs(p.x - ref.x) < 1e-8 and abs(p.y - ref.y) < 1e-8
 
+    @pytest.mark.parametrize("zone, direction, event", [
+        (Zone.LEFT, Direction.FORWARD, TerminalEvent.AXIS_CROSS),
+        (Zone.RIGHT, Direction.BACKWARD, TerminalEvent.AXIS_CROSS),
+        (Zone.RIGHT, Direction.FORWARD, TerminalEvent.BOUNDARY_CROSS),
+        (Zone.LEFT, Direction.BACKWARD, TerminalEvent.BOUNDARY_CROSS),
+    ])
+    def test_zone_and_direction_pick_the_exit(self, sine_system, zone, direction, event):
+        h = sine_system.boundary.evaluate
+        # section exits start on the switching curve, curve exits on the section
+        axis = event is TerminalEvent.AXIS_CROSS
+        start = Point(float(h(1.5)), 1.5) if axis else Point(0.0, -1.0)
+        opts = IntegrationOptions(step=1e-3)
+        seg = integrate_in_zone(sine_system, zone, start, direction, opts, record_stride=0)
+        p = seg.terminal_point
+        assert seg.terminal_event is event
+        if axis:
+            assert abs(p.x) <= opts.event_tol and p.y < 0.0
+        else:
+            assert abs(p.x - float(h(p.y))) <= opts.event_tol and p.y > 0.0
+        # the exit is counted as the crossing the forward orbit makes there
+        assert (seg.sigma_crossings, seg.section_returns) == ((0, 1) if axis else (1, 0))
+
     def test_origin_times_out(self, zero_system):
         opts = IntegrationOptions(step=1e-3, max_time=1.0)
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 0.0),
-                                stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=0)
+                                opts=opts, record_stride=0)
         assert seg.terminal_event is TerminalEvent.TIME_OUT
         assert seg.terminal_point == Point(0.0, 0.0)
 
@@ -156,13 +172,11 @@ class TestIntegrateInZone:
         system = PWLSystem(SystemParams(gamma), b)
         start = Point(c, 2.0 * gamma * c)
         with pytest.raises(TangencyError):
-            integrate_in_zone(system, Zone.RIGHT, start, stop=MANIFOLD_DESCENDING,
-                              record_stride=0)
+            integrate_in_zone(system, Zone.RIGHT, start, record_stride=0)
 
     def test_interior_states_stay_in_zone(self, sine_system):
         from pwlcycles.core import manifold_values
         seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2),
-                                stop=LOWER_AXIS_ASCENDING,
                                 opts=IntegrationOptions(step=1e-3), record_stride=1)
         inner = manifold_values(sine_system, seg.points[1:-1])
         assert np.all(inner < 1e-12)
@@ -170,28 +184,25 @@ class TestIntegrateInZone:
     def test_record_stride_thins_samples(self, zero_system):
         opts = IntegrationOptions(step=1e-3)
         dense = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                  stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=1)
+                                  opts=opts, record_stride=1)
         thin = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                 stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=50)
+                                 opts=opts, record_stride=50)
         ends = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                 stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=0)
+                                 opts=opts, record_stride=0)
         assert len(dense.times) > len(thin.times) > len(ends.times) == 2
         assert dense.terminal_point == thin.terminal_point == ends.terminal_point
         assert np.all(np.diff(dense.times) > 0)
 
     def test_block_boundaries_do_not_matter(self, zero_system, monkeypatch):
-        ref = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                stop=LOWER_AXIS_ASCENDING, record_stride=0)
+        ref = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), record_stride=0)
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
-        chopped = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                    stop=LOWER_AXIS_ASCENDING, record_stride=0)
+        chopped = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), record_stride=0)
         assert chopped.terminal_time == pytest.approx(ref.terminal_time, abs=1e-12)
         assert chopped.terminal_point.y == pytest.approx(ref.terminal_point.y, abs=1e-12)
 
     def test_stride_zero_keeps_only_endpoints_across_chunks(self, zero_system, monkeypatch):
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                stop=LOWER_AXIS_ASCENDING,
                                 opts=IntegrationOptions(step=1e-3), record_stride=0)
         assert seg.terminal_time > 8 * 0.37
         assert len(seg.times) == 2
@@ -202,7 +213,7 @@ class TestIntegrateInZone:
 
         def leg():
             return integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2),
-                                     stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=7)
+                                     opts=opts, record_stride=7)
 
         ref = leg()
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
@@ -215,7 +226,6 @@ class TestIntegrateInZone:
 
     def test_states_property(self, zero_system):
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                stop=LOWER_AXIS_ASCENDING,
                                 opts=IntegrationOptions(step=1e-3), record_stride=100)
         states = seg.states
         assert states[0] == (0.0, Point(0.0, 1.0))
@@ -229,7 +239,7 @@ class TestEventLanding:
         for step, y0 in ((1e-3, 1.0), (1e-3, 2.5), (1e-4, 0.3)):
             opts = IntegrationOptions(step=step)
             seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, y0),
-                                    stop=LOWER_AXIS_ASCENDING, opts=opts, record_stride=1)
+                                    opts=opts, record_stride=1)
             # the last recorded interior sample starts the substep the event lies in
             tau = seg.times[-1] - seg.times[-2]
             with mpmath.workdps(30):
@@ -248,7 +258,6 @@ class TestEventLanding:
         for step in (1e-3, 1e-4):
             for y_in in (-0.3, -1.0, -2.2):
                 seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, y_in),
-                                        stop=MANIFOLD_DESCENDING,
                                         opts=IntegrationOptions(step=step), record_stride=0)
                 p = seg.terminal_point
                 assert abs(p.x - float(sine_system.boundary.evaluate(p.y))) <= 1e-12
@@ -257,8 +266,7 @@ class TestEventLanding:
         from pwlcycles.core import zone_matrix
         a = zone_matrix(sine_system.params, Zone.RIGHT)
         for y_in in (-0.3, -1.0, -2.2):
-            seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, y_in),
-                                    stop=MANIFOLD_DESCENDING, record_stride=0)
+            seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, y_in), record_stride=0)
             p = seg.terminal_point
             g = p.x - float(sine_system.boundary.evaluate(p.y))
             vx, vy = a @ np.array(p)
@@ -296,7 +304,6 @@ class TestConvergenceOrder:
         errs = []
         for step in (2e-2, 1e-2, 5e-3):
             seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                    stop=LOWER_AXIS_ASCENDING,
                                     opts=IntegrationOptions(step=step), record_stride=0)
             errs.append(abs(seg.terminal_point.y - (-EXP_M_075PI)))
         assert 12.0 < errs[0] / errs[1] < 20.0
@@ -387,8 +394,6 @@ SKIP_FAMILIES = {
     "cosine": lambda: _family_system(0.3, "cosine", n=2),
     "oscillatory": lambda: _family_system(1.0, "oscillatory", alpha=0.3),
 }
-STOPS = [LOWER_AXIS_ASCENDING, LOWER_AXIS_DESCENDING, MANIFOLD_DESCENDING,
-         EventSpec("axis", -1, False), EventSpec("manifold", +1, False)]
 
 
 def _full_chunks():
@@ -405,10 +410,10 @@ def _counted_displacement(system, y, opts):
     """numeric_displacement from counted legs in full chunks."""
     start = Point(float(system.boundary.evaluate(y)), y)
     with _full_chunks():
-        fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD,
-                                LOWER_AXIS_ASCENDING, opts, record_stride=0)
-        bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD,
-                                LOWER_AXIS_DESCENDING, opts, record_stride=0)
+        fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD, opts,
+                                record_stride=0)
+        bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD, opts,
+                                record_stride=0)
     return fwd.terminal_point.y - bwd.terminal_point.y
 
 
@@ -417,10 +422,9 @@ def _counted_upper_to_lower(system, y0, opts):
     p = Point(0.0, y0)
     with _full_chunks():
         if orc.manifold_value(system, p) > opts.event_tol:
-            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD,
-                                  MANIFOLD_DESCENDING, opts, record_stride=0).terminal_point
-        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD,
-                                LOWER_AXIS_ASCENDING, opts, record_stride=0)
+            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, opts,
+                                  record_stride=0).terminal_point
+        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, opts, record_stride=0)
     return leg.terminal_point.y
 
 
@@ -429,11 +433,10 @@ class TestChunkSkipping:
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
            zone=st.sampled_from(list(Zone)),
            direction=st.sampled_from(list(Direction)),
-           stop=st.sampled_from(STOPS),
            x=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2),
            y=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2), on_axis=st.booleans(),
            step=st.floats(1e-4, 2e-3))
-    def test_unrecorded_leg_equals_full_chunks(self, family, zone, direction, stop,
+    def test_unrecorded_leg_equals_full_chunks(self, family, zone, direction,
                                                x, y, on_axis, step):
         system = SKIP_FAMILIES[family]()
         start = Point(0.0 if on_axis else x, y)
@@ -441,12 +444,11 @@ class TestChunkSkipping:
 
         def leg():
             # Skipping must not change whether or how a leg fails either: the
-            # oscillatory h is not finite below y = 1/DBL_MAX, where numpy warns
-            # (an error under this suite) and the float path raises ValueError.
+            # oscillatory h is not finite below y = 1/DBL_MAX.
             try:
-                return _leg_bits(integrate_in_zone(system, zone, start, direction, stop,
-                                                   opts, record_stride=0))
-            except (PWLError, ValueError, RuntimeWarning) as exc:
+                return _leg_bits(integrate_in_zone(system, zone, start, direction, opts,
+                                                   record_stride=0))
+            except PWLError as exc:
                 return type(exc), str(exc)
 
         with _full_chunks():
@@ -459,13 +461,12 @@ class TestChunkSkipping:
         for start in (Point(0.05, -0.1), Point(0.2, -0.02), Point(-0.1, -0.2)):
             for zone in Zone:
                 for direction in Direction:
-                    for stop in STOPS:
-                        seg = integrate_in_zone(sine_system, zone, start, direction, stop,
-                                                opts, record_stride=0)
-                        with _full_chunks():
-                            ref = integrate_in_zone(sine_system, zone, start, direction,
-                                                    stop, opts, record_stride=0)
-                        assert _leg_bits(seg) == _leg_bits(ref)
+                    seg = integrate_in_zone(sine_system, zone, start, direction, opts,
+                                            record_stride=0)
+                    with _full_chunks():
+                        ref = integrate_in_zone(sine_system, zone, start, direction, opts,
+                                                record_stride=0)
+                    assert _leg_bits(seg) == _leg_bits(ref)
 
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
@@ -496,12 +497,12 @@ class TestChunkSkipping:
     def test_large_step_equals_full_chunks(self, sine_system, step):
         opts = IntegrationOptions(step=step)
         for zone in Zone:
-            for stop in STOPS:
-                seg = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), Direction.FORWARD,
-                                        stop, opts, record_stride=0)
+            for direction in Direction:
+                seg = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), direction, opts,
+                                        record_stride=0)
                 with _full_chunks():
-                    ref = integrate_in_zone(sine_system, zone, Point(0.4, -1.3),
-                                            Direction.FORWARD, stop, opts, record_stride=0)
+                    ref = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), direction,
+                                            opts, record_stride=0)
                 assert _leg_bits(seg) == _leg_bits(ref)
         for y in (0.7, 2.2):
             assert numeric_displacement(sine_system, y, opts) == \
@@ -513,12 +514,12 @@ class TestChunkSkipping:
         opts = IntegrationOptions(step=1e-3)
         for start in (Point(0.4, -1.3), Point(1.2, -0.2), Point(-0.9, -0.5)):
             for zone in Zone:
-                for stop in STOPS:
-                    seg = integrate_in_zone(sine_system, zone, start, Direction.FORWARD,
-                                            stop, opts, record_stride=0)
+                for direction in Direction:
+                    seg = integrate_in_zone(sine_system, zone, start, direction, opts,
+                                            record_stride=0)
                     with _full_chunks():
-                        ref = integrate_in_zone(sine_system, zone, start, Direction.FORWARD,
-                                                stop, opts, record_stride=0)
+                        ref = integrate_in_zone(sine_system, zone, start, direction, opts,
+                                                record_stride=0)
                     assert _leg_bits(seg) == _leg_bits(ref)
         for y in (0.7, 2.2):
             assert numeric_displacement(sine_system, y, opts) == \
@@ -604,7 +605,6 @@ class TestOptionsAndExport:
 
     def test_csv_export(self, zero_system):
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                stop=LOWER_AXIS_ASCENDING,
                                 opts=IntegrationOptions(step=1e-3), record_stride=200)
         text = segments_to_csv([seg])
         lines = text.strip().split("\n")
