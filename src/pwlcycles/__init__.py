@@ -70,6 +70,6 @@ from .oracle import (
     resolve_stability,
     return_map,
 )
-from .portrait import PortraitSpec, PortraitStyle, render, sample_orbit
+from .portrait import render, sample_orbit
 
 __version__ = "0.1.0"

@@ -184,9 +184,10 @@ def cmd_cycles(args) -> int:
 def _displacement_rows(system: PWLSystem, ys, opts: IntegrationOptions):
     rows = []
     for y in ys:
+        y = float(y)
         fa = analytic.displacement(y, system)
         fn = oracle.numeric_displacement(system, y, opts)
-        rows.append((float(y), fa, fn, abs(fa - fn)))
+        rows.append((y, fa, fn, abs(fa - fn)))
     return rows
 
 
@@ -266,18 +267,16 @@ def cmd_portrait(args) -> int:
     window = _merged(args, cfg, "window")
     if window is None:
         window = portrait.default_window(result.cycles)
+    window = _floats(window, 4, "window")
     given = args.seed or cfg.get("seeds", [])
     if not isinstance(given, list):
         raise families.ParameterError(f"seeds must be a list of X,Y pairs, got {given!r}")
     seeds = [Point(*_floats(s.split(",") if isinstance(s, str) else s, 2, "seed")) for s in given]
-    spec = portrait.PortraitSpec(
-        window=_floats(window, 4, "window"),
-        seed_points=seeds,
-        turns=_number(args, cfg, "turns", 3, kind=int),
-        include_cycles=not args.no_cycles,
-    )
-    segments = [seg for seed in seeds for seg in portrait.sample_orbit(system, seed, spec.turns)]
-    svg = portrait.render(system, spec, result.cycles, segments)
+    turns = _number(args, cfg, "turns", 3, kind=int)
+    if turns < 1:
+        raise families.ParameterError(f"turns must be a positive integer, got {turns!r}")
+    segments = [seg for seed in seeds for seg in portrait.sample_orbit(system, seed, turns)]
+    svg = portrait.render(system, window, [] if args.no_cycles else result.cycles, segments)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     if args.csv:

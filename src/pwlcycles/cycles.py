@@ -28,6 +28,8 @@ from .hypotheses import HypothesisReport, check_boundary_hypotheses, geometric_g
 
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_SCAN_POINTS = 4096
+# find_limit_cycles certifies the range on a geometric grid of this size.
+CERTIFY_POINTS = 1024
 # |h'(y*)| above this counts as a genuine slope, below as a tangential zero.
 HYPERBOLIC_TOL = 1e-8
 PROBE_SHRINK = 0.25
@@ -232,7 +234,7 @@ def _stability_class(interior_stable: bool, exterior_stable: bool) -> StabilityC
     return StabilityClass.SEMI_STABLE_INNER_STABLE
 
 
-def classify(boundary: Boundary, y_star: float, probe: float | None = None) -> StabilityClass:
+def classify(boundary: Boundary, y_star: float) -> StabilityClass:
     """Stability of the cycle through (0, y*) from the local behavior of h.
 
     With a genuine slope at the zero the sign of h'(y*) decides directly.
@@ -247,7 +249,7 @@ def classify(boundary: Boundary, y_star: float, probe: float | None = None) -> S
     if abs(hp) > HYPERBOLIC_TOL:
         return StabilityClass.STABLE if hp > 0.0 else StabilityClass.UNSTABLE
 
-    probe0 = probe if probe is not None else PROBE_START_REL * y_star
+    probe0 = PROBE_START_REL * y_star
     floor = PROBE_FLOOR_REL * y_star
     s_in = _settled_sign(boundary, y_star, -1.0, probe0, floor)
     s_out = _settled_sign(boundary, y_star, +1.0, probe0, floor)
@@ -256,8 +258,7 @@ def classify(boundary: Boundary, y_star: float, probe: float | None = None) -> S
     return _stability_class(s_in < 0, s_out > 0)
 
 
-def report_for_root(system: PWLSystem, y_star: float,
-                    probe: float | None = None) -> CycleReport:
+def report_for_root(system: PWLSystem, y_star: float) -> CycleReport:
     """Assemble the full report for a known zero of h."""
     hp = float(system.boundary.derivative(y_star))
     return CycleReport(
@@ -265,16 +266,16 @@ def report_for_root(system: PWLSystem, y_star: float,
         upper_crossing=Point(0.0, y_star),
         lower_crossing=Point(0.0, -math.exp(-system.gamma * math.pi) * y_star),
         period=TWO_PI,
-        stability=classify(system.boundary, y_star, probe),
+        stability=classify(system.boundary, y_star),
         h_prime=hp,
         f3=displacement_f3_at_root(y_star, hp, system.params),
         hyperbolic=abs(hp) > HYPERBOLIC_TOL,
     )
 
 
-def reports_for_roots(system: PWLSystem, roots, probe: float | None = None) -> list[CycleReport]:
+def reports_for_roots(system: PWLSystem, roots) -> list[CycleReport]:
     """Reports for caller-supplied exact roots (e.g. the oscillatory 1/(k*pi))."""
-    return [report_for_root(system, float(r), probe) for r in sorted(roots)]
+    return [report_for_root(system, float(r)) for r in sorted(roots)]
 
 
 def _origin_class(system: PWLSystem, y_probe: float) -> str:
@@ -288,20 +289,17 @@ def _origin_class(system: PWLSystem, y_probe: float) -> str:
 
 
 def find_limit_cycles(system: PWLSystem, y_min: float, y_max: float, *,
-                      scan_points: int = DEFAULT_SCAN_POINTS,
-                      tol: float = DEFAULT_ROOT_TOL,
-                      certify: bool = True,
-                      certify_points: int = 1024) -> CycleSearchResult:
+                      certify: bool = True) -> CycleSearchResult:
     """Find and classify every limit cycle crossing the y-axis in [y_min, y_max].
 
-    The range is certified against the non-sliding conditions first
-    unless ``certify`` is False; a failing certificate raises with the
-    report attached rather than returning cycles that the theory does
-    not cover.
+    The range is certified against the non-sliding conditions on a
+    ``CERTIFY_POINTS`` grid first unless ``certify`` is False; a failing
+    certificate raises with the report attached rather than returning
+    cycles that the theory does not cover.
     """
     report = None
     if certify:
-        report = check_boundary_hypotheses(system, geometric_grid(y_min, y_max, certify_points))
+        report = check_boundary_hypotheses(system, geometric_grid(y_min, y_max, CERTIFY_POINTS))
         if not report.passed:
             raise HypothesisError(
                 f"non-sliding conditions fail on [{y_min}, {y_max}] "
@@ -309,7 +307,7 @@ def find_limit_cycles(system: PWLSystem, y_min: float, y_max: float, *,
                 report=report,
             )
 
-    scan = find_roots(system.boundary, y_min, y_max, scan_points, tol)
+    scan = find_roots(system.boundary, y_min, y_max)
     if scan.continuum:
         return CycleSearchResult(cycles=[], continuum=True, origin="center",
                                  hypothesis_report=report)

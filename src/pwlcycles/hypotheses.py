@@ -150,7 +150,7 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     g = system.gamma
     hv = _boundary_values(system.boundary.evaluate, y_grid)
     dv = _boundary_values(system.boundary.derivative, y_grid)
-    left_ip, right_ip, lhs2, lhs3 = _inner_products(g, y_grid, hv, dv)
+    _, _, lhs2, lhs3 = _inner_products(g, y_grid, hv, dv)
 
     lhs1 = np.abs(hv)
     rhs1 = y_grid / g
@@ -160,7 +160,10 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     h1p = lhs1 < rhs1
     h2p = lhs2 < rhs2
     h3p = lhs3 > rhs3
-    transversal = (right_ip < 0.0) & (left_ip < 0.0)
+    # right_ip = lhs2 - y < 0 exactly when H2' holds and left_ip = -y - lhs3
+    # < 0 exactly when H3' holds: with gradual underflow a float difference
+    # is zero only between equal operands, so it keeps the comparison's sign.
+    transversal = h2p & h3p
 
     violations: list[InequalityRecord] = []
     warnings: list[InequalityRecord] = []

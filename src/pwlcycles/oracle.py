@@ -138,11 +138,6 @@ class TrajectorySegment:
     landing_error: float = 0.0
 
     @property
-    def states(self) -> list[tuple[float, Point]]:
-        return [(float(t), Point(float(p[0]), float(p[1])))
-                for t, p in zip(self.times, self.points)]
-
-    @property
     def terminal_time(self) -> float:
         return float(self.times[-1])
 
@@ -612,16 +607,15 @@ def upper_to_lower(system: PWLSystem, y0: float,
     return leg.terminal_point.y
 
 
-def probe_eps(y_star: float, neighbors=(), frac_gap: float = 0.25,
-              frac_radius: float = 0.05) -> float:
+def probe_eps(y_star: float, neighbors=()) -> float:
     """Perturbation size that stays between a cycle and its neighbors.
 
-    Uses a fraction of the gap to the nearest other root (the origin
-    counts as a neighbor at 0) capped by a fraction of the radius itself.
+    A quarter of the gap to the nearest other root (the origin counts as
+    a neighbor at 0), capped at 5% of the radius itself.
     """
     gaps = [abs(y_star - float(n)) for n in neighbors if float(n) != y_star]
     gaps.append(y_star)
-    return min(frac_radius * y_star, frac_gap * min(gaps))
+    return min(0.05 * y_star, 0.25 * min(gaps))
 
 
 def _side_verdicts(system: PWLSystem, y_star: float, eps: float,

@@ -1,16 +1,17 @@
 """Phase portraits as deterministic SVG.
 
-Orbits come from the event-detecting integrator, the switching curve is
-drawn dashed, and limit cycles are drawn from the closed-form flow (720
-samples per turn) so they stay crisp regardless of integrator settings:
-stable cycles bold solid, unstable dashed, semi-stable dash-dot.
-Identical inputs produce byte-identical documents.
+``sample_orbit`` follows a seed orbit with the event-detecting
+integrator; ``render`` draws the orbit segments it is given, the
+switching curve dashed, and the given limit cycles from the closed-form
+flow (720 samples per turn) so they stay crisp regardless of integrator
+settings: stable cycles bold solid, unstable dashed, semi-stable
+dash-dot.  Sizes and colours are the module constants below.  Identical
+inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,42 +32,17 @@ CYCLE_SAMPLES_PER_TURN = 720
 ORBIT_STEP = 1e-3
 ORBIT_RECORD_STRIDE = 10
 
-
-@dataclass(frozen=True)
-class PortraitStyle:
-    width: int = 720
-    height: int = 720
-    margin: float = 40.0
-    background: str = "#ffffff"
-    axis_color: str = "#999999"
-    axis_width: float = 1.0
-    orbit_color: str = "#4878a8"
-    orbit_width: float = 0.8
-    sigma_color: str = "#c0392b"
-    sigma_width: float = 1.4
-    sigma_dash: str = "6,4"
-    cycle_color: str = "#111111"
-    cycle_width: float = 2.4
-    unstable_dash: str = "8,5"
-    semi_stable_dash: str = "9,4,2,4"
-
-
-@dataclass
-class PortraitSpec:
-    """What to draw: view window, orbit seeds, and cycle overlay toggle."""
-
-    window: tuple[float, float, float, float]
-    seed_points: list[Point] = field(default_factory=list)
-    turns: int = 3
-    include_cycles: bool = True
-    style: PortraitStyle = field(default_factory=PortraitStyle)
-
-    def __post_init__(self):
-        x0, x1, y0, y1 = self.window
-        if not (x0 < x1 and y0 < y1):
-            raise DomainError(f"degenerate window {self.window!r}")
-        if self.turns < 1:
-            raise DomainError("turns must be >= 1")
+WIDTH = HEIGHT = 720
+MARGIN = 40.0
+BACKGROUND = "#ffffff"
+AXIS_COLOR, AXIS_WIDTH = "#999999", 1.0
+ORBIT_COLOR, ORBIT_WIDTH = "#4878a8", 0.8
+SIGMA_COLOR, SIGMA_WIDTH, SIGMA_DASH = "#c0392b", 1.4, "6,4"
+CYCLE_COLOR, CYCLE_WIDTH = "#111111", 2.4
+UNSTABLE_DASH = "8,5"
+SEMI_STABLE_DASH = "9,4,2,4"
+# default_window pads the largest cycle radius by this factor.
+WINDOW_PAD = 1.3
 
 
 def _zone_at(system: PWLSystem, p: Point) -> Zone:
@@ -115,10 +91,9 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
     return segments
 
 
-def cycle_polyline(system: PWLSystem, report: CycleReport,
-                   samples: int = CYCLE_SAMPLES_PER_TURN) -> np.ndarray:
-    """Closed cycle curve from the exact flow, (samples+1, 2), endpoint repeated."""
-    half = samples // 2
+def cycle_polyline(system: PWLSystem, report: CycleReport) -> np.ndarray:
+    """Closed cycle curve from the exact flow, (CYCLE_SAMPLES_PER_TURN+1, 2), endpoint repeated."""
+    half = CYCLE_SAMPLES_PER_TURN // 2
     pts = np.empty((2 * half + 1, 2))
     upper = Point(0.0, report.y_star)
     lower = report.lower_crossing
@@ -133,17 +108,16 @@ def cycle_polyline(system: PWLSystem, report: CycleReport,
 
 
 class _Canvas:
-    def __init__(self, style: PortraitStyle, window):
-        self.s = style
+    def __init__(self, window):
         self.x0, self.x1, self.y0, self.y1 = window
-        self.sx = (style.width - 2 * style.margin) / (self.x1 - self.x0)
-        self.sy = (style.height - 2 * style.margin) / (self.y1 - self.y0)
+        self.sx = (WIDTH - 2 * MARGIN) / (self.x1 - self.x0)
+        self.sy = (HEIGHT - 2 * MARGIN) / (self.y1 - self.y0)
 
     def px(self, x: float) -> float:
-        return self.s.margin + (x - self.x0) * self.sx
+        return MARGIN + (x - self.x0) * self.sx
 
     def py(self, y: float) -> float:
-        return self.s.height - self.s.margin - (y - self.y0) * self.sy
+        return HEIGHT - MARGIN - (y - self.y0) * self.sy
 
     def path(self, xs, ys, color: str, width: float, dash: str | None = None) -> str:
         coords = " ".join(
@@ -155,59 +129,55 @@ class _Canvas:
                 f'stroke-width="{width:g}"{dash_attr}/>')
 
 
-def render(system: PWLSystem, spec: PortraitSpec, cycles: list[CycleReport],
-           orbits: list[TrajectorySegment] | None = None) -> str:
+def render(system: PWLSystem, window: tuple[float, float, float, float],
+           cycles: list[CycleReport], orbits: list[TrajectorySegment]) -> str:
     """Assemble the SVG document; pure function of its inputs.
 
-    ``orbits`` holds the already sampled segments of the seed orbits, in
-    seed order; without it every seed of ``spec`` is sampled here.
+    Draws the axes, the switching curve, the given orbit segments (already
+    sampled, e.g. by ``sample_orbit``) and the given cycles over the view
+    ``window`` = (x0, x1, y0, y1).
     """
-    st = spec.style
-    cv = _Canvas(st, spec.window)
+    x0, x1, y0, y1 = window
+    if not (x0 < x1 and y0 < y1):
+        raise DomainError(f"degenerate window {window!r}")
+    cv = _Canvas(window)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{st.width}" height="{st.height}" '
-        f'viewBox="0 0 {st.width} {st.height}">',
-        f'<rect width="{st.width}" height="{st.height}" fill="{st.background}"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>',
     ]
 
-    x0, x1, y0, y1 = spec.window
     if x0 < 0.0 < x1:
-        parts.append(cv.path([0.0, 0.0], [y0, y1], st.axis_color, st.axis_width))
+        parts.append(cv.path([0.0, 0.0], [y0, y1], AXIS_COLOR, AXIS_WIDTH))
     if y0 < 0.0 < y1:
-        parts.append(cv.path([x0, x1], [0.0, 0.0], st.axis_color, st.axis_width))
+        parts.append(cv.path([x0, x1], [0.0, 0.0], AXIS_COLOR, AXIS_WIDTH))
 
     if y1 > 0.0:
         ys = np.linspace(max(y0, 1e-9 * (y1 - y0)), y1, 400)
         hs = np.asarray(system.boundary.evaluate(ys), dtype=float)
-        parts.append(cv.path(hs, ys, st.sigma_color, st.sigma_width, st.sigma_dash))
+        parts.append(cv.path(hs, ys, SIGMA_COLOR, SIGMA_WIDTH, SIGMA_DASH))
 
-    if orbits is None:
-        orbits = [seg for seed in spec.seed_points
-                  for seg in sample_orbit(system, seed, spec.turns)]
     for seg in orbits:
-        parts.append(cv.path(seg.points[:, 0], seg.points[:, 1],
-                             st.orbit_color, st.orbit_width))
+        parts.append(cv.path(seg.points[:, 0], seg.points[:, 1], ORBIT_COLOR, ORBIT_WIDTH))
 
-    if spec.include_cycles:
-        for rep in cycles:
-            pts = cycle_polyline(system, rep)
-            dash = None
-            if rep.stability is StabilityClass.UNSTABLE:
-                dash = st.unstable_dash
-            elif rep.stability in (StabilityClass.SEMI_STABLE_OUTER_STABLE,
-                                   StabilityClass.SEMI_STABLE_INNER_STABLE):
-                dash = st.semi_stable_dash
-            parts.append(cv.path(pts[:, 0], pts[:, 1], st.cycle_color,
-                                 st.cycle_width, dash))
+    for rep in cycles:
+        pts = cycle_polyline(system, rep)
+        dash = None
+        if rep.stability is StabilityClass.UNSTABLE:
+            dash = UNSTABLE_DASH
+        elif rep.stability in (StabilityClass.SEMI_STABLE_OUTER_STABLE,
+                               StabilityClass.SEMI_STABLE_INNER_STABLE):
+            dash = SEMI_STABLE_DASH
+        parts.append(cv.path(pts[:, 0], pts[:, 1], CYCLE_COLOR, CYCLE_WIDTH, dash))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def default_window(cycles: list[CycleReport], pad: float = 1.3) -> tuple[float, float, float, float]:
+def default_window(cycles: list[CycleReport]) -> tuple[float, float, float, float]:
     """Square window sized to enclose the given cycles (or the unit box)."""
     if cycles:
-        r = pad * max(c.y_star for c in cycles)
+        r = WINDOW_PAD * max(c.y_star for c in cycles)
     else:
         r = 1.0
     return (-r, r, -r, r)

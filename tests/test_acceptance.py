@@ -75,8 +75,7 @@ def test_criterion_1_sine_family_reproduction():
             assert abs(rep.lower_crossing.y - (-k * lower_scale)) < 1e-9
             expected = StabilityClass.STABLE if k % 2 == 0 else StabilityClass.UNSTABLE
             assert rep.stability is expected
-            eps = probe_eps(rep.y_star, [r for r in roots if r != rep.y_star],
-                            frac_gap=0.25, frac_radius=0.05)
+            eps = probe_eps(rep.y_star, [r for r in roots if r != rep.y_star])
             oracle_verdict = resolve_stability(system, rep.y_star, eps=eps)
             assert oracle_verdict is expected, (
                 f"n={n} k={k}: oracle says {oracle_verdict}, classified {expected}")

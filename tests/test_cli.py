@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from pwlcycles import Point, PortraitSpec, find_limit_cycles, portrait, render, sample_orbit
+import pwlcycles
+from pwlcycles import Point, find_limit_cycles, portrait, render, sample_orbit
 from pwlcycles.cli import main
 from pwlcycles.oracle import segments_to_csv
 
@@ -199,11 +204,33 @@ class TestPortrait:
         assert calls == seeds
         monkeypatch.undo()
         # the same bytes as rendering and exporting with separate sampling
-        spec = PortraitSpec(window=(-2.6, 2.6, -2.6, 2.6), seed_points=seeds, turns=2)
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
-        assert svg.read_bytes() == render(sine_system, spec, cycles).encode()
         segments = [seg for seed in seeds for seg in sample_orbit(sine_system, seed, 2)]
+        assert svg.read_bytes() == render(sine_system, (-2.6, 2.6, -2.6, 2.6),
+                                          cycles, segments).encode()
         assert dump.read_bytes() == segments_to_csv(segments).encode()
+
+    def test_no_cycles_draws_none_in_the_cycle_window(self, capsys, tmp_path, sine_system):
+        svg = tmp_path / "p.svg"
+        code, _, _ = run(capsys, ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                                  "--range", "0.1", "4", "--seed", "0,2.2", "--turns", "1",
+                                  "--no-cycles", "--out", str(svg)])
+        assert code == 0
+        cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
+        window = portrait.default_window(cycles)
+        assert window != portrait.default_window([])
+        segments = sample_orbit(sine_system, Point(0.0, 2.2), 1)
+        assert svg.read_bytes() == render(sine_system, window, [], segments).encode()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of a cold start and only table boundaries need it.
+    src = str(pathlib.Path(pwlcycles.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, pwlcycles.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "False"
 
 
 class TestUsageErrors:
@@ -253,9 +280,11 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (OSC_CYCLES + ["--kmax", "0"], None),
     (["displacement", "--gamma", "1", "--family", "oscillatory", "--alpha", "0.3",
       "--range", "1e-310", "1", "--points", "2"], None),
+    (PORTRAIT + ["--turns", "0"], None),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
-        "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max"])
+        "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max",
+        "portrait-turns-zero"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:
@@ -265,3 +294,4 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "error:" in err and "Traceback" not in err
+    assert "np.float64" not in err

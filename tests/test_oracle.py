@@ -206,7 +206,7 @@ class TestIntegrateInZone:
                                 opts=IntegrationOptions(step=1e-3), record_stride=0)
         assert seg.terminal_time > 8 * 0.37
         assert len(seg.times) == 2
-        assert seg.times[0] == 0.0 and seg.states[0][1] == Point(0.0, 1.0)
+        assert seg.times[0] == 0.0 and seg.points[0].tolist() == [0.0, 1.0]
 
     def test_sample_times_do_not_depend_on_chunk_length(self, sine_system, monkeypatch):
         opts = IntegrationOptions(step=1e-3)
@@ -223,13 +223,6 @@ class TestIntegrateInZone:
         assert np.all(steps % 7 == 0) and np.all(np.diff(steps) == 7)
         assert chopped.terminal_time == pytest.approx(ref.terminal_time, abs=1e-12)
         np.testing.assert_allclose(chopped.points, ref.points, rtol=0, atol=1e-12)
-
-    def test_states_property(self, zero_system):
-        seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                opts=IntegrationOptions(step=1e-3), record_stride=100)
-        states = seg.states
-        assert states[0] == (0.0, Point(0.0, 1.0))
-        assert all(isinstance(t, float) and isinstance(p, Point) for t, p in states)
 
 
 class TestEventLanding:

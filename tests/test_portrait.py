@@ -6,15 +6,13 @@ import pytest
 
 from pwlcycles import (
     DomainError,
-    IntegrationOptions,
     Point,
-    PortraitSpec,
-    StabilityClass,
     TerminalEvent,
     find_limit_cycles,
     render,
     sample_orbit,
 )
+from pwlcycles import portrait
 from pwlcycles.portrait import cycle_polyline, default_window
 
 EXP_M_075PI = 0.09478022484215486
@@ -54,6 +52,10 @@ class TestSampleOrbit:
         with pytest.raises(DomainError):
             sample_orbit(zero_system, Point(0.0, 0.0), 1)
 
+    def test_turns_below_one_rejected(self, zero_system):
+        with pytest.raises(DomainError):
+            sample_orbit(zero_system, Point(0.0, 1.0), 0)
+
 
 class TestCyclePolyline:
     def test_closed_to_tolerance(self, sine_system):
@@ -72,50 +74,46 @@ class TestCyclePolyline:
 class TestRender:
     def test_deterministic(self, sine_system):
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
-        spec = PortraitSpec(window=(-2.5, 2.5, -2.5, 2.5),
-                            seed_points=[Point(0.0, 2.2)], turns=2)
-        a = render(sine_system, spec, cycles)
-        b = render(sine_system, spec, cycles)
+        orbits = sample_orbit(sine_system, Point(0.0, 2.2), 2)
+        window = (-2.5, 2.5, -2.5, 2.5)
+        a = render(sine_system, window, cycles, orbits)
+        b = render(sine_system, window, cycles, orbits)
         assert a == b
+        drawn = [p for p in svg_paths(a) if p.get("stroke") == portrait.ORBIT_COLOR]
+        assert len(drawn) == len(orbits)
 
     def test_structure_with_cycles(self, sine_system):
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
-        spec = PortraitSpec(window=(-2.5, 2.5, -2.5, 2.5))
-        svg = render(sine_system, spec, cycles)
+        svg = render(sine_system, (-2.5, 2.5, -2.5, 2.5), cycles, [])
         paths = svg_paths(svg)
-        st = spec.style
-        dashed_sigma = [p for p in paths if p.get("stroke-dasharray") == st.sigma_dash
-                        and p.get("stroke") == st.sigma_color]
+        dashed_sigma = [p for p in paths if p.get("stroke-dasharray") == portrait.SIGMA_DASH
+                        and p.get("stroke") == portrait.SIGMA_COLOR]
         assert len(dashed_sigma) == 1
-        bold = [p for p in paths if p.get("stroke-width") == f"{st.cycle_width:g}"]
+        bold = [p for p in paths if p.get("stroke-width") == f"{portrait.CYCLE_WIDTH:g}"]
         assert len(bold) == 2  # one stable, one unstable cycle
-        dashed_cycles = [p for p in bold if p.get("stroke-dasharray") == st.unstable_dash]
+        dashed_cycles = [p for p in bold if p.get("stroke-dasharray") == portrait.UNSTABLE_DASH]
         solid_cycles = [p for p in bold if p.get("stroke-dasharray") is None]
         assert len(dashed_cycles) == 1 and len(solid_cycles) == 1
 
     def test_empty_spec_axes_and_sigma_only(self, sine_system):
-        spec = PortraitSpec(window=(-1.0, 1.0, -1.0, 1.0), include_cycles=False)
-        svg = render(sine_system, spec, [])
+        svg = render(sine_system, (-1.0, 1.0, -1.0, 1.0), [], [])
         paths = svg_paths(svg)
-        st = spec.style
-        axes = [p for p in paths if p.get("stroke") == st.axis_color]
-        sigma = [p for p in paths if p.get("stroke") == st.sigma_color]
+        axes = [p for p in paths if p.get("stroke") == portrait.AXIS_COLOR]
+        sigma = [p for p in paths if p.get("stroke") == portrait.SIGMA_COLOR]
         assert len(axes) == 2 and len(sigma) == 1
         assert len(paths) == 3
 
     def test_semi_stable_dash_pattern(self, cosine_system):
         cycles = find_limit_cycles(cosine_system, 0.1, 6.0).cycles
-        spec = PortraitSpec(window=(-5.0, 5.0, -5.0, 5.0))
-        svg = render(cosine_system, spec, cycles)
+        svg = render(cosine_system, (-5.0, 5.0, -5.0, 5.0), cycles, [])
         semi = [p for p in svg_paths(svg)
-                if p.get("stroke-dasharray") == spec.style.semi_stable_dash]
+                if p.get("stroke-dasharray") == portrait.SEMI_STABLE_DASH]
         assert len(semi) == 2
 
-    def test_window_validation(self):
-        with pytest.raises(DomainError):
-            PortraitSpec(window=(1.0, 1.0, -1.0, 1.0))
-        with pytest.raises(DomainError):
-            PortraitSpec(window=(-1.0, 1.0, -1.0, 1.0), turns=0)
+    def test_window_validation(self, sine_system):
+        for window in ((1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 2.0, -2.0)):
+            with pytest.raises(DomainError):
+                render(sine_system, window, [], [])
 
     def test_default_window(self, sine_system):
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
