@@ -61,7 +61,6 @@ from .cycles import (
     reports_for_roots,
 )
 from .oracle import (
-    IntegrationOptions,
     ReturnMapResult,
     TerminalEvent,
     TrajectorySegment,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import analytic, cycles as cyc, families, hypotheses, oracle, portrait
 from .core import Point, PWLError, PWLSystem
-from .oracle import IntegrationOptions
 
 TWO_PI = analytic.TWO_PI
 
@@ -136,8 +135,9 @@ def _range(args, cfg: dict, default=(0.01, 5.0)) -> tuple[float, float]:
     return lo, hi
 
 
-def _opts(args, cfg: dict) -> IntegrationOptions:
-    return IntegrationOptions(step=_number(args, cfg, "step", 1e-4))
+def _step(args, cfg: dict) -> float:
+    """The oracle's RK4 step, checked before any work is done with it."""
+    return oracle._check_step(_number(args, cfg, "step", 1e-4))
 
 
 def _analytic_cycles(system: PWLSystem, args, cfg: dict, lo: float, hi: float,
@@ -181,12 +181,12 @@ def cmd_cycles(args) -> int:
     return EXIT_OK
 
 
-def _displacement_rows(system: PWLSystem, ys, opts: IntegrationOptions):
+def _displacement_rows(system: PWLSystem, ys, step: float):
     rows = []
     for y in ys:
         y = float(y)
         fa = analytic.displacement(y, system)
-        fn = oracle.numeric_displacement(system, y, opts)
+        fn = oracle.numeric_displacement(system, y, step)
         rows.append((y, fa, fn, abs(fa - fn)))
     return rows
 
@@ -196,7 +196,7 @@ def cmd_displacement(args) -> int:
     system = _build_system(args, cfg)
     lo, hi = _range(args, cfg)
     points = _points(args, cfg, 200)
-    rows = _displacement_rows(system, np.linspace(lo, hi, points), _opts(args, cfg))
+    rows = _displacement_rows(system, np.linspace(lo, hi, points), _step(args, cfg))
     _emit(_csv_text(("y", "f_analytic", "f_numeric", "abs_diff"), rows), args.out)
     return EXIT_OK
 
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     system = _build_system(args, cfg)
     lo, hi = _range(args, cfg)
-    opts = _opts(args, cfg)
+    step = _step(args, cfg)
     tol = _number(args, cfg, "tol", 1e-6)
 
     grid = hypotheses.geometric_grid(lo, hi, hypotheses.DEFAULT_GRID_POINTS)
@@ -219,11 +219,11 @@ def cmd_verify(args) -> int:
     cycle_records: list[dict] = []
     roots = [c.y_star for c in result.cycles]
     for i, rep in enumerate(result.cycles):
-        rm = oracle.return_map(system, rep.lower_crossing.y, opts)
+        rm = oracle.return_map(system, rep.lower_crossing.y, step)
         fixed_err = abs(rm.y_out - rm.y_in)
         flight_err = abs(rm.flight_time - TWO_PI)
         eps = oracle.probe_eps(rep.y_star, roots[:i] + roots[i + 1:])
-        stab = oracle.resolve_stability(system, rep.y_star, eps=eps, opts=opts)
+        stab = oracle.resolve_stability(system, rep.y_star, eps=eps, step=step)
         rec = {
             "y_star": rep.y_star,
             "classified": rep.stability.value,
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
             discrepancies.append({"kind": "stability", **rec})
 
     points = _points(args, cfg, 40)
-    rows = _displacement_rows(system, np.linspace(lo, hi, points), opts)
+    rows = _displacement_rows(system, np.linspace(lo, hi, points), step)
     max_diff = max((r[3] for r in rows), default=0.0)
     if max_diff > tol:
         discrepancies.append({"kind": "displacement", "max_abs_diff": max_diff})

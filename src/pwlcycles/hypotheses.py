@@ -40,7 +40,9 @@ from .core import (
     zone_matrix,
 )
 
-# Margins tighter than this (while still passing) are reported as warnings.
+# A margin below this fraction of y (while still passing) is reported as a
+# warning.  H1'-H3' are homogeneous of degree 1 in (y, h), so their margins
+# scale with y and the threshold does too.
 NEAR_VIOLATION_TOL = 1e-9
 
 DEFAULT_GRID_POINTS = 4096
@@ -73,9 +75,16 @@ class HypothesisReport:
     h1p: np.ndarray
     h2p: np.ndarray
     h3p: np.ndarray
-    transversal: np.ndarray
     violations: list[InequalityRecord] = field(default_factory=list)
     warnings: list[InequalityRecord] = field(default_factory=list)
+
+    @property
+    def transversal(self) -> np.ndarray:
+        """Per sample: both zone fields cross the boundary, i.e. H2' and H3' hold."""
+        # right_ip = lhs2 - y < 0 exactly when H2' holds and left_ip = -y - lhs3
+        # < 0 exactly when H3' holds: with gradual underflow a float difference
+        # is zero only between equal operands, so it keeps the comparison's sign.
+        return self.h2p & self.h3p
 
     @property
     def passed(self) -> bool:
@@ -160,10 +169,6 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     h1p = lhs1 < rhs1
     h2p = lhs2 < rhs2
     h3p = lhs3 > rhs3
-    # right_ip = lhs2 - y < 0 exactly when H2' holds and left_ip = -y - lhs3
-    # < 0 exactly when H3' holds: with gradual underflow a float difference
-    # is zero only between equal operands, so it keeps the comparison's sign.
-    transversal = h2p & h3p
 
     violations: list[InequalityRecord] = []
     warnings: list[InequalityRecord] = []
@@ -174,7 +179,7 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     ):
         for i in np.flatnonzero(~ok):
             violations.append(InequalityRecord(name, float(y_grid[i]), float(lhs[i]), float(rhs[i])))
-        near = ok & (margin < NEAR_VIOLATION_TOL)
+        near = ok & (margin < NEAR_VIOLATION_TOL * y_grid)
         for i in np.flatnonzero(near):
             warnings.append(InequalityRecord(name, float(y_grid[i]), float(lhs[i]), float(rhs[i])))
     violations.sort(key=lambda r: (r.y, r.hypothesis))
@@ -183,7 +188,7 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     h1m, h2m = check_matrix_hypotheses(system.params)
     return HypothesisReport(
         h1_matrix=h1m, h2_matrix=h2m, grid=y_grid,
-        h1p=h1p, h2p=h2p, h3p=h3p, transversal=transversal,
+        h1p=h1p, h2p=h2p, h3p=h3p,
         violations=violations, warnings=warnings,
     )
 

@@ -24,7 +24,10 @@ Each leg runs through one zone and stops where it leaves it, so the zone
 and the direction pick the stop: forward-left and backward-right legs
 stop on the lower section {x = 0, y < 0}, forward-right and backward-left
 legs on the switching curve x = h(y).  Backward integration is forward
-integration of the negated field.
+integration of the negated field.  The RK4 step is the oracle's only
+setting: a start residue or a landing counts as on its event within
+``EVENT_TOL``, and a leg that has not left its zone after ``MAX_TIME``
+time units stops with ``TIME_OUT``.
 
 A leg that records no interior samples first computes only the end state
 of each chunk, from the same coefficient and power table, so it has the
@@ -52,7 +55,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -85,6 +88,10 @@ _BLOCK_TIME = 0.5
 _MAX_HOP_TURN = 0.5 * math.pi
 _MAX_BISECT = 200
 
+# |g| <= EVENT_TOL is on the event; a leg still in its zone at MAX_TIME times out.
+EVENT_TOL = 1e-12
+MAX_TIME = 100.0
+
 # A side of a cycle gets a stability verdict only when its one-turn drift
 # exceeds this multiple of the drift's error bar.
 MARGIN = 10.0
@@ -101,19 +108,11 @@ class Direction(str, Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
-class IntegrationOptions:
-    step: float = 1e-4
-    event_tol: float = 1e-12
-    max_time: float = 100.0
-
-    def __post_init__(self):
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise DomainError(f"step must be positive, got {self.step!r}")
-        if not (0.0 < self.event_tol < self.step):
-            raise DomainError("event_tol must be positive and below step")
-        if not (self.max_time > 0.0):
-            raise DomainError("max_time must be positive")
+def _check_step(step: float) -> float:
+    """The RK4 step, once it is finite and above ``EVENT_TOL``."""
+    if not (step > EVENT_TOL and math.isfinite(step)):
+        raise DomainError(f"step must be finite and above {EVENT_TOL!r}, got {step!r}")
+    return step
 
 
 @dataclass
@@ -283,15 +282,15 @@ def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
     return manifold_value(system, Point(float(x[0]), float(x[1])))
 
 
-def _crossings(g: np.ndarray, direction: int, first: bool, event_tol: float) -> np.ndarray:
+def _crossings(g: np.ndarray, direction: int, first: bool) -> np.ndarray:
     """Mask over step pairs (k, k+1) on which g crosses zero in ``direction``.
 
-    In the first chunk of a leg a start residue |g[0]| <= event_tol is
+    In the first chunk of a leg a start residue |g[0]| <= EVENT_TOL is
     not a crossing.
     """
     ahead = g < 0.0 if direction > 0 else g > 0.0
     mask = ahead[:-1] & ~ahead[1:]
-    if first and abs(g[0]) <= event_tol:
+    if first and abs(g[0]) <= EVENT_TOL:
         mask[0] = False
     return mask
 
@@ -309,15 +308,14 @@ def _event_rate(system: PWLSystem, axis: bool, matrix: np.ndarray,
 
 
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
-              g_from: float, axis: bool,
-              event_tol: float) -> tuple[float, np.ndarray, float]:
+              g_from: float, axis: bool) -> tuple[float, np.ndarray, float]:
     """Land on the event inside the substep (0, step] that brackets it.
 
     On a substep tau the RK4 state is the quartic x(tau) = sum_k c_k tau**k
     with c_k = A**k x_from / k!; the coefficients are built once and
     evaluated by Horner.  The root of g(x(tau)) is found by Illinois
     iteration, bisecting whenever the secant point leaves the bracket,
-    until |g| <= event_tol or _MAX_BISECT iterations.  Returns tau, the
+    until |g| <= EVENT_TOL or _MAX_BISECT iterations.  Returns tau, the
     landed state and the residual |g| reached there.
     """
     (a00, a01), (a10, a11) = matrix.tolist()
@@ -341,7 +339,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     side = 0
     for _ in range(_MAX_BISECT):
         # a same-signed bracket only arises from roundoff at the substep end
-        if abs(g_t) <= event_tol or (g_hi < 0.0) == (g_lo < 0.0):
+        if abs(g_t) <= EVENT_TOL or (g_hi < 0.0) == (g_lo < 0.0):
             break
         tau = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         if not lo < tau < hi:
@@ -363,11 +361,10 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
 
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                       direction: Direction = Direction.FORWARD,
-                      opts: IntegrationOptions | None = None,
-                      record_stride: int = 1,
-                      t0: float = 0.0, *,
+                      step: float = 1e-4,
+                      record_stride: int = 1, *,
                       _count_crossings: bool = True) -> TrajectorySegment:
-    """Integrate one zone's linear field until the leg leaves the zone or max_time.
+    """Integrate one zone's linear field until the leg leaves the zone or ``MAX_TIME``.
 
     The zone and the direction fix where the leg leaves.  Forward-left and
     backward-right legs stop on the lower section {x = 0, y < 0}, with x
@@ -377,10 +374,10 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     left (BOUNDARY_CROSS).
 
     The start may sit on the stop section provided the velocity carries it
-    off (a residual event value within event_tol at the start is ignored
-    for the first step).  record_stride keeps the interior samples at step
-    indices divisible by it; 0 keeps only the endpoints.  Times are t0 plus
-    elapsed integration time and increase regardless of direction.
+    off (a residual event value within ``EVENT_TOL`` at the start is
+    ignored for the first step).  record_stride keeps the interior samples
+    at step indices divisible by it; 0 keeps only the endpoints.  Times
+    start at 0 and increase regardless of direction.
 
     The segment's ``landing_error`` is the first-order ordinate offset
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
@@ -392,7 +389,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     state: the switching function is then never evaluated, more chunks are
     skipped, and both counters read -1.
     """
-    opts = opts or IntegrationOptions()
+    _check_step(step)
     if isinstance(direction, str):
         direction = Direction(direction)
     if isinstance(zone, str):
@@ -405,7 +402,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     forward = direction is Direction.FORWARD
     if not forward:
         matrix = -matrix
-    transfer = _step_transfer(matrix, opts.step)
+    transfer = _step_transfer(matrix, step)
     # A forward orbit crosses the section with x rising and the curve with
     # x - h(y) falling; a backward leg meets the same crossings reversed.
     # Forward, the left zone is left through the section and the right zone
@@ -414,7 +411,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     axis = (zone is Zone.LEFT) == forward
 
     g0 = _event_value_scalar(system, axis, x)
-    if abs(g0) <= opts.event_tol:
+    if abs(g0) <= EVENT_TOL:
         dgdt, vel = _event_rate(system, axis, matrix, x)
         speed = float(np.hypot(*vel))
         if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
@@ -422,7 +419,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                 f"start {start!r} sits on the stop section with tangent velocity"
             )
 
-    chunk = max(1, math.ceil(_BLOCK_TIME / opts.step))
+    chunk = max(1, math.ceil(_BLOCK_TIME / step))
     pair = _eigenpair(transfer)
     powers = _power_table(transfer, chunk)
     stride = max(0, int(record_stride))
@@ -437,8 +434,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     terminal = TerminalEvent.TIME_OUT
     landing_error = 0.0
 
-    while opts.max_time - done * opts.step > 0.5 * opts.step:
-        n = min(math.ceil((opts.max_time - done * opts.step) / opts.step), chunk)
+    while MAX_TIME - done * step > 0.5 * step:
+        n = min(math.ceil((MAX_TIME - done * step) / step), chunk)
         if hop and (not counted or x[1] <= 0.0):
             end = _states(pair, x, powers[n:n + 1])[0]
             # x keeps its strict sign: no axis event.  y <= 0 at both ends as
@@ -452,11 +449,10 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
         g_axis = states[:, 0]
         y = states[:, 1]
         # One crossing mask per kind; the exit mask is the counter of its kind.
-        section = (_crossings(g_axis, sense, first, opts.event_tol)
-                   & (y[:-1] < 0.0) & (y[1:] < 0.0))
+        section = _crossings(g_axis, sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
         if counted:
             g_man = manifold_values(system, states)
-            sigma = _crossings(g_man, -sense, first, opts.event_tol)
+            sigma = _crossings(g_man, -sense, first)
         g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
         hit = int(np.argmax(hits)) if hits.any() else None
 
@@ -469,7 +465,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
         if stride > 0:
             idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
-            rec_t.append((done + idx) * opts.step)
+            rec_t.append((done + idx) * step)
             rec_p.append(states[idx])
 
         if hit is None:
@@ -477,14 +473,14 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             done += n
             continue
         if g_stop[hit + 1] == 0.0:
-            tau, x = opts.step, states[hit + 1]
+            tau, x = step, states[hit + 1]
         else:
-            tau, x, residual = _localize(system, matrix, states[hit], opts.step,
-                                         float(g_stop[hit]), axis, opts.event_tol)
+            tau, x, residual = _localize(system, matrix, states[hit], step,
+                                         float(g_stop[hit]), axis)
             if residual > 0.0:
                 dgdt, vel = _event_rate(system, axis, matrix, x)
                 landing_error = residual * abs(float(vel[1])) / abs(dgdt) if dgdt else math.inf
-        end_time = (done + hit) * opts.step + tau
+        end_time = (done + hit) * step + tau
         if axis:
             terminal = TerminalEvent.AXIS_CROSS
             section_count += 1
@@ -494,12 +490,12 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
         break
 
     if terminal is TerminalEvent.TIME_OUT:
-        end_time = done * opts.step
+        end_time = done * step
     if not counted:
         sigma_count = section_count = -1
     rec_t.append(np.array([end_time]))
     rec_p.append(x[None, :])
-    return TrajectorySegment(zone=zone, times=np.concatenate(rec_t) + t0,
+    return TrajectorySegment(zone=zone, times=np.concatenate(rec_t),
                              points=np.concatenate(rec_p),
                              terminal_event=terminal,
                              sigma_crossings=sigma_count,
@@ -514,6 +510,7 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
 
     Used to cross-check the closed-form zone flow at arbitrary times.
     """
+    _check_step(step)
     if duration < 0.0:
         raise DomainError("duration must be non-negative")
     matrix = zone_matrix(system.params, zone)
@@ -532,46 +529,45 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     return Point(float(x[0]), float(x[1]))
 
 
-def numeric_displacement(system: PWLSystem, y: float,
-                         opts: IntegrationOptions | None = None) -> float:
+def _leg(system: PWLSystem, zone: Zone, start: Point, direction: Direction, step: float,
+         origin_y: float, counted: bool = True) -> TrajectorySegment:
+    """An endpoints-only leg that must leave its zone within ``MAX_TIME``.
+
+    ``origin_y`` is the ordinate the caller's orbit started from; a
+    time-out raises ``IntegrationError`` naming it.  ``counted=False``
+    waives the crossing counters.  The leg runs through the module's
+    ``integrate_in_zone``, so a wrapper installed there sees every leg.
+    """
+    leg = integrate_in_zone(system, zone, start, direction, step, record_stride=0,
+                            _count_crossings=counted)
+    if leg.terminal_event is TerminalEvent.TIME_OUT:
+        raise IntegrationError(f"{direction.value} {zone.value}-zone leg of the orbit from "
+                               f"y={origin_y!r} did not leave its zone within "
+                               f"MAX_TIME={MAX_TIME!r}")
+    return leg
+
+
+def numeric_displacement(system: PWLSystem, y: float, step: float = 1e-4) -> float:
     """Displacement at y measured purely by integration.
 
     Forward through the left zone from (h(y), y) to the lower section,
     backward through the right zone from the same point, difference of
     landing ordinates.
     """
-    opts = opts or IntegrationOptions()
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be a positive real, got {y!r}")
-    h = float(system.boundary.evaluate(y))
-    start = Point(h, y)
-    fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD, opts,
-                            record_stride=0, _count_crossings=False)
-    if fwd.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"forward half-turn from y={y!r} timed out")
-    bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD, opts,
-                            record_stride=0, _count_crossings=False)
-    if bwd.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"backward half-turn from y={y!r} timed out")
+    start = Point(float(system.boundary.evaluate(y)), y)
+    fwd = _leg(system, Zone.LEFT, start, Direction.FORWARD, step, y, counted=False)
+    bwd = _leg(system, Zone.RIGHT, start, Direction.BACKWARD, step, y, counted=False)
     return fwd.terminal_point.y - bwd.terminal_point.y
 
 
-def return_map(system: PWLSystem, y_in: float,
-               opts: IntegrationOptions | None = None) -> ReturnMapResult:
+def return_map(system: PWLSystem, y_in: float, step: float = 1e-4) -> ReturnMapResult:
     """One forward turn of the Poincare map on the lower section {x=0, y<0}."""
-    opts = opts or IntegrationOptions()
     if not (math.isfinite(y_in) and y_in < 0.0):
         raise DomainError(f"y_in must be negative, got {y_in!r}")
-    leg1 = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), Direction.FORWARD,
-                             opts, record_stride=0)
-    if leg1.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"no switching-curve crossing from y_in={y_in!r} "
-                               f"within max_time={opts.max_time!r}")
-    leg2 = integrate_in_zone(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD,
-                             opts, record_stride=0)
-    if leg2.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"no section return from y_in={y_in!r} "
-                               f"within max_time={opts.max_time!r}")
+    leg1 = _leg(system, Zone.RIGHT, Point(0.0, y_in), Direction.FORWARD, step, y_in)
+    leg2 = _leg(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD, step, y_in)
     return ReturnMapResult(
         y_in=y_in,
         y_out=leg2.terminal_point.y,
@@ -582,29 +578,19 @@ def return_map(system: PWLSystem, y_in: float,
     )
 
 
-def upper_to_lower(system: PWLSystem, y0: float,
-                   opts: IntegrationOptions | None = None) -> float:
+def upper_to_lower(system: PWLSystem, y0: float, step: float = 1e-4) -> float:
     """Lower-section ordinate of the forward orbit through (0, y0), y0 > 0.
 
     Depending on the sign of h(y0) the start lies in the left zone
     directly or must first cross the switching curve from the right zone.
     """
-    opts = opts or IntegrationOptions()
     if not (math.isfinite(y0) and y0 > 0.0):
         raise DomainError(f"y0 must be positive, got {y0!r}")
     p = Point(0.0, y0)
-    hv = manifold_value(system, p)
-    if hv > opts.event_tol:
-        leg = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, opts,
-                                record_stride=0)
-        if leg.terminal_event is TerminalEvent.TIME_OUT:
-            raise IntegrationError(f"no switching-curve crossing from (0, {y0!r})")
-        p = leg.terminal_point
-    leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, opts,
-                            record_stride=0, _count_crossings=False)
-    if leg.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"no section return from (0, {y0!r})")
-    return leg.terminal_point.y
+    if manifold_value(system, p) > EVENT_TOL:
+        p = _leg(system, Zone.RIGHT, p, Direction.FORWARD, step, y0).terminal_point
+    return _leg(system, Zone.LEFT, p, Direction.FORWARD, step, y0,
+                counted=False).terminal_point.y
 
 
 def probe_eps(y_star: float, neighbors=()) -> float:
@@ -619,16 +605,16 @@ def probe_eps(y_star: float, neighbors=()) -> float:
 
 
 def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
-                   opts: IntegrationOptions) -> list[tuple[str | None, float]]:
+                   step: float = 1e-4) -> list[tuple[str | None, float]]:
     """('approach' | 'retreat' | None, margin ratio) of the inner and the outer probe.
 
     Each probe is the orbit through (0, y* -+ eps); one turn of the return
-    map runs from its lower crossing r = -y_in at ``opts.step`` and at
-    twice that step from the same r.  The drift d = P(r) - r has the error
-    bar |d(step) - d(2 step)| plus the turn's landing error at
-    ``opts.step``; the margin ratio is |d| / bar.  The inner probe
-    approaches when d > 0, the outer one when d < 0.  All turns at one
-    step run before those at the other, so the power tables are reused.
+    map runs from its lower crossing r = -y_in at ``step`` and at twice
+    that step from the same r.  The drift d = P(r) - r has the error bar
+    |d(step) - d(2 step)| plus the turn's landing error at ``step``; the
+    margin ratio is |d| / bar.  The inner probe approaches when d > 0, the
+    outer one when d < 0.  All turns at one step run before those at the
+    other, so the power tables are reused.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
     starts exactly at (0, y_in), so it does not enter the bar.  A late or
@@ -638,10 +624,9 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     the time offset, which ``MARGIN`` covers.
     """
     sides = (-1.0, +1.0)
-    y_ins = [upper_to_lower(system, y_star + side * eps, opts) for side in sides]
-    fine = [return_map(system, y_in, opts) for y_in in y_ins]
-    coarse_opts = replace(opts, step=2.0 * opts.step)
-    coarse = [return_map(system, y_in, coarse_opts) for y_in in y_ins]
+    y_ins = [upper_to_lower(system, y_star + side * eps, step) for side in sides]
+    fine = [return_map(system, y_in, step) for y_in in y_ins]
+    coarse = [return_map(system, y_in, 2.0 * step) for y_in in y_ins]
     out = []
     for side, y_in, f, c in zip(sides, y_ins, fine, coarse):
         drift = y_in - f.y_out
@@ -652,27 +637,27 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     return out
 
 
-def resolve_stability(system: PWLSystem, y_star: float,
-                      eps: float | None = None,
-                      opts: IntegrationOptions | None = None) -> StabilityClass:
+def resolve_stability(system: PWLSystem, y_star: float, eps: float,
+                      step: float = 1e-4) -> StabilityClass:
     """Empirical stability from one checked return-map turn on each side.
 
     Starts orbits at the upper crossings y* -+ eps and takes one turn of
-    the lower-section map from each.  A planar return map is strictly
-    increasing, so with no other cycle between probe and cycle the sign
-    of its drift P(r) - r settles whether that side approaches or
-    retreats.  The drift counts only when it exceeds ``MARGIN`` times its
-    error bar: the change when the step is doubled plus the landing
-    error.  Otherwise the result is UNDETERMINED.
+    the lower-section map from each.  ``eps`` is required and must lie in
+    (0, y*); ``probe_eps`` gives one that keeps both probes short of the
+    neighbouring cycles.  A planar return map is strictly increasing, so
+    with no other cycle between probe and cycle the sign of its drift
+    P(r) - r settles whether that side approaches or retreats.  The drift
+    counts only when it exceeds ``MARGIN`` times its error bar: the change
+    when the step is doubled plus the landing error.  Otherwise the result
+    is UNDETERMINED.  Each leg stops at ``EVENT_TOL`` and times out after
+    ``MAX_TIME``.
     """
-    opts = opts or IntegrationOptions()
     if not (math.isfinite(y_star) and y_star > 0.0):
         raise DomainError(f"y_star must be positive, got {y_star!r}")
-    eps = eps if eps is not None else 0.02 * y_star
     if not (0.0 < eps < y_star):
         raise DomainError(f"eps must lie in (0, y_star), got {eps!r}")
 
-    (interior, _), (exterior, _) = _side_verdicts(system, y_star, eps, opts)
+    (interior, _), (exterior, _) = _side_verdicts(system, y_star, eps, step)
     if interior is None or exterior is None:
         return StabilityClass.UNDETERMINED
     return _stability_class(interior == "approach", exterior == "approach")

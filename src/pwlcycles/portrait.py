@@ -20,7 +20,6 @@ from .core import DomainError, Point, PWLSystem, Zone, manifold_value, vector_fi
 from .cycles import CycleReport, StabilityClass
 from .oracle import (
     Direction,
-    IntegrationOptions,
     TerminalEvent,
     TrajectorySegment,
     integrate_in_zone,
@@ -72,15 +71,14 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
         raise DomainError("seed must differ from the origin")
     if turns < 1:
         raise DomainError("turns must be >= 1")
-    opts = IntegrationOptions(step=ORBIT_STEP)
-
     horizon = turns * 2.0 * math.pi * (1.0 - 1e-9)
     segments: list[TrajectorySegment] = []
     p = seed
     t0 = 0.0
     for _ in range(2 * turns + 4):
-        seg = integrate_in_zone(system, _zone_at(system, p), p, Direction.FORWARD, opts,
-                                record_stride=ORBIT_RECORD_STRIDE, t0=t0)
+        seg = integrate_in_zone(system, _zone_at(system, p), p, Direction.FORWARD, ORBIT_STEP,
+                                record_stride=ORBIT_RECORD_STRIDE)
+        seg.times += t0  # each leg's clock starts at 0
         segments.append(seg)
         if seg.terminal_event is TerminalEvent.TIME_OUT:
             break

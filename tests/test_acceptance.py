@@ -12,7 +12,6 @@ import pytest
 from conftest import sign_safe_grid
 
 from pwlcycles import (
-    IntegrationOptions,
     PWLSystem,
     StabilityClass,
     SystemParams,
@@ -142,14 +141,13 @@ def test_criterion_4_crossing_law_and_period():
         k = int(rng.integers(1, 7))
         instances.append((oscillatory_system(alpha), oscillatory_root(k)))
 
-    opts = IntegrationOptions()
     for system, y_star in instances:
         scale = -math.exp(-system.gamma * math.pi)
         assert abs(left_exit_y(y_star, system) / y_star - scale) < 1e-12
         assert abs(right_entry_y(y_star, system) / y_star - scale) < 1e-12
         period = crossing_time_left(y_star, system) - crossing_time_right(y_star, system)
         assert abs(period - TWO_PI) < 1e-9
-        rm = return_map(system, scale * y_star, opts)
+        rm = return_map(system, scale * y_star)
         assert abs(rm.flight_time - TWO_PI) < 1e-6
     _pass(4, "200 random cycle instances: crossing ratio -exp(-gamma*pi) to 1e-12, "
              "period 2*pi to 1e-9 analytic / 1e-6 oracle flight time")
@@ -221,7 +219,6 @@ def test_criterion_6_third_derivative_formula():
 
 
 def test_criterion_7_oracle_analytic_equivalence():
-    opts = IntegrationOptions(step=1e-4)
     cases = [
         (sine_system(0.75, 2), np.linspace(0.1, 4.0, 100)),
         (cosine_system(0.4, 2), np.linspace(0.1, 6.0, 100)),
@@ -230,7 +227,7 @@ def test_criterion_7_oracle_analytic_equivalence():
     ]
     worst = 0.0
     for system, grid in cases:
-        diffs = [abs(numeric_displacement(system, float(y), opts)
+        diffs = [abs(numeric_displacement(system, float(y), 1e-4)
                      - displacement(float(y), system)) for y in grid]
         worst = max(worst, max(diffs))
         assert max(diffs) < 1e-6, f"{system.boundary.descriptor}: max diff {max(diffs)}"
@@ -244,7 +241,7 @@ def test_criterion_7_oracle_analytic_equivalence():
     errors = []
     for step in (2e-2, 1e-2):
         seg = integrate_in_zone(zero, Zone.LEFT, (0.0, 1.0),
-                                opts=IntegrationOptions(step=step), record_stride=0)
+                                step=step, record_stride=0)
         errors.append(abs(seg.terminal_point.y - ref))
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0, f"halving ratio {ratio}"

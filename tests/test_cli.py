@@ -281,10 +281,12 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (["displacement", "--gamma", "1", "--family", "oscillatory", "--alpha", "0.3",
       "--range", "1e-310", "1", "--points", "2"], None),
     (PORTRAIT + ["--turns", "0"], None),
+    (["displacement", "--points", "0", "--step", "0"], SINE_CFG),
+    (["displacement", "--points", "0", "--step", "1e-13"], SINE_CFG),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
         "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max",
-        "portrait-turns-zero"])
+        "portrait-turns-zero", "step-zero", "step-below-event-tol"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:

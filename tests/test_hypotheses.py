@@ -15,6 +15,7 @@ from pwlcycles import (
     check_transversality,
     geometric_grid,
     make_cosine,
+    make_oscillatory,
     make_sine,
 )
 from pwlcycles.core import zone_matrix
@@ -107,6 +108,14 @@ class TestBoundaryHypotheses:
         report = check_boundary_hypotheses(system, np.array([1.0]))
         assert report.passed
         assert any(w.hypothesis == "H1'" for w in report.warnings)
+
+    def test_near_violation_is_relative_to_y(self):
+        # every margin here is at least 0.99999999953*y; below y = 1e-9 an
+        # absolute threshold warned on all three hypotheses at each sample
+        system = PWLSystem(SystemParams(1.0), make_oscillatory(0.36))
+        report = check_boundary_hypotheses(system, geometric_grid(1e-300, 1.0))
+        assert report.passed
+        assert report.warnings == []
 
     def test_nonfinite_evaluation_named(self, params075):
         b = Boundary(

@@ -13,7 +13,6 @@ from pwlcycles import (
     Boundary,
     DomainError,
     IntegrationError,
-    IntegrationOptions,
     Point,
     PWLError,
     PWLSystem,
@@ -143,21 +142,20 @@ class TestIntegrateInZone:
         # section exits start on the switching curve, curve exits on the section
         axis = event is TerminalEvent.AXIS_CROSS
         start = Point(float(h(1.5)), 1.5) if axis else Point(0.0, -1.0)
-        opts = IntegrationOptions(step=1e-3)
-        seg = integrate_in_zone(sine_system, zone, start, direction, opts, record_stride=0)
+        seg = integrate_in_zone(sine_system, zone, start, direction, 1e-3, record_stride=0)
         p = seg.terminal_point
         assert seg.terminal_event is event
         if axis:
-            assert abs(p.x) <= opts.event_tol and p.y < 0.0
+            assert abs(p.x) <= orc.EVENT_TOL and p.y < 0.0
         else:
-            assert abs(p.x - float(h(p.y))) <= opts.event_tol and p.y > 0.0
+            assert abs(p.x - float(h(p.y))) <= orc.EVENT_TOL and p.y > 0.0
         # the exit is counted as the crossing the forward orbit makes there
         assert (seg.sigma_crossings, seg.section_returns) == ((0, 1) if axis else (1, 0))
 
     def test_origin_times_out(self, zero_system):
-        opts = IntegrationOptions(step=1e-3, max_time=1.0)
-        seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 0.0),
-                                opts=opts, record_stride=0)
+        with mock.patch.object(orc, "MAX_TIME", 1.0):
+            seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 0.0),
+                                    step=1e-3, record_stride=0)
         assert seg.terminal_event is TerminalEvent.TIME_OUT
         assert seg.terminal_point == Point(0.0, 0.0)
 
@@ -177,18 +175,17 @@ class TestIntegrateInZone:
     def test_interior_states_stay_in_zone(self, sine_system):
         from pwlcycles.core import manifold_values
         seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2),
-                                opts=IntegrationOptions(step=1e-3), record_stride=1)
+                                step=1e-3, record_stride=1)
         inner = manifold_values(sine_system, seg.points[1:-1])
         assert np.all(inner < 1e-12)
 
     def test_record_stride_thins_samples(self, zero_system):
-        opts = IntegrationOptions(step=1e-3)
         dense = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                  opts=opts, record_stride=1)
+                                  step=1e-3, record_stride=1)
         thin = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                 opts=opts, record_stride=50)
+                                 step=1e-3, record_stride=50)
         ends = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                 opts=opts, record_stride=0)
+                                 step=1e-3, record_stride=0)
         assert len(dense.times) > len(thin.times) > len(ends.times) == 2
         assert dense.terminal_point == thin.terminal_point == ends.terminal_point
         assert np.all(np.diff(dense.times) > 0)
@@ -203,23 +200,23 @@ class TestIntegrateInZone:
     def test_stride_zero_keeps_only_endpoints_across_chunks(self, zero_system, monkeypatch):
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                opts=IntegrationOptions(step=1e-3), record_stride=0)
+                                step=1e-3, record_stride=0)
         assert seg.terminal_time > 8 * 0.37
         assert len(seg.times) == 2
         assert seg.times[0] == 0.0 and seg.points[0].tolist() == [0.0, 1.0]
 
     def test_sample_times_do_not_depend_on_chunk_length(self, sine_system, monkeypatch):
-        opts = IntegrationOptions(step=1e-3)
+        step = 1e-3
 
         def leg():
             return integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2),
-                                     opts=opts, record_stride=7)
+                                     step=step, record_stride=7)
 
         ref = leg()
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
         chopped = leg()
         np.testing.assert_array_equal(chopped.times[:-1], ref.times[:-1])
-        steps = np.rint(ref.times[:-1] / opts.step)
+        steps = np.rint(ref.times[:-1] / step)
         assert np.all(steps % 7 == 0) and np.all(np.diff(steps) == 7)
         assert chopped.terminal_time == pytest.approx(ref.terminal_time, abs=1e-12)
         np.testing.assert_allclose(chopped.points, ref.points, rtol=0, atol=1e-12)
@@ -230,9 +227,8 @@ class TestEventLanding:
         from pwlcycles.core import zone_matrix
         a = mpmath.matrix(zone_matrix(zero_system.params, Zone.LEFT).tolist())
         for step, y0 in ((1e-3, 1.0), (1e-3, 2.5), (1e-4, 0.3)):
-            opts = IntegrationOptions(step=step)
             seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, y0),
-                                    opts=opts, record_stride=1)
+                                    step=step, record_stride=1)
             # the last recorded interior sample starts the substep the event lies in
             tau = seg.times[-1] - seg.times[-2]
             with mpmath.workdps(30):
@@ -245,13 +241,13 @@ class TestEventLanding:
                 slope = abs(sum(k * c[k][0] * root ** (k - 1) for k in range(1, 5)))
                 assert abs(mpmath.im(root)) < 1e-25
                 assert 0.0 < float(mpmath.re(root)) <= step
-                assert abs(tau - float(mpmath.re(root))) <= opts.event_tol / float(slope)
+                assert abs(tau - float(mpmath.re(root))) <= orc.EVENT_TOL / float(slope)
 
     def test_manifold_landing_on_switching_curve(self, sine_system):
         for step in (1e-3, 1e-4):
             for y_in in (-0.3, -1.0, -2.2):
                 seg = integrate_in_zone(sine_system, Zone.RIGHT, Point(0.0, y_in),
-                                        opts=IntegrationOptions(step=step), record_stride=0)
+                                        step=step, record_stride=0)
                 p = seg.terminal_point
                 assert abs(p.x - float(sine_system.boundary.evaluate(p.y))) <= 1e-12
 
@@ -277,10 +273,10 @@ class TestEventLanding:
             return propagate(transfer, x0, n, *args)
 
         monkeypatch.setattr(orc, "_propagate_states", counting)
-        opts = IntegrationOptions()
-        rm = return_map(sine_system, -2.0 * EXP_M_075PI, opts)
-        used = math.ceil(rm.flight_time / opts.step)
-        assert sum(built) <= used + 2 * math.ceil(orc._BLOCK_TIME / opts.step)
+        step = 1e-4
+        rm = return_map(sine_system, -2.0 * EXP_M_075PI, step)
+        used = math.ceil(rm.flight_time / step)
+        assert sum(built) <= used + 2 * math.ceil(orc._BLOCK_TIME / step)
 
     def test_oracle_imports_nothing_from_analytic(self):
         tree = ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))
@@ -297,7 +293,7 @@ class TestConvergenceOrder:
         errs = []
         for step in (2e-2, 1e-2, 5e-3):
             seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                    opts=IntegrationOptions(step=step), record_stride=0)
+                                    step=step, record_stride=0)
             errs.append(abs(seg.terminal_point.y - (-EXP_M_075PI)))
         assert 12.0 < errs[0] / errs[1] < 20.0
         assert 12.0 < errs[1] / errs[2] < 20.0
@@ -350,8 +346,8 @@ class TestReturnMap:
             return_map(zero_system, 1.0)
 
     def test_timeout_raises(self, zero_system):
-        with pytest.raises(IntegrationError):
-            return_map(zero_system, -1.0, IntegrationOptions(step=1e-3, max_time=2.0))
+        with mock.patch.object(orc, "MAX_TIME", 2.0), pytest.raises(IntegrationError):
+            return_map(zero_system, -1.0, 1e-3)
 
 
 def _sine_table_system(gamma, n):
@@ -399,25 +395,25 @@ def _leg_bits(seg):
             seg.sigma_crossings, seg.section_returns, seg.landing_error)
 
 
-def _counted_displacement(system, y, opts):
+def _counted_displacement(system, y, step):
     """numeric_displacement from counted legs in full chunks."""
     start = Point(float(system.boundary.evaluate(y)), y)
     with _full_chunks():
-        fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD, opts,
+        fwd = integrate_in_zone(system, Zone.LEFT, start, Direction.FORWARD, step,
                                 record_stride=0)
-        bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD, opts,
+        bwd = integrate_in_zone(system, Zone.RIGHT, start, Direction.BACKWARD, step,
                                 record_stride=0)
     return fwd.terminal_point.y - bwd.terminal_point.y
 
 
-def _counted_upper_to_lower(system, y0, opts):
+def _counted_upper_to_lower(system, y0, step):
     """upper_to_lower from counted legs in full chunks."""
     p = Point(0.0, y0)
     with _full_chunks():
-        if orc.manifold_value(system, p) > opts.event_tol:
-            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, opts,
+        if orc.manifold_value(system, p) > orc.EVENT_TOL:
+            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, step,
                                   record_stride=0).terminal_point
-        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, opts, record_stride=0)
+        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, step, record_stride=0)
     return leg.terminal_point.y
 
 
@@ -433,42 +429,40 @@ class TestChunkSkipping:
                                                x, y, on_axis, step):
         system = SKIP_FAMILIES[family]()
         start = Point(0.0 if on_axis else x, y)
-        opts = IntegrationOptions(step=step, max_time=10.0)
-
         def leg():
             # Skipping must not change whether or how a leg fails either: the
             # oscillatory h is not finite below y = 1/DBL_MAX.
             try:
-                return _leg_bits(integrate_in_zone(system, zone, start, direction, opts,
+                return _leg_bits(integrate_in_zone(system, zone, start, direction, step,
                                                    record_stride=0))
             except PWLError as exc:
                 return type(exc), str(exc)
 
-        with _full_chunks():
-            ref = leg()
-        assert leg() == ref
+        with mock.patch.object(orc, "MAX_TIME", 10.0):
+            with _full_chunks():
+                ref = leg()
+            assert leg() == ref
 
     def test_small_orbits_equal_full_chunks(self, sine_system):
         # near the origin a chunk can leave y <= 0 and meet the switching curve
-        opts = IntegrationOptions(step=1e-3, max_time=20.0)
-        for start in (Point(0.05, -0.1), Point(0.2, -0.02), Point(-0.1, -0.2)):
-            for zone in Zone:
-                for direction in Direction:
-                    seg = integrate_in_zone(sine_system, zone, start, direction, opts,
-                                            record_stride=0)
-                    with _full_chunks():
-                        ref = integrate_in_zone(sine_system, zone, start, direction, opts,
+        with mock.patch.object(orc, "MAX_TIME", 20.0):
+            for start in (Point(0.05, -0.1), Point(0.2, -0.02), Point(-0.1, -0.2)):
+                for zone in Zone:
+                    for direction in Direction:
+                        seg = integrate_in_zone(sine_system, zone, start, direction, 1e-3,
                                                 record_stride=0)
-                    assert _leg_bits(seg) == _leg_bits(ref)
+                        with _full_chunks():
+                            ref = integrate_in_zone(sine_system, zone, start, direction, 1e-3,
+                                                    record_stride=0)
+                        assert _leg_bits(seg) == _leg_bits(ref)
 
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
            y=st.floats(0.05, 4.0), step=st.floats(1e-4, 2e-3))
     def test_float_callers_equal_counted_full_chunks(self, family, y, step):
         system = SKIP_FAMILIES[family]()
-        opts = IntegrationOptions(step=step)
-        assert numeric_displacement(system, y, opts) == _counted_displacement(system, y, opts)
-        assert upper_to_lower(system, y, opts) == _counted_upper_to_lower(system, y, opts)
+        assert numeric_displacement(system, y, step) == _counted_displacement(system, y, step)
+        assert upper_to_lower(system, y, step) == _counted_upper_to_lower(system, y, step)
 
     def test_displacement_builds_at_most_three_chunks(self, sine_system, monkeypatch):
         built = []
@@ -479,44 +473,43 @@ class TestChunkSkipping:
             return propagate(transfer, x0, n, *args)
 
         monkeypatch.setattr(orc, "_propagate_states", counting)
-        opts = IntegrationOptions(step=1e-4)
-        chunk = math.ceil(orc._BLOCK_TIME / opts.step)
+        step = 1e-4
+        chunk = math.ceil(orc._BLOCK_TIME / step)
         for y in (0.3, 1.5, 3.9):
             built.clear()
-            numeric_displacement(sine_system, y, opts)
+            numeric_displacement(sine_system, y, step)
             assert sum(built) <= 3 * chunk, (y, sum(built))
 
     @pytest.mark.parametrize("step", [0.5, 1.5])
     def test_large_step_equals_full_chunks(self, sine_system, step):
-        opts = IntegrationOptions(step=step)
         for zone in Zone:
             for direction in Direction:
-                seg = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), direction, opts,
+                seg = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), direction, step,
                                         record_stride=0)
                 with _full_chunks():
                     ref = integrate_in_zone(sine_system, zone, Point(0.4, -1.3), direction,
-                                            opts, record_stride=0)
+                                            step, record_stride=0)
                 assert _leg_bits(seg) == _leg_bits(ref)
         for y in (0.7, 2.2):
-            assert numeric_displacement(sine_system, y, opts) == \
-                _counted_displacement(sine_system, y, opts)
+            assert numeric_displacement(sine_system, y, step) == \
+                _counted_displacement(sine_system, y, step)
 
     def test_chunk_turning_past_the_bound_is_taken_in_full(self, sine_system, monkeypatch):
         # a 6-unit chunk turns about 6 rad, so a coordinate may change sign twice in it
         monkeypatch.setattr(orc, "_BLOCK_TIME", 6.0)
-        opts = IntegrationOptions(step=1e-3)
+        step = 1e-3
         for start in (Point(0.4, -1.3), Point(1.2, -0.2), Point(-0.9, -0.5)):
             for zone in Zone:
                 for direction in Direction:
-                    seg = integrate_in_zone(sine_system, zone, start, direction, opts,
+                    seg = integrate_in_zone(sine_system, zone, start, direction, step,
                                             record_stride=0)
                     with _full_chunks():
-                        ref = integrate_in_zone(sine_system, zone, start, direction, opts,
+                        ref = integrate_in_zone(sine_system, zone, start, direction, step,
                                                 record_stride=0)
                     assert _leg_bits(seg) == _leg_bits(ref)
         for y in (0.7, 2.2):
-            assert numeric_displacement(sine_system, y, opts) == \
-                _counted_displacement(sine_system, y, opts)
+            assert numeric_displacement(sine_system, y, step) == \
+                _counted_displacement(sine_system, y, step)
 
     def test_waived_counters_read_minus_one(self, sine_system):
         seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.0), record_stride=0,
@@ -540,17 +533,16 @@ class TestResolveStability:
     def test_center_is_undetermined(self, zero_system):
         got = resolve_stability(zero_system, 1.0, eps=0.05)
         assert got is StabilityClass.UNDETERMINED
-        for verdict, ratio in orc._side_verdicts(zero_system, 1.0, 0.05, IntegrationOptions()):
+        for verdict, ratio in orc._side_verdicts(zero_system, 1.0, 0.05):
             assert verdict is None and ratio < orc.MARGIN
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_verify_systems_keep_their_class_by_a_wide_margin(self, name):
         system, roots, expected = VERIFY_SYSTEMS[name]()
-        opts = IntegrationOptions()
         for i, (y_star, cls) in enumerate(zip(roots, expected)):
             eps = probe_eps(y_star, roots[:i] + roots[i + 1:])
-            assert resolve_stability(system, y_star, eps=eps, opts=opts) is cls
-            for verdict, ratio in orc._side_verdicts(system, y_star, eps, opts):
+            assert resolve_stability(system, y_star, eps=eps) is cls
+            for verdict, ratio in orc._side_verdicts(system, y_star, eps):
                 assert verdict is not None and ratio >= 1e3, (y_star, ratio)
 
     def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
@@ -572,8 +564,7 @@ class TestResolveStability:
         roots = [families.oscillatory_root(j) for j in range(1, 38)]
         expected = reports_for_roots(oscillatory_system, roots)[k - 1].stability
         eps = probe_eps(roots[k - 1], roots[:k - 1] + roots[k:])
-        got = resolve_stability(oscillatory_system, roots[k - 1], eps=eps,
-                                opts=IntegrationOptions(step=1e-3))
+        got = resolve_stability(oscillatory_system, roots[k - 1], eps=eps, step=1e-3)
         assert got is expected
 
     def test_probe_validation(self, sine_system):
@@ -588,17 +579,20 @@ class TestResolveStability:
 
 
 class TestOptionsAndExport:
-    def test_options_validation(self):
-        with pytest.raises(DomainError):
-            IntegrationOptions(step=0.0)
-        with pytest.raises(DomainError):
-            IntegrationOptions(step=1e-4, event_tol=1e-3)
-        with pytest.raises(DomainError):
-            IntegrationOptions(max_time=-1.0)
+    def test_options_validation(self, zero_system):
+        # the step is the oracle's only setting: positive, finite, above EVENT_TOL
+        for step in (0.0, -1e-3, math.nan, math.inf, orc.EVENT_TOL, 1e-13):
+            with pytest.raises(DomainError, match="^step must"):
+                orc._check_step(step)
+            with pytest.raises(DomainError, match="^step must"):
+                integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), step=step)
+            with pytest.raises(DomainError, match="^step must"):
+                propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), 1.0, step=step)
+        assert orc._check_step(2e-12) == 2e-12
 
     def test_csv_export(self, zero_system):
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
-                                opts=IntegrationOptions(step=1e-3), record_stride=200)
+                                step=1e-3, record_stride=200)
         text = segments_to_csv([seg])
         lines = text.strip().split("\n")
         assert lines[0] == "t,x,y,zone"
