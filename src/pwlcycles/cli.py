@@ -59,9 +59,12 @@ def _merged(args, cfg: dict, key: str, default=None):
 
 
 def _number(args, cfg: dict, key: str, default=None, kind=float):
-    """Option ``key`` from the flags or the config, converted with ``kind``; None stays None."""
+    """Option ``key`` from the flags or the config, converted with ``kind``.
+
+    None (unset, or null in the config) is kept only where the default is None.
+    """
     val = _merged(args, cfg, key, default)
-    if val is None:
+    if val is None and default is None:
         return None
     try:
         return kind(val)
@@ -319,14 +322,14 @@ def _parser() -> _Parser:
     pd = sub.add_parser("displacement", help="analytic vs numeric displacement scan")
     _add_system_flags(pd)
     pd.add_argument("--points", type=int, help="scan size (default 200)")
-    pd.add_argument("--step", type=float, help="integrator step (default 1e-4)")
+    pd.add_argument("--step", type=float, help="integrator step (default 1e-4, at least 1e-5)")
     pd.set_defaults(fn=cmd_displacement)
 
     pv = sub.add_parser("verify", help="cross-validate every cycle against the integrator")
     _add_system_flags(pv)
     pv.add_argument("--kmax", type=int, help="oscillatory family: exact zeros k=1..kmax")
     pv.add_argument("--points", type=int, help="displacement scan size (default 40)")
-    pv.add_argument("--step", type=float, help="integrator step (default 1e-4)")
+    pv.add_argument("--step", type=float, help="integrator step (default 1e-4, at least 1e-5)")
     pv.add_argument("--tol", type=float, help="discrepancy tolerance (default 1e-6)")
     pv.set_defaults(fn=cmd_verify)
 

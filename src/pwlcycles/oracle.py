@@ -10,10 +10,12 @@ closed forms is meaningful cross-validation.
 Implementation note: on a linear system the classic RK4 step is exactly
 multiplication by the degree-4 Taylor polynomial of exp(step*A).  The
 stepper propagates short chunks of ``_BLOCK_TIME`` time units through the
-(complex) eigenpair of that one-step matrix: the powers lam**k of its
-eigenvalue are tabulated per one-step matrix and chunk length, kept for
-the legs that follow, and each chunk scales the table by a coefficient
-taken from the chunk's start state.  This reproduces the
+(complex) eigenpair of that one-step matrix.  What a leg needs before its
+first step (the zone matrix, negated for a backward leg, the one-step
+matrix, its eigenvector and the powers lam**k of its eigenvalue over one
+chunk) is one plan, built once per zone, direction, step and chunk length
+and shared by the legs that follow.  Each chunk scales the plan's table
+by a coefficient taken from the chunk's start state.  This reproduces the
 RK4 iterates to roundoff; truncation error and convergence order are
 those of RK4 by construction.  A crossing bracketed between two steps is
 landed on the same one-step polynomial, x(tau) = sum_k (tau*A)**k x / k!
@@ -65,6 +67,7 @@ from .core import (
     IntegrationError,
     Point,
     PWLSystem,
+    SystemParams,
     TangencyError,
     Zone,
     manifold_value,
@@ -92,6 +95,10 @@ _MAX_BISECT = 200
 EVENT_TOL = 1e-12
 MAX_TIME = 100.0
 
+# The smallest RK4 step taken.  The oracle's error is already roundoff-bound
+# at step 1e-4, and a leg's power table grows as 1/step.
+MIN_STEP = 1e-5
+
 # A side of a cycle gets a stability verdict only when its one-turn drift
 # exceeds this multiple of the drift's error bar.
 MARGIN = 10.0
@@ -109,9 +116,9 @@ class Direction(str, Enum):
 
 
 def _check_step(step: float) -> float:
-    """The RK4 step, once it is finite and above ``EVENT_TOL``."""
-    if not (step > EVENT_TOL and math.isfinite(step)):
-        raise DomainError(f"step must be finite and above {EVENT_TOL!r}, got {step!r}")
+    """The RK4 step, once it is finite and at least ``MIN_STEP``."""
+    if not (step >= MIN_STEP and math.isfinite(step)):
+        raise DomainError(f"step must be finite and at least {MIN_STEP!r}, got {step!r}")
     return step
 
 
@@ -184,94 +191,85 @@ def _step_transfer(matrix: np.ndarray, step: float) -> np.ndarray:
     return t
 
 
-def _eigenvalue(transfer: np.ndarray) -> complex | None:
-    """Upper eigenvalue of the 2x2 transfer, or None unless the pair is complex."""
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What every leg of one zone, direction, step and chunk length shares.
+
+    ``matrix`` is the zone's field matrix, negated for a backward leg, and
+    ``transfer`` its one-step RK4 map.  For the transfer's upper eigenvalue
+    lam: ``turn`` = arg(lam) per step, the eigenvector ``v``, its conjugate
+    ``vc``, the denominator ``den`` that solves x0 = 2 Re(a v) for the
+    coefficient a, and ``powers`` = lam**k for k = 0..chunk.  When the
+    spectrum is real ``powers`` is None and the leg steps plainly.  A plan
+    is shared, so its arrays are read-only.
+    """
+
+    matrix: np.ndarray
+    transfer: np.ndarray
+    powers: np.ndarray | None = None
+    turn: float = 0.0
+    v: np.ndarray | None = None
+    vc: np.ndarray | None = None
+    den: complex = 0j
+
+
+# Every leg of one zone, direction and step shares its plan.  A verify job
+# runs five kinds of leg (forward in either zone and backward in the right
+# zone at its step, forward in either zone at twice it); eight plans hold
+# them.  A table holds 80 KB at step 1e-4 and at most 0.8 MB at MIN_STEP.
+# The chunk length is an argument, not read here, so it follows _BLOCK_TIME.
+@functools.lru_cache(maxsize=8)
+def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: int) -> _Plan:
+    matrix = zone_matrix(params, zone)
+    if not forward:
+        matrix = -matrix
+    transfer = _step_transfer(matrix, step)
+    for a in (matrix, transfer):
+        a.flags.writeable = False
     # (t00 - t11)^2 + 4*t01*t10 equals tr^2 - 4*det without the subtractive
     # cancellation that would otherwise poison the rotation angle per step.
     diag = transfer[0, 0] - transfer[1, 1]
     disc = diag * diag + 4.0 * transfer[0, 1] * transfer[1, 0]
     if disc >= 0.0 or abs(transfer[0, 1]) < 1e-300:
-        return None
-    return complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
+        return _Plan(matrix, transfer)
+    lam = complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
+    v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
+    vc = np.conj(v)
+    powers = np.exp(np.arange(chunk + 1) * np.log(lam))
+    for a in (v, vc, powers):
+        a.flags.writeable = False
+    return _Plan(matrix, transfer, powers, math.atan2(lam.imag, lam.real), v, vc,
+                 v[0] * vc[1] - v[1] * vc[0])
 
 
-class _Eigenpair:
-    """A transfer's upper eigenvalue lam as its turn arg(lam) per step, its
-    eigenvector v, conj(v), and the denominator that solves x0 = 2 Re(a v)
-    for the coefficient a."""
+def _states(plan: _Plan, x0: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """States 2 Re(a lam**k v) for k = lo..hi-1, shape (hi - lo, 2).
 
-    __slots__ = ("turn", "v", "vc", "den")
-
-    def __init__(self, transfer: np.ndarray, lam: complex):
-        self.turn = math.atan2(lam.imag, lam.real)
-        self.v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
-        self.vc = np.conj(self.v)
-        self.den = self.v[0] * self.vc[1] - self.v[1] * self.vc[0]
-
-
-def _eigenpair(transfer: np.ndarray) -> _Eigenpair | None:
-    lam = _eigenvalue(transfer)
-    return None if lam is None else _Eigenpair(transfer, lam)
-
-
-def _power_table(transfer: np.ndarray, n: int) -> np.ndarray | None:
-    """lam**k for k = 0..n, lam the transfer's upper eigenvalue (None if real).
-
-    The last two tables built are kept and shared, so a table is read-only.
-    """
-    return _cached_power_table(transfer.tobytes(), n)
-
-
-# Every leg of one zone, direction and step uses the same table.  Two
-# cover the legs of one return-map turn or of one displacement; each table
-# held is 80 KB at step 1e-4, which peak memory shows.
-@functools.lru_cache(maxsize=2)
-def _cached_power_table(transfer: bytes, n: int) -> np.ndarray | None:
-    lam = _eigenvalue(np.frombuffer(transfer).reshape(2, 2))
-    if lam is None:
-        return None
-    table = np.exp(np.arange(n + 1) * np.log(lam))
-    table.flags.writeable = False
-    return table
-
-
-def _states(pair: _Eigenpair, x0: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """States 2 Re(a p v) for each power p = lam**k given, shape (len(powers), 2).
-
-    The coefficient a is fixed by x0.  Any slice of one table gives the
+    The coefficient a is fixed by x0.  Any range of the table gives the
     same bits for the same k, so a chunk's last state can be had alone.
     """
-    a = (x0[0] * pair.vc[1] - x0[1] * pair.vc[0]) / pair.den
-    c = a * powers
-    out = np.empty((len(powers), 2))
+    a = (x0[0] * plan.vc[1] - x0[1] * plan.vc[0]) / plan.den
+    c = a * plan.powers[lo:hi]
+    out = np.empty((len(c), 2))
     # v[0] is real, so the first column needs only the real part of c
-    np.multiply(c.real, 2.0 * pair.v[0].real, out=out[:, 0])
-    out[:, 1] = (c * (2.0 * pair.v[1])).real
+    np.multiply(c.real, 2.0 * plan.v[0].real, out=out[:, 0])
+    out[:, 1] = (c * (2.0 * plan.v[1])).real
     return out
 
 
-def _propagate_states(transfer: np.ndarray, x0: np.ndarray, n: int,
-                      powers: np.ndarray | None = None,
-                      pair: _Eigenpair | None = None) -> np.ndarray:
-    """States x_k = transfer^k @ x0 for k = 0..n, shape (n+1, 2).
+def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
+    """States x_k = transfer^k @ x0 for k = 0..n, n at most the plan's chunk.
 
-    Uses the complex eigenpair of the 2x2 transfer (always a conjugate
-    pair here since both zones are foci): x_k = 2 Re(a lam**k v), with the
-    coefficient a fixed by x0.  ``powers`` is a ``_power_table`` and
-    ``pair`` the ``_eigenpair`` of the same transfer, built here when not
-    given.  Falls back to plain stepping for a degenerate spectrum.
+    Both zones are foci, so x_k = 2 Re(a lam**k v); a spectrum that rounds
+    to real is stepped one state at a time.
     """
-    if pair is None:
-        pair = _eigenpair(transfer)
-    if pair is None:
+    if plan.powers is None:
         out = np.empty((n + 1, 2))
         out[0] = x0
         for k in range(n):
-            out[k + 1] = transfer @ out[k]
+            out[k + 1] = plan.transfer @ out[k]
         return out
-    if powers is None:
-        powers = _power_table(transfer, n)
-    out = _states(pair, x0, powers[:n + 1])
+    out = _states(plan, x0, 0, n + 1)
     out[0] = x0
     return out
 
@@ -398,11 +396,10 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     if not np.all(np.isfinite(x)):
         raise DomainError(f"non-finite start point {start!r}")
 
-    matrix = zone_matrix(system.params, zone)
     forward = direction is Direction.FORWARD
-    if not forward:
-        matrix = -matrix
-    transfer = _step_transfer(matrix, step)
+    chunk = max(1, math.ceil(_BLOCK_TIME / step))
+    plan = _plan(system.params, zone, forward, step, chunk)
+    matrix = plan.matrix
     # A forward orbit crosses the section with x rising and the curve with
     # x - h(y) falling; a backward leg meets the same crossings reversed.
     # Forward, the left zone is left through the section and the right zone
@@ -419,13 +416,10 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                 f"start {start!r} sits on the stop section with tangent velocity"
             )
 
-    chunk = max(1, math.ceil(_BLOCK_TIME / step))
-    pair = _eigenpair(transfer)
-    powers = _power_table(transfer, chunk)
     stride = max(0, int(record_stride))
     counted = _count_crossings or not axis
-    hop = (stride == 0 and pair is not None
-           and chunk * abs(pair.turn) < _MAX_HOP_TURN)
+    hop = (stride == 0 and plan.powers is not None
+           and chunk * abs(plan.turn) < _MAX_HOP_TURN)
     rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
     rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
     sigma_count = 0
@@ -437,14 +431,14 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     while MAX_TIME - done * step > 0.5 * step:
         n = min(math.ceil((MAX_TIME - done * step) / step), chunk)
         if hop and (not counted or x[1] <= 0.0):
-            end = _states(pair, x, powers[n:n + 1])[0]
+            end = _states(plan, x, n, n + 1)[0]
             # x keeps its strict sign: no axis event.  y <= 0 at both ends as
             # well: g = x throughout, so no switching-curve event either.
             if x[0] * end[0] > 0.0 and (not counted or end[1] <= 0.0):
                 x = end
                 done += n
                 continue
-        states = _propagate_states(transfer, x, n, powers, pair)
+        states = _propagate_states(plan, x, n)
         first = done == 0
         g_axis = states[:, 0]
         y = states[:, 1]
@@ -508,7 +502,9 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
                     step: float = 1e-4) -> Point:
     """Plain fixed-step RK4 propagation for a set time, no event handling.
 
-    Used to cross-check the closed-form zone flow at arbitrary times.
+    The one-step matrix is raised to the whole step count by repeated
+    squaring, apart from the plans ``integrate_in_zone`` uses, so it
+    cross-checks them and the closed-form zone flow at arbitrary times.
     """
     _check_step(step)
     if duration < 0.0:
@@ -520,10 +516,7 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
         matrix = -matrix
     n_full = int(duration / step)
     remainder = duration - n_full * step
-    x = np.array([start[0], start[1]], dtype=float)
-    if n_full:
-        transfer = _step_transfer(matrix, step)
-        x = _propagate_states(transfer, x, n_full)[-1]
+    x = np.linalg.matrix_power(_step_transfer(matrix, step), n_full) @ [start[0], start[1]]
     if remainder > 1e-16:
         x = _step_transfer(matrix, remainder) @ x
     return Point(float(x[0]), float(x[1]))
@@ -613,8 +606,7 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     that step from the same r.  The drift d = P(r) - r has the error bar
     |d(step) - d(2 step)| plus the turn's landing error at ``step``; the
     margin ratio is |d| / bar.  The inner probe approaches when d > 0, the
-    outer one when d < 0.  All turns at one step run before those at the
-    other, so the power tables are reused.
+    outer one when d < 0.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
     starts exactly at (0, y_in), so it does not enter the bar.  A late or

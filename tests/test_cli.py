@@ -283,10 +283,18 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (PORTRAIT + ["--turns", "0"], None),
     (["displacement", "--points", "0", "--step", "0"], SINE_CFG),
     (["displacement", "--points", "0", "--step", "1e-13"], SINE_CFG),
+    (["displacement", "--points", "0", "--step", "1e-6"], SINE_CFG),
+    (["displacement"], {**SINE_CFG, "step": None}),
+    (["displacement"], {**SINE_CFG, "points": None}),
+    (["verify"], {**SINE_CFG, "tol": None}),
+    (["portrait"], {**SINE_CFG, "turns": None}),
+    (["check"], {**SINE_CFG, "grid-points": None}),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
         "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max",
-        "portrait-turns-zero", "step-zero", "step-below-event-tol"])
+        "portrait-turns-zero", "step-zero", "step-below-event-tol", "step-below-min-step",
+        "config-step-null", "config-points-null", "config-tol-null", "config-turns-null",
+        "config-grid-points-null"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:

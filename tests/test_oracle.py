@@ -33,7 +33,7 @@ from pwlcycles import (
 from pwlcycles import oracle as orc
 from pwlcycles.oracle import (
     Direction,
-    _power_table,
+    _plan,
     _propagate_states,
     _step_transfer,
     probe_eps,
@@ -57,27 +57,28 @@ class TestStepper:
     def test_block_propagation_equals_stepping(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            gamma = rng.uniform(0.1, 2.0)
-            sign = rng.choice([-1.0, 1.0])
+            params = SystemParams(rng.uniform(0.1, 2.0))
+            # the right zone's matrix, negated on a backward leg
+            forward = rng.choice([-1.0, 1.0]) > 0.0
             step = 10 ** rng.uniform(-4.0, -1.5)
-            a = sign * np.array([[2 * gamma, -1.0], [gamma * gamma + 1.0, 0.0]])
-            t = _step_transfer(a, step)
             x0 = rng.uniform(-2, 2, size=2)
             n = int(rng.integers(50, 400))
-            states = _propagate_states(t, x0, n)
+            plan = _plan(params, Zone.RIGHT, forward, step, n)
+            states = _propagate_states(plan, x0, n)
             x = x0.copy()
             for _ in range(n):
-                x = t @ x
+                x = plan.transfer @ x
             np.testing.assert_allclose(states[-1], x, rtol=0, atol=1e-11)
 
     def test_power_table_chunk_equals_direct_formula(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            gamma = rng.uniform(0.1, 2.0)
-            a = rng.choice([-1.0, 1.0]) * np.array([[2 * gamma, -1.0], [gamma * gamma + 1.0, 0.0]])
-            t = _step_transfer(a, 10 ** rng.uniform(-4.0, -1.5))
+            params = SystemParams(rng.uniform(0.1, 2.0))
+            forward = rng.choice([-1.0, 1.0]) > 0.0
+            step = 10 ** rng.uniform(-4.0, -1.5)
             x0 = rng.uniform(-2, 2, size=2)
             n = int(rng.integers(50, 400))
+            t = _plan(params, Zone.RIGHT, forward, step, n).transfer
             # reference: every state from its own exp(k log lam), through the complex outer product
             tr, diag = t[0, 0] + t[1, 1], t[0, 0] - t[1, 1]
             lam = complex(0.5 * tr, 0.5 * math.sqrt(-(diag * diag + 4.0 * t[0, 1] * t[1, 0])))
@@ -86,18 +87,37 @@ class TestStepper:
             coef = (x0[0] * vc[1] - x0[1] * vc[0]) / (v[0] * vc[1] - v[1] * vc[0])
             ref = 2.0 * np.real(np.outer(coef * np.exp(np.arange(n + 1) * np.log(lam)), v))
             ref[0] = x0
-            table = _power_table(t, n + int(rng.integers(0, 100)))
-            np.testing.assert_array_equal(_propagate_states(t, x0, n, table), ref)
-            np.testing.assert_array_equal(_propagate_states(t, x0, n), ref)
+            # a plan whose table is longer than the n states asked for gives the same bits
+            for chunk in (n, n + int(rng.integers(1, 100))):
+                plan = _plan(params, Zone.RIGHT, forward, step, chunk)
+                np.testing.assert_array_equal(_propagate_states(plan, x0, n), ref)
 
-    def test_power_table_is_shared_and_read_only(self, params075):
-        from pwlcycles.core import zone_matrix
-        t = _step_transfer(zone_matrix(params075, Zone.LEFT), 1e-3)
-        table = _power_table(t, 500)
-        assert _power_table(t.copy(), 500) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[1] = 0.0
+    def test_plan_is_shared_and_read_only(self, params075):
+        plan = _plan(params075, Zone.LEFT, True, 1e-3, 500)
+        assert _plan(SystemParams(0.75), Zone.LEFT, True, 1e-3, 500) is plan
+        assert _plan(params075, Zone.LEFT, False, 1e-3, 500) is not plan
+        assert len(plan.powers) == 501
+        for a in (plan.matrix, plan.transfer, plan.powers, plan.v, plan.vc):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[1] = 0.0
+
+    def test_real_spectrum_plan_steps_plainly(self, sine_system, monkeypatch):
+        # a discriminant that rounds to >= 0 leaves the plan without a table
+        ref = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=1e-3,
+                                record_stride=0)
+        plan = orc._plan
+
+        def real(*args):
+            full = plan(*args)
+            return orc._Plan(full.matrix, full.transfer)
+
+        monkeypatch.setattr(orc, "_plan", real)
+        seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=1e-3,
+                                record_stride=0)
+        assert seg.terminal_event is ref.terminal_event
+        assert seg.terminal_time == pytest.approx(ref.terminal_time, abs=1e-12)
+        np.testing.assert_allclose(seg.points, ref.points, rtol=0, atol=1e-12)
 
     def test_propagate_fixed_matches_flow(self, zero_system, params075):
         for zone in Zone:
@@ -268,9 +288,9 @@ class TestEventLanding:
         built = []
         propagate = orc._propagate_states
 
-        def counting(transfer, x0, n, *args):
+        def counting(plan, x0, n):
             built.append(n)  # states beyond the given start
-            return propagate(transfer, x0, n, *args)
+            return propagate(plan, x0, n)
 
         monkeypatch.setattr(orc, "_propagate_states", counting)
         step = 1e-4
@@ -468,9 +488,9 @@ class TestChunkSkipping:
         built = []
         propagate = orc._propagate_states
 
-        def counting(transfer, x0, n, *args):
+        def counting(plan, x0, n):
             built.append(n)
-            return propagate(transfer, x0, n, *args)
+            return propagate(plan, x0, n)
 
         monkeypatch.setattr(orc, "_propagate_states", counting)
         step = 1e-4
@@ -510,6 +530,47 @@ class TestChunkSkipping:
         for y in (0.7, 2.2):
             assert numeric_displacement(sine_system, y, step) == \
                 _counted_displacement(sine_system, y, step)
+
+    def test_chunk_length_follows_block_time(self, sine_system, monkeypatch):
+        # the cached plan must not keep the chunk length of an earlier _BLOCK_TIME
+        step = 1e-3
+        integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step)
+        built = []
+        propagate = orc._propagate_states
+
+        def counting(plan, x0, n):
+            built.append(n)
+            return propagate(plan, x0, n)
+
+        monkeypatch.setattr(orc, "_propagate_states", counting)
+        monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
+        integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step)
+        assert max(built) == math.ceil(0.37 / step)
+
+    def test_no_hop_builds_every_chunk(self, sine_system, monkeypatch):
+        # the cached plan must not keep the hop decision of an earlier _MAX_HOP_TURN
+        step = 1e-3
+        chunk = math.ceil(orc._BLOCK_TIME / step)
+        built = []
+        propagate = orc._propagate_states
+
+        def counting(plan, x0, n):
+            built.append(n)
+            return propagate(plan, x0, n)
+
+        def leg():
+            built.clear()
+            return integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step,
+                                     record_stride=0, _count_crossings=False)
+
+        monkeypatch.setattr(orc, "_propagate_states", counting)
+        hopped = leg()
+        every = [chunk] * math.ceil(hopped.terminal_time / step / chunk)
+        assert len(built) < len(every)
+        monkeypatch.setattr(orc, "_MAX_HOP_TURN", 0.0)
+        seg = leg()
+        assert _leg_bits(seg) == _leg_bits(hopped)
+        assert built == every
 
     def test_waived_counters_read_minus_one(self, sine_system):
         seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.0), record_stride=0,
@@ -579,16 +640,22 @@ class TestResolveStability:
 
 
 class TestOptionsAndExport:
-    def test_options_validation(self, zero_system):
-        # the step is the oracle's only setting: positive, finite, above EVENT_TOL
-        for step in (0.0, -1e-3, math.nan, math.inf, orc.EVENT_TOL, 1e-13):
+    def test_options_validation(self, zero_system, monkeypatch):
+        # the step is the oracle's only setting: finite and at least MIN_STEP,
+        # refused before any plan (and its power table) is built
+        def no_plan(*args):
+            raise AssertionError("a plan was built for a refused step")
+
+        monkeypatch.setattr(orc, "_plan", no_plan)
+        below = np.nextafter(orc.MIN_STEP, 0.0)
+        for step in (0.0, -1e-3, math.nan, math.inf, orc.EVENT_TOL, 1e-13, 2e-12, 1e-9, below):
             with pytest.raises(DomainError, match="^step must"):
                 orc._check_step(step)
             with pytest.raises(DomainError, match="^step must"):
                 integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), step=step)
             with pytest.raises(DomainError, match="^step must"):
                 propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), 1.0, step=step)
-        assert orc._check_step(2e-12) == 2e-12
+        assert orc._check_step(orc.MIN_STEP) == orc.MIN_STEP
 
     def test_csv_export(self, zero_system):
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
