@@ -110,11 +110,17 @@ class Boundary:
 
     ``descriptor`` is a JSON-ready tag ({"family": ..., "params": ...})
     used for serialization; it is the only place family identity lives.
+
+    ``envelope``, when given, maps a float Y > 0 to a bound on |h(y)|, as
+    ``evaluate`` computes it, over 0 < y <= Y, and never decreases in Y.
+    The oracle skips the states of a chunk whose |x| stays above it.  None
+    (the default for a user-built boundary) promises nothing.
     """
 
     evaluate: Callable[[float], float]
     derivative: Callable[[float], float]
     descriptor: dict = field(default_factory=lambda: {"family": "custom", "params": {}})
+    envelope: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)

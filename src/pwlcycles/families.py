@@ -22,14 +22,19 @@ Four built-in families plus tabulated user data:
 Every evaluate/derivative pair accepts floats or 1-d arrays.  Each
 family writes h and h' once, as formula(y, m) with m = math for a float
 and m = numpy for an array, so a float skips numpy's ufuncs.  scipy is
-imported only by ``make_table``, the one family that needs it.  Parameter
-ranges are enforced strictly at construction: each family's cycle
-inventory is only guaranteed inside its stated range.
+imported only by ``make_table``, the one family that needs it.  Each
+family also writes the ``envelope`` of |h| over (0, Y] in closed form:
+0, amp, 2*amp, alpha*Y**2, and for a table the running maximum of each
+piece's sum_k |c_k| * width**k.  Parameter ranges are enforced strictly
+at construction: each family's cycle inventory is only guaranteed inside
+its stated range.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +46,8 @@ COSINE_GAMMA_LIMIT = math.sqrt(3.0 / 13.0)
 OSCILLATORY_ALPHA_LIMIT = (math.sqrt(3.0) - 1.0) / 2.0
 
 FAMILIES = ("zero", "sine", "oscillatory", "cosine", "table")
+
+_DBL_MIN = sys.float_info.min
 
 
 def _check_count(n) -> int:
@@ -105,7 +112,7 @@ def make_zero() -> Boundary:
         return np.zeros_like(arr) if arr.ndim else 0.0
 
     return Boundary(evaluate=evaluate, derivative=evaluate,
-                    descriptor={"family": "zero", "params": {}})
+                    descriptor={"family": "zero", "params": {}}, envelope=lambda Y: 0.0)
 
 
 def make_sine(params: SystemParams, n: int) -> Boundary:
@@ -127,7 +134,8 @@ def make_sine(params: SystemParams, n: int) -> Boundary:
     evaluate = _windowed(lambda y, m: amp * m.sin(m.pi * y), window, tail)
     derivative = _windowed(lambda y, m: slope * m.cos(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
-                    descriptor={"family": "sine", "params": {"n": n}})
+                    descriptor={"family": "sine", "params": {"n": n}},
+                    envelope=lambda Y: amp)
 
 
 def make_oscillatory(alpha: float) -> Boundary:
@@ -146,7 +154,8 @@ def make_oscillatory(alpha: float) -> Boundary:
     derivative = _positive(lambda y, m: 2.0 * a * y * m.sin(_recip(y, m))
                            - a * m.cos(_recip(y, m)))
     return Boundary(evaluate=evaluate, derivative=derivative,
-                    descriptor={"family": "oscillatory", "params": {"alpha": a}})
+                    descriptor={"family": "oscillatory", "params": {"alpha": a}},
+                    envelope=lambda Y: a * Y * Y)
 
 
 def oscillatory_root(k: int) -> float:
@@ -179,7 +188,8 @@ def make_cosine(params: SystemParams, n: int) -> Boundary:
     evaluate = _windowed(lambda y, m: amp * (1.0 - m.cos(m.pi * y)), window, tail)
     derivative = _windowed(lambda y, m: slope * m.sin(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
-                    descriptor={"family": "cosine", "params": {"n": n}})
+                    descriptor={"family": "cosine", "params": {"n": n}},
+                    envelope=lambda Y: tail)
 
 
 def _table_row(sample) -> tuple:
@@ -240,9 +250,28 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
         out = dspline(arr)
         return float(out) if arr.ndim == 0 else out
 
+    # |h| on piece j is at most sum_k |c_kj| * width_j**k, as the spline sums
+    # its local cubic; a running maximum over the pieces makes it a bound
+    # over all of (0, Y], and beyond the last node the last piece's cubic
+    # grows with Y.  The factor and the smallest normal double cover the
+    # roundoff of both sums, relative and in underflow.
+    coef = np.abs(spline.c) * (1.0 + 1e-12)  # rows: cubic to constant term
+    w = np.diff(ys)
+    piece = ((coef[0] * w + coef[1]) * w + coef[2]) * w + coef[3]
+    bounds = (np.maximum.accumulate(piece) + _DBL_MIN).tolist()
+    inner, last, base = ys[1:-1].tolist(), float(ys[-1]), float(ys[-2])
+    c3, c2, c1, c0 = coef[:, -1].tolist()
+
+    def envelope(y):
+        if y <= last:
+            return bounds[bisect.bisect_left(inner, y)]
+        s = y - base
+        return max(bounds[-1], ((c3 * s + c2) * s + c1) * s + c0 + _DBL_MIN)
+
     stored = [[float(a), float(b), float(c)] for a, b, c in zip(ys, hs, ds)]
     return Boundary(evaluate=evaluate, derivative=derivative,
-                    descriptor={"family": "table", "params": {"samples": stored}})
+                    descriptor={"family": "table", "params": {"samples": stored}},
+                    envelope=envelope)
 
 
 def boundary_from_descriptor(descriptor: dict, params: SystemParams) -> Boundary:

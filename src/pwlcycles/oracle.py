@@ -31,17 +31,23 @@ setting: a start residue or a landing counts as on its event within
 ``EVENT_TOL``, and a leg that has not left its zone after ``MAX_TIME``
 time units stops with ``TIME_OUT``.
 
-A leg that records no interior samples first computes only the end state
-of each chunk, from the same coefficient and power table, so it has the
-bits the full chunk would give.  A chunk turns the eigenvalue by less
-than pi, so x and y each change sign at most once inside it.  When x has
-the same strict sign at both ends and y <= 0 at both ends (where the
-switching function is x), the chunk holds no stop event, no section
-return and no switching-curve crossing, and the leg hops to its end
-without building its states or evaluating the boundary.  Callers that
-read only where an axis-stop leg lands (the numerical displacement and
-the probe placement of the stability check) waive the crossing counters,
-so for them x alone decides, and the boundary is never evaluated.
+A leg that records no interior samples builds a chunk's states only where
+an event can be.  It first computes the chunk's end state alone, with the
+bits the full chunk would give.  A chunk turns the eigenvalue by less than
+pi/2, so x and y each change sign at most once inside it, and two rules
+skip states without evaluating the boundary on them.  Rule 1 hops a chunk
+whose x has one strict sign at both ends (so no section crossing) when
+y <= 0 at both ends (so g = x) or when |x| stays above the boundary's
+``envelope`` of |h|: where cos keeps its sign,
+log|rho**t cos(theta*t + phi)| is concave in t, so |x| inside the chunk is
+at least its smaller end value.  Rule 2 settles an axis-stop chunk whose x
+changes sign away from the curve from a few rows around the change, which
+the phase of x_k = 2 Re(a v0 lam**k) places: the leg lands from them, or
+hops to the chunk's end when the change is no section return.  Callers
+that read only where an axis-stop leg lands (the numerical displacement
+and the probe placement of the stability check) waive the crossing
+counters, so for them x alone decides, and the boundary is never
+evaluated.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -57,6 +63,7 @@ import csv
 import functools
 import io
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,16 +87,28 @@ from .cycles import StabilityClass, _stability_class
 # A leg wastes at most one chunk past its event, and every chunk pays a
 # fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
 #
-# A chunk whose states are not recorded is skipped whole when its end
-# states prove it holds no event.  The premise: a chunk of n steps turns
-# the one-step eigenvalue by n*arg(lam), about _BLOCK_TIME radians and
-# below pi, so each coordinate |lam|**k * cos(k*arg(lam) + phi) changes
-# sign at most once in it.  A coordinate with the same strict sign at both
-# ends then keeps it throughout.  Chunks that turn further than
-# _MAX_HOP_TURN (very large steps), and real spectra, are taken in full.
+# A chunk whose states are not recorded is built only where its end states
+# leave room for an event (the two rules in the module notes).  The
+# premise: a chunk of n steps turns the one-step eigenvalue by n*arg(lam),
+# about _BLOCK_TIME radians and below pi/2, so each coordinate
+# |lam|**k * cos(k*arg(lam) + phi) changes sign at most once in it.  A
+# coordinate with the same strict sign at both ends then keeps it
+# throughout.  Chunks that turn further than _MAX_HOP_TURN (very large
+# steps), and real spectra, are taken in full.
 _BLOCK_TIME = 0.5
 _MAX_HOP_TURN = 0.5 * math.pi
 _MAX_BISECT = 200
+
+# The bounds behind a hop are widened by _HOP_SLACK, far above the few ulps
+# of roundoff in a chunk's states and in h.  A chunk whose |x| at the ends
+# (rule 1) or in amplitude (rule 2) is at most _HOP_FLOOR is built in full:
+# its states near an axis would reach the subnormal range, where roundoff
+# is no longer relative.  So is a chunk that starts at 0 < y < _DBL_MIN,
+# where h may not be finite (the oscillatory 1/y overflows) and a built
+# chunk reports it.
+_HOP_SLACK = 1e-9
+_HOP_FLOOR = 1e-200
+_DBL_MIN = sys.float_info.min
 
 # |g| <= EVENT_TOL is on the event; a leg still in its zone at MAX_TIME times out.
 EVENT_TOL = 1e-12
@@ -199,9 +218,11 @@ class _Plan:
     ``transfer`` its one-step RK4 map.  For the transfer's upper eigenvalue
     lam: ``turn`` = arg(lam) per step, the eigenvector ``v``, its conjugate
     ``vc``, the denominator ``den`` that solves x0 = 2 Re(a v) for the
-    coefficient a, and ``powers`` = lam**k for k = 0..chunk.  When the
-    spectrum is real ``powers`` is None and the leg steps plainly.  A plan
-    is shared, so its arrays are read-only.
+    coefficient a, and ``powers`` = lam**k for k = 0..chunk.  ``reach_x``
+    and ``reach_y`` times |a| bound |x| and |y| over a chunk, the latter
+    widened by ``_HOP_SLACK``.  When the spectrum is real ``powers`` is None
+    and the leg steps plainly.  A plan is shared, so its arrays are
+    read-only.
     """
 
     matrix: np.ndarray
@@ -211,6 +232,8 @@ class _Plan:
     v: np.ndarray | None = None
     vc: np.ndarray | None = None
     den: complex = 0j
+    reach_x: float = 0.0
+    reach_y: float = 0.0
 
 
 # Every leg of one zone, direction and step shares its plan.  A verify job
@@ -238,17 +261,23 @@ def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: i
     powers = np.exp(np.arange(chunk + 1) * np.log(lam))
     for a in (v, vc, powers):
         a.flags.writeable = False
+    growth = 2.0 * max(1.0, abs(lam) ** chunk)
     return _Plan(matrix, transfer, powers, math.atan2(lam.imag, lam.real), v, vc,
-                 v[0] * vc[1] - v[1] * vc[0])
+                 v[0] * vc[1] - v[1] * vc[0], growth * abs(v[0]),
+                 growth * abs(v[1]) * (1.0 + _HOP_SLACK))
 
 
-def _states(plan: _Plan, x0: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _coefficient(plan: _Plan, x0: np.ndarray) -> complex:
+    """The coefficient a with x0 = 2 Re(a v)."""
+    return complex((x0[0] * plan.vc[1] - x0[1] * plan.vc[0]) / plan.den)
+
+
+def _states(plan: _Plan, a: complex, lo: int, hi: int) -> np.ndarray:
     """States 2 Re(a lam**k v) for k = lo..hi-1, shape (hi - lo, 2).
 
-    The coefficient a is fixed by x0.  Any range of the table gives the
-    same bits for the same k, so a chunk's last state can be had alone.
+    Any range of the table gives the same bits for the same k, so a
+    chunk's last state, or a few rows inside it, can be had alone.
     """
-    a = (x0[0] * plan.vc[1] - x0[1] * plan.vc[0]) / plan.den
     c = a * plan.powers[lo:hi]
     out = np.empty((len(c), 2))
     # v[0] is real, so the first column needs only the real part of c
@@ -269,9 +298,46 @@ def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
         for k in range(n):
             out[k + 1] = plan.transfer @ out[k]
         return out
-    out = _states(plan, x0, 0, n + 1)
+    out = _states(plan, _coefficient(plan, x0), 0, n + 1)
     out[0] = x0
     return out
+
+
+def _clear_of_curve(envelope, plan: _Plan, a: complex, x0: np.ndarray,
+                    end: np.ndarray) -> bool:
+    """Whether a chunk whose x keeps its strict sign from x0 to end keeps
+    |x| above |h| in every state (rule 1 of ``integrate_in_zone``)."""
+    if envelope is None or 0.0 < x0[1] < _DBL_MIN:
+        return False
+    amp = abs(a)
+    margin = (envelope(amp * plan.reach_y) * (1.0 + _HOP_SLACK)
+              + _HOP_SLACK * amp * plan.reach_x + _HOP_FLOOR)
+    return min(abs(x0[0]), abs(end[0])) > margin
+
+
+def _sign_change(plan: _Plan, a: complex, x0: np.ndarray, n: int):
+    """(k, states k and k+1) of the one step pair over which x changes sign
+    in a chunk of n steps whose ends have x of opposite strict signs, or
+    None where a few rows do not confirm it (rule 2 of ``integrate_in_zone``).
+
+    x_k is proportional to cos(arg a + k*turn), so the change lies next to
+    the first k at which that angle passes pi/2 modulo pi.  Rows from 1 on
+    around it must show exactly one strict change, from the sign of x0.
+    """
+    if abs(a) * plan.reach_x <= _HOP_FLOOR:
+        return None
+    k = int(((0.5 * math.pi - math.atan2(a.imag, a.real)) % math.pi) / plan.turn)
+    lo, hi = max(1, k - 2), min(n + 1, k + 4)
+    if hi - lo < 2:
+        return None
+    rows = _states(plan, a, lo, hi)
+    xs = rows[:, 0]
+    neg = xs < 0.0
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    if len(flips) != 1 or neg[0] != (x0[0] < 0.0) or not xs.all():
+        return None
+    j = int(flips[0])
+    return lo + j, rows[j:j + 2]
 
 
 def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
@@ -381,11 +447,18 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
 
-    With record_stride 0 a chunk is skipped whole when its end states show
-    it holds no event (see ``_BLOCK_TIME``).  ``_count_crossings=False``
-    on a section-stop leg is for callers that read only the terminal
-    state: the switching function is then never evaluated, more chunks are
-    skipped, and both counters read -1.
+    With record_stride 0 a chunk's states are built only where an event can
+    be (the two rules of the module notes), with the bits of building them
+    all.  Rule 1 hops a chunk whose x keeps its strict sign when y <= 0 at
+    both ends, when the crossings are not counted, or when the smaller end
+    |x| exceeds the boundary's ``envelope`` at the chunk's bound on |y|
+    (log|x| is concave while x keeps its sign).  Rule 2 settles a
+    section-stop chunk whose x changes sign away from the curve from a few
+    rows.  A boundary without an envelope, an unconfirmed change, a state
+    exactly 0 and a change next to the chunk's first row take the full
+    chunk.  ``_count_crossings=False`` on a section-stop leg is for callers
+    that read only the terminal state: the switching function is then never
+    evaluated, more chunks are skipped, and both counters read -1.
     """
     _check_step(step)
     if isinstance(direction, str):
@@ -430,42 +503,62 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     while MAX_TIME - done * step > 0.5 * step:
         n = min(math.ceil((MAX_TIME - done * step) / step), chunk)
-        if hop and (not counted or x[1] <= 0.0):
-            end = _states(plan, x, n, n + 1)[0]
-            # x keeps its strict sign: no axis event.  y <= 0 at both ends as
-            # well: g = x throughout, so no switching-curve event either.
-            if x[0] * end[0] > 0.0 and (not counted or end[1] <= 0.0):
+        states = None
+        if hop:
+            a = _coefficient(plan, x)
+            end = _states(plan, a, n, n + 1)[0]
+            # y <= 0 at both ends, so g = x throughout, or only x is asked for.
+            x_decides = not counted or (x[1] <= 0.0 and end[1] <= 0.0)
+            # Rule 1: x keeps its strict sign, so there is no axis event, and
+            # where y > 0 it stays clear of the curve, so no curve event.
+            if x[0] * end[0] > 0.0 and (
+                    x_decides or _clear_of_curve(system.boundary.envelope, plan, a, x, end)):
                 x = end
                 done += n
                 continue
-        states = _propagate_states(plan, x, n)
-        first = done == 0
-        g_axis = states[:, 0]
-        y = states[:, 1]
-        # One crossing mask per kind; the exit mask is the counter of its kind.
-        section = _crossings(g_axis, sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
-        if counted:
-            g_man = manifold_values(system, states)
-            sigma = _crossings(g_man, -sense, first)
-        g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
-        hit = int(np.argmax(hits)) if hits.any() else None
+            # Rule 2: x changes sign once; only a section return stops the leg.
+            bracket = (_sign_change(plan, a, x, n)
+                       if axis and x_decides and x[0] * end[0] < 0.0 else None)
+            if bracket is not None:
+                base, states = bracket
+                # the section mask of a built chunk: x crosses in the sense
+                # of the forward flow, with y < 0 on both rows
+                if not ((states[0, 0] < 0.0) == (sense > 0)
+                        and states[0, 1] < 0.0 and states[1, 1] < 0.0):
+                    x = end
+                    done += n
+                    continue
+                g_stop, hit = states[:, 0], 0
+        if states is None:
+            base = 0  # chunk row of states[0]
+            states = _propagate_states(plan, x, n)
+            first = done == 0
+            g_axis = states[:, 0]
+            y = states[:, 1]
+            # One crossing mask per kind; the exit mask is the counter of its kind.
+            section = _crossings(g_axis, sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
+            if counted:
+                g_man = manifold_values(system, states)
+                sigma = _crossings(g_man, -sense, first)
+            g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
+            hit = int(np.argmax(hits)) if hits.any() else None
 
-        if counted:
-            # Crossing diagnostics over the part of the chunk actually consumed.
-            upto = n if hit is None else hit
-            upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-            sigma_count += int(np.count_nonzero(upper[:upto]))
-            section_count += int(np.count_nonzero(section[:upto]))
+            if counted:
+                # Crossing diagnostics over the part of the chunk actually consumed.
+                upto = n if hit is None else hit
+                upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+                sigma_count += int(np.count_nonzero(upper[:upto]))
+                section_count += int(np.count_nonzero(section[:upto]))
 
-        if stride > 0:
-            idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
-            rec_t.append((done + idx) * step)
-            rec_p.append(states[idx])
+            if stride > 0:
+                idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
+                rec_t.append((done + idx) * step)
+                rec_p.append(states[idx])
 
-        if hit is None:
-            x = states[-1]
-            done += n
-            continue
+            if hit is None:
+                x = states[-1]
+                done += n
+                continue
         if g_stop[hit + 1] == 0.0:
             tau, x = step, states[hit + 1]
         else:
@@ -474,7 +567,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             if residual > 0.0:
                 dgdt, vel = _event_rate(system, axis, matrix, x)
                 landing_error = residual * abs(float(vel[1])) / abs(dgdt) if dgdt else math.inf
-        end_time = (done + hit) * step + tau
+        end_time = (done + base + hit) * step + tau
         if axis:
             terminal = TerminalEvent.AXIS_CROSS
             section_count += 1
@@ -507,8 +600,8 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     cross-checks them and the closed-form zone flow at arbitrary times.
     """
     _check_step(step)
-    if duration < 0.0:
-        raise DomainError("duration must be non-negative")
+    if not (duration >= 0.0 and math.isfinite(duration)):
+        raise DomainError(f"duration must be finite and non-negative, got {duration!r}")
     matrix = zone_matrix(system.params, zone)
     if isinstance(direction, str):
         direction = Direction(direction)

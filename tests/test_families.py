@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcycles import (
     ParameterError,
@@ -200,6 +202,42 @@ class TestTable:
             make_table([(0.0, 0.0, 0.0), (1.0, 0.1, 0.0), (1.0, 0.2, 0.0)])
         with pytest.raises(ParameterError):
             make_table([(0.0, 0.0, 0.0), (2.0, 0.1, 0.0), (1.0, 0.2, 0.0)])
+
+
+def _sine_table(gamma, n):
+    # the sine boundary sampled at quarter-integer nodes, as the verify benchmark does
+    sine = make_sine(SystemParams(gamma), n)
+    return make_table([(i / 4, float(sine.evaluate(i / 4)), float(sine.derivative(i / 4)))
+                       for i in range(4 * n + 3)])
+
+
+class TestEnvelope:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["zero", "sine", "cosine", "oscillatory", "sine table",
+                                   "random table"]),
+           gamma=st.floats(0.05, 0.45), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
+           width=st.floats(0.1, 2.0),
+           nodes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+                          min_size=1, max_size=6),
+           top=st.floats(0.05, 25.0))
+    def test_envelope_bounds_h_and_never_decreases(self, family, gamma, n, alpha, width,
+                                                   nodes, top):
+        b = {"zero": make_zero,
+             "sine": lambda: make_sine(SystemParams(gamma), n),
+             "cosine": lambda: make_cosine(SystemParams(gamma), n),
+             "oscillatory": lambda: make_oscillatory(alpha),
+             "sine table": lambda: _sine_table(gamma, n),
+             "random table": lambda: make_table(
+                 [(0.0, 0.0, nodes[0][1])] + [(width * (i + 1), h, d)
+                                               for i, (h, d) in enumerate(nodes)]),
+             }[family]()
+        # up to 25 reaches the constant tails of sine and cosine (beyond 4.5 and
+        # 9 at most) and the extrapolated cubic beyond the last table node
+        ys = np.unique(np.concatenate([np.linspace(0.0, top, 20001)[1:],
+                                       np.geomspace(1e-6 * top, top, 2001)]))
+        env = np.array([b.envelope(float(y)) for y in ys])
+        assert np.all(np.diff(env) >= 0.0)
+        assert np.all(np.maximum.accumulate(np.abs(b.evaluate(ys))) <= env)
 
 
 class TestDescriptors:

@@ -45,6 +45,19 @@ from pwlcycles.oracle import (
 EXP_M_075PI = 0.09478022484215486
 
 
+def _chunks_built(monkeypatch) -> list:
+    """The step counts of the chunks built in full from here on, one entry each."""
+    built = []
+    propagate = orc._propagate_states
+
+    def counting(plan, x0, n):
+        built.append(n)  # states beyond the given start
+        return propagate(plan, x0, n)
+
+    monkeypatch.setattr(orc, "_propagate_states", counting)
+    return built
+
+
 class TestStepper:
     def test_transfer_matches_taylor(self, params075):
         from pwlcycles.core import zone_matrix
@@ -125,6 +138,11 @@ class TestStepper:
                 got = propagate_fixed(zero_system, zone, Point(0.4, -0.6), t, step=5e-4)
                 ref = flow(zone, t, Point(0.4, -0.6), params075)
                 assert abs(got.x - ref.x) < 1e-10 and abs(got.y - ref.y) < 1e-10
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0])
+    def test_propagate_fixed_rejects_bad_duration(self, zero_system, duration):
+        with pytest.raises(DomainError, match=f"^duration must .*got {duration!r}$"):
+            propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), duration)
 
     def test_backward_inverts_forward(self, zero_system):
         p = Point(0.3, 0.8)
@@ -285,14 +303,7 @@ class TestEventLanding:
         assert 0.0 <= rm.landing_error < 1e-12
 
     def test_return_map_propagates_about_the_states_it_uses(self, sine_system, monkeypatch):
-        built = []
-        propagate = orc._propagate_states
-
-        def counting(plan, x0, n):
-            built.append(n)  # states beyond the given start
-            return propagate(plan, x0, n)
-
-        monkeypatch.setattr(orc, "_propagate_states", counting)
+        built = _chunks_built(monkeypatch)
         step = 1e-4
         rm = return_map(sine_system, -2.0 * EXP_M_075PI, step)
         used = math.ceil(rm.flight_time / step)
@@ -398,10 +409,19 @@ VERIFY_SYSTEMS = {
 }
 
 
+def _custom_system():
+    # a user-built boundary promises no envelope, so its counted legs hop less
+    sine = _family_system(0.75, "sine", n=2)
+    return PWLSystem(sine.params, Boundary(sine.boundary.evaluate, sine.boundary.derivative))
+
+
 SKIP_FAMILIES = {
     "sine": lambda: _family_system(0.75, "sine", n=2),
     "cosine": lambda: _family_system(0.3, "cosine", n=2),
     "oscillatory": lambda: _family_system(1.0, "oscillatory", alpha=0.3),
+    "table": lambda: _sine_table_system(0.75, 2),
+    "zero": lambda: _family_system(0.75, "zero"),
+    "custom": _custom_system,
 }
 
 
@@ -476,6 +496,28 @@ class TestChunkSkipping:
                                                     record_stride=0)
                         assert _leg_bits(seg) == _leg_bits(ref)
 
+    def test_section_starts_and_upper_axis_crossings_equal_full_chunks(self):
+        # Starts on the section x = 0 (lower and upper half), and starts from
+        # which x changes sign at y > 0, on the upper axis, before the leg
+        # meets its stop: that change is no section return and is hopped.
+        starts = (Point(0.0, -1.3), Point(0.0, -0.05), Point(0.0, 0.8), Point(0.0, 2.6),
+                  Point(0.7, 0.5), Point(-0.4, 1.9), Point(1.6, 0.2), Point(-2.1, 0.3))
+        with mock.patch.object(orc, "MAX_TIME", 10.0):
+            for family in sorted(SKIP_FAMILIES):
+                system = SKIP_FAMILIES[family]()
+                for start in starts:
+                    for zone in Zone:
+                        for direction in Direction:
+                            for counted in (True, False):
+                                def leg():
+                                    return _leg_bits(integrate_in_zone(
+                                        system, zone, start, direction, 7e-4, record_stride=0,
+                                        _count_crossings=counted))
+
+                                with _full_chunks():
+                                    ref = leg()
+                                assert leg() == ref, (family, start, zone, direction, counted)
+
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
            y=st.floats(0.05, 4.0), step=st.floats(1e-4, 2e-3))
@@ -484,21 +526,21 @@ class TestChunkSkipping:
         assert numeric_displacement(system, y, step) == _counted_displacement(system, y, step)
         assert upper_to_lower(system, y, step) == _counted_upper_to_lower(system, y, step)
 
-    def test_displacement_builds_at_most_three_chunks(self, sine_system, monkeypatch):
-        built = []
-        propagate = orc._propagate_states
+    def test_displacement_builds_at_most_one_chunk(self, sine_system, cosine_system,
+                                                    monkeypatch):
+        # both legs hop their chunks and land their section returns from a few rows
+        built = _chunks_built(monkeypatch)
+        for system in (sine_system, cosine_system):
+            for y in (0.3, 1.5, 3.9, *np.linspace(0.05, 5.0, 60)):
+                built.clear()
+                numeric_displacement(system, float(y))
+                assert len(built) <= 1, (y, built)
 
-        def counting(plan, x0, n):
-            built.append(n)
-            return propagate(plan, x0, n)
-
-        monkeypatch.setattr(orc, "_propagate_states", counting)
-        step = 1e-4
-        chunk = math.ceil(orc._BLOCK_TIME / step)
-        for y in (0.3, 1.5, 3.9):
-            built.clear()
-            numeric_displacement(sine_system, y, step)
-            assert sum(built) <= 3 * chunk, (y, sum(built))
+    def test_return_map_turn_builds_at_most_six_chunks(self, sine_system, monkeypatch):
+        # one turn from the lower crossing of the README sine's stable cycle y* = 2
+        built = _chunks_built(monkeypatch)
+        return_map(sine_system, -2.0 * EXP_M_075PI)
+        assert len(built) <= 6, built
 
     @pytest.mark.parametrize("step", [0.5, 1.5])
     def test_large_step_equals_full_chunks(self, sine_system, step):
@@ -535,14 +577,7 @@ class TestChunkSkipping:
         # the cached plan must not keep the chunk length of an earlier _BLOCK_TIME
         step = 1e-3
         integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step)
-        built = []
-        propagate = orc._propagate_states
-
-        def counting(plan, x0, n):
-            built.append(n)
-            return propagate(plan, x0, n)
-
-        monkeypatch.setattr(orc, "_propagate_states", counting)
+        built = _chunks_built(monkeypatch)
         monkeypatch.setattr(orc, "_BLOCK_TIME", 0.37)
         integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step)
         assert max(built) == math.ceil(0.37 / step)
@@ -551,19 +586,13 @@ class TestChunkSkipping:
         # the cached plan must not keep the hop decision of an earlier _MAX_HOP_TURN
         step = 1e-3
         chunk = math.ceil(orc._BLOCK_TIME / step)
-        built = []
-        propagate = orc._propagate_states
-
-        def counting(plan, x0, n):
-            built.append(n)
-            return propagate(plan, x0, n)
+        built = _chunks_built(monkeypatch)
 
         def leg():
             built.clear()
             return integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=step,
                                      record_stride=0, _count_crossings=False)
 
-        monkeypatch.setattr(orc, "_propagate_states", counting)
         hopped = leg()
         every = [chunk] * math.ceil(hopped.terminal_time / step / chunk)
         assert len(built) < len(every)
