@@ -25,9 +25,9 @@ and m = numpy for an array, so a float skips numpy's ufuncs.  scipy is
 imported only by ``make_table``, the one family that needs it.  Each
 family also writes the ``envelope`` of |h| over (0, Y] in closed form:
 0, amp, 2*amp, alpha*Y**2, and for a table the running maximum of each
-piece's sum_k |c_k| * width**k.  Parameter ranges are enforced strictly
-at construction: each family's cycle inventory is only guaranteed inside
-its stated range.
+piece's largest |cubic|.  Parameter ranges are enforced strictly at
+construction: each family's cycle inventory is only guaranteed inside its
+stated range.
 """
 
 from __future__ import annotations
@@ -229,8 +229,10 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     ds = np.empty_like(ys)
     missing = [i for i, s in enumerate(slopes) if s is None]
     if missing:
-        fill = PchipInterpolator(ys, hs).derivative()(ys[missing])
-        ds[missing] = fill
+        # pchip's weighted harmonic mean of two slopes overflows on subnormal
+        # secants and then takes its limit, 0, which is the slope wanted
+        with np.errstate(over="ignore", divide="ignore"):
+            ds[missing] = PchipInterpolator(ys, hs).derivative()(ys[missing])
     for i, s in enumerate(slopes):
         if s is not None:
             ds[i] = s
@@ -250,17 +252,27 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
         out = dspline(arr)
         return float(out) if arr.ndim == 0 else out
 
-    # |h| on piece j is at most sum_k |c_kj| * width_j**k, as the spline sums
-    # its local cubic; a running maximum over the pieces makes it a bound
-    # over all of (0, Y], and beyond the last node the last piece's cubic
-    # grows with Y.  The factor and the smallest normal double cover the
-    # roundoff of both sums, relative and in underflow.
-    coef = np.abs(spline.c) * (1.0 + 1e-12)  # rows: cubic to constant term
+    # |h| on piece j peaks at an end or where its cubic turns.  In u = s/width
+    # the cubic is sum_k C_k u**k, C_k = c_kj * width**k; its largest |value|
+    # at u = 0, 1 and the real roots of its derivative (clipped to [0, 1])
+    # bounds |h| there.  Roundoff scales with sum_k |C_k|, not with the max,
+    # so 1e-12 of that sum and the smallest normal double widen the bound.  A
+    # running maximum makes it a bound over all of (0, Y]; beyond the last
+    # node the last piece's cubic grows with Y.
     w = np.diff(ys)
-    piece = ((coef[0] * w + coef[1]) * w + coef[2]) * w + coef[3]
+    big = spline.c * w ** np.arange(3.0, -1.0, -1.0)[:, None]  # rows C_3 .. C_0
+    # roots of 3 C_3 u**2 + 2 C_2 u + C_1, without cancellation, and with the
+    # C_k scaled by a power of two so that their squares cannot underflow
+    a3, a2, a1 = np.ldexp(big[:3], -np.frexp(np.abs(big[:3]).max(axis=0))[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(a2 + np.copysign(np.sqrt(a2 * a2 - 3.0 * a3 * a1), a2))
+        turns = [q / (3.0 * a3), a1 / q]
+    u = np.clip(np.nan_to_num(np.array([np.zeros_like(w), np.ones_like(w), *turns])), 0.0, 1.0)
+    peak = np.abs(((big[0] * u + big[1]) * u + big[2]) * u + big[3]).max(axis=0)
+    piece = peak + 1e-12 * np.abs(big).sum(axis=0)
     bounds = (np.maximum.accumulate(piece) + _DBL_MIN).tolist()
     inner, last, base = ys[1:-1].tolist(), float(ys[-1]), float(ys[-2])
-    c3, c2, c1, c0 = coef[:, -1].tolist()
+    c3, c2, c1, c0 = (np.abs(spline.c[:, -1]) * (1.0 + 1e-12)).tolist()
 
     def envelope(y):
         if y <= last:

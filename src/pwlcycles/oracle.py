@@ -31,23 +31,24 @@ setting: a start residue or a landing counts as on its event within
 ``EVENT_TOL``, and a leg that has not left its zone after ``MAX_TIME``
 time units stops with ``TIME_OUT``.
 
-A leg that records no interior samples builds a chunk's states only where
-an event can be.  It first computes the chunk's end state alone, with the
-bits the full chunk would give.  A chunk turns the eigenvalue by less than
-pi/2, so x and y each change sign at most once inside it, and two rules
-skip states without evaluating the boundary on them.  Rule 1 hops a chunk
-whose x has one strict sign at both ends (so no section crossing) when
-y <= 0 at both ends (so g = x) or when |x| stays above the boundary's
-``envelope`` of |h|: where cos keeps its sign,
-log|rho**t cos(theta*t + phi)| is concave in t, so |x| inside the chunk is
-at least its smaller end value.  Rule 2 settles an axis-stop chunk whose x
-changes sign away from the curve from a few rows around the change, which
-the phase of x_k = 2 Re(a v0 lam**k) places: the leg lands from them, or
-hops to the chunk's end when the change is no section return.  Callers
-that read only where an axis-stop leg lands (the numerical displacement
-and the probe placement of the stability check) waive the crossing
-counters, so for them x alone decides, and the boundary is never
-evaluated.
+A leg builds a chunk's states only where an event can be.  It first
+computes the chunk's end state alone, with the bits the full chunk would
+give.  A chunk turns the eigenvalue by less than pi/2, so x and y each
+change sign at most once inside it, and two rules skip states without
+evaluating the boundary on them.  Rule 1 hops a chunk whose x has one
+strict sign at both ends (so no section crossing) when y <= 0 at both ends
+(so g = x) or when |x| stays above the boundary's ``envelope`` of |h|:
+where cos keeps its sign, log|rho**t cos(theta*t + phi)| is concave in t,
+so |x| inside the chunk is at least its smaller end value.  A leg that
+records samples (a portrait's orbit) builds only the rows it records of a
+hopped chunk.  Rule 2, for legs that record no interior samples, settles
+an axis-stop chunk whose x changes sign away from the curve from a few
+rows around the change, which the phase of x_k = 2 Re(a v0 lam**k)
+places: the leg lands from them, or hops to the chunk's end when the
+change is no section return.  Callers that read only where an axis-stop
+leg lands (the numerical displacement and the probe placement of the
+stability check) waive the crossing counters, so for them x alone
+decides, and the boundary is never evaluated.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -59,9 +60,7 @@ error the landings' actual residuals allow.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -87,10 +86,10 @@ from .cycles import StabilityClass, _stability_class
 # A leg wastes at most one chunk past its event, and every chunk pays a
 # fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
 #
-# A chunk whose states are not recorded is built only where its end states
-# leave room for an event (the two rules in the module notes).  The
-# premise: a chunk of n steps turns the one-step eigenvalue by n*arg(lam),
-# about _BLOCK_TIME radians and below pi/2, so each coordinate
+# A chunk is built only where its end states leave room for an event (the
+# two rules in the module notes).  The premise: a chunk of n steps turns
+# the one-step eigenvalue by n*arg(lam), about _BLOCK_TIME radians and
+# below pi/2, so each coordinate
 # |lam|**k * cos(k*arg(lam) + phi) changes sign at most once in it.  A
 # coordinate with the same strict sign at both ends then keeps it
 # throughout.  Chunks that turn further than _MAX_HOP_TURN (very large
@@ -172,14 +171,16 @@ class TrajectorySegment:
 
 
 def segments_to_csv(segments) -> str:
-    """CSV export (t, x, y, zone) of one or more trajectory segments."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(("t", "x", "y", "zone"))
+    """CSV export (t, x, y, zone) of one or more trajectory segments.
+
+    A segment's row template, zone written in, formats all its rows at once.
+    """
+    parts = ["t,x,y,zone\n"]
     for seg in segments:
-        for t, p in zip(seg.times, seg.points):
-            w.writerow((f"{t:.12g}", f"{p[0]:.12g}", f"{p[1]:.12g}", seg.zone.value))
-    return buf.getvalue()
+        values = np.column_stack((seg.times, seg.points))
+        row = "%.12g,%.12g,%.12g," + seg.zone.value + "\n"
+        parts.append((row * len(values)) % tuple(values.ravel().tolist()))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -272,13 +273,14 @@ def _coefficient(plan: _Plan, x0: np.ndarray) -> complex:
     return complex((x0[0] * plan.vc[1] - x0[1] * plan.vc[0]) / plan.den)
 
 
-def _states(plan: _Plan, a: complex, lo: int, hi: int) -> np.ndarray:
-    """States 2 Re(a lam**k v) for k = lo..hi-1, shape (hi - lo, 2).
+def _states(plan: _Plan, a: complex, lo: int, hi: int, stride: int = 1) -> np.ndarray:
+    """States 2 Re(a lam**k v) for k in range(lo, hi, stride), shape (len, 2).
 
-    Any range of the table gives the same bits for the same k, so a
-    chunk's last state, or a few rows inside it, can be had alone.
+    Any range or stride of the table gives the same bits for the same k,
+    so a chunk's last state, a few rows inside it or only its recorded
+    rows can be had alone.
     """
-    c = a * plan.powers[lo:hi]
+    c = a * plan.powers[lo:hi:stride]
     out = np.empty((len(c), 2))
     # v[0] is real, so the first column needs only the real part of c
     np.multiply(c.real, 2.0 * plan.v[0].real, out=out[:, 0])
@@ -447,16 +449,17 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
 
-    With record_stride 0 a chunk's states are built only where an event can
-    be (the two rules of the module notes), with the bits of building them
-    all.  Rule 1 hops a chunk whose x keeps its strict sign when y <= 0 at
-    both ends, when the crossings are not counted, or when the smaller end
-    |x| exceeds the boundary's ``envelope`` at the chunk's bound on |y|
-    (log|x| is concave while x keeps its sign).  Rule 2 settles a
-    section-stop chunk whose x changes sign away from the curve from a few
-    rows.  A boundary without an envelope, an unconfirmed change, a state
-    exactly 0 and a change next to the chunk's first row take the full
-    chunk.  ``_count_crossings=False`` on a section-stop leg is for callers
+    A chunk's states are built only where an event can be (the two rules
+    of the module notes), with the bits of building them all.  Rule 1 hops
+    a chunk whose x keeps its strict sign when y <= 0 at both ends, when
+    the crossings are not counted, or when the smaller end |x| exceeds the
+    boundary's ``envelope`` at the chunk's bound on |y| (log|x| is concave
+    while x keeps its sign); with a record_stride it builds only the rows
+    it records.  Rule 2, with record_stride 0 only, settles a section-stop
+    chunk whose x changes sign away from the curve from a few rows.  A
+    boundary without an envelope, an unconfirmed change, a state exactly 0
+    and a change next to the chunk's first row take the full chunk.
+    ``_count_crossings=False`` on a section-stop leg is for callers
     that read only the terminal state: the switching function is then never
     evaluated, more chunks are skipped, and both counters read -1.
     """
@@ -491,8 +494,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
 
     stride = max(0, int(record_stride))
     counted = _count_crossings or not axis
-    hop = (stride == 0 and plan.powers is not None
-           and chunk * abs(plan.turn) < _MAX_HOP_TURN)
+    hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
     rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
     rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
     sigma_count = 0
@@ -513,12 +515,20 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             # where y > 0 it stays clear of the curve, so no curve event.
             if x[0] * end[0] > 0.0 and (
                     x_decides or _clear_of_curve(system.boundary.envelope, plan, a, x, end)):
+                if stride:
+                    # the recorded rows alone; row 0 is the carried state
+                    first = (-done) % stride
+                    rows = _states(plan, a, first, n, stride)
+                    if first == 0:
+                        rows[0] = x
+                    rec_t.append((done + np.arange(first, n, stride)) * step)
+                    rec_p.append(rows)
                 x = end
                 done += n
                 continue
             # Rule 2: x changes sign once; only a section return stops the leg.
             bracket = (_sign_change(plan, a, x, n)
-                       if axis and x_decides and x[0] * end[0] < 0.0 else None)
+                       if not stride and axis and x_decides and x[0] * end[0] < 0.0 else None)
             if bracket is not None:
                 base, states = bracket
                 # the section mask of a built chunk: x crosses in the sense

@@ -7,6 +7,9 @@ flow (720 samples per turn) so they stay crisp regardless of integrator
 settings: stable cycles bold solid, unstable dashed, semi-stable
 dash-dot.  Sizes and colours are the module constants below.  Identical
 inputs produce byte-identical documents.
+
+A path's pixel coordinates are computed as arrays and formatted at once
+by one " L%.3f,%.3f" template repeated per point.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 
 import numpy as np
 
-from .analytic import flow
 from .core import DomainError, Point, PWLSystem, Zone, manifold_value, vector_field
 from .cycles import CycleReport, StabilityClass
 from .oracle import (
@@ -90,18 +92,24 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
 
 
 def cycle_polyline(system: PWLSystem, report: CycleReport) -> np.ndarray:
-    """Closed cycle curve from the exact flow, (CYCLE_SAMPLES_PER_TURN+1, 2), endpoint repeated."""
+    """Closed cycle curve from the exact flow, (CYCLE_SAMPLES_PER_TURN+1, 2), endpoint repeated.
+
+    Each sample has the bits of ``analytic.flow``: ``math`` gives the sines,
+    cosines and exponentials, and arrays only the flow's arithmetic, in its order.
+    """
     half = CYCLE_SAMPLES_PER_TURN // 2
+    ts = [math.pi * i / half for i in range(half)]
+    st = np.array([math.sin(t) for t in ts])
+    ct = np.array([math.cos(t) for t in ts])
+    g = system.params.gamma
     pts = np.empty((2 * half + 1, 2))
-    upper = Point(0.0, report.y_star)
-    lower = report.lower_crossing
-    for i in range(half):
-        t = math.pi * i / half
-        pts[i] = flow(Zone.LEFT, t, upper, system.params)
-    for i in range(half):
-        t = math.pi * i / half
-        pts[half + i] = flow(Zone.RIGHT, t, lower, system.params)
-    pts[-1] = upper
+    for zone, (x, y), rows in ((Zone.LEFT, (0.0, report.y_star), pts[:half]),
+                               (Zone.RIGHT, report.lower_crossing, pts[half:-1])):
+        s = zone.sign
+        e = np.array([math.exp(s * g * t) for t in ts])
+        rows[:, 0] = e * ((s * g * x - y) * st + x * ct)
+        rows[:, 1] = e * (((g * g + 1.0) * x - s * g * y) * st + y * ct)
+    pts[-1] = (0.0, report.y_star)
     return pts
 
 
@@ -111,17 +119,11 @@ class _Canvas:
         self.sx = (WIDTH - 2 * MARGIN) / (self.x1 - self.x0)
         self.sy = (HEIGHT - 2 * MARGIN) / (self.y1 - self.y0)
 
-    def px(self, x: float) -> float:
-        return MARGIN + (x - self.x0) * self.sx
-
-    def py(self, y: float) -> float:
-        return HEIGHT - MARGIN - (y - self.y0) * self.sy
-
     def path(self, xs, ys, color: str, width: float, dash: str | None = None) -> str:
-        coords = " ".join(
-            f"{'M' if i == 0 else 'L'}{self.px(x):.3f},{self.py(y):.3f}"
-            for i, (x, y) in enumerate(zip(xs, ys))
-        )
+        pts = np.column_stack((MARGIN + (np.asarray(xs) - self.x0) * self.sx,
+                               HEIGHT - MARGIN - (np.asarray(ys) - self.y0) * self.sy))
+        coords = (" L%.3f,%.3f" * len(pts)) % tuple(pts.ravel().tolist())
+        coords = "M" + coords[2:] if coords else ""
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<path d="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="{width:g}"{dash_attr}/>')

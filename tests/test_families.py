@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ class TestTable:
         with pytest.raises(ParameterError):
             make_table([(0.0, 0.0, 0.0), (2.0, 0.1, 0.0), (1.0, 0.2, 0.0)])
 
+    def test_pchip_fill_on_subnormal_samples(self):
+        # pchip's harmonic mean of the secants 0 and 2.2e-309 overflows on the
+        # way to its limit 0; that must not warn (the suite runs with -W error)
+        b = make_table([(0, 0), (1, 0), (2, 2.225073858507203e-309)])
+        slopes = [row[2] for row in b.descriptor["params"]["samples"]]
+        assert slopes[:2] == [0.0, 0.0] and 0.0 < slopes[2] < 1e-308
+        ys = np.linspace(0.0, 2.0, 41)
+        assert np.all(np.isfinite(b.evaluate(ys))) and np.all(np.isfinite(b.derivative(ys)))
+        assert np.all(np.abs(b.evaluate(ys)) <= b.envelope(2.0))
+
 
 def _sine_table(gamma, n):
     # the sine boundary sampled at quarter-integer nodes, as the verify benchmark does
@@ -217,7 +228,7 @@ class TestEnvelope:
                                    "random table"]),
            gamma=st.floats(0.05, 0.45), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
            width=st.floats(0.1, 2.0),
-           nodes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+           nodes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0) | st.none()),
                           min_size=1, max_size=6),
            top=st.floats(0.05, 25.0))
     def test_envelope_bounds_h_and_never_decreases(self, family, gamma, n, alpha, width,
@@ -238,6 +249,28 @@ class TestEnvelope:
         env = np.array([b.envelope(float(y)) for y in ys])
         assert np.all(np.diff(env) >= 0.0)
         assert np.all(np.maximum.accumulate(np.abs(b.evaluate(ys))) <= env)
+
+    def test_table_envelope_is_the_running_max_of_h_at_the_nodes(self):
+        # each piece's bound is its largest |cubic| (at an end or where the
+        # cubic turns), so at a node the envelope is max |h| up to it, to roundoff
+        b = _sine_table(0.75, 2)
+        nodes = [row[0] for row in b.descriptor["params"]["samples"]][1:]
+        ys = np.linspace(0.0, nodes[-1], 200001)[1:]
+        running = np.maximum.accumulate(np.abs(b.evaluate(ys)))
+        for y in nodes:
+            top = running[np.searchsorted(ys, y, side="right") - 1]
+            assert top <= b.envelope(y) <= top * (1.0 + 1e-9) + 1e-300, y
+        # the sine the table samples has the envelope amp
+        assert b.envelope(2.5) == pytest.approx(SINE_AMP_075, rel=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e150, 1.0, 1e-199, 1e-300])
+    def test_table_envelope_finds_the_turn_at_any_scale(self, scale):
+        # h = scale * u (2u - 1)(u - 1) peaks inside the piece, at u = (3 - sqrt 3)/6;
+        # the squares in the turning-point formula would underflow unscaled
+        b = make_table([(0.0, 0.0, scale), (1.0, 0.0, scale)])
+        peak = np.abs(b.evaluate(np.linspace(0.0, 1.0, 100001))).max()
+        assert peak == pytest.approx(scale * math.sqrt(3.0) / 18.0, rel=1e-9)
+        assert peak <= b.envelope(1.0) <= peak * (1.0 + 1e-9) + 2.0 * sys.float_info.min
 
 
 class TestDescriptors:

@@ -1,4 +1,7 @@
 import ast
+import csv
+import io
+import itertools
 import math
 from pathlib import Path
 from unittest import mock
@@ -483,18 +486,48 @@ class TestChunkSkipping:
                 ref = leg()
             assert leg() == ref
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
+           zone=st.sampled_from(list(Zone)),
+           direction=st.sampled_from(list(Direction)),
+           x=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2),
+           y=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2), on_axis=st.booleans(),
+           step=st.floats(1e-4, 2e-3), stride=st.sampled_from([1, 7, 10]),
+           counted=st.booleans())
+    def test_recorded_leg_equals_full_chunks(self, family, zone, direction, x, y, on_axis,
+                                             step, stride, counted):
+        # a recording leg hops by rule 1 and builds only the rows it records
+        system = SKIP_FAMILIES[family]()
+        start = Point(0.0 if on_axis else x, y)
+
+        def leg():
+            try:
+                return _leg_bits(integrate_in_zone(system, zone, start, direction, step,
+                                                   record_stride=stride,
+                                                   _count_crossings=counted))
+            except PWLError as exc:
+                return type(exc), str(exc)
+
+        with mock.patch.object(orc, "MAX_TIME", 10.0):
+            with _full_chunks():
+                ref = leg()
+            assert leg() == ref
+
     def test_small_orbits_equal_full_chunks(self, sine_system):
         # near the origin a chunk can leave y <= 0 and meet the switching curve
         with mock.patch.object(orc, "MAX_TIME", 20.0):
             for start in (Point(0.05, -0.1), Point(0.2, -0.02), Point(-0.1, -0.2)):
                 for zone in Zone:
                     for direction in Direction:
-                        seg = integrate_in_zone(sine_system, zone, start, direction, 1e-3,
-                                                record_stride=0)
-                        with _full_chunks():
-                            ref = integrate_in_zone(sine_system, zone, start, direction, 1e-3,
-                                                    record_stride=0)
-                        assert _leg_bits(seg) == _leg_bits(ref)
+                        for stride in (0, 1, 7, 10):
+                            def leg():
+                                return _leg_bits(integrate_in_zone(
+                                    sine_system, zone, start, direction, 1e-3,
+                                    record_stride=stride))
+
+                            with _full_chunks():
+                                ref = leg()
+                            assert leg() == ref, (start, zone, direction, stride)
 
     def test_section_starts_and_upper_axis_crossings_equal_full_chunks(self):
         # Starts on the section x = 0 (lower and upper half), and starts from
@@ -508,15 +541,17 @@ class TestChunkSkipping:
                 for start in starts:
                     for zone in Zone:
                         for direction in Direction:
-                            for counted in (True, False):
+                            for counted, stride in itertools.product((True, False),
+                                                                     (0, 1, 7, 10)):
                                 def leg():
                                     return _leg_bits(integrate_in_zone(
-                                        system, zone, start, direction, 7e-4, record_stride=0,
-                                        _count_crossings=counted))
+                                        system, zone, start, direction, 7e-4,
+                                        record_stride=stride, _count_crossings=counted))
 
                                 with _full_chunks():
                                     ref = leg()
-                                assert leg() == ref, (family, start, zone, direction, counted)
+                                assert leg() == ref, (family, start, zone, direction,
+                                                      counted, stride)
 
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
@@ -541,6 +576,41 @@ class TestChunkSkipping:
         built = _chunks_built(monkeypatch)
         return_map(sine_system, -2.0 * EXP_M_075PI)
         assert len(built) <= 6, built
+
+    def test_recording_portrait_leg_builds_fewer_chunks_than_it_spends(self, sine_system,
+                                                                        monkeypatch):
+        # the first leg of the README portrait's outer seed, at the portrait's
+        # step 1e-3 and stride 10: chunks clear of the curve are hopped
+        step, stride = 1e-3, 10
+        chunk = math.ceil(orc._BLOCK_TIME / step)
+        built = _chunks_built(monkeypatch)
+
+        def leg():
+            built.clear()
+            return integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.3), step=step,
+                                     record_stride=stride)
+
+        seg = leg()
+        spent = math.ceil(seg.terminal_time / step / chunk)
+        assert len(built) <= spent // 2, (built, spent)
+        with _full_chunks():
+            ref = leg()
+        assert len(built) == spent
+        assert _leg_bits(seg) == _leg_bits(ref)
+
+    def test_table_turn_builds_no_more_chunks_than_the_sine_it_samples(self, monkeypatch):
+        # the verify workload's table is the sine n=2 sampled at quarter-integer
+        # nodes; its envelope of |h| is the sine's to roundoff, so near y = 1,
+        # where |x| stays close to it, a turn hops as many chunks as on the sine
+        built = _chunks_built(monkeypatch)
+        sine, table = VERIFY_SYSTEMS["sine"]()[0], VERIFY_SYSTEMS["table"]()[0]
+        for y in (0.95, 1.0, 1.05):
+            counts = []
+            for system in (sine, table):
+                built.clear()
+                return_map(system, -EXP_M_075PI * y)
+                counts.append(len(built))
+            assert counts[1] <= counts[0], (y, counts)
 
     @pytest.mark.parametrize("step", [0.5, 1.5])
     def test_large_step_equals_full_chunks(self, sine_system, step):
@@ -686,6 +756,38 @@ class TestOptionsAndExport:
                 propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), 1.0, step=step)
         assert orc._check_step(orc.MIN_STEP) == orc.MIN_STEP
 
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308],
+        [0.0005, 2.0625, -2.0625, 0.1 + 0.2, 1.0 / 3.0, 123456789012.5, 999999999999.5, 1e-5],
+        [math.nan, math.inf, -math.inf, -math.nan, 1e16, 12345678901234567.0, 0.5, -0.0],
+    ])
+    def test_csv_matches_csv_writer_reference(self, values):
+        rng = np.random.default_rng(7)
+        segs = []
+        for zone in (Zone.LEFT, Zone.RIGHT, Zone.LEFT):
+            vals = rng.permutation(np.array(values * 3))
+            segs.append(orc.TrajectorySegment(zone, vals[:8].copy(), vals[8:24].reshape(8, 2),
+                                              TerminalEvent.AXIS_CROSS))
+        segs.append(orc.TrajectorySegment(Zone.RIGHT, np.zeros(0), np.zeros((0, 2)),
+                                          TerminalEvent.TIME_OUT))
+        assert segments_to_csv(segs) == _csv_reference(segs)
+        assert segments_to_csv([]) == _csv_reference([]) == "t,x,y,zone\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=20),
+           zone=st.sampled_from(list(Zone)))
+    def test_csv_matches_reference_on_any_floats(self, rows, zone):
+        values = np.array(rows, dtype=float).reshape(-1, 3)
+        seg = orc.TrajectorySegment(zone, values[:, 0].copy(), values[:, 1:].copy(),
+                                    TerminalEvent.BOUNDARY_CROSS)
+        assert segments_to_csv([seg, seg]) == _csv_reference([seg, seg])
+
+    def test_csv_of_portrait_orbits_matches_reference(self, sine_system):
+        from pwlcycles import sample_orbit
+        segs = [seg for seed in (Point(0.0, 2.3), Point(0.0, 0.4))
+                for seg in sample_orbit(sine_system, seed, 2)]
+        assert segments_to_csv(segs) == _csv_reference(segs)
+
     def test_csv_export(self, zero_system):
         seg = integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0),
                                 step=1e-3, record_stride=200)
@@ -694,3 +796,14 @@ class TestOptionsAndExport:
         assert lines[0] == "t,x,y,zone"
         assert lines[1].endswith(",left")
         assert len(lines) == 1 + len(seg.times)
+
+
+def _csv_reference(segments) -> str:
+    """The CSV export written one row at a time through ``csv.writer``."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(("t", "x", "y", "zone"))
+    for seg in segments:
+        for t, p in zip(seg.times, seg.points):
+            w.writerow((f"{t:.12g}", f"{p[0]:.12g}", f"{p[1]:.12g}", seg.zone.value))
+    return buf.getvalue()

@@ -3,12 +3,16 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcycles import (
     DomainError,
     Point,
     TerminalEvent,
+    Zone,
     find_limit_cycles,
+    flow,
     render,
     sample_orbit,
 )
@@ -70,6 +74,23 @@ class TestCyclePolyline:
         assert abs(joint[0]) < 1e-6 and abs(joint[1] - rep.lower_crossing.y) < 1e-6
         assert gap < 0.1  # consecutive samples stay dense
 
+    @pytest.mark.parametrize("name, lo, hi", [("sine_system", 0.1, 4.0),
+                                              ("cosine_system", 0.1, 6.0),
+                                              ("oscillatory_system", 0.05, 0.4)])
+    def test_every_sample_is_the_flow_bitwise(self, request, name, lo, hi):
+        system = request.getfixturevalue(name)
+        reports = find_limit_cycles(system, lo, hi).cycles
+        assert reports
+        half = portrait.CYCLE_SAMPLES_PER_TURN // 2
+        for rep in reports:
+            pts = cycle_polyline(system, rep)
+            starts = ((Zone.LEFT, Point(0.0, rep.y_star)), (Zone.RIGHT, rep.lower_crossing))
+            for j, (zone, start) in enumerate(starts):
+                for i in range(half):
+                    ref = flow(zone, math.pi * i / half, start, system.params)
+                    assert tuple(pts[j * half + i].tolist()) == ref, (rep.y_star, zone, i)
+            assert pts[-1].tolist() == [0.0, rep.y_star]
+
 
 class TestRender:
     def test_deterministic(self, sine_system):
@@ -121,3 +142,69 @@ class TestRender:
         assert x1 == pytest.approx(1.3 * 2.0, rel=1e-9)
         assert (x0, y0, y1) == (-x1, -x1, x1)
         assert default_window([]) == (-1.0, 1.0, -1.0, 1.0)
+
+
+def _path_reference(cv, xs, ys, color, width, dash=None):
+    """``_Canvas.path`` written one point at a time."""
+    def px(x):
+        return portrait.MARGIN + (x - cv.x0) * cv.sx
+
+    def py(y):
+        return portrait.HEIGHT - portrait.MARGIN - (y - cv.y0) * cv.sy
+
+    coords = " ".join(f"{'M' if i == 0 else 'L'}{px(x):.3f},{py(y):.3f}"
+                      for i, (x, y) in enumerate(zip(xs, ys)))
+    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<path d="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="{width:g}"{dash_attr}/>')
+
+
+# (window, xs, ys): pixel values on .3f rounding ties (the window (0, 640, 0, 640)
+# maps x to 40 + x and y to 680 - y exactly), signed zeros, the smallest
+# subnormal, huge, non-finite and Python int coordinates, and no points at all
+PATH_CASES = [
+    ((0.0, 640.0, 0.0, 640.0), np.array([-37.9375, -39.9995, -40.0, -40.0005, 2.0625]),
+     np.array([677.9375, 680.0005, 680.0, 679.9995, 0.0625])),
+    ((-1.0, 1.0, -1.0, 1.0), np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300]),
+     np.array([1e-300, -0.0, 5e-324, 1.0, -1.0, 0.5])),
+    ((-2.6, 2.6, -2.6, 2.6), np.array([math.nan, math.inf, -math.inf, 0.0005, 1.0 / 3.0]),
+     np.array([0.0, math.nan, 2.0625, -math.inf, math.inf])),
+    ((-3, 3, -3, 3), [0, 0], [-3, 3]),
+    ((-3, 3, -3, 3), [-3, 3], [0, 0]),
+    ((-2.5, 2.5, -2.5, 2.5), [0.0, 0.0], [-2.5, 2.5]),
+    ((-1.0, 1.0, -1.0, 1.0), np.zeros(0), np.zeros(0)),
+]
+
+
+# any coordinate whose pixel stays inside the float range, and the non-finite ones
+COORD = st.floats(-1e200, 1e200) | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestPathFormat:
+    @pytest.mark.parametrize("window, xs, ys", PATH_CASES)
+    @pytest.mark.parametrize("dash", [None, portrait.SIGMA_DASH])
+    def test_path_matches_per_point_reference(self, window, xs, ys, dash):
+        cv = portrait._Canvas(window)
+        got = cv.path(xs, ys, portrait.ORBIT_COLOR, portrait.ORBIT_WIDTH, dash)
+        assert got == _path_reference(cv, xs, ys, portrait.ORBIT_COLOR,
+                                      portrait.ORBIT_WIDTH, dash)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.lists(st.tuples(COORD, COORD), max_size=30),
+           corner=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+           size=st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)))
+    def test_path_matches_reference_on_any_floats(self, points, corner, size):
+        window = (corner[0], corner[0] + size[0], corner[1], corner[1] + size[1])
+        cv = portrait._Canvas(window)
+        xs = np.array([p[0] for p in points], dtype=float)
+        ys = np.array([p[1] for p in points], dtype=float)
+        assert cv.path(xs, ys, "#000", 1.0) == _path_reference(cv, xs, ys, "#000", 1.0)
+
+    def test_render_matches_per_point_reference(self, sine_system, monkeypatch):
+        cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
+        orbits = [seg for seed in (Point(0.0, 2.3), Point(0.0, 0.4))
+                  for seg in sample_orbit(sine_system, seed, 2)]
+        window = default_window(cycles)
+        svg = render(sine_system, window, cycles, orbits)
+        monkeypatch.setattr(portrait._Canvas, "path", _path_reference)
+        assert svg == render(sine_system, window, cycles, orbits)
