@@ -94,18 +94,16 @@ def _floats(value, count: int, what: str) -> tuple:
 def _build_system(args, cfg: dict) -> PWLSystem:
     gamma = _merged(args, cfg, "gamma")
     family = getattr(args, "family", None)
+    boundary = cfg.get("boundary")
     if family is not None:
-        params: dict = {}
+        # the config's params if it names this family; --n or --alpha still win
+        given = boundary if isinstance(boundary, dict) else {}
+        fp = given.get("params") if isinstance(given.get("params"), dict) else {}
+        params = dict(fp) if given.get("family") == family else {}
         key = {"sine": "n", "cosine": "n", "oscillatory": "alpha"}.get(family)
         if key is not None:
-            params[key] = getattr(args, key, None)
-            if params[key] is None:
-                given = cfg.get("boundary")
-                fp = given.get("params") if isinstance(given, dict) else None
-                params[key] = fp.get(key) if isinstance(fp, dict) else None
+            params[key] = fp.get(key) if getattr(args, key, None) is None else getattr(args, key)
         boundary = {"family": family, "params": params}
-    else:
-        boundary = cfg.get("boundary")
     if gamma is None or boundary is None:
         raise families.ParameterError(
             "system underspecified: need gamma and a boundary family (flags or --config)"
@@ -210,6 +208,8 @@ def cmd_verify(args) -> int:
     lo, hi = _range(args, cfg)
     step = _step(args, cfg)
     tol = _number(args, cfg, "tol", 1e-6)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise families.ParameterError(f"tol must be finite and > 0, got {tol!r}")
 
     grid = hypotheses.geometric_grid(lo, hi, hypotheses.DEFAULT_GRID_POINTS)
     hreport = hypotheses.check_boundary_hypotheses(system, grid)
@@ -330,7 +330,7 @@ def _parser() -> _Parser:
     pv.add_argument("--kmax", type=int, help="oscillatory family: exact zeros k=1..kmax")
     pv.add_argument("--points", type=int, help="displacement scan size (default 40)")
     pv.add_argument("--step", type=float, help="integrator step (default 1e-4, at least 1e-5)")
-    pv.add_argument("--tol", type=float, help="discrepancy tolerance (default 1e-6)")
+    pv.add_argument("--tol", type=float, help="discrepancy tolerance, finite and > 0 (default 1e-6)")
     pv.set_defaults(fn=cmd_verify)
 
     pp = sub.add_parser("portrait", help="render an SVG phase portrait")

@@ -21,9 +21,9 @@ Four built-in families plus tabulated user data:
 
 Every evaluate/derivative pair accepts floats or 1-d arrays.  Each
 family writes h and h' once, as formula(y, m) with m = math for a float
-and m = numpy for an array, so a float skips numpy's ufuncs.  scipy is
-imported only by ``make_table``, the one family that needs it.  Each
-family also writes the ``envelope`` of |h| over (0, Y] in closed form:
+and m = numpy for an array, so a float skips numpy's ufuncs.  A table
+keeps its cubics in one coefficient array.  Each family also writes the
+``envelope`` of |h| over (0, Y] in closed form:
 0, amp, 2*amp, alpha*Y**2, and for a table the running maximum of each
 piece's largest |cubic|.  Parameter ranges are enforced strictly at
 construction: each family's cycle inventory is only guaranteed inside its
@@ -203,12 +203,62 @@ def _table_row(sample) -> tuple:
     raise ParameterError(f"each table sample must be [y, h] or [y, h, h'], got {sample!r}")
 
 
+def _pchip_slopes(ys, hs):
+    """pchip's node slopes, as scipy's PchipInterpolator takes them: inside, the weighted
+    harmonic mean of the two secants, or 0 if they differ in sign or one is 0 (Fritsch &
+    Butland, SIAM J. Sci. Stat. Comput. 5 (1984) 300); at the ends, the one-sided three-point
+    formula, clipped to keep the shape (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980) 238)."""
+    w = np.diff(ys)
+    # subnormal secants overflow the mean on the way to its limit, 0
+    with np.errstate(all="ignore"):
+        m = np.diff(hs) / w
+        if len(m) == 1:
+            return np.array([m[0], m[0]])
+        w1, w2 = 2.0 * w[1:] + w[:-1], w[1:] + 2.0 * w[:-1]
+        inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        h0, h1, m0, m1 = w[[0, -1]], w[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, end))
+    flat = np.sign(m[1:]) * np.sign(m[:-1]) <= 0.0
+    return np.concatenate([end[:1], np.where(flat, 0.0, inner), end[1:]]) + 0.0  # no -0.0
+
+
+def _piecewise(ys, c):
+    """y -> sum_k c[k, j] * (y - ys[j])**(K-1-k) on piece j = [ys[j], ys[j+1]),
+    the outer pieces extended.  The sum runs as scipy's PPoly runs it, from
+    0.0, lowest power first, powers by repeated multiplication, so the bits
+    are scipy's.  A float is summed in Python, an array gathers each row."""
+    inner, cols = ys[1:-1], [c[-1] + 0.0, *c[-2::-1]]
+    knots, inner_list, col_lists = ys.tolist(), inner.tolist(), [col.tolist() for col in cols]
+
+    def fn(y):
+        arr = np.asarray(y, dtype=float)
+        if arr.ndim == 0:
+            y = float(arr)
+            j = bisect.bisect_right(inner_list, y)
+            s, out, z = y - knots[j], col_lists[0][j], 1.0
+            for col in col_lists[1:]:
+                z *= s
+                out += col[j] * z
+            return out
+        j = inner.searchsorted(arr, side="right")
+        s, out, z = arr - ys.take(j), cols[0].take(j), None
+        for col in cols[1:]:
+            z = s if z is None else z * s
+            out += col.take(j) * z
+        return out
+
+    return fn
+
+
 def make_table(samples: Sequence[tuple]) -> Boundary:
     """C1 cubic boundary through (y, h, h') samples, starting at (0, 0, .).
 
-    Slopes given as None are filled from a shape-preserving (pchip) fit;
-    provided slopes are honored exactly, so the stored derivative is the
-    analytic derivative of the interpolant.  The cubic extrapolates
+    Slopes given as None get pchip's shape-preserving slopes (Fritsch &
+    Carlson 1980; Fritsch & Butland 1984); given slopes are kept exactly.
+    h, h' and the envelope read one coefficient array ``c`` (4 x pieces,
+    built as scipy's CubicHermiteSpline builds it).  The cubic extrapolates
     beyond the last sample; the working range is the caller's business.
     """
     if len(samples) < 2:
@@ -224,33 +274,16 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(hs))):
         raise ParameterError("samples must be finite")
 
-    from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
-
-    ds = np.empty_like(ys)
-    missing = [i for i, s in enumerate(slopes) if s is None]
-    if missing:
-        # pchip's weighted harmonic mean of two slopes overflows on subnormal
-        # secants and then takes its limit, 0, which is the slope wanted
-        with np.errstate(over="ignore", divide="ignore"):
-            ds[missing] = PchipInterpolator(ys, hs).derivative()(ys[missing])
-    for i, s in enumerate(slopes):
-        if s is not None:
-            ds[i] = s
+    ds = np.array([0.0 if s is None else s for s in slopes])
+    if None in slopes:
+        ds = np.where([s is None for s in slopes], _pchip_slopes(ys, hs), ds)
     if not np.all(np.isfinite(ds)):
         raise ParameterError("sample slopes must be finite")
 
-    spline = CubicHermiteSpline(ys, hs, ds)
-    dspline = spline.derivative()
-
-    def evaluate(y):
-        arr = np.asarray(y, dtype=float)
-        out = spline(arr)
-        return float(out) if arr.ndim == 0 else out
-
-    def derivative(y):
-        arr = np.asarray(y, dtype=float)
-        out = dspline(arr)
-        return float(out) if arr.ndim == 0 else out
+    w = np.diff(ys)
+    secant = np.diff(hs) / w
+    t = (ds[:-1] + ds[1:] - 2.0 * secant) / w
+    c = np.stack((t / w, (secant - ds[:-1]) / w - t, ds[:-1], hs[:-1]))  # rows c_3 .. c_0
 
     # |h| on piece j peaks at an end or where its cubic turns.  In u = s/width
     # the cubic is sum_k C_k u**k, C_k = c_kj * width**k; its largest |value|
@@ -259,8 +292,7 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     # so 1e-12 of that sum and the smallest normal double widen the bound.  A
     # running maximum makes it a bound over all of (0, Y]; beyond the last
     # node the last piece's cubic grows with Y.
-    w = np.diff(ys)
-    big = spline.c * w ** np.arange(3.0, -1.0, -1.0)[:, None]  # rows C_3 .. C_0
+    big = c * w ** np.arange(3.0, -1.0, -1.0)[:, None]  # rows C_3 .. C_0
     # roots of 3 C_3 u**2 + 2 C_2 u + C_1, without cancellation, and with the
     # C_k scaled by a power of two so that their squares cannot underflow
     a3, a2, a1 = np.ldexp(big[:3], -np.frexp(np.abs(big[:3]).max(axis=0))[1])
@@ -272,7 +304,7 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     piece = peak + 1e-12 * np.abs(big).sum(axis=0)
     bounds = (np.maximum.accumulate(piece) + _DBL_MIN).tolist()
     inner, last, base = ys[1:-1].tolist(), float(ys[-1]), float(ys[-2])
-    c3, c2, c1, c0 = (np.abs(spline.c[:, -1]) * (1.0 + 1e-12)).tolist()
+    c3, c2, c1, c0 = (np.abs(c[:, -1]) * (1.0 + 1e-12)).tolist()
 
     def envelope(y):
         if y <= last:
@@ -280,8 +312,9 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
         s = y - base
         return max(bounds[-1], ((c3 * s + c2) * s + c1) * s + c0 + _DBL_MIN)
 
-    stored = [[float(a), float(b), float(c)] for a, b, c in zip(ys, hs, ds)]
-    return Boundary(evaluate=evaluate, derivative=derivative,
+    stored = np.stack([ys, hs, ds], axis=1).tolist()
+    return Boundary(evaluate=_piecewise(ys, c),
+                    derivative=_piecewise(ys, c[:3] * np.array([[3.0], [2.0], [1.0]])),
                     descriptor={"family": "table", "params": {"samples": stored}},
                     envelope=envelope)
 

@@ -10,11 +10,17 @@ import sys
 import pytest
 
 import pwlcycles
-from pwlcycles import Point, find_limit_cycles, portrait, render, sample_orbit
+from pwlcycles import Point, find_limit_cycles, oracle, portrait, render, sample_orbit
 from pwlcycles.cli import main
 from pwlcycles.oracle import segments_to_csv
 
 EXP_M_075PI = 0.09478022484215486
+
+# the README sine n=2 sampled at quarter-integer nodes (h, h' given), exact zeros at 1 and 2
+_AMP, _SLOPE = 1.5 / (1.5625 * math.pi), 1.5 / 1.5625
+TABLE_CFG = {"gamma": 0.75, "boundary": {"family": "table", "params": {"samples": [
+    [i / 4, 0.0 if i % 4 == 0 else _AMP * math.sin(math.pi * i / 4),
+     _SLOPE * math.cos(math.pi * i / 4)] for i in range(11)]}}}
 
 
 def run(capsys, argv):
@@ -107,6 +113,17 @@ class TestCycles:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 3  # the flag n=3 beats the config n=2
 
+    def test_family_flag_naming_the_config_family_keeps_its_params(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(TABLE_CFG))
+        argv = ["cycles", "--config", str(path), "--range", "0.1", "2.4"]
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        code, flagged, err = run(capsys, argv + ["--family", "table"])
+        assert code == 0, err
+        assert flagged == plain
+        assert [c["y_star"] for c in json.loads(flagged)["cycles"]] == pytest.approx([1.0, 2.0])
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "cycles.json"
         code, out, _ = run(capsys, ["cycles", "--gamma", "0.75", "--family", "sine",
@@ -157,6 +174,19 @@ class TestVerify:
         assert code == 3
         payload = json.loads(out)
         assert payload["discrepancies"]
+
+    @pytest.mark.parametrize("flag, config", [("nan", None), ("inf", None), ("0", None),
+                                              ("-1", None), (None, "nan")])
+    def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, monkeypatch, flag, config):
+        # every "> tol" comparison is false for a nan tol, so it would hide discrepancies
+        for name in ("return_map", "resolve_stability", "numeric_displacement"):
+            monkeypatch.setattr(oracle, name, lambda *a, **k: pytest.fail("oracle ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(SINE_CFG if config is None else {**SINE_CFG, "tol": config}))
+        argv = ["verify", "--config", str(path)] + ([] if flag is None else [f"--tol={flag}"])
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "tol must be finite and > 0" in err
 
 
 class TestPortrait:
@@ -223,14 +253,29 @@ class TestPortrait:
         assert svg.read_bytes() == render(sine_system, window, [], segments).encode()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs most of a cold start and only table boundaries need it.
+def test_table_runs_without_scipy(tmp_path):
+    # scipy is only a test reference: with every scipy import made to fail, a
+    # table still fills a missing slope, evaluates, and runs cycles and verify
     src = str(pathlib.Path(pwlcycles.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, pwlcycles.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout.strip() == "False"
+    probe = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import numpy as np",
+        "from pwlcycles import make_table",
+        "from pwlcycles.cli import main",
+        "b = make_table([(0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.2)])",
+        "assert type(b.evaluate(0.5)) is float and b.derivative(np.linspace(0, 2, 5)).shape == (5,)",
+        "for command in ('cycles', 'verify'):",
+        "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, command",
+        "print('ok')",
+    ])
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps({**TABLE_CFG, "range": [0.1, 2.4]}))
+    done = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 class TestUsageErrors:

@@ -215,6 +215,39 @@ class TestTable:
         assert np.all(np.abs(b.evaluate(ys)) <= b.envelope(2.0))
 
 
+class TestTableAgainstScipy:
+    """scipy's CubicHermiteSpline and PchipInterpolator are the reference for the table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nodes=st.lists(st.tuples(st.floats(1e-3, 5.0), st.floats(-2.0, 2.0) | st.just(0.0),
+                                    st.floats(-5.0, 5.0) | st.none()), min_size=1, max_size=10),
+           first=st.floats(-5.0, 5.0) | st.none(), scale=st.sampled_from([1e-8, 1.0, 1e6]),
+           probe=st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=20))
+    def test_values_and_slopes_are_scipys_bitwise(self, nodes, first, scale, probe):
+        interp = pytest.importorskip("scipy.interpolate")
+        ys = np.concatenate([[0.0], np.cumsum([w for w, _, _ in nodes])])
+        hs = np.array([0.0] + [h * scale for _, h, _ in nodes])
+        given_slopes = [first] + [d for _, _, d in nodes]
+        b = make_table([(y, h, None if d is None else d * scale)
+                        for y, h, d in zip(ys.tolist(), hs.tolist(), given_slopes)])
+        ds = np.array([row[2] for row in b.descriptor["params"]["samples"]])
+        missing = np.array([d is None for d in given_slopes])
+        with np.errstate(all="ignore"):  # scipy's pchip overflows on subnormal secants
+            if missing.any():
+                # pchip's node slopes: c[2] holds all but the last, which is the
+                # first slope of the mirrored data, negated
+                last = -interp.PchipInterpolator(-ys[::-1], hs[::-1]).c[2, 0]
+                pchip = np.append(interp.PchipInterpolator(ys, hs).c[2], last)
+                np.testing.assert_array_equal(ds[missing], pchip[missing])  # -0.0 == 0.0
+            spline = interp.CubicHermiteSpline(ys, hs, ds)
+        # the nodes, just below them, y <= 0 and points past the last node
+        points = np.concatenate([ys, np.nextafter(ys, -np.inf), ys[-1] * np.array(probe)])
+        for fn, ref in ((b.evaluate, spline), (b.derivative, spline.derivative())):
+            want = ref(points).tobytes()
+            assert np.asarray(fn(points)).tobytes() == want
+            assert np.array([fn(float(y)) for y in points]).tobytes() == want
+
+
 def _sine_table(gamma, n):
     # the sine boundary sampled at quarter-integer nodes, as the verify benchmark does
     sine = make_sine(SystemParams(gamma), n)
