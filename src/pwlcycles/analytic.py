@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import (
     DomainError,
     EvaluationError,
@@ -52,14 +54,20 @@ from .core import (
 TWO_PI = 2.0 * math.pi
 
 
-def flow(zone: Zone, t: float, p: Point, params: SystemParams) -> Point:
-    """Exact zone flow at time t from p; entire in t, so any t is valid."""
+def flow(zone: Zone, t: float | np.ndarray, p: Point, params: SystemParams) -> Point:
+    """Exact zone flow at time t from p; entire in t, so any t is valid.
+
+    An array of times gives a Point of arrays, each sample with the bits
+    of its float time: ``math`` takes every sine, cosine and exponential.
+    """
     g = params.gamma
     s = zone.sign
     x, y = p
-    e = math.exp(s * g * t)
-    st = math.sin(t)
-    ct = math.cos(t)
+    if np.ndim(t):
+        e = np.fromiter((math.exp(s * g * v) for v in t), float)
+        st, ct = np.fromiter(map(math.sin, t), float), np.fromiter(map(math.cos, t), float)
+    else:
+        e, st, ct = math.exp(s * g * t), math.sin(t), math.cos(t)
     return Point(
         e * ((s * g * x - y) * st + x * ct),
         e * (((g * g + 1.0) * x - s * g * y) * st + y * ct),

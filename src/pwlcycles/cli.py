@@ -2,9 +2,11 @@
 
 Subcommands: check, cycles, displacement, verify, portrait.  A system is
 given either by a JSON config ({"gamma": ..., "boundary": {"family": ...,
-"params": {...}}, ...command options...}) or by flags; flags win.  Exit
-codes: 0 success, 1 usage or parameter error, 2 non-sliding certificate
-violation, 3 verification discrepancy.
+"params": {...}}, ...command options...}) or by flags; flags win, and a
+config value obeys its flag's rules.  Each command reads and checks all
+of its options before any work.  Exit codes: 0 success, 1 usage or
+parameter error, 2 non-sliding certificate violation, 3 verification
+discrepancy.
 
 Numeric output carries full double precision in JSON and 12 significant
 digits in CSV so cross-run diffs are meaningful.
@@ -58,26 +60,25 @@ def _merged(args, cfg: dict, key: str, default=None):
     return cfg.get(key, default)
 
 
-def _number(args, cfg: dict, key: str, default=None, kind=float):
-    """Option ``key`` from the flags or the config, converted with ``kind``.
+def _option(args, cfg: dict, key: str, default=None, kind=float, ok=None, what="a number"):
+    """Option ``key`` from the flags or the config, as ``kind``, passing ``ok``.
 
-    None (unset, or null in the config) is kept only where the default is None.
+    A config value obeys its flag's rules: a bool is not a number, and an
+    int option takes whole numbers only.  None (unset, or null in the
+    config) is kept only where the default is None.
     """
     val = _merged(args, cfg, key, default)
     if val is None and default is None:
         return None
     try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise families.ParameterError(f"{key} must be a number, got {val!r}") from None
-
-
-def _points(args, cfg: dict, default: int) -> int:
-    """The displacement scan size, a non-negative integer."""
-    points = _number(args, cfg, "points", default, kind=int)
-    if points < 0:
-        raise families.ParameterError(f"points must be a non-negative integer, got {points!r}")
-    return points
+        if isinstance(val, bool) or kind is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError(val)
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or ok is not None and not ok(out):
+        raise families.ParameterError(f"{key} must be {what}, got {val!r}")
+    return out
 
 
 def _floats(value, count: int, what: str) -> tuple:
@@ -128,52 +129,43 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _range(args, cfg: dict, default=(0.01, 5.0)) -> tuple[float, float]:
-    rng = _merged(args, cfg, "range", list(default))
+def _range(args, cfg: dict) -> tuple[float, float]:
+    rng = _merged(args, cfg, "range", [0.01, 5.0])
     lo, hi = _floats(rng, 2, "range")
     if not lo < hi:
         raise families.ParameterError(f"range must be LO HI with LO < HI, got {rng!r}")
     return lo, hi
 
 
-def _step(args, cfg: dict) -> float:
-    """The oracle's RK4 step, checked before any work is done with it."""
-    return oracle._check_step(_number(args, cfg, "step", 1e-4))
+def _kmax(args, cfg: dict) -> int | None:
+    return _option(args, cfg, "kmax", None, int, lambda k: k >= 1, "a positive integer")
 
 
-def _analytic_cycles(system: PWLSystem, args, cfg: dict, lo: float, hi: float,
+def _analytic_cycles(system: PWLSystem, rng: tuple[float, float], kmax: int | None,
                      certify: bool) -> cyc.CycleSearchResult:
-    kmax = _number(args, cfg, "kmax", kind=int)
-    if kmax is not None and kmax < 1:
-        raise families.ParameterError(f"kmax must be a positive integer, got {kmax!r}")
     if system.boundary.descriptor.get("family") == "oscillatory" and kmax:
         roots = [families.oscillatory_root(k) for k in range(1, kmax + 1)]
         return cyc.CycleSearchResult(
             cycles=cyc.reports_for_roots(system, roots),
             continuum=False, origin="stable focus", hypothesis_report=None)
-    return cyc.find_limit_cycles(system, lo, hi, certify=certify)
+    return cyc.find_limit_cycles(system, *rng, certify=certify)
 
 
-def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    system = _build_system(args, cfg)
-    lo, hi = _range(args, cfg)
-    points = _number(args, cfg, "grid-points", hypotheses.DEFAULT_GRID_POINTS, kind=int)
-    grid = hypotheses.geometric_grid(lo, hi, points)
-    report = hypotheses.check_boundary_hypotheses(system, grid)
+def cmd_check(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
+    points = _option(args, cfg, "grid-points", hypotheses.DEFAULT_GRID_POINTS, int,
+                     what="an integer")
+    report = hypotheses.check_boundary_hypotheses(system, hypotheses.geometric_grid(*rng, points))
     _emit(json.dumps(report.to_json(), indent=2) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_HYPOTHESIS
 
 
-def cmd_cycles(args) -> int:
-    cfg = _load_config(args.config)
-    system = _build_system(args, cfg)
-    lo, hi = _range(args, cfg)
-    result = _analytic_cycles(system, args, cfg, lo, hi, certify=not args.no_certify)
+def cmd_cycles(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
+    kmax = _kmax(args, cfg)
+    fmt = _option(args, cfg, "format", "json", str, lambda f: f in ("json", "csv"), "json or csv")
+    result = _analytic_cycles(system, rng, kmax, certify=not args.no_certify)
     if result.continuum:
         sys.stderr.write("boundary is identically zero on the range: "
                          "continuum of periodic orbits, no isolated cycles\n")
-    fmt = _merged(args, cfg, "format", "json")
     if fmt == "csv":
         text = _csv_text(cyc.CYCLE_CSV_HEADER, [c.csv_row() for c in result.cycles])
     else:
@@ -192,32 +184,27 @@ def _displacement_rows(system: PWLSystem, ys, step: float):
     return rows
 
 
-def cmd_displacement(args) -> int:
-    cfg = _load_config(args.config)
-    system = _build_system(args, cfg)
-    lo, hi = _range(args, cfg)
-    points = _points(args, cfg, 200)
-    rows = _displacement_rows(system, np.linspace(lo, hi, points), _step(args, cfg))
+def cmd_displacement(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
+    points = _option(args, cfg, "points", 200, int, lambda n: n >= 0, "a non-negative integer")
+    step = oracle._check_step(_option(args, cfg, "step", 1e-4))
+    rows = _displacement_rows(system, np.linspace(*rng, points), step)
     _emit(_csv_text(("y", "f_analytic", "f_numeric", "abs_diff"), rows), args.out)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    system = _build_system(args, cfg)
-    lo, hi = _range(args, cfg)
-    step = _step(args, cfg)
-    tol = _number(args, cfg, "tol", 1e-6)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise families.ParameterError(f"tol must be finite and > 0, got {tol!r}")
+def cmd_verify(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
+    step = oracle._check_step(_option(args, cfg, "step", 1e-4))
+    tol = _option(args, cfg, "tol", 1e-6, float, lambda v: v > 0.0 and math.isfinite(v),
+                  "finite and > 0")
+    kmax = _kmax(args, cfg)
+    points = _option(args, cfg, "points", 40, int, lambda n: n >= 0, "a non-negative integer")
 
-    grid = hypotheses.geometric_grid(lo, hi, hypotheses.DEFAULT_GRID_POINTS)
-    hreport = hypotheses.check_boundary_hypotheses(system, grid)
+    hreport = hypotheses.check_boundary_hypotheses(system, hypotheses.geometric_grid(*rng))
     if not hreport.passed:
         _emit(json.dumps(hreport.to_json(), indent=2) + "\n", args.out)
         return EXIT_HYPOTHESIS
 
-    result = _analytic_cycles(system, args, cfg, lo, hi, certify=False)
+    result = _analytic_cycles(system, rng, kmax, certify=False)
     discrepancies: list[dict] = []
     cycle_records: list[dict] = []
     roots = [c.y_star for c in result.cycles]
@@ -245,8 +232,7 @@ def cmd_verify(args) -> int:
         if stab is not rep.stability:
             discrepancies.append({"kind": "stability", **rec})
 
-    points = _points(args, cfg, 40)
-    rows = _displacement_rows(system, np.linspace(lo, hi, points), step)
+    rows = _displacement_rows(system, np.linspace(*rng, points), step)
     max_diff = max((r[3] for r in rows), default=0.0)
     if max_diff > tol:
         discrepancies.append({"kind": "displacement", "max_abs_diff": max_diff})
@@ -261,23 +247,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not discrepancies else EXIT_DISCREPANCY
 
 
-def cmd_portrait(args) -> int:
-    cfg = _load_config(args.config)
-    system = _build_system(args, cfg)
-    lo, hi = _range(args, cfg)
-    result = _analytic_cycles(system, args, cfg, lo, hi, certify=not args.no_certify)
-
+def cmd_portrait(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
+    kmax = _kmax(args, cfg)
     window = _merged(args, cfg, "window")
-    if window is None:
-        window = portrait.default_window(result.cycles)
-    window = _floats(window, 4, "window")
+    window = None if window is None else _floats(window, 4, "window")
     given = args.seed or cfg.get("seeds", [])
     if not isinstance(given, list):
         raise families.ParameterError(f"seeds must be a list of X,Y pairs, got {given!r}")
     seeds = [Point(*_floats(s.split(",") if isinstance(s, str) else s, 2, "seed")) for s in given]
-    turns = _number(args, cfg, "turns", 3, kind=int)
-    if turns < 1:
-        raise families.ParameterError(f"turns must be a positive integer, got {turns!r}")
+    turns = _option(args, cfg, "turns", 3, int, lambda n: n >= 1, "a positive integer")
+    result = _analytic_cycles(system, rng, kmax, certify=not args.no_certify)
+    window = window or portrait.default_window(result.cycles)
     segments = [seg for seed in seeds for seg in portrait.sample_orbit(system, seed, turns)]
     svg = portrait.render(system, window, [] if args.no_cycles else result.cycles, segments)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -352,7 +332,8 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _load_config(args.config)
+        return args.fn(args, cfg, _build_system(args, cfg), _range(args, cfg))
     except cyc.HypothesisError as exc:
         sys.stderr.write(f"error: {exc}\n")
         if exc.report is not None:

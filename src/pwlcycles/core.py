@@ -178,15 +178,14 @@ def manifold_values(system: PWLSystem, points: np.ndarray) -> np.ndarray:
 def vector_field(system: PWLSystem, p: Point) -> Point:
     """Velocity of the discontinuous field at p.
 
-    Uses the right-zone matrix when the switching function is >= 0 and the
-    left-zone matrix otherwise.  The tie at exactly zero goes to the right
-    zone by convention; nothing downstream depends on it because every
-    boundary point of interest is a transversal crossing.
+    Applies ``zone_matrix`` of the right zone when the switching function
+    is >= 0 and of the left zone otherwise.  The tie at exactly zero goes
+    to the right zone by convention.  The oracle picks the zone an orbit
+    enters at a boundary point by its own rule (``_forward_zone``).
     """
-    g = system.gamma
-    s = 1.0 if manifold_value(system, p) >= 0.0 else -1.0
-    x, y = p
-    return Point(s * 2.0 * g * x - y, (g * g + 1.0) * x)
+    zone = Zone.RIGHT if manifold_value(system, p) >= 0.0 else Zone.LEFT
+    vx, vy = zone_matrix(system.params, zone) @ (float(p[0]), float(p[1]))
+    return Point(float(vx), float(vy))
 
 
 def system_descriptor(system: PWLSystem) -> dict:

@@ -135,15 +135,13 @@ def _refine_tangential(boundary: Boundary, a: float, b: float, tol: float) -> fl
     return _bisect(lambda y: float(boundary.derivative(y)), a, b, da, db, tol)
 
 
-def find_roots(boundary: Boundary, y_min: float, y_max: float,
-               scan_points: int = DEFAULT_SCAN_POINTS,
-               tol: float = DEFAULT_ROOT_TOL) -> RootScan:
+def find_roots(boundary: Boundary, y_min: float, y_max: float) -> RootScan:
     """Locate zeros of h on [y_min, y_max] by scan plus bracket refinement.
 
-    Sign changes are bisected to width < tol.  Tangential zeros (the
-    value dips to zero without changing sign) are caught by refining
-    local minima of |h| whose quadratic extrapolation reaches below
-    tol**(2/3), and accepted when the refined |h| is below that same
+    Sign changes are bisected to width < tol = DEFAULT_ROOT_TOL.  Tangential
+    zeros (the value dips to zero without changing sign) are caught by
+    refining local minima of |h| whose quadratic extrapolation reaches
+    below tol**(2/3), and accepted when the refined |h| is below that same
     threshold; the 2/3 power matches how a quadratic touch scales.  A
     sample where h is exactly 0 between same-signed neighbours is such a
     touch too, pinned on h' the same way.  If every scan sample is already
@@ -154,13 +152,11 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
         raise DomainError(f"y_min must be a positive real, got {y_min!r}")
     if not (math.isfinite(y_max) and y_max > y_min):
         raise DomainError(f"need y_max > y_min, got {y_max!r}")
-    if scan_points < 2:
-        raise DomainError("scan needs at least 2 points")
 
-    ys = np.linspace(y_min, y_max, scan_points)
+    ys = np.linspace(y_min, y_max, DEFAULT_SCAN_POINTS)
     hv = _boundary_values(boundary.evaluate, ys)
 
-    if np.all(np.abs(hv) <= tol):
+    if np.all(np.abs(hv) <= DEFAULT_ROOT_TOL):
         return RootScan(roots=(), continuum=True)
 
     def h_at(y: float) -> float:
@@ -172,15 +168,16 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
         y_c = None
         # h rounds to 0 over about sqrt(eps) around a double zero, so a
         # zero sample between same-signed neighbours is pinned on h'.
-        if 0 < i < scan_points - 1 and signs[i - 1] * signs[i + 1] > 0.0:
-            y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]), tol)
+        if 0 < i < DEFAULT_SCAN_POINTS - 1 and signs[i - 1] * signs[i + 1] > 0.0:
+            y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]),
+                                     DEFAULT_ROOT_TOL)
         roots.append(float(ys[i]) if y_c is None else y_c)
     for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
         roots.append(_bisect(h_at, float(ys[i]), float(ys[i + 1]),
-                             float(hv[i]), float(hv[i + 1]), tol))
+                             float(hv[i]), float(hv[i + 1]), DEFAULT_ROOT_TOL))
 
-    touch_tol = tol ** (2.0 / 3.0)
-    interior = np.arange(1, scan_points - 1)
+    touch_tol = DEFAULT_ROOT_TOL ** (2.0 / 3.0)
+    interior = np.arange(1, DEFAULT_SCAN_POINTS - 1)
     same_sign = (signs[interior - 1] == signs[interior]) & (signs[interior] == signs[interior + 1])
     local_min = (np.abs(hv[interior]) <= np.abs(hv[interior - 1])) & \
                 (np.abs(hv[interior]) <= np.abs(hv[interior + 1]))
@@ -190,14 +187,14 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float,
         vertex = h1 - (h2 - h0) ** 2 / (8.0 * curv) if curv * h1 > 0.0 else h1
         if min(abs(h1), abs(vertex)) > touch_tol:
             continue
-        y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]), tol)
+        y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]), DEFAULT_ROOT_TOL)
         if y_c is not None and abs(h_at(y_c)) <= touch_tol:
             roots.append(y_c)
 
     roots.sort()
     merged: list[float] = []
     for r in roots:
-        if not merged or r - merged[-1] > 10.0 * tol:
+        if not merged or r - merged[-1] > 10.0 * DEFAULT_ROOT_TOL:
             merged.append(r)
     return RootScan(roots=tuple(merged))
 

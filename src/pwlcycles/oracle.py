@@ -45,7 +45,9 @@ hopped chunk.  Rule 2, for legs that record no interior samples, settles
 an axis-stop chunk whose x changes sign away from the curve from a few
 rows around the change, which the phase of x_k = 2 Re(a v0 lam**k)
 places: the leg lands from them, or hops to the chunk's end when the
-change is no section return.  Callers that read only where an axis-stop
+change is no section return.  A boundary without an envelope, an
+unconfirmed change, a state exactly 0 and a change next to a chunk's
+first row take the full chunk.  Callers that read only where an axis-stop
 leg lands (the numerical displacement and the probe placement of the
 stability check) waive the crossing counters, so for them x alone
 decides, and the boundary is never evaluated.
@@ -85,14 +87,8 @@ from .cycles import StabilityClass, _stability_class
 # Time units propagated per chunk before the stop event is searched for.
 # A leg wastes at most one chunk past its event, and every chunk pays a
 # fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
-#
-# A chunk is built only where its end states leave room for an event (the
-# two rules in the module notes).  The premise: a chunk of n steps turns
-# the one-step eigenvalue by n*arg(lam), about _BLOCK_TIME radians and
-# below pi/2, so each coordinate
-# |lam|**k * cos(k*arg(lam) + phi) changes sign at most once in it.  A
-# coordinate with the same strict sign at both ends then keeps it
-# throughout.  Chunks that turn further than _MAX_HOP_TURN (very large
+# Rules 1 and 2 of the module notes need a chunk to turn the eigenvalue
+# by less than _MAX_HOP_TURN; chunks that turn further (very large
 # steps), and real spectra, are taken in full.
 _BLOCK_TIME = 0.5
 _MAX_HOP_TURN = 0.5 * math.pi
@@ -373,6 +369,16 @@ def _event_rate(system: PWLSystem, axis: bool, matrix: np.ndarray,
     return float(vel[0] - hp * vel[1]), vel
 
 
+def _forward_zone(system: PWLSystem, p: Point) -> Zone:
+    """Zone the forward orbit through p enters: the sign of the switching function g,
+    or within ``EVENT_TOL`` of the switching set that of dg/dt (0 goes right)."""
+    g = manifold_value(system, p)
+    if abs(g) <= EVENT_TOL:
+        matrix = zone_matrix(system.params, Zone.RIGHT if g >= 0.0 else Zone.LEFT)
+        g = _event_rate(system, False, matrix, np.array(p, dtype=float))[0]
+    return Zone.LEFT if g < 0.0 else Zone.RIGHT
+
+
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
               g_from: float, axis: bool) -> tuple[float, np.ndarray, float]:
     """Land on the event inside the substep (0, step] that brackets it.
@@ -449,25 +455,14 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
 
-    A chunk's states are built only where an event can be (the two rules
-    of the module notes), with the bits of building them all.  Rule 1 hops
-    a chunk whose x keeps its strict sign when y <= 0 at both ends, when
-    the crossings are not counted, or when the smaller end |x| exceeds the
-    boundary's ``envelope`` at the chunk's bound on |y| (log|x| is concave
-    while x keeps its sign); with a record_stride it builds only the rows
-    it records.  Rule 2, with record_stride 0 only, settles a section-stop
-    chunk whose x changes sign away from the curve from a few rows.  A
-    boundary without an envelope, an unconfirmed change, a state exactly 0
-    and a change next to the chunk's first row take the full chunk.
+    A chunk's states are built only where an event can be, by rules 1
+    and 2 of the module notes, with the bits of building them all.
     ``_count_crossings=False`` on a section-stop leg is for callers
     that read only the terminal state: the switching function is then never
     evaluated, more chunks are skipped, and both counters read -1.
     """
     _check_step(step)
-    if isinstance(direction, str):
-        direction = Direction(direction)
-    if isinstance(zone, str):
-        zone = Zone(zone)
+    direction, zone = Direction(direction), Zone(zone)
     x = np.array([start[0], start[1]], dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"non-finite start point {start!r}")
@@ -613,9 +608,7 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     if not (duration >= 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be finite and non-negative, got {duration!r}")
     matrix = zone_matrix(system.params, zone)
-    if isinstance(direction, str):
-        direction = Direction(direction)
-    if direction is Direction.BACKWARD:
+    if Direction(direction) is Direction.BACKWARD:
         matrix = -matrix
     n_full = int(duration / step)
     remainder = duration - n_full * step
@@ -683,7 +676,7 @@ def upper_to_lower(system: PWLSystem, y0: float, step: float = 1e-4) -> float:
     if not (math.isfinite(y0) and y0 > 0.0):
         raise DomainError(f"y0 must be positive, got {y0!r}")
     p = Point(0.0, y0)
-    if manifold_value(system, p) > EVENT_TOL:
+    if _forward_zone(system, p) is Zone.RIGHT:
         p = _leg(system, Zone.RIGHT, p, Direction.FORWARD, step, y0).terminal_point
     return _leg(system, Zone.LEFT, p, Direction.FORWARD, step, y0,
                 counted=False).terminal_point.y

@@ -18,12 +18,14 @@ import math
 
 import numpy as np
 
-from .core import DomainError, Point, PWLSystem, Zone, manifold_value, vector_field
+from . import analytic
+from .core import DomainError, Point, PWLSystem, Zone
 from .cycles import CycleReport, StabilityClass
 from .oracle import (
     Direction,
     TerminalEvent,
     TrajectorySegment,
+    _forward_zone,
     integrate_in_zone,
 )
 
@@ -46,22 +48,6 @@ SEMI_STABLE_DASH = "9,4,2,4"
 WINDOW_PAD = 1.3
 
 
-def _zone_at(system: PWLSystem, p: Point) -> Zone:
-    """Zone the forward orbit through p moves into (handles boundary points)."""
-    hv = manifold_value(system, p)
-    if hv > 1e-12:
-        return Zone.RIGHT
-    if hv < -1e-12:
-        return Zone.LEFT
-    vel = vector_field(system, p)
-    if p.y > 0.0:
-        grad = (1.0, -float(system.boundary.derivative(p.y)))
-    else:
-        grad = (1.0, 0.0)
-    dhdt = grad[0] * vel.x + grad[1] * vel.y
-    return Zone.LEFT if dhdt < 0.0 else Zone.RIGHT
-
-
 def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectorySegment]:
     """Forward orbit through ``seed`` for the given number of revolutions.
 
@@ -78,7 +64,7 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
     p = seed
     t0 = 0.0
     for _ in range(2 * turns + 4):
-        seg = integrate_in_zone(system, _zone_at(system, p), p, Direction.FORWARD, ORBIT_STEP,
+        seg = integrate_in_zone(system, _forward_zone(system, p), p, Direction.FORWARD, ORBIT_STEP,
                                 record_stride=ORBIT_RECORD_STRIDE)
         seg.times += t0  # each leg's clock starts at 0
         segments.append(seg)
@@ -94,21 +80,14 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
 def cycle_polyline(system: PWLSystem, report: CycleReport) -> np.ndarray:
     """Closed cycle curve from the exact flow, (CYCLE_SAMPLES_PER_TURN+1, 2), endpoint repeated.
 
-    Each sample has the bits of ``analytic.flow``: ``math`` gives the sines,
-    cosines and exponentials, and arrays only the flow's arithmetic, in its order.
+    Each half-turn is one ``analytic.flow`` call on an array of times.
     """
     half = CYCLE_SAMPLES_PER_TURN // 2
     ts = [math.pi * i / half for i in range(half)]
-    st = np.array([math.sin(t) for t in ts])
-    ct = np.array([math.cos(t) for t in ts])
-    g = system.params.gamma
     pts = np.empty((2 * half + 1, 2))
-    for zone, (x, y), rows in ((Zone.LEFT, (0.0, report.y_star), pts[:half]),
-                               (Zone.RIGHT, report.lower_crossing, pts[half:-1])):
-        s = zone.sign
-        e = np.array([math.exp(s * g * t) for t in ts])
-        rows[:, 0] = e * ((s * g * x - y) * st + x * ct)
-        rows[:, 1] = e * (((g * g + 1.0) * x - s * g * y) * st + y * ct)
+    for zone, start, rows in ((Zone.LEFT, Point(0.0, report.y_star), pts[:half]),
+                              (Zone.RIGHT, report.lower_crossing, pts[half:-1])):
+        rows[:, 0], rows[:, 1] = analytic.flow(zone, ts, start, system.params)
     pts[-1] = (0.0, report.y_star)
     return pts
 

@@ -42,6 +42,16 @@ class TestFlow:
             for x, y in rng.uniform(-2, 2, size=(32, 2)):
                 assert flow(zone, 0.0, Point(x, y), params075) == Point(x, y)
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_array_of_times_has_the_bits_of_each_float_time(self, params075, as_list):
+        ts = np.concatenate(([0.0, -0.0, math.pi, -math.pi, 1e-300, -2.5],
+                             np.random.default_rng(7).uniform(-20.0, 20.0, 64)))
+        for zone in Zone:
+            for p in (Point(0.3, -1.7), Point(-2.5, 0.0), Point(0.0, 1.25)):
+                got = flow(zone, ts.tolist() if as_list else ts, p, params075)
+                ref = np.array([flow(zone, t, p, params075) for t in ts.tolist()])
+                assert np.column_stack(got).tobytes() == ref.tobytes()
+
     def test_left_half_turn_from_axis(self, params075):
         # a left half-turn maps (0, y) to (0, -exp(-gamma*pi)*y)
         for y in (0.5, 1.0, 2.0):

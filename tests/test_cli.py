@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import pwlcycles
-from pwlcycles import Point, find_limit_cycles, oracle, portrait, render, sample_orbit
+from pwlcycles import (
+    Point, cycles, find_limit_cycles, hypotheses, oracle, portrait, render, sample_orbit)
 from pwlcycles.cli import main
 from pwlcycles.oracle import segments_to_csv
 
@@ -307,6 +308,7 @@ class TestUsageErrors:
 
 
 SINE_CFG = {"gamma": 0.75, "boundary": {"family": "sine", "params": {"n": 2}}, "range": [0.1, 4]}
+OSC_CFG = {"gamma": 1, "boundary": {"family": "oscillatory", "params": {"alpha": 0.3}}}
 OSC_CYCLES = ["cycles", "--gamma", "1", "--family", "oscillatory", "--alpha", "0.3"]
 PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--range", "0.1", "4"]
 
@@ -334,12 +336,17 @@ PORTRAIT = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2", "--ra
     (["verify"], {**SINE_CFG, "tol": None}),
     (["portrait"], {**SINE_CFG, "turns": None}),
     (["check"], {**SINE_CFG, "grid-points": None}),
+    (["cycles"], {**OSC_CFG, "kmax": 2.7}),
+    (["displacement"], {**SINE_CFG, "points": 3.9}),
+    (["displacement", "--points", "2"], {**SINE_CFG, "step": True}),
+    (["cycles"], {**SINE_CFG, "format": "xml"}),
 ], ids=["seed-one-number", "seed-not-numbers", "config-step-text", "table-short-sample",
         "table-samples-not-list", "params-not-object", "family-flag-boundary-not-object",
         "negative-points", "kmax-negative", "kmax-zero", "oscillatory-y-below-1-over-dbl-max",
         "portrait-turns-zero", "step-zero", "step-below-event-tol", "step-below-min-step",
         "config-step-null", "config-points-null", "config-tol-null", "config-turns-null",
-        "config-grid-points-null"])
+        "config-grid-points-null", "config-kmax-fraction", "config-points-fraction",
+        "config-step-bool", "config-format-unknown"])
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     argv = argv + ["--out", str(tmp_path / "out")]
     if cfg is not None:
@@ -350,3 +357,35 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, cfg):
     assert code == 1
     assert "error:" in err and "Traceback" not in err
     assert "np.float64" not in err
+
+
+def test_config_option_with_a_whole_float_value_is_accepted(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SINE_CFG, "points": 4.0, "step": 1e-3}))
+    code, out, err = run(capsys, ["displacement", "--config", str(path)])
+    assert code == 0, err
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 4
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "--points", "-1"], {}),
+    (["verify", "--kmax", "0"], {}),
+    (["portrait", "--turns", "0"], {}),
+    (["portrait", "--seed", "a,b"], {}),
+    (["portrait"], {"seeds": [[0, 1, 2]]}),
+    (["portrait"], {"turns": 1.5}),
+    (["portrait"], {"window": [0, 1]}),
+    (["cycles"], {"format": "xml"}),
+], ids=["verify-points-negative", "verify-kmax-zero", "portrait-turns-zero",
+        "portrait-seed-not-numbers", "portrait-seed-three-numbers", "portrait-turns-fraction",
+        "portrait-window-two-numbers", "cycles-format-unknown"])
+def test_options_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, cfg):
+    for module, name in ((cycles, "find_limit_cycles"), (hypotheses, "check_boundary_hypotheses"),
+                         (portrait, "sample_orbit"), (oracle, "return_map"),
+                         (oracle, "resolve_stability"), (oracle, "numeric_displacement")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work began"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SINE_CFG, **cfg}))
+    code, out, err = run(capsys, argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err

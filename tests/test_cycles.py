@@ -70,8 +70,6 @@ class TestFindRoots:
             find_roots(b, 0.0, 2.0)
         with pytest.raises(DomainError):
             find_roots(b, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            find_roots(b, 0.1, 2.0, scan_points=1)
 
 
 class TestClassify:

@@ -34,6 +34,7 @@ from pwlcycles import (
     return_map,
 )
 from pwlcycles import oracle as orc
+from pwlcycles.core import manifold_value
 from pwlcycles.oracle import (
     Direction,
     _plan,
@@ -320,6 +321,46 @@ class TestEventLanding:
                 assert all(alias.name != "analytic" for alias in node.names)
             elif isinstance(node, ast.Import):
                 assert all("analytic" not in alias.name for alias in node.names)
+
+
+class TestForwardZone:
+    """``_forward_zone``: the zone the forward orbit through a point enters."""
+
+    def test_lower_section_goes_right(self, sine_system):
+        for y in (-3.0, -1.0, -1e-9):
+            assert orc._forward_zone(sine_system, Point(0.0, y)) is Zone.RIGHT
+
+    def test_transversal_curve_point_goes_left(self, sine_system):
+        for y in (0.3, 1.0, 1.5, 2.5, 3.7):
+            h = float(sine_system.boundary.evaluate(y))
+            assert orc._forward_zone(sine_system, Point(h, y)) is Zone.LEFT
+
+    @pytest.mark.parametrize("h0", [0.0, 5e-13, -5e-13, orc.EVENT_TOL, -orc.EVENT_TOL])
+    def test_upper_axis_within_event_tol_goes_left(self, params075, monkeypatch, h0):
+        system = PWLSystem(params075, Boundary(evaluate=lambda y: h0 * y,
+                                               derivative=lambda y: h0 + 0.0 * y))
+        assert orc._forward_zone(system, Point(0.0, 1.0)) is Zone.LEFT
+        zones = []
+        integrate = orc.integrate_in_zone
+
+        def recording(system, zone, *args, **kwargs):
+            zones.append(zone)
+            return integrate(system, zone, *args, **kwargs)
+
+        monkeypatch.setattr(orc, "integrate_in_zone", recording)
+        upper_to_lower(system, 1.0, 1e-3)
+        assert zones == [Zone.LEFT]  # no right-zone leg first
+
+    def test_off_the_switching_set_the_sign_of_g_decides(self, sine_system):
+        rng = np.random.default_rng(17)
+        for x, y in rng.uniform(-3.0, 3.0, size=(256, 2)):
+            p = Point(float(x), float(y))
+            g = manifold_value(sine_system, p)
+            assert abs(g) > orc.EVENT_TOL
+            assert orc._forward_zone(sine_system, p) is (Zone.LEFT if g < 0.0 else Zone.RIGHT)
+
+    def test_zero_rate_goes_right(self, sine_system):
+        assert orc._forward_zone(sine_system, Point(0.0, 0.0)) is Zone.RIGHT
 
 
 class TestConvergenceOrder:
