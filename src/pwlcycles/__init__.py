@@ -59,6 +59,7 @@ from .cycles import (
     find_limit_cycles,
     find_roots,
     reports_for_roots,
+    verify,
 )
 from .oracle import (
     ReturnMapResult,

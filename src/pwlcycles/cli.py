@@ -15,18 +15,14 @@ digits in CSV so cross-run diffs are meaningful.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import analytic, cycles as cyc, families, hypotheses, oracle, portrait
+from . import cycles as cyc, families, hypotheses, oracle, portrait
 from .core import Point, PWLError, PWLSystem
-
-TWO_PI = analytic.TWO_PI
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,12 +117,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    """CSV of ``rows`` under ``header``, floats as .12g; no field holds a comma, quote or newline."""
+    lines = [",".join(header)]
+    lines += (",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _range(args, cfg: dict) -> tuple[float, float]:
@@ -174,20 +168,10 @@ def cmd_cycles(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> 
     return EXIT_OK
 
 
-def _displacement_rows(system: PWLSystem, ys, step: float):
-    rows = []
-    for y in ys:
-        y = float(y)
-        fa = analytic.displacement(y, system)
-        fn = oracle.numeric_displacement(system, y, step)
-        rows.append((y, fa, fn, abs(fa - fn)))
-    return rows
-
-
 def cmd_displacement(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
     points = _option(args, cfg, "points", 200, int, lambda n: n >= 0, "a non-negative integer")
     step = oracle._check_step(_option(args, cfg, "step", 1e-4))
-    rows = _displacement_rows(system, np.linspace(*rng, points), step)
+    rows = cyc.displacement_rows(system, np.linspace(*rng, points), step)
     _emit(_csv_text(("y", "f_analytic", "f_numeric", "abs_diff"), rows), args.out)
     return EXIT_OK
 
@@ -205,56 +189,20 @@ def cmd_verify(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> 
         return EXIT_HYPOTHESIS
 
     result = _analytic_cycles(system, rng, kmax, certify=False)
-    discrepancies: list[dict] = []
-    cycle_records: list[dict] = []
-    roots = [c.y_star for c in result.cycles]
-    for i, rep in enumerate(result.cycles):
-        rm = oracle.return_map(system, rep.lower_crossing.y, step)
-        fixed_err = abs(rm.y_out - rm.y_in)
-        flight_err = abs(rm.flight_time - TWO_PI)
-        eps = oracle.probe_eps(rep.y_star, roots[:i] + roots[i + 1:])
-        stab = oracle.resolve_stability(system, rep.y_star, eps=eps, step=step)
-        rec = {
-            "y_star": rep.y_star,
-            "classified": rep.stability.value,
-            "oracle": stab.value,
-            "fixed_point_error": fixed_err,
-            "flight_time_error": flight_err,
-            "sigma_crossings": rm.sigma_crossings,
-        }
-        cycle_records.append(rec)
-        if fixed_err > tol:
-            discrepancies.append({"kind": "fixed_point", **rec})
-        if flight_err > max(tol, 1e-6):
-            discrepancies.append({"kind": "flight_time", **rec})
-        if rm.sigma_crossings != 1:
-            discrepancies.append({"kind": "sigma_crossings", **rec})
-        if stab is not rep.stability:
-            discrepancies.append({"kind": "stability", **rec})
-
-    rows = _displacement_rows(system, np.linspace(*rng, points), step)
-    max_diff = max((r[3] for r in rows), default=0.0)
-    if max_diff > tol:
-        discrepancies.append({"kind": "displacement", "max_abs_diff": max_diff})
-
-    payload = {
-        "cycles": cycle_records,
-        "displacement_max_abs_diff": max_diff,
-        "discrepancies": discrepancies,
-        "passed": not discrepancies,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK if not discrepancies else EXIT_DISCREPANCY
+    report = cyc.verify(system, result.cycles, np.linspace(*rng, points), step, tol)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    return EXIT_OK if report["passed"] else EXIT_DISCREPANCY
 
 
 def cmd_portrait(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
     kmax = _kmax(args, cfg)
     window = _merged(args, cfg, "window")
-    window = None if window is None else _floats(window, 4, "window")
+    window = None if window is None else portrait._check_window(_floats(window, 4, "window"))
     given = args.seed or cfg.get("seeds", [])
     if not isinstance(given, list):
         raise families.ParameterError(f"seeds must be a list of X,Y pairs, got {given!r}")
-    seeds = [Point(*_floats(s.split(",") if isinstance(s, str) else s, 2, "seed")) for s in given]
+    seeds = [portrait._check_seed(Point(*_floats(s.split(",") if isinstance(s, str) else s, 2, "seed")))
+             for s in given]
     turns = _option(args, cfg, "turns", 3, int, lambda n: n >= 1, "a positive integer")
     result = _analytic_cycles(system, rng, kmax, certify=not args.no_certify)
     window = window or portrait.default_window(result.cycles)
@@ -339,10 +287,7 @@ def main(argv=None) -> int:
         if exc.report is not None:
             sys.stderr.write(json.dumps(exc.report.to_json(), indent=2) + "\n")
         return EXIT_HYPOTHESIS
-    except PWLError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PWLError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -65,6 +65,23 @@ class Zone(str, Enum):
         return 1.0 if self is Zone.RIGHT else -1.0
 
 
+class StabilityClass(str, Enum):
+    STABLE = "stable"
+    UNSTABLE = "unstable"
+    SEMI_STABLE_OUTER_STABLE = "semi_stable_outer_stable"
+    SEMI_STABLE_INNER_STABLE = "semi_stable_inner_stable"
+    UNDETERMINED = "undetermined"
+
+
+def _stability_class(interior_stable: bool, exterior_stable: bool) -> StabilityClass:
+    """Class of a cycle from whether orbits inside and outside it approach it."""
+    if interior_stable == exterior_stable:
+        return StabilityClass.STABLE if interior_stable else StabilityClass.UNSTABLE
+    if exterior_stable:
+        return StabilityClass.SEMI_STABLE_OUTER_STABLE
+    return StabilityClass.SEMI_STABLE_INNER_STABLE
+
+
 class Point(NamedTuple):
     x: float
     y: float

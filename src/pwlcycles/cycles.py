@@ -1,4 +1,4 @@
-"""Cycle location and stability classification.
+"""Cycle location, stability classification and cross-checks against the oracle.
 
 Periodic orbits correspond one-to-one to zeros of the boundary offset h
 on y > 0, so cycle finding reduces to scalar root finding on h plus a
@@ -17,13 +17,14 @@ periodic; that case is reported as a continuum, not as a root list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TWO_PI, displacement_f3_at_root
-from .core import Boundary, DomainError, HypothesisError, Point, PWLSystem, _boundary_values
+from . import oracle
+from .analytic import TWO_PI, displacement, displacement_f3_at_root
+from .core import (Boundary, DomainError, HypothesisError, Point, PWLSystem, StabilityClass,
+                   _boundary_values, _stability_class)
 from .hypotheses import HypothesisReport, check_boundary_hypotheses, geometric_grid
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -35,14 +36,6 @@ HYPERBOLIC_TOL = 1e-8
 PROBE_SHRINK = 0.25
 PROBE_START_REL = 1e-3
 PROBE_FLOOR_REL = 1e-12
-
-
-class StabilityClass(str, Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    SEMI_STABLE_OUTER_STABLE = "semi_stable_outer_stable"
-    SEMI_STABLE_INNER_STABLE = "semi_stable_inner_stable"
-    UNDETERMINED = "undetermined"
 
 
 CYCLE_CSV_HEADER = ("y_star", "lower_y", "period", "stability", "h_prime", "f3", "hyperbolic")
@@ -222,15 +215,6 @@ def _settled_sign(boundary: Boundary, y_star: float, side: float,
     return 0
 
 
-def _stability_class(interior_stable: bool, exterior_stable: bool) -> StabilityClass:
-    """Class of a cycle from whether orbits inside and outside it approach it."""
-    if interior_stable == exterior_stable:
-        return StabilityClass.STABLE if interior_stable else StabilityClass.UNSTABLE
-    if exterior_stable:
-        return StabilityClass.SEMI_STABLE_OUTER_STABLE
-    return StabilityClass.SEMI_STABLE_INNER_STABLE
-
-
 def classify(boundary: Boundary, y_star: float) -> StabilityClass:
     """Stability of the cycle through (0, y*) from the local behavior of h.
 
@@ -318,3 +302,47 @@ def find_limit_cycles(system: PWLSystem, y_min: float, y_max: float, *,
         origin=_origin_class(system, 0.5 * min(y_min, first)),
         hypothesis_report=report,
     )
+
+
+def displacement_rows(system: PWLSystem, ys, step: float) -> list[tuple]:
+    """(y, analytic f, oracle f at ``step``, |difference|) for each y in ``ys``."""
+    rows = []
+    for y in map(float, ys):
+        fa, fn = displacement(y, system), oracle.numeric_displacement(system, y, step)
+        rows.append((y, fa, fn, abs(fa - fn)))
+    return rows
+
+
+def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
+    """JSON-ready report of ``cycles`` and the displacement on ``ys`` checked by the oracle.
+
+    One record per failed check goes to "discrepancies"; "passed" is True when there are none.
+    """
+    discrepancies: list[dict] = []
+    records: list[dict] = []
+    roots = [c.y_star for c in cycles]
+    for i, rep in enumerate(cycles):
+        rm = oracle.return_map(system, rep.lower_crossing.y, step)
+        eps = oracle.probe_eps(rep.y_star, roots[:i] + roots[i + 1:])
+        stab = oracle.resolve_stability(system, rep.y_star, eps=eps, step=step)
+        rec = {
+            "y_star": rep.y_star,
+            "classified": rep.stability.value,
+            "oracle": stab.value,
+            "fixed_point_error": abs(rm.y_out - rm.y_in),
+            "flight_time_error": abs(rm.flight_time - TWO_PI),
+            "sigma_crossings": rm.sigma_crossings,
+        }
+        records.append(rec)
+        for kind, failed in (("fixed_point", rec["fixed_point_error"] > tol),
+                             ("flight_time", rec["flight_time_error"] > max(tol, 1e-6)),
+                             ("sigma_crossings", rm.sigma_crossings != 1),
+                             ("stability", stab is not rep.stability)):
+            if failed:
+                discrepancies.append({"kind": kind, **rec})
+
+    max_diff = max((r[3] for r in displacement_rows(system, ys, step)), default=0.0)
+    if max_diff > tol:
+        discrepancies.append({"kind": "displacement", "max_abs_diff": max_diff})
+    return {"cycles": records, "displacement_max_abs_diff": max_diff,
+            "discrepancies": discrepancies, "passed": not discrepancies}

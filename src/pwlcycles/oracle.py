@@ -75,14 +75,15 @@ from .core import (
     IntegrationError,
     Point,
     PWLSystem,
+    StabilityClass,
     SystemParams,
     TangencyError,
     Zone,
+    _stability_class,
     manifold_value,
     manifold_values,
     zone_matrix,
 )
-from .cycles import StabilityClass, _stability_class
 
 # Time units propagated per chunk before the stop event is searched for.
 # A leg wastes at most one chunk past its event, and every chunk pays a

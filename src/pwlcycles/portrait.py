@@ -48,6 +48,19 @@ SEMI_STABLE_DASH = "9,4,2,4"
 WINDOW_PAD = 1.3
 
 
+def _check_seed(seed: Point) -> Point:
+    if seed == (0.0, 0.0):
+        raise DomainError("seed must differ from the origin")
+    return seed
+
+
+def _check_window(window: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    x0, x1, y0, y1 = window
+    if not (x0 < x1 and y0 < y1):
+        raise DomainError(f"degenerate window {window!r}")
+    return window
+
+
 def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectorySegment]:
     """Forward orbit through ``seed`` for the given number of revolutions.
 
@@ -55,8 +68,7 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
     on a cycle) and visits the lower section once, so the orbit is
     followed leg by leg until a leg ends at or past turns * 2*pi.
     """
-    if seed == (0.0, 0.0):
-        raise DomainError("seed must differ from the origin")
+    _check_seed(seed)
     if turns < 1:
         raise DomainError("turns must be >= 1")
     horizon = turns * 2.0 * math.pi * (1.0 - 1e-9)
@@ -116,9 +128,7 @@ def render(system: PWLSystem, window: tuple[float, float, float, float],
     sampled, e.g. by ``sample_orbit``) and the given cycles over the view
     ``window`` = (x0, x1, y0, y1).
     """
-    x0, x1, y0, y1 = window
-    if not (x0 < x1 and y0 < y1):
-        raise DomainError(f"degenerate window {window!r}")
+    x0, x1, y0, y1 = _check_window(window)
     cv = _Canvas(window)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

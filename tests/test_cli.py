@@ -376,9 +376,12 @@ def test_config_option_with_a_whole_float_value_is_accepted(capsys, tmp_path):
     (["portrait"], {"turns": 1.5}),
     (["portrait"], {"window": [0, 1]}),
     (["cycles"], {"format": "xml"}),
+    (["portrait", "--seed", "0,0"], {}),
+    (["portrait", "--window", "1", "0", "-1", "1"], {}),
 ], ids=["verify-points-negative", "verify-kmax-zero", "portrait-turns-zero",
         "portrait-seed-not-numbers", "portrait-seed-three-numbers", "portrait-turns-fraction",
-        "portrait-window-two-numbers", "cycles-format-unknown"])
+        "portrait-window-two-numbers", "cycles-format-unknown", "portrait-seed-origin",
+        "portrait-window-degenerate"])
 def test_options_are_checked_before_any_work(capsys, tmp_path, monkeypatch, argv, cfg):
     for module, name in ((cycles, "find_limit_cycles"), (hypotheses, "check_boundary_hypotheses"),
                          (portrait, "sample_orbit"), (oracle, "return_map"),

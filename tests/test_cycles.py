@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,8 +19,11 @@ from pwlcycles import (
     make_sine,
     make_zero,
     oscillatory_root,
+    oracle,
     reports_for_roots,
+    verify,
 )
+from pwlcycles.cli import main
 from pwlcycles.cycles import CYCLE_CSV_HEADER, DEFAULT_SCAN_POINTS
 
 
@@ -192,3 +196,57 @@ class TestSerialization:
         for key in ("y_star", "upper_crossing", "lower_crossing", "period",
                     "stability", "h_prime", "f3", "hyperbolic"):
             assert key in payload["cycles"][0]
+
+
+class TestVerify:
+    """``verify``: each planted oracle fault yields exactly its own discrepancy kind."""
+
+    TOL = 1e-6
+    YS = np.linspace(0.1, 4.0, 5)
+
+    def _report(self, system):
+        cycles = find_limit_cycles(system, 0.1, 4.0).cycles
+        return verify(system, cycles, self.YS, step=1e-4, tol=self.TOL)
+
+    @pytest.mark.parametrize("kind, changes", [
+        ("fixed_point", lambda rm: {"y_out": rm.y_out + 10 * TestVerify.TOL}),
+        ("flight_time", lambda rm: {"flight_time": rm.flight_time + 10 * TestVerify.TOL}),
+        ("sigma_crossings", lambda rm: {"sigma_crossings": 2}),
+    ])
+    def test_return_map_fault_gives_its_own_kind(self, sine_system, monkeypatch, kind, changes):
+        turn = oracle.return_map
+
+        def faulty(*args, **kwargs):
+            rm = turn(*args, **kwargs)
+            return dataclasses.replace(rm, **changes(rm))
+
+        monkeypatch.setattr(oracle, "return_map", faulty)
+        report = self._report(sine_system)
+        assert report["passed"] is False
+        assert [d["kind"] for d in report["discrepancies"]] == [kind, kind]
+
+    def test_stability_fault_gives_its_own_kind(self, sine_system, monkeypatch):
+        monkeypatch.setattr(oracle, "resolve_stability",
+                            lambda *a, **k: StabilityClass.UNDETERMINED)
+        report = self._report(sine_system)
+        assert report["passed"] is False
+        assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]
+        assert {d["oracle"] for d in report["discrepancies"]} == {"undetermined"}
+
+    def test_displacement_fault_gives_its_own_kind(self, sine_system, monkeypatch):
+        numeric = oracle.numeric_displacement
+        monkeypatch.setattr(oracle, "numeric_displacement",
+                            lambda *a, **k: numeric(*a, **k) + 10 * self.TOL)
+        report = self._report(sine_system)
+        assert report["passed"] is False
+        assert report["discrepancies"] == [
+            {"kind": "displacement", "max_abs_diff": report["displacement_max_abs_diff"]}]
+        assert report["displacement_max_abs_diff"] > 9 * self.TOL
+
+    def test_report_is_the_cli_verify_file(self, sine_system, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                     "--range", "0.1", "4", "--out", str(out)]) == 0
+        cycles = find_limit_cycles(sine_system, 0.1, 4.0, certify=False).cycles
+        report = verify(sine_system, cycles, np.linspace(0.1, 4.0, 40), step=1e-4, tol=1e-6)
+        assert json.dumps(report, indent=2) + "\n" == out.read_text(encoding="utf-8")

@@ -322,6 +322,19 @@ class TestEventLanding:
             elif isinstance(node, ast.Import):
                 assert all("analytic" not in alias.name for alias in node.names)
 
+    def test_oracle_imports_only_core_from_the_package(self):
+        # the oracle must not reach the closed forms through cycles or any other module
+        tree = ast.parse(Path(orc.__file__).read_text(encoding="utf-8"))
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                package.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pwlcycles"):
+                package.add(node.module)
+            elif isinstance(node, ast.Import):
+                package.update(a.name for a in node.names if a.name.startswith("pwlcycles"))
+        assert package == {"core"}
+
 
 class TestForwardZone:
     """``_forward_zone``: the zone the forward orbit through a point enters."""
