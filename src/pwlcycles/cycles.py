@@ -23,8 +23,8 @@ import numpy as np
 
 from . import oracle
 from .analytic import TWO_PI, displacement, displacement_f3_at_root
-from .core import (Boundary, DomainError, HypothesisError, Point, PWLSystem, StabilityClass,
-                   _boundary_values, _stability_class)
+from .core import (Boundary, DomainError, HypothesisError, Point, PWLError, PWLSystem,
+                   StabilityClass, _boundary_values, _stability_class)
 from .hypotheses import HypothesisReport, check_boundary_hypotheses, geometric_grid
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -305,12 +305,22 @@ def find_limit_cycles(system: PWLSystem, y_min: float, y_max: float, *,
 
 
 def displacement_rows(system: PWLSystem, ys, step: float) -> list[tuple]:
-    """(y, analytic f, oracle f at ``step``, |difference|) for each y in ``ys``."""
-    rows = []
-    for y in map(float, ys):
-        fa, fn = displacement(y, system), oracle.numeric_displacement(system, y, step)
-        rows.append((y, fa, fn, abs(fa - fn)))
-    return rows
+    """(y, analytic f, oracle f at ``step``, |difference|) for each y in ``ys``.
+
+    The oracle takes the ys in one call, so its legs run in lockstep.  A
+    failure is that of the first y that fails, analytic before oracle.
+    """
+    ys, analytic, failure = [float(y) for y in ys], [], None
+    for y in ys:
+        try:
+            analytic.append(displacement(y, system))
+        except PWLError as exc:
+            failure = exc
+            break
+    numeric = oracle.numeric_displacement(system, np.array(ys[:len(analytic)]), step).tolist()
+    if failure is not None:
+        raise failure
+    return [(y, fa, fn, abs(fa - fn)) for y, fa, fn in zip(ys, analytic, numeric)]
 
 
 def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:

@@ -39,18 +39,31 @@ evaluating the boundary on them.  Rule 1 hops a chunk whose x has one
 strict sign at both ends (so no section crossing) when y <= 0 at both ends
 (so g = x) or when |x| stays above the boundary's ``envelope`` of |h|:
 where cos keeps its sign, log|rho**t cos(theta*t + phi)| is concave in t,
-so |x| inside the chunk is at least its smaller end value.  A leg that
-records samples (a portrait's orbit) builds only the rows it records of a
-hopped chunk.  Rule 2, for legs that record no interior samples, settles
-an axis-stop chunk whose x changes sign away from the curve from a few
-rows around the change, which the phase of x_k = 2 Re(a v0 lam**k)
-places: the leg lands from them, or hops to the chunk's end when the
-change is no section return.  A boundary without an envelope, an
-unconfirmed change, a state exactly 0 and a change next to a chunk's
-first row take the full chunk.  Callers that read only where an axis-stop
-leg lands (the numerical displacement and the probe placement of the
-stability check) waive the crossing counters, so for them x alone
-decides, and the boundary is never evaluated.
+so |x| inside the chunk is at least its smaller end value.  Where g = x
+and a chunk starts at x = 0 (a leg's start on the section), row 1 stands
+in for the start: g = 0 starts no crossing, and that 0 is the one sign
+change of x in the chunk.  Where x alone decides, a chunk with y > 0 at
+both ends has y > 0 in every state, so it holds no section return and
+hops whatever x does; ``_hop_mask`` holds the tests where x alone
+decides.  A leg that records samples (a portrait's orbit) builds only the
+rows it records of a hopped chunk.  Rule 2, for legs that record no
+interior samples, settles an axis-stop chunk whose x changes sign away
+from the curve from a few rows around the change, which the phase of
+x_k = 2 Re(a v0 lam**k) places: the leg lands from them, or hops to the
+chunk's end when the change is no section return.  A boundary without an
+envelope, an unconfirmed change, any other state exactly 0 and a change
+next to a chunk's first row take the full chunk.
+Callers that read only where an axis-stop leg lands (the numerical
+displacement, and the probe placement and the left-zone legs of the
+return-map turns of the stability check) waive the crossing counters, so
+for them x alone decides, and the boundary is never evaluated.
+
+``numeric_displacement`` runs the legs of all its ordinates in lockstep.
+The legs of one zone and direction share a plan and a step count, so each
+chunk's hop test (``_hop_mask``, as in ``integrate_in_zone``) is array
+arithmetic over every active leg.  A leg whose chunk does not hop takes
+the same per-leg code as in ``integrate_in_zone`` (``_Leg.settle``: rule
+2, the full chunk and the landing), so every leg keeps its bits.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -74,6 +87,7 @@ from .core import (
     DomainError,
     IntegrationError,
     Point,
+    PWLError,
     PWLSystem,
     StabilityClass,
     SystemParams,
@@ -265,9 +279,10 @@ def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: i
                  growth * abs(v[1]) * (1.0 + _HOP_SLACK))
 
 
-def _coefficient(plan: _Plan, x0: np.ndarray) -> complex:
-    """The coefficient a with x0 = 2 Re(a v)."""
-    return complex((x0[0] * plan.vc[1] - x0[1] * plan.vc[0]) / plan.den)
+def _coefficient(plan: _Plan, x0: np.ndarray):
+    """The coefficient a with x0 = 2 Re(a v); an (m, 2) array of states gives m of them."""
+    x, y = x0.T
+    return (x * plan.vc[1] - y * plan.vc[0]) / plan.den
 
 
 def _states(plan: _Plan, a: complex, lo: int, hi: int, stride: int = 1) -> np.ndarray:
@@ -277,7 +292,11 @@ def _states(plan: _Plan, a: complex, lo: int, hi: int, stride: int = 1) -> np.nd
     so a chunk's last state, a few rows inside it or only its recorded
     rows can be had alone.
     """
-    c = a * plan.powers[lo:hi:stride]
+    return _points(plan, a * plan.powers[lo:hi:stride])
+
+
+def _points(plan: _Plan, c: np.ndarray) -> np.ndarray:
+    """States 2 Re(c v) of the coefficients c, shape (len(c), 2)."""
     out = np.empty((len(c), 2))
     # v[0] is real, so the first column needs only the real part of c
     np.multiply(c.real, 2.0 * plan.v[0].real, out=out[:, 0])
@@ -302,11 +321,27 @@ def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _hop_mask(plan: _Plan, a, x: np.ndarray, end: np.ndarray):
+    """Whether a chunk hops where x alone decides the stop, leg by leg.
+
+    ``x`` and ``end`` are the start and end states of one leg's chunk,
+    shape (2,), or of m legs' chunks, shape (m, 2), and ``a`` the chunks'
+    coefficients; one leg gives one flag, m legs a mask.  A chunk hops
+    where x keeps its strict sign (rule 1), where it starts at x = 0 and
+    row 1 has the sign of its end, or where y > 0 at both ends, so that
+    it holds no section return.
+    """
+    x, end = x.T, end.T
+    row1 = (a * plan.powers[1]).real * (2.0 * plan.v[0].real)  # x of row 1, as _points
+    return ((x[0] * end[0] > 0.0) | ((x[0] == 0.0) & (row1 * end[0] > 0.0))
+            | ((x[1] > 0.0) & (end[1] > 0.0)))
+
+
 def _clear_of_curve(envelope, plan: _Plan, a: complex, x0: np.ndarray,
                     end: np.ndarray) -> bool:
-    """Whether a chunk whose x keeps its strict sign from x0 to end keeps
-    |x| above |h| in every state (rule 1 of ``integrate_in_zone``)."""
-    if envelope is None or 0.0 < x0[1] < _DBL_MIN:
+    """Whether a chunk's x keeps its strict sign from x0 to end and |x|
+    stays above |h| in every state (rule 1 where x alone does not decide)."""
+    if envelope is None or 0.0 < x0[1] < _DBL_MIN or not x0[0] * end[0] > 0.0:
         return False
     amp = abs(a)
     margin = (envelope(amp * plan.reach_y) * (1.0 + _HOP_SLACK)
@@ -432,6 +467,140 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     return tau, np.array(x_t), abs(g_t)
 
 
+def _steps_next(done: int, step: float, chunk: int) -> int:
+    """Steps in the next chunk of a leg that has taken ``done`` steps, 0 at ``MAX_TIME``."""
+    if MAX_TIME - done * step <= 0.5 * step:
+        return 0
+    return min(math.ceil((MAX_TIME - done * step) / step), chunk)
+
+
+def _hops(plan: _Plan, chunk: int) -> bool:
+    """Whether the legs of a plan may skip chunks by rules 1 and 2."""
+    return plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
+
+
+class _Leg:
+    """One leg between chunks: its state, steps taken, counters and records.
+
+    The constructor refuses a non-finite or tangent start.  ``settle``
+    takes a chunk that did not hop (rule 2, the full chunk and the
+    landing); ``integrate_in_zone`` and the lockstep legs of
+    ``_section_stops`` share it, as they share ``_hop_mask``.
+    """
+
+    def __init__(self, system: PWLSystem, plan: _Plan, start, step: float, axis: bool,
+                 forward: bool, stride: int, counted: bool):
+        x = np.array([start[0], start[1]], dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"non-finite start point {start!r}")
+        g0 = _event_value_scalar(system, axis, x)
+        if abs(g0) <= EVENT_TOL:
+            dgdt, vel = _event_rate(system, axis, plan.matrix, x)
+            speed = float(np.hypot(*vel))
+            if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
+                raise TangencyError(
+                    f"start {start!r} sits on the stop section with tangent velocity"
+                )
+        self.system, self.plan, self.step, self.axis = system, plan, step, axis
+        # A forward orbit crosses the section with x rising and the curve with
+        # x - h(y) falling; a backward leg meets the same crossings reversed.
+        self.sense = 1 if forward else -1
+        self.stride, self.counted = stride, counted or not axis
+        self.x = x
+        self.done = 0  # steps taken before the current chunk
+        self.rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
+        self.rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
+        self.sigma_count = self.section_count = 0
+        self.terminal = TerminalEvent.TIME_OUT
+        self.landing_error = 0.0
+        self.end_time = 0.0
+
+    def settle(self, n: int, a: complex | None, end: np.ndarray | None,
+               x_decides: bool) -> bool:
+        """Take an n-step chunk that did not hop; True once the leg stops.
+
+        ``a`` and ``end`` are the chunk's coefficient and end state where
+        the plan hops (None elsewhere), and ``x_decides`` whether x alone
+        decides the stop.
+        """
+        system, plan, x, step, axis = self.system, self.plan, self.x, self.step, self.axis
+        states = None
+        # Rule 2: x changes sign at most once; only a section return stops the leg.
+        if a is not None and not self.stride and axis and x_decides and x[0] * end[0] < 0.0:
+            bracket = _sign_change(plan, a, x, n)
+            if bracket is not None:
+                base, states = bracket
+                # the section mask of a built chunk: x crosses in the sense
+                # of the forward flow, with y < 0 on both rows
+                if not ((states[0, 0] < 0.0) == (self.sense > 0)
+                        and states[0, 1] < 0.0 and states[1, 1] < 0.0):
+                    self.x = end
+                    self.done += n
+                    return False
+                g_stop, hit = states[:, 0], 0
+        if states is None:
+            base = 0  # chunk row of states[0]
+            states = _propagate_states(plan, x, n)
+            first = self.done == 0
+            g_axis = states[:, 0]
+            y = states[:, 1]
+            # One crossing mask per kind; the exit mask is the counter of its kind.
+            section = _crossings(g_axis, self.sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
+            if self.counted:
+                g_man = manifold_values(system, states)
+                sigma = _crossings(g_man, -self.sense, first)
+            g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
+            hit = int(np.argmax(hits)) if hits.any() else None
+
+            if self.counted:
+                # Crossing diagnostics over the part of the chunk actually consumed.
+                upto = n if hit is None else hit
+                upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+                self.sigma_count += int(np.count_nonzero(upper[:upto]))
+                self.section_count += int(np.count_nonzero(section[:upto]))
+
+            if self.stride > 0:
+                idx = np.arange((-self.done) % self.stride, n if hit is None else hit + 1,
+                                self.stride)
+                self.rec_t.append((self.done + idx) * step)
+                self.rec_p.append(states[idx])
+
+            if hit is None:
+                self.x = states[-1]
+                self.done += n
+                return False
+        if g_stop[hit + 1] == 0.0:
+            tau, self.x = step, states[hit + 1]
+        else:
+            tau, self.x, residual = _localize(system, plan.matrix, states[hit], step,
+                                              float(g_stop[hit]), axis)
+            if residual > 0.0:
+                dgdt, vel = _event_rate(system, axis, plan.matrix, self.x)
+                self.landing_error = (residual * abs(float(vel[1])) / abs(dgdt) if dgdt
+                                      else math.inf)
+        self.end_time = (self.done + base + hit) * step + tau
+        if axis:
+            self.terminal = TerminalEvent.AXIS_CROSS
+            self.section_count += 1
+        else:
+            self.terminal = TerminalEvent.BOUNDARY_CROSS
+            self.sigma_count += 1
+        return True
+
+    def segment(self, zone: Zone) -> TrajectorySegment:
+        """The leg as it stands, stopped or timed out."""
+        if self.terminal is TerminalEvent.TIME_OUT:
+            self.end_time = self.done * self.step
+        counters = ((self.sigma_count, self.section_count) if self.counted else (-1, -1))
+        return TrajectorySegment(zone=zone,
+                                 times=np.concatenate(self.rec_t + [np.array([self.end_time])]),
+                                 points=np.concatenate(self.rec_p + [self.x[None, :]]),
+                                 terminal_event=self.terminal,
+                                 sigma_crossings=counters[0],
+                                 section_returns=counters[1],
+                                 landing_error=self.landing_error)
+
+
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
                       direction: Direction = Direction.FORWARD,
                       step: float = 1e-4,
@@ -464,136 +633,41 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     """
     _check_step(step)
     direction, zone = Direction(direction), Zone(zone)
-    x = np.array([start[0], start[1]], dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"non-finite start point {start!r}")
-
     forward = direction is Direction.FORWARD
     chunk = max(1, math.ceil(_BLOCK_TIME / step))
     plan = _plan(system.params, zone, forward, step, chunk)
-    matrix = plan.matrix
-    # A forward orbit crosses the section with x rising and the curve with
-    # x - h(y) falling; a backward leg meets the same crossings reversed.
     # Forward, the left zone is left through the section and the right zone
     # through the curve; backward, the other way round.
-    sense = 1 if forward else -1
     axis = (zone is Zone.LEFT) == forward
-
-    g0 = _event_value_scalar(system, axis, x)
-    if abs(g0) <= EVENT_TOL:
-        dgdt, vel = _event_rate(system, axis, matrix, x)
-        speed = float(np.hypot(*vel))
-        if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
-            raise TangencyError(
-                f"start {start!r} sits on the stop section with tangent velocity"
-            )
-
     stride = max(0, int(record_stride))
-    counted = _count_crossings or not axis
-    hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
-    rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
-    rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
-    sigma_count = 0
-    section_count = 0
-    done = 0  # steps taken before the current chunk
-    terminal = TerminalEvent.TIME_OUT
-    landing_error = 0.0
-
-    while MAX_TIME - done * step > 0.5 * step:
-        n = min(math.ceil((MAX_TIME - done * step) / step), chunk)
-        states = None
+    leg = _Leg(system, plan, start, step, axis, forward, stride, _count_crossings)
+    hop = _hops(plan, chunk)
+    while n := _steps_next(leg.done, step, chunk):
+        a = end = None
+        x_decides = False
         if hop:
-            a = _coefficient(plan, x)
+            x = leg.x
+            a = complex(_coefficient(plan, x))
             end = _states(plan, a, n, n + 1)[0]
             # y <= 0 at both ends, so g = x throughout, or only x is asked for.
-            x_decides = not counted or (x[1] <= 0.0 and end[1] <= 0.0)
-            # Rule 1: x keeps its strict sign, so there is no axis event, and
-            # where y > 0 it stays clear of the curve, so no curve event.
-            if x[0] * end[0] > 0.0 and (
-                    x_decides or _clear_of_curve(system.boundary.envelope, plan, a, x, end)):
+            x_decides = not leg.counted or (x[1] <= 0.0 and end[1] <= 0.0)
+            # Elsewhere rule 1 also needs x clear of the curve where y > 0.
+            if (_hop_mask(plan, a, x, end) if x_decides
+                    else _clear_of_curve(system.boundary.envelope, plan, a, x, end)):
                 if stride:
                     # the recorded rows alone; row 0 is the carried state
-                    first = (-done) % stride
+                    first = (-leg.done) % stride
                     rows = _states(plan, a, first, n, stride)
                     if first == 0:
                         rows[0] = x
-                    rec_t.append((done + np.arange(first, n, stride)) * step)
-                    rec_p.append(rows)
-                x = end
-                done += n
+                    leg.rec_t.append((leg.done + np.arange(first, n, stride)) * step)
+                    leg.rec_p.append(rows)
+                leg.x = end
+                leg.done += n
                 continue
-            # Rule 2: x changes sign once; only a section return stops the leg.
-            bracket = (_sign_change(plan, a, x, n)
-                       if not stride and axis and x_decides and x[0] * end[0] < 0.0 else None)
-            if bracket is not None:
-                base, states = bracket
-                # the section mask of a built chunk: x crosses in the sense
-                # of the forward flow, with y < 0 on both rows
-                if not ((states[0, 0] < 0.0) == (sense > 0)
-                        and states[0, 1] < 0.0 and states[1, 1] < 0.0):
-                    x = end
-                    done += n
-                    continue
-                g_stop, hit = states[:, 0], 0
-        if states is None:
-            base = 0  # chunk row of states[0]
-            states = _propagate_states(plan, x, n)
-            first = done == 0
-            g_axis = states[:, 0]
-            y = states[:, 1]
-            # One crossing mask per kind; the exit mask is the counter of its kind.
-            section = _crossings(g_axis, sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
-            if counted:
-                g_man = manifold_values(system, states)
-                sigma = _crossings(g_man, -sense, first)
-            g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
-            hit = int(np.argmax(hits)) if hits.any() else None
-
-            if counted:
-                # Crossing diagnostics over the part of the chunk actually consumed.
-                upto = n if hit is None else hit
-                upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-                sigma_count += int(np.count_nonzero(upper[:upto]))
-                section_count += int(np.count_nonzero(section[:upto]))
-
-            if stride > 0:
-                idx = np.arange((-done) % stride, n if hit is None else hit + 1, stride)
-                rec_t.append((done + idx) * step)
-                rec_p.append(states[idx])
-
-            if hit is None:
-                x = states[-1]
-                done += n
-                continue
-        if g_stop[hit + 1] == 0.0:
-            tau, x = step, states[hit + 1]
-        else:
-            tau, x, residual = _localize(system, matrix, states[hit], step,
-                                         float(g_stop[hit]), axis)
-            if residual > 0.0:
-                dgdt, vel = _event_rate(system, axis, matrix, x)
-                landing_error = residual * abs(float(vel[1])) / abs(dgdt) if dgdt else math.inf
-        end_time = (done + base + hit) * step + tau
-        if axis:
-            terminal = TerminalEvent.AXIS_CROSS
-            section_count += 1
-        else:
-            terminal = TerminalEvent.BOUNDARY_CROSS
-            sigma_count += 1
-        break
-
-    if terminal is TerminalEvent.TIME_OUT:
-        end_time = done * step
-    if not counted:
-        sigma_count = section_count = -1
-    rec_t.append(np.array([end_time]))
-    rec_p.append(x[None, :])
-    return TrajectorySegment(zone=zone, times=np.concatenate(rec_t),
-                             points=np.concatenate(rec_p),
-                             terminal_event=terminal,
-                             sigma_crossings=sigma_count,
-                             section_returns=section_count,
-                             landing_error=landing_error)
+        if leg.settle(n, a, end, x_decides):
+            break
+    return leg.segment(zone)
 
 
 def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float,
@@ -619,6 +693,12 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     return Point(float(x[0]), float(x[1]))
 
 
+def _time_out(direction: Direction, zone: Zone, origin_y: float) -> IntegrationError:
+    return IntegrationError(f"{direction.value} {zone.value}-zone leg of the orbit from "
+                            f"y={origin_y!r} did not leave its zone within "
+                            f"MAX_TIME={MAX_TIME!r}")
+
+
 def _leg(system: PWLSystem, zone: Zone, start: Point, direction: Direction, step: float,
          origin_y: float, counted: bool = True) -> TrajectorySegment:
     """An endpoints-only leg that must leave its zone within ``MAX_TIME``.
@@ -626,44 +706,126 @@ def _leg(system: PWLSystem, zone: Zone, start: Point, direction: Direction, step
     ``origin_y`` is the ordinate the caller's orbit started from; a
     time-out raises ``IntegrationError`` naming it.  ``counted=False``
     waives the crossing counters.  The leg runs through the module's
-    ``integrate_in_zone``, so a wrapper installed there sees every leg.
+    ``integrate_in_zone``, so a wrapper installed there sees every leg of
+    a return-map turn and of ``upper_to_lower``; the lockstep legs of
+    ``numeric_displacement`` do not pass through it.
     """
     leg = integrate_in_zone(system, zone, start, direction, step, record_stride=0,
                             _count_crossings=counted)
     if leg.terminal_event is TerminalEvent.TIME_OUT:
-        raise IntegrationError(f"{direction.value} {zone.value}-zone leg of the orbit from "
-                               f"y={origin_y!r} did not leave its zone within "
-                               f"MAX_TIME={MAX_TIME!r}")
+        raise _time_out(direction, zone, origin_y)
     return leg
 
 
-def numeric_displacement(system: PWLSystem, y: float, step: float = 1e-4) -> float:
+def _section_stops(system: PWLSystem, zone: Zone, direction: Direction, starts: list,
+                   step: float) -> tuple[list, dict]:
+    """Landing ordinates of endpoints-only section-stop legs run in lockstep.
+
+    Every leg starts at its own point of ``starts`` and has its counters
+    waived, so x alone decides and all of them share one plan and one
+    step count.  Each chunk's hop test (``_hop_mask``) is array arithmetic
+    over the active legs; a leg whose chunk does not hop goes through
+    ``_Leg.settle`` as in ``integrate_in_zone``, with the same bits.
+    Returns the landing ordinates (None for a failed leg) and the error of
+    each failed leg by its index: a start refused by ``_Leg`` or a time-out
+    naming the start's ordinate.
+    """
+    forward = direction is Direction.FORWARD
+    chunk = max(1, math.ceil(_BLOCK_TIME / step))
+    plan = _plan(system.params, zone, forward, step, chunk)
+    ends: list = [None] * len(starts)
+    errors: dict = {}
+    legs = []
+    for i, start in enumerate(starts):
+        try:
+            legs.append((i, _Leg(system, plan, start, step, True, forward, 0, False)))
+        except PWLError as exc:
+            errors[i] = exc
+    hop = _hops(plan, chunk)
+    x = np.array([leg.x for _, leg in legs]).reshape(-1, 2)
+    done = 0
+    while legs and (n := _steps_next(done, step, chunk)):
+        if hop:
+            a = _coefficient(plan, x)
+            end = _points(plan, a * plan.powers[n])
+            settle = np.flatnonzero(~_hop_mask(plan, a, x, end)).tolist()
+        else:
+            end = x.copy()
+            settle = range(len(legs))
+        stopped = []
+        for j in settle:
+            i, leg = legs[j]
+            leg.x, leg.done = x[j], done
+            if leg.settle(n, *((complex(a[j]), end[j]) if hop else (None, None)), True):
+                ends[i] = float(leg.x[1])
+                stopped.append(j)
+            else:
+                end[j] = leg.x
+        done += n
+        if stopped:
+            legs = [leg for j, leg in enumerate(legs) if j not in stopped]
+            end = np.delete(end, stopped, axis=0)
+        x = end
+    for i, _ in legs:
+        errors[i] = _time_out(direction, zone, starts[i][1])
+    return ends, errors
+
+
+def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
+                         step: float = 1e-4) -> float | np.ndarray:
     """Displacement at y measured purely by integration.
 
     Forward through the left zone from (h(y), y) to the lower section,
     backward through the right zone from the same point, difference of
-    landing ordinates.
+    landing ordinates.  ``y`` is a float or a 1-d array, which gives an
+    array; a float is a batch of one.  The legs run in lockstep
+    (``_section_stops``), each with the bits of its own
+    ``integrate_in_zone`` leg.  A failure raises the error of the first
+    failing y, as calls in order would: its ordinate check, then its
+    forward leg, then its backward leg.
     """
-    if not (math.isfinite(y) and y > 0.0):
-        raise DomainError(f"y must be a positive real, got {y!r}")
-    start = Point(float(system.boundary.evaluate(y)), y)
-    fwd = _leg(system, Zone.LEFT, start, Direction.FORWARD, step, y, counted=False)
-    bwd = _leg(system, Zone.RIGHT, start, Direction.BACKWARD, step, y, counted=False)
-    return fwd.terminal_point.y - bwd.terminal_point.y
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim > 1:
+        raise DomainError(f"y must be a float or a 1-d array, got shape {ys.shape}")
+    starts, refused = [], None
+    for v in np.atleast_1d(ys).tolist():
+        if not (math.isfinite(v) and v > 0.0):
+            refused = DomainError(f"y must be a positive real, got {v!r}")
+            break
+        starts.append(Point(float(system.boundary.evaluate(v)), v))
+    if starts:
+        _check_step(step)
+    fwd, fwd_err = _section_stops(system, Zone.LEFT, Direction.FORWARD, starts, step)
+    bwd, bwd_err = _section_stops(system, Zone.RIGHT, Direction.BACKWARD, starts, step)
+    for i in sorted(fwd_err.keys() | bwd_err.keys()):
+        raise fwd_err.get(i) or bwd_err[i]
+    if refused is not None:
+        raise refused
+    out = [f - b for f, b in zip(fwd, bwd)]
+    return out[0] if ys.ndim == 0 else np.array(out)
 
 
-def return_map(system: PWLSystem, y_in: float, step: float = 1e-4) -> ReturnMapResult:
-    """One forward turn of the Poincare map on the lower section {x=0, y<0}."""
+def return_map(system: PWLSystem, y_in: float, step: float = 1e-4, *,
+               _count_crossings: bool = True) -> ReturnMapResult:
+    """One forward turn of the Poincare map on the lower section {x=0, y<0}.
+
+    ``_count_crossings=False`` is for callers that read only ``y_out``,
+    ``flight_time`` and ``landing_error``: the left-zone leg back to the
+    section then runs uncounted, never evaluating the switching function,
+    and both counters read -1.
+    """
     if not (math.isfinite(y_in) and y_in < 0.0):
         raise DomainError(f"y_in must be negative, got {y_in!r}")
     leg1 = _leg(system, Zone.RIGHT, Point(0.0, y_in), Direction.FORWARD, step, y_in)
-    leg2 = _leg(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD, step, y_in)
+    leg2 = _leg(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD, step, y_in,
+                counted=_count_crossings)
+    counted = _count_crossings
     return ReturnMapResult(
         y_in=y_in,
         y_out=leg2.terminal_point.y,
         flight_time=leg1.terminal_time + leg2.terminal_time,
-        sigma_crossings=leg1.sigma_crossings + leg2.sigma_crossings,
-        section_returns=leg1.section_returns + leg2.section_returns,
+        sigma_crossings=leg1.sigma_crossings + leg2.sigma_crossings if counted else -1,
+        section_returns=leg1.section_returns + leg2.section_returns if counted else -1,
         landing_error=leg1.landing_error + leg2.landing_error,
     )
 
@@ -703,7 +865,9 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     that step from the same r.  The drift d = P(r) - r has the error bar
     |d(step) - d(2 step)| plus the turn's landing error at ``step``; the
     margin ratio is |d| / bar.  The inner probe approaches when d > 0, the
-    outer one when d < 0.
+    outer one when d < 0.  Only the turns' ``y_out`` and ``landing_error``
+    are read, so their left-zone legs run uncounted: x alone decides where
+    they land, with the bits of a counted turn.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
     starts exactly at (0, y_in), so it does not enter the bar.  A late or
@@ -714,8 +878,8 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     """
     sides = (-1.0, +1.0)
     y_ins = [upper_to_lower(system, y_star + side * eps, step) for side in sides]
-    fine = [return_map(system, y_in, step) for y_in in y_ins]
-    coarse = [return_map(system, y_in, 2.0 * step) for y_in in y_ins]
+    fine = [return_map(system, y_in, step, _count_crossings=False) for y_in in y_ins]
+    coarse = [return_map(system, y_in, 2.0 * step, _count_crossings=False) for y_in in y_ins]
     out = []
     for side, y_in, f, c in zip(sides, y_ins, fine, coarse):
         drift = y_in - f.y_out

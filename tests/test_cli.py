@@ -191,6 +191,22 @@ class TestVerify:
 
 
 class TestPortrait:
+    def test_calls_in_one_process_do_not_share_options(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each parse starts from its defaults
+        from pwlcycles import cli
+        seeds = []
+        monkeypatch.setattr(portrait, "sample_orbit",
+                            lambda system, seed, turns: seeds.append(seed) or [])
+        argv = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                "--range", "0.1", "4", "--out", str(tmp_path / "p.svg")]
+        for given, expected in ((["--seed", "0,2.2", "--seed", "0,0.4"],
+                                 [Point(0.0, 2.2), Point(0.0, 0.4)]),
+                                ([], []), (["--seed", "0,1.5"], [Point(0.0, 1.5)])):
+            seeds.clear()
+            assert main(argv + given) == 0
+            assert seeds == expected
+        assert cli._parser() is cli._parser()
+
     def test_writes_deterministic_svg(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         argv = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",

@@ -9,6 +9,7 @@ from pwlcycles import (
     Boundary,
     DomainError,
     HypothesisError,
+    IntegrationError,
     PWLSystem,
     StabilityClass,
     SystemParams,
@@ -24,7 +25,7 @@ from pwlcycles import (
     verify,
 )
 from pwlcycles.cli import main
-from pwlcycles.cycles import CYCLE_CSV_HEADER, DEFAULT_SCAN_POINTS
+from pwlcycles.cycles import CYCLE_CSV_HEADER, DEFAULT_SCAN_POINTS, displacement_rows
 
 
 class TestFindRoots:
@@ -242,6 +243,15 @@ class TestVerify:
         assert report["discrepancies"] == [
             {"kind": "displacement", "max_abs_diff": report["displacement_max_abs_diff"]}]
         assert report["displacement_max_abs_diff"] > 9 * self.TOL
+
+    def test_displacement_rows_raise_the_first_failure(self, sine_system, monkeypatch):
+        # as one y after the other would: y = 1 lands, so y = -1 fails the analytic check
+        with pytest.raises(DomainError, match="positive"):
+            displacement_rows(sine_system, [1.0, -1.0], 1e-3)
+        # with legs that time out, the oracle at y = 1 fails first
+        monkeypatch.setattr(oracle, "MAX_TIME", 1.0)
+        with pytest.raises(IntegrationError, match="y=1.0"):
+            displacement_rows(sine_system, [1.0, -1.0], 1e-3)
 
     def test_report_is_the_cli_verify_file(self, sine_system, tmp_path):
         out = tmp_path / "verify.json"

@@ -5,7 +5,8 @@ output file, and under ``"oracle_legs"`` one digest over a fixed set of
 seeded random ``integrate_in_zone`` legs.  A refactor that is meant to
 change no output bit has to keep every digest; a change that alters an
 output on purpose regenerates the file with ``python tests/test_golden.py``
-and says why in its change log.
+and says why in its change log.  The README's library example must print
+what its comment lines say.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pwlcycles import PWLError, Point, Zone, cli, families
 from pwlcycles import oracle as orc
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_readme.json")
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 SINE2 = ["--gamma", "0.75", "--family", "sine", "--n", "2", "--range", "0.1", "4"]
 
@@ -120,6 +122,15 @@ def test_readme_outputs_byte_identical(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     golden.pop("oracle_legs")
     assert readme_digests(tmp_path) == golden
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # the example's "# " lines are what it prints
+    block = README.read_text().split("## Library example", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_oracle_legs_bit_identical():

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import io
 import itertools
@@ -735,6 +736,94 @@ class TestChunkSkipping:
         assert seg.terminal_point == counted.terminal_point
 
 
+_EVENT_RATE = orc._event_rate
+
+
+def _tangent_rate(system, axis, matrix, x):
+    # a zero rate at the starts (h(y), y) of y = 1 and 2, as a tangent velocity would give
+    dgdt, vel = _EVENT_RATE(system, axis, matrix, x)
+    return (0.0, vel) if float(x[1]) in (1.0, 2.0) else (dgdt, vel)
+
+
+def _displacement_by_legs(system, y, step):
+    """numeric_displacement at a float y from one ``integrate_in_zone`` leg per direction."""
+    if not (math.isfinite(y) and y > 0.0):
+        raise DomainError(f"y must be a positive real, got {y!r}")
+    start = Point(float(system.boundary.evaluate(y)), y)
+    fwd = orc._leg(system, Zone.LEFT, start, Direction.FORWARD, step, y, counted=False)
+    bwd = orc._leg(system, Zone.RIGHT, start, Direction.BACKWARD, step, y, counted=False)
+    return fwd.terminal_point.y - bwd.terminal_point.y
+
+
+class TestLockstepDisplacement:
+    """``numeric_displacement`` on an array: legs in lockstep, with the bits of float calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
+           ys=st.lists(st.floats(0.05, 4.0) | st.sampled_from([1.0, 2.0, 0.0, -1.0, math.nan]),
+                       max_size=6),
+           step=st.floats(1e-4, 2e-3),
+           patch=st.sampled_from([None, ("_MAX_HOP_TURN", 0.0), ("_BLOCK_TIME", 6.0)]),
+           max_time=st.sampled_from([orc.MAX_TIME, 3.0, 3.2, 3.4]), tangent=st.booleans())
+    def test_array_equals_float_calls(self, family, ys, step, patch, max_time, tangent):
+        # A y <= 0 or NaN, a tangent start (at y = 1 or 2 on the sine and the
+        # table, whose h vanishes there) and a time-out (a short MAX_TIME)
+        # must raise the error of the first failing y, forward leg first.
+        system = SKIP_FAMILIES[family]()
+
+        def each(displacement):
+            out = []
+            for y in ys:
+                try:
+                    out.append(displacement(system, y, step))
+                except PWLError as exc:
+                    return type(exc), str(exc)
+            return np.array(out).tobytes()
+
+        def array():
+            try:
+                return numeric_displacement(system, np.array(ys), step).tobytes()
+            except PWLError as exc:
+                return type(exc), str(exc)
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(orc, "MAX_TIME", max_time))
+            if patch is not None:
+                stack.enter_context(mock.patch.object(orc, *patch))
+            if tangent:
+                stack.enter_context(mock.patch.object(orc, "_event_rate", _tangent_rate))
+            ref = each(_displacement_by_legs)
+            assert array() == ref
+            assert each(numeric_displacement) == ref
+
+    def test_float_gives_a_float_and_an_array_an_array(self, sine_system):
+        f = numeric_displacement(sine_system, 1.5)
+        assert type(f) is float
+        got = numeric_displacement(sine_system, np.array([1.5, 0.7]))
+        assert got.shape == (2,) and got[0] == f
+        assert numeric_displacement(sine_system, np.array([])).shape == (0,)
+        with pytest.raises(DomainError, match="1-d"):
+            numeric_displacement(sine_system, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_scan_legs_settle_only_to_land(self, name, monkeypatch):
+        # every other chunk of a scan leg hops in lockstep (y > 0 at both
+        # ends included); 40 more legs settled without that rule
+        system = VERIFY_SYSTEMS[name]()[0]
+        ys = np.linspace(0.05, 1.0, 40) if name == "oscillatory" else np.linspace(0.1, 4.0, 40)
+        settled = []
+        settle = orc._Leg.settle
+        monkeypatch.setattr(orc._Leg, "settle",
+                            lambda leg, *a: settled.append(leg) or settle(leg, *a))
+        numeric_displacement(system, ys)
+        assert len(settled) == 2 * len(ys)
+
+    def test_scan_runs_no_leg_through_integrate_in_zone(self, sine_system, monkeypatch):
+        monkeypatch.setattr(orc, "integrate_in_zone",
+                            lambda *a, **k: pytest.fail("a lockstep leg ran a whole leg"))
+        assert numeric_displacement(sine_system, np.linspace(0.1, 4.0, 40)).shape == (40,)
+
+
 class TestResolveStability:
     def test_sine_cycles(self, sine_system):
         assert resolve_stability(sine_system, 2.0, eps=0.05) is StabilityClass.STABLE
@@ -758,6 +847,29 @@ class TestResolveStability:
             assert resolve_stability(system, y_star, eps=eps) is cls
             for verdict, ratio in orc._side_verdicts(system, y_star, eps):
                 assert verdict is not None and ratio >= 1e3, (y_star, ratio)
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_side_verdicts_equal_counted_turns(self, name, monkeypatch):
+        # the turns' left legs run uncounted; counted turns give the same bits
+        system, roots, _ = VERIFY_SYSTEMS[name]()
+        probes = [(y_star, probe_eps(y_star, roots[:i] + roots[i + 1:]))
+                  for i, y_star in enumerate(roots)]
+
+        def bits():
+            return [[(verdict, ratio.hex()) for verdict, ratio in orc._side_verdicts(system, *p)]
+                    for p in probes]
+
+        got = bits()
+        turn = orc.return_map  # without the keyword, every leg of a turn is counted
+        monkeypatch.setattr(orc, "return_map",
+                            lambda *a, _count_crossings=False, **k: turn(*a, **k))
+        assert got == bits()
+
+    def test_readme_sine_stable_probes_build_at_most_13_chunks(self, sine_system, monkeypatch):
+        # the probes of y* = 2 built 26 chunks while the turns' left legs were counted
+        built = _chunks_built(monkeypatch)
+        orc._side_verdicts(sine_system, 2.0, probe_eps(2.0, [1.0]))
+        assert len(built) <= 13, built
 
     def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
         calls = []
