@@ -130,14 +130,19 @@ class Boundary:
 
     ``envelope``, when given, maps a float Y > 0 to a bound on |h(y)|, as
     ``evaluate`` computes it, over 0 < y <= Y, and never decreases in Y.
-    The oracle skips the states of a chunk whose |x| stays above it.  None
-    (the default for a user-built boundary) promises nothing.
+    The oracle skips the states of a chunk whose |x| stays above it.
+    ``slope_envelope`` bounds |h'(y)| over 0 < y <= Y in the same way; with
+    it the oracle bounds how far g = x - h(y) moves in one step and
+    certifies the sign of g between a few states of a chunk.  None (the
+    default for a user-built boundary) promises nothing, and the oracle
+    builds those chunks in full.
     """
 
     evaluate: Callable[[float], float]
     derivative: Callable[[float], float]
     descriptor: dict = field(default_factory=lambda: {"family": "custom", "params": {}})
     envelope: Callable[[float], float] | None = None
+    slope_envelope: Callable[[float], float] | None = None
 
 
 @dataclass(frozen=True)

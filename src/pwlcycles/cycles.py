@@ -174,15 +174,19 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float) -> RootScan:
     same_sign = (signs[interior - 1] == signs[interior]) & (signs[interior] == signs[interior + 1])
     local_min = (np.abs(hv[interior]) <= np.abs(hv[interior - 1])) & \
                 (np.abs(hv[interior]) <= np.abs(hv[interior + 1]))
-    for i in interior[same_sign & local_min & (signs[interior] != 0.0)]:
-        h0, h1, h2 = hv[i - 1], hv[i], hv[i + 1]
+    # a flat stretch of h (a constant tail) makes every sample a candidate, so
+    # the quadratic test runs on all at once and only those that pass are refined
+    cand = interior[same_sign & local_min & (signs[interior] != 0.0)]
+    if len(cand):
+        h0, h1, h2 = hv[cand - 1], hv[cand], hv[cand + 1]
         curv = h0 - 2.0 * h1 + h2
-        vertex = h1 - (h2 - h0) ** 2 / (8.0 * curv) if curv * h1 > 0.0 else h1
-        if min(abs(h1), abs(vertex)) > touch_tol:
-            continue
-        y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]), DEFAULT_ROOT_TOL)
-        if y_c is not None and abs(h_at(y_c)) <= touch_tol:
-            roots.append(y_c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.where(curv * h1 > 0.0, h1 - (h2 - h0) ** 2 / (8.0 * curv), h1)
+        for i in cand[np.minimum(np.abs(h1), np.abs(vertex)) <= touch_tol].tolist():
+            y_c = _refine_tangential(boundary, float(ys[i - 1]), float(ys[i + 1]),
+                                     DEFAULT_ROOT_TOL)
+            if y_c is not None and abs(h_at(y_c)) <= touch_tol:
+                roots.append(y_c)
 
     roots.sort()
     merged: list[float] = []

@@ -25,9 +25,10 @@ and m = numpy for an array, so a float skips numpy's ufuncs.  A table
 keeps its cubics in one coefficient array.  Each family also writes the
 ``envelope`` of |h| over (0, Y] in closed form:
 0, amp, 2*amp, alpha*Y**2, and for a table the running maximum of each
-piece's largest |cubic|.  Parameter ranges are enforced strictly at
-construction: each family's cycle inventory is only guaranteed inside its
-stated range.
+piece's largest |cubic|, and the ``slope_envelope`` of |h'| alike: 0,
+slope, slope, alpha*(2*Y + 1) and the same running maximum for h'.
+Parameter ranges are enforced strictly at construction: each family's cycle
+inventory is only guaranteed inside its stated range.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def make_zero() -> Boundary:
         return np.zeros_like(arr) if arr.ndim else 0.0
 
     return Boundary(evaluate=evaluate, derivative=evaluate,
-                    descriptor={"family": "zero", "params": {}}, envelope=lambda Y: 0.0)
+                    descriptor={"family": "zero", "params": {}}, envelope=lambda Y: 0.0,
+                    slope_envelope=lambda Y: 0.0)
 
 
 def make_sine(params: SystemParams, n: int) -> Boundary:
@@ -135,7 +137,7 @@ def make_sine(params: SystemParams, n: int) -> Boundary:
     derivative = _windowed(lambda y, m: slope * m.cos(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "sine", "params": {"n": n}},
-                    envelope=lambda Y: amp)
+                    envelope=lambda Y: amp, slope_envelope=lambda Y: slope)
 
 
 def make_oscillatory(alpha: float) -> Boundary:
@@ -155,7 +157,8 @@ def make_oscillatory(alpha: float) -> Boundary:
                            - a * m.cos(_recip(y, m)))
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "oscillatory", "params": {"alpha": a}},
-                    envelope=lambda Y: a * Y * Y)
+                    envelope=lambda Y: a * Y * Y,
+                    slope_envelope=lambda Y: a * (2.0 * Y + 1.0))
 
 
 def oscillatory_root(k: int) -> float:
@@ -189,7 +192,7 @@ def make_cosine(params: SystemParams, n: int) -> Boundary:
     derivative = _windowed(lambda y, m: slope * m.sin(m.pi * y), window, 0.0)
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "cosine", "params": {"n": n}},
-                    envelope=lambda Y: tail)
+                    envelope=lambda Y: tail, slope_envelope=lambda Y: slope)
 
 
 def _table_row(sample) -> tuple:
@@ -252,12 +255,46 @@ def _piecewise(ys, c):
     return fn
 
 
+def _running_bound(ys, c):
+    """Y -> a nondecreasing bound on |p| over (0, Y], for p the piecewise cubic
+    of ``c`` on the knots ``ys`` (h, or h' with c_3 = 0).  |p| on piece j
+    peaks at an end or where its cubic turns: in u = s/width the cubic is
+    sum_k C_k u**k, C_k = c_kj * width**k, taken at u = 0, 1 and the real
+    roots of its derivative in [0, 1].  Roundoff scales with sum_k |C_k|, so
+    1e-12 of that sum and the smallest normal double widen it.  A running
+    maximum bounds all of (0, Y]; past the last node the last piece's cubic
+    grows with Y.
+    """
+    w = np.diff(ys)
+    big = c * w ** np.arange(3.0, -1.0, -1.0)[:, None]  # rows C_3 .. C_0
+    # roots of 3 C_3 u**2 + 2 C_2 u + C_1, without cancellation, and with the
+    # C_k scaled by a power of two so that their squares cannot underflow
+    a3, a2, a1 = np.ldexp(big[:3], -np.frexp(np.abs(big[:3]).max(axis=0))[1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(a2 + np.copysign(np.sqrt(a2 * a2 - 3.0 * a3 * a1), a2))
+        turns = [q / (3.0 * a3), a1 / q]
+    u = np.clip(np.nan_to_num(np.array([np.zeros_like(w), np.ones_like(w), *turns])), 0.0, 1.0)
+    peak = np.abs(((big[0] * u + big[1]) * u + big[2]) * u + big[3]).max(axis=0)
+    piece = peak + 1e-12 * np.abs(big).sum(axis=0)
+    bounds = (np.maximum.accumulate(piece) + _DBL_MIN).tolist()
+    inner, last, base = ys[1:-1].tolist(), float(ys[-1]), float(ys[-2])
+    c3, c2, c1, c0 = (np.abs(c[:, -1]) * (1.0 + 1e-12)).tolist()
+
+    def bound(y):
+        if y <= last:
+            return bounds[bisect.bisect_left(inner, y)]
+        s = y - base
+        return max(bounds[-1], ((c3 * s + c2) * s + c1) * s + c0 + _DBL_MIN)
+
+    return bound
+
+
 def make_table(samples: Sequence[tuple]) -> Boundary:
     """C1 cubic boundary through (y, h, h') samples, starting at (0, 0, .).
 
     Slopes given as None get pchip's shape-preserving slopes (Fritsch &
     Carlson 1980; Fritsch & Butland 1984); given slopes are kept exactly.
-    h, h' and the envelope read one coefficient array ``c`` (4 x pieces,
+    h, h' and both envelopes read one coefficient array ``c`` (4 x pieces,
     built as scipy's CubicHermiteSpline builds it).  The cubic extrapolates
     beyond the last sample; the working range is the caller's business.
     """
@@ -285,38 +322,12 @@ def make_table(samples: Sequence[tuple]) -> Boundary:
     t = (ds[:-1] + ds[1:] - 2.0 * secant) / w
     c = np.stack((t / w, (secant - ds[:-1]) / w - t, ds[:-1], hs[:-1]))  # rows c_3 .. c_0
 
-    # |h| on piece j peaks at an end or where its cubic turns.  In u = s/width
-    # the cubic is sum_k C_k u**k, C_k = c_kj * width**k; its largest |value|
-    # at u = 0, 1 and the real roots of its derivative (clipped to [0, 1])
-    # bounds |h| there.  Roundoff scales with sum_k |C_k|, not with the max,
-    # so 1e-12 of that sum and the smallest normal double widen the bound.  A
-    # running maximum makes it a bound over all of (0, Y]; beyond the last
-    # node the last piece's cubic grows with Y.
-    big = c * w ** np.arange(3.0, -1.0, -1.0)[:, None]  # rows C_3 .. C_0
-    # roots of 3 C_3 u**2 + 2 C_2 u + C_1, without cancellation, and with the
-    # C_k scaled by a power of two so that their squares cannot underflow
-    a3, a2, a1 = np.ldexp(big[:3], -np.frexp(np.abs(big[:3]).max(axis=0))[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -(a2 + np.copysign(np.sqrt(a2 * a2 - 3.0 * a3 * a1), a2))
-        turns = [q / (3.0 * a3), a1 / q]
-    u = np.clip(np.nan_to_num(np.array([np.zeros_like(w), np.ones_like(w), *turns])), 0.0, 1.0)
-    peak = np.abs(((big[0] * u + big[1]) * u + big[2]) * u + big[3]).max(axis=0)
-    piece = peak + 1e-12 * np.abs(big).sum(axis=0)
-    bounds = (np.maximum.accumulate(piece) + _DBL_MIN).tolist()
-    inner, last, base = ys[1:-1].tolist(), float(ys[-1]), float(ys[-2])
-    c3, c2, c1, c0 = (np.abs(c[:, -1]) * (1.0 + 1e-12)).tolist()
-
-    def envelope(y):
-        if y <= last:
-            return bounds[bisect.bisect_left(inner, y)]
-        s = y - base
-        return max(bounds[-1], ((c3 * s + c2) * s + c1) * s + c0 + _DBL_MIN)
-
     stored = np.stack([ys, hs, ds], axis=1).tolist()
-    return Boundary(evaluate=_piecewise(ys, c),
-                    derivative=_piecewise(ys, c[:3] * np.array([[3.0], [2.0], [1.0]])),
+    slope = c[:3] * np.array([[3.0], [2.0], [1.0]])  # rows of h': 3 c_3, 2 c_2, c_1
+    return Boundary(evaluate=_piecewise(ys, c), derivative=_piecewise(ys, slope),
                     descriptor={"family": "table", "params": {"samples": stored}},
-                    envelope=envelope)
+                    envelope=_running_bound(ys, c),
+                    slope_envelope=_running_bound(ys, np.vstack([0.0 * w, slope])))
 
 
 def boundary_from_descriptor(descriptor: dict, params: SystemParams) -> Boundary:

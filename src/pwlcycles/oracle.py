@@ -34,8 +34,8 @@ time units stops with ``TIME_OUT``.
 A leg builds a chunk's states only where an event can be.  It first
 computes the chunk's end state alone, with the bits the full chunk would
 give.  A chunk turns the eigenvalue by less than pi/2, so x and y each
-change sign at most once inside it, and two rules skip states without
-evaluating the boundary on them.  Rule 1 hops a chunk whose x has one
+change sign at most once inside it, and three rules skip states without
+evaluating the boundary on all of them.  Rule 1 hops a chunk whose x has one
 strict sign at both ends (so no section crossing) when y <= 0 at both ends
 (so g = x) or when |x| stays above the boundary's ``envelope`` of |h|:
 where cos keeps its sign, log|rho**t cos(theta*t + phi)| is concave in t,
@@ -52,7 +52,16 @@ from the curve from a few rows around the change, which the phase of
 x_k = 2 Re(a v0 lam**k) places: the leg lands from them, or hops to the
 chunk's end when the change is no section return.  A boundary without an
 envelope, an unconfirmed change, any other state exactly 0 and a change
-next to a chunk's first row take the full chunk.
+next to a chunk's first row take the full chunk, or rule 3 where it holds.
+Rule 3, for counted legs that record no interior samples, evaluates
+g = x - h(y) on rows about sqrt(n) apart in a chunk of n steps.  A step
+moves g by at most L = |lam - 1|*|a|*(reach_x + slope*reach_y), ``slope``
+the boundary's ``slope_envelope`` of |h'|, so where rows i < j have g of
+one strict sign and |g_i| + |g_j| > (j - i)*L + 4*delta, delta far above
+g's roundoff as in rule 1, every row between has it too (Piyavskii 1972,
+Shubert 1972).  Only runs of rows not so certified are built, each masked
+as the full chunk is.  A boundary without both envelopes and a start at
+0 < y < ``_DBL_MIN`` take the full chunk.
 Callers that read only where an axis-stop leg lands (the numerical
 displacement, and the probe placement and the left-zone legs of the
 return-map turns of the stability check) waive the crossing counters, so
@@ -60,10 +69,11 @@ for them x alone decides, and the boundary is never evaluated.
 
 ``numeric_displacement`` runs the legs of all its ordinates in lockstep.
 The legs of one zone and direction share a plan and a step count, so each
-chunk's hop test (``_hop_mask``, as in ``integrate_in_zone``) is array
-arithmetic over every active leg.  A leg whose chunk does not hop takes
-the same per-leg code as in ``integrate_in_zone`` (``_Leg.settle``: rule
-2, the full chunk and the landing), so every leg keeps its bits.
+chunk's hop test (``_hop_mask``) and rule 2 (``_sign_changes``) are array
+arithmetic over every active leg, and the legs rule 2 brackets land together
+after the last chunk (``_land_on_axis``), with the float operations of the
+per-leg forms in the same order; a chunk rule 2 does not confirm takes the
+per-leg code (``_Leg.settle``).  So every leg keeps its bits.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -232,9 +242,9 @@ class _Plan:
     ``vc``, the denominator ``den`` that solves x0 = 2 Re(a v) for the
     coefficient a, and ``powers`` = lam**k for k = 0..chunk.  ``reach_x``
     and ``reach_y`` times |a| bound |x| and |y| over a chunk, the latter
-    widened by ``_HOP_SLACK``.  When the spectrum is real ``powers`` is None
-    and the leg steps plainly.  A plan is shared, so its arrays are
-    read-only.
+    widened by ``_HOP_SLACK``, and times ``move`` = |lam - 1| their change
+    in a step.  A real spectrum leaves ``powers`` None, and the leg steps
+    plainly.  A plan is shared, so its arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -246,14 +256,16 @@ class _Plan:
     den: complex = 0j
     reach_x: float = 0.0
     reach_y: float = 0.0
+    move: float = 0.0
 
 
 # Every leg of one zone, direction and step shares its plan.  A verify job
 # runs five kinds of leg (forward in either zone and backward in the right
-# zone at its step, forward in either zone at twice it); eight plans hold
-# them.  A table holds 80 KB at step 1e-4 and at most 0.8 MB at MIN_STEP.
-# The chunk length is an argument, not read here, so it follows _BLOCK_TIME.
-@functools.lru_cache(maxsize=8)
+# zone at its step, forward in either zone at twice it); the benchmark's four
+# verify systems (three rates) use 15 in turn, and 32 leave room to spare.  A
+# table holds 80 KB at step 1e-4 and at most 0.8 MB at MIN_STEP.  The chunk
+# length is an argument, not read here, so it follows _BLOCK_TIME.
+@functools.lru_cache(maxsize=32)
 def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: int) -> _Plan:
     matrix = zone_matrix(params, zone)
     if not forward:
@@ -276,7 +288,7 @@ def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: i
     growth = 2.0 * max(1.0, abs(lam) ** chunk)
     return _Plan(matrix, transfer, powers, math.atan2(lam.imag, lam.real), v, vc,
                  v[0] * vc[1] - v[1] * vc[0], growth * abs(v[0]),
-                 growth * abs(v[1]) * (1.0 + _HOP_SLACK))
+                 growth * abs(v[1]) * (1.0 + _HOP_SLACK), abs(lam - 1.0))
 
 
 def _coefficient(plan: _Plan, x0: np.ndarray):
@@ -374,6 +386,32 @@ def _sign_change(plan: _Plan, a: complex, x0: np.ndarray, n: int):
     return lo + j, rows[j:j + 2]
 
 
+def _sign_changes(plan: _Plan, a: np.ndarray, x0: np.ndarray, n: int):
+    """``_sign_change`` of m chunks at once, for coefficients ``a`` (m,) and
+    starts ``x0`` (m, 2): a mask of the confirmed changes, and the states
+    k and k+1 of each, shape (m, 2, 2).  Rows k-2..k+3 are clipped to 1..n,
+    where a repeated row adds no change.  One chunk takes three to six times
+    as long as in ``_sign_change``, which the per-leg callers keep."""
+    k = (((0.5 * math.pi - np.arctan2(a.imag, a.real)) % math.pi) / plan.turn).astype(int)
+    ks = np.minimum(np.maximum(k[:, None] + np.arange(-2, 4), 1), n)
+    rows = _points(plan, (a[:, None] * plan.powers[ks]).ravel())
+    xs = rows[:, 0].reshape(-1, 6)
+    neg = xs < 0.0
+    flips = neg[:, 1:] != neg[:, :-1]
+    ok = ((np.abs(a) * plan.reach_x > _HOP_FLOOR) & (np.count_nonzero(flips, axis=1) == 1)
+          & (np.minimum(k + 4, n + 1) - np.maximum(k - 2, 1) >= 2)
+          & (neg[:, 0] == (x0[:, 0] < 0.0)) & xs.all(axis=1))
+    j = 6 * np.arange(len(a)) + flips.argmax(axis=1)
+    return ok, np.stack((rows[j], rows[j + 1]), axis=1)
+
+
+def _section_return(pairs: np.ndarray, sense: int):
+    """The section mask of a built chunk over state pairs (..., 2, 2): x crosses
+    in the sense of the forward flow, with y < 0 on both states."""
+    return (((pairs[..., 0, 0] < 0.0) == (sense > 0)) & (pairs[..., 0, 1] < 0.0)
+            & (pairs[..., 1, 1] < 0.0))
+
+
 def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
     if axis:
         return float(x[0])
@@ -415,6 +453,25 @@ def _forward_zone(system: PWLSystem, p: Point) -> Zone:
     return Zone.LEFT if g < 0.0 else Zone.RIGHT
 
 
+def _quartic(matrix: np.ndarray, x, y) -> list:
+    """The coefficients c_k = A**k (x, y) / k!, k = 0..4, of the RK4 state x(tau) on a
+    substep, as (x, y) pairs of floats, or of m-arrays that hold the same bits."""
+    (a00, a01), (a10, a11) = matrix.tolist()
+    c = [(x, y)]
+    for k in (1.0, 2.0, 3.0, 4.0):
+        px, py = c[-1]
+        c.append(((a00 * px + a01 * py) / k, (a10 * px + a11 * py) / k))
+    return c
+
+
+def _horner(c, tau):
+    """sum_k c[k] tau**k by Horner's rule, for c[k] floats or arrays."""
+    x = c[4]
+    for k in (3, 2, 1, 0):
+        x = x * tau + c[k]
+    return x
+
+
 def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: float,
               g_from: float, axis: bool) -> tuple[float, np.ndarray, float]:
     """Land on the event inside the substep (0, step] that brackets it.
@@ -426,19 +483,10 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     until |g| <= EVENT_TOL or _MAX_BISECT iterations.  Returns tau, the
     landed state and the residual |g| reached there.
     """
-    (a00, a01), (a10, a11) = matrix.tolist()
-    cx, cy = [float(x_from[0])], [float(x_from[1])]
-    for k in (1.0, 2.0, 3.0, 4.0):
-        px, py = cx[-1], cy[-1]
-        cx.append((a00 * px + a01 * py) / k)
-        cy.append((a10 * px + a11 * py) / k)
+    cx, cy = zip(*_quartic(matrix, float(x_from[0]), float(x_from[1])))
 
     def state(tau: float) -> tuple[float, float]:
-        x, y = cx[4], cy[4]
-        for k in (3, 2, 1, 0):
-            x = x * tau + cx[k]
-            y = y * tau + cy[k]
-        return x, y
+        return _horner(cx, tau), _horner(cy, tau)
 
     lo, g_lo = 0.0, g_from
     hi = tau = step
@@ -467,6 +515,35 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     return tau, np.array(x_t), abs(g_t)
 
 
+def _land_on_axis(matrix: np.ndarray, x_from: np.ndarray, step: float) -> np.ndarray:
+    """The states ``_localize`` lands on x = 0 from m states x_from, shape (m, 2):
+    its axis case as arrays, the same float operations in the same order for
+    each state, which leaves the iteration where ``_localize`` breaks."""
+    c = np.array(_quartic(matrix, x_from[:, 0], x_from[:, 1]))  # (5, 2, m)
+    taus, idx, cx, g_lo = np.empty(len(x_from)), np.arange(len(x_from)), c[:, 0], x_from[:, 0]
+    lo, side, tau = np.zeros(len(idx)), np.zeros(len(idx)), np.full(len(idx), step)
+    hi = tau
+    g_t = g_hi = _horner(cx, tau)
+    for _ in range(_MAX_BISECT):
+        stop = (np.abs(g_t) <= EVENT_TOL) | ((g_hi < 0.0) == (g_lo < 0.0))
+        if stop.any():
+            taus[idx[stop]] = tau[stop]
+            if stop.all():
+                break
+            idx, cx, lo, g_lo, hi, g_hi, side = (v[..., ~stop] for v in (idx, cx, lo, g_lo,
+                                                                          hi, g_hi, side))
+        tau = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        tau = np.where((lo < tau) & (tau < hi), tau, 0.5 * (lo + hi))
+        g_t = _horner(cx, tau)
+        same = (g_t < 0.0) == (g_hi < 0.0)
+        g_lo, g_hi = (np.where(same, g_lo * np.where(side > 0.0, 0.5, 1.0), g_t),
+                      np.where(same, g_t, g_hi * np.where(side < 0.0, 0.5, 1.0)))
+        lo, hi = np.where(same, lo, tau), np.where(same, tau, hi)
+        side = np.where(same, 1.0, -1.0)
+    taus[idx] = tau  # the taus of the last iteration, or again those of the last stops
+    return _horner(c, taus).T
+
+
 def _steps_next(done: int, step: float, chunk: int) -> int:
     """Steps in the next chunk of a leg that has taken ``done`` steps, 0 at ``MAX_TIME``."""
     if MAX_TIME - done * step <= 0.5 * step:
@@ -483,7 +560,7 @@ class _Leg:
     """One leg between chunks: its state, steps taken, counters and records.
 
     The constructor refuses a non-finite or tangent start.  ``settle``
-    takes a chunk that did not hop (rule 2, the full chunk and the
+    takes a chunk that did not hop (rules 2 and 3, the full chunk and the
     landing); ``integrate_in_zone`` and the lockstep legs of
     ``_section_stops`` share it, as they share ``_hop_mask``.
     """
@@ -530,43 +607,31 @@ class _Leg:
             bracket = _sign_change(plan, a, x, n)
             if bracket is not None:
                 base, states = bracket
-                # the section mask of a built chunk: x crosses in the sense
-                # of the forward flow, with y < 0 on both rows
-                if not ((states[0, 0] < 0.0) == (self.sense > 0)
-                        and states[0, 1] < 0.0 and states[1, 1] < 0.0):
+                if not _section_return(states, self.sense):
                     self.x = end
                     self.done += n
                     return False
                 g_stop, hit = states[:, 0], 0
         if states is None:
-            base = 0  # chunk row of states[0]
-            states = _propagate_states(plan, x, n)
-            first = self.done == 0
-            g_axis = states[:, 0]
-            y = states[:, 1]
-            # One crossing mask per kind; the exit mask is the counter of its kind.
-            section = _crossings(g_axis, self.sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
-            if self.counted:
-                g_man = manifold_values(system, states)
-                sigma = _crossings(g_man, -self.sense, first)
-            g_stop, hits = (g_axis, section) if axis else (g_man, sigma)
-            hit = int(np.argmax(hits)) if hits.any() else None
-
-            if self.counted:
-                # Crossing diagnostics over the part of the chunk actually consumed.
-                upto = n if hit is None else hit
-                upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-                self.sigma_count += int(np.count_nonzero(upper[:upto]))
-                self.section_count += int(np.count_nonzero(section[:upto]))
-
-            if self.stride > 0:
+            runs = [(0, n)]
+            # Rule 3: a counted leg builds only the rows where g may change sign.
+            if (a is not None and not self.stride and self.counted and not 0.0 < x[1] < _DBL_MIN
+                    and None not in (system.boundary.envelope, system.boundary.slope_envelope)):
+                runs = self._uncertified(n, a)
+            hit = None
+            for base, last in runs:
+                states = (_propagate_states(plan, x, last) if base == 0
+                          else _states(plan, a, base, last + 1))
+                hit, g_stop = self._mask(states, self.done == 0 and base == 0)
+                if hit is not None:
+                    break
+            if self.stride > 0:  # a recording leg builds its chunks in full
                 idx = np.arange((-self.done) % self.stride, n if hit is None else hit + 1,
                                 self.stride)
                 self.rec_t.append((self.done + idx) * step)
                 self.rec_p.append(states[idx])
-
             if hit is None:
-                self.x = states[-1]
+                self.x = states[-1] if end is None else end
                 self.done += n
                 return False
         if g_stop[hit + 1] == 0.0:
@@ -586,6 +651,46 @@ class _Leg:
             self.terminal = TerminalEvent.BOUNDARY_CROSS
             self.sigma_count += 1
         return True
+
+    def _mask(self, states: np.ndarray, first: bool):
+        """(stop pair or None, event values) of consecutive chunk rows, counting the
+        crossings before the stop; ``first``: the rows start the leg (residue rule)."""
+        g_axis, y = states.T
+        # One crossing mask per kind; the exit mask is the counter of its kind.
+        section = _crossings(g_axis, self.sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
+        if self.counted:
+            g_man = manifold_values(self.system, states)
+            sigma = _crossings(g_man, -self.sense, first)
+        g_stop, hits = (g_axis, section) if self.axis else (g_man, sigma)
+        hit = int(np.argmax(hits)) if hits.any() else None
+        if self.counted:
+            upto = len(hits) if hit is None else hit
+            upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
+            self.sigma_count += int(np.count_nonzero(upper[:upto]))
+            self.section_count += int(np.count_nonzero(section[:upto]))
+        return hit, g_stop
+
+    def _uncertified(self, n: int, a: complex) -> list:
+        """Rule 3: the runs (first, last) of chunk rows outside which g keeps
+        its strict sign between rows sampled about every sqrt(n)."""
+        plan, boundary = self.plan, self.system.boundary
+        ks = np.minimum(np.arange(0, n + math.isqrt(n), math.isqrt(n)), n)
+        rows = _points(plan, a * plan.powers[ks])
+        rows[0] = self.x
+        g = manifold_values(self.system, rows)
+        top = abs(a) * plan.reach_y
+        reach = abs(a) * (plan.reach_x + boundary.slope_envelope(top) * plan.reach_y)
+        slack = 4.0 * (_HOP_SLACK * (reach + boundary.envelope(top)) + _HOP_FLOOR)
+        # |g_i| + |g_j| = |g_i + g_j| where the two have one strict sign
+        sure = (g[:-1] * g[1:] > 0.0) & (np.abs(g[:-1] + g[1:])
+                                         > np.diff(ks) * (plan.move * reach) + slack)
+        ks, runs = ks.tolist(), []
+        for i in np.flatnonzero(~sure).tolist():
+            if runs and runs[-1][1] == ks[i]:
+                runs[-1][1] = ks[i + 1]
+            else:
+                runs.append([ks[i], ks[i + 1]])
+        return runs
 
     def segment(self, zone: Zone) -> TrajectorySegment:
         """The leg as it stands, stopped or timed out."""
@@ -626,7 +731,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     residual |g| the landing reached (0 for an exact hit or a time-out).
 
     A chunk's states are built only where an event can be, by rules 1
-    and 2 of the module notes, with the bits of building them all.
+    to 3 of the module notes, with the bits of building them all.
     ``_count_crossings=False`` on a section-stop leg is for callers
     that read only the terminal state: the switching function is then never
     evaluated, more chunks are skipped, and both counters read -1.
@@ -723,51 +828,72 @@ def _section_stops(system: PWLSystem, zone: Zone, direction: Direction, starts: 
 
     Every leg starts at its own point of ``starts`` and has its counters
     waived, so x alone decides and all of them share one plan and one
-    step count.  Each chunk's hop test (``_hop_mask``) is array arithmetic
-    over the active legs; a leg whose chunk does not hop goes through
-    ``_Leg.settle`` as in ``integrate_in_zone``, with the same bits.
-    Returns the landing ordinates (None for a failed leg) and the error of
-    each failed leg by its index: a start refused by ``_Leg`` or a time-out
-    naming the start's ordinate.
+    step count.  Each chunk's hop test and rule 2 are array arithmetic over
+    the active legs, and the legs rule 2 brackets land together at the end
+    (``_land_on_axis``); a chunk rule 2 does not confirm goes through
+    ``_Leg.settle`` as in ``integrate_in_zone``.  Either way a leg keeps its
+    bits.  Returns the landing ordinates (None for a failed leg) and the
+    error of each failed leg by its index: a start refused by ``_Leg`` or a
+    time-out naming the start's ordinate.
     """
     forward = direction is Direction.FORWARD
     chunk = max(1, math.ceil(_BLOCK_TIME / step))
     plan = _plan(system.params, zone, forward, step, chunk)
     ends: list = [None] * len(starts)
     errors: dict = {}
-    legs = []
+
+    def leg(i: int) -> _Leg:  # for a start near the section, or a chunk settled alone
+        return _Leg(system, plan, starts[i], step, True, forward, 0, False)
+
+    live = []  # the active legs' indices, in the order of the rows of x
     for i, start in enumerate(starts):
-        try:
-            legs.append((i, _Leg(system, plan, start, step, True, forward, 0, False)))
+        try:  # _Leg refuses a start that is not finite or that is tangent to the section
+            if not (EVENT_TOL < abs(start[0]) < math.inf and math.isfinite(start[1])):
+                leg(i)
+            live.append(i)
         except PWLError as exc:
             errors[i] = exc
     hop = _hops(plan, chunk)
-    x = np.array([leg.x for _, leg in legs]).reshape(-1, 2)
-    done = 0
-    while legs and (n := _steps_next(done, step, chunk)):
+    x = np.array([starts[i] for i in live], dtype=float).reshape(-1, 2)
+    landed, pairs, done = [], [], 0  # the legs rule 2 lands, and their bracketing states
+    while live and (n := _steps_next(done, step, chunk)):
         if hop:
             a = _coefficient(plan, x)
             end = _points(plan, a * plan.powers[n])
-            settle = np.flatnonzero(~_hop_mask(plan, a, x, end)).tolist()
+            settle = ~_hop_mask(plan, a, x, end)
         else:
-            end = x.copy()
-            settle = range(len(legs))
-        stopped = []
-        for j in settle:
-            i, leg = legs[j]
-            leg.x, leg.done = x[j], done
-            if leg.settle(n, *((complex(a[j]), end[j]) if hop else (None, None)), True):
-                ends[i] = float(leg.x[1])
-                stopped.append(j)
-            else:
-                end[j] = leg.x
+            end, settle = x.copy(), np.ones(len(live), dtype=bool)
+        if settle.any():
+            stop = np.zeros(len(live), dtype=bool)
+            change = np.flatnonzero(settle & (x[:, 0] * end[:, 0] < 0.0)) if hop else []
+            if len(change):
+                ok, bracket = _sign_changes(plan, a[change], x[change], n)
+                lands = ok & _section_return(bracket, 1 if forward else -1)
+                landed += [live[j] for j in change[lands].tolist()]
+                pairs.append(bracket[lands])
+                stop[change[lands]] = True
+                settle[change[ok]] = False  # a confirmed change that is no return hops
+            for j in np.flatnonzero(settle).tolist():
+                one = leg(live[j])
+                one.x, one.done = x[j], done
+                if one.settle(n, *((complex(a[j]), end[j]) if hop else (None, None)), True):
+                    ends[live[j]] = float(one.x[1])
+                    stop[j] = True
+                else:
+                    end[j] = one.x
+            live = [i for i, s in zip(live, stop.tolist()) if not s]
+            end = end[~stop]
         done += n
-        if stopped:
-            legs = [leg for j, leg in enumerate(legs) if j not in stopped]
-            end = np.delete(end, stopped, axis=0)
         x = end
-    for i, _ in legs:
+    for i in live:
         errors[i] = _time_out(direction, zone, starts[i][1])
+    if landed:
+        # a pair whose second x is exactly 0 lands there, as in _Leg.settle
+        pairs = np.concatenate(pairs)
+        ys, land = pairs[:, 1, 1].copy(), pairs[:, 1, 0] != 0.0
+        ys[land] = _land_on_axis(plan.matrix, pairs[land, 0], step)[:, 1]
+        for i, y in zip(landed, ys.tolist()):
+            ends[i] = y
     return ends, errors
 
 
@@ -780,9 +906,11 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     landing ordinates.  ``y`` is a float or a 1-d array, which gives an
     array; a float is a batch of one.  The legs run in lockstep
     (``_section_stops``), each with the bits of its own
-    ``integrate_in_zone`` leg.  A failure raises the error of the first
-    failing y, as calls in order would: its ordinate check, then its
-    forward leg, then its backward leg.
+    ``integrate_in_zone`` leg.  The lockstep's array work is fixed per chunk
+    and per landing: a float takes about 0.7 ms on the README sine at the
+    default step, where its two legs alone take 0.2 ms, so pass an array.
+    A failure raises the error of the first failing y, as calls in order
+    would: its ordinate check, then its forward leg, then its backward leg.
     """
     ys = np.asarray(y, dtype=float)
     if ys.ndim > 1:

@@ -27,6 +27,13 @@ def sign_safe_grid(lo, hi, n, roots, guard):
     return ys
 
 
+def sine_table_samples(gamma, n):
+    """The sine boundary as (y, h, h') samples, four per unit, exact zeros at 1..n."""
+    amp, slope = 2 * gamma / ((gamma * gamma + 1) * math.pi), 2 * gamma / (gamma * gamma + 1)
+    return [[i / 4, 0.0 if i % 4 == 0 else amp * math.sin(math.pi * i / 4),
+             slope * math.cos(math.pi * i / 4)] for i in range(4 * n + 3)]
+
+
 @pytest.fixture(scope="session")
 def params075():
     return SystemParams(GAMMA_SINE)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -17,13 +18,16 @@ from pwlcycles import (
     find_limit_cycles,
     find_roots,
     make_cosine,
+    make_oscillatory,
     make_sine,
+    make_table,
     make_zero,
     oscillatory_root,
     oracle,
     reports_for_roots,
     verify,
 )
+from pwlcycles import cycles
 from pwlcycles.cli import main
 from pwlcycles.cycles import CYCLE_CSV_HEADER, DEFAULT_SCAN_POINTS, displacement_rows
 
@@ -56,6 +60,39 @@ class TestFindRoots:
         assert len(scan.roots) == 4
         for r, k in zip(scan.roots, (2.0, 4.0, 6.0, 8.0)):
             assert abs(r - k) <= 1e-10
+
+    @pytest.mark.parametrize("family, y_min, y_max, roots", [
+        ("sine", 0.1, 4.0, ["0x1.000000001f352p+0", "0x1.000000000f9a9p+1"]),
+        ("cosine", 0.1, 5.5, ["0x1.000000000733ap+1", "0x1.000000000acd8p+2"]),
+        ("cosine4", 0.7283683235165715, 8.679307024314046,
+         ["0x1.fffffffff62a4p+0", "0x1.0000000001ddbp+2", "0x1.800000000630fp+2",
+          "0x1.fffffffffa9bfp+2"]),
+        ("oscillatory", 0.05, 1.0,
+         ["0x1.b2995e77b4482p-5", "0x1.04c26be23e23ep-4", "0x1.45f306ddbaa87p-4",
+          "0x1.b2995e7bce235p-4", "0x1.45f306dbfa8c8p-3", "0x1.45f306dd01034p-2"]),
+        ("table", 0.1, 2.4, ["0x1.ffffffffd663cp-1", "0x1.fffffffff4cc2p+0"]),
+    ])
+    def test_roots_keep_their_bits(self, family, y_min, y_max, roots):
+        # the roots the scan found when it tested its tangential candidates one by one
+        b = {"sine": lambda: make_sine(SystemParams(0.75), 2),
+             "cosine": lambda: make_cosine(SystemParams(0.3), 2),
+             "cosine4": lambda: make_cosine(SystemParams(0.3951812281808069), 4),
+             "oscillatory": lambda: make_oscillatory(0.3),
+             "table": lambda: make_table(sine_table_samples(0.75, 2))}[family]()
+        assert [r.hex() for r in find_roots(b, y_min, y_max).roots] == roots
+
+    def test_flat_tail_refines_no_candidate(self, monkeypatch):
+        # beyond 2.5 the sine n=2 is constant, so every tail sample is a local
+        # minimum of |h|; none comes near 0, and none is refined.  The cosine's
+        # touches at 2 and 4 are.
+        calls = []
+        refine = cycles._refine_tangential
+        monkeypatch.setattr(cycles, "_refine_tangential",
+                            lambda *a: calls.append(a[1:3]) or refine(*a))
+        find_roots(make_sine(SystemParams(0.75), 2), 0.1, 4.0)
+        assert calls == []
+        find_roots(make_cosine(SystemParams(0.3), 2), 0.1, 5.5)
+        assert calls and all(a < 2.0 < b or a < 4.0 < b for a, b in calls)
 
     def test_zero_boundary_is_continuum(self):
         scan = find_roots(make_zero(), 0.1, 3.0)

@@ -255,6 +255,25 @@ def _sine_table(gamma, n):
                        for i in range(4 * n + 3)])
 
 
+def _boundary(family, gamma, n, alpha, width, nodes):
+    return {"zero": make_zero,
+            "sine": lambda: make_sine(SystemParams(gamma), n),
+            "cosine": lambda: make_cosine(SystemParams(gamma), n),
+            "oscillatory": lambda: make_oscillatory(alpha),
+            "sine table": lambda: _sine_table(gamma, n),
+            "random table": lambda: make_table(
+                [(0.0, 0.0, nodes[0][1])] + [(width * (i + 1), h, d)
+                                              for i, (h, d) in enumerate(nodes)]),
+            }[family]()
+
+
+def _dense_grid(top):
+    # up to 25 reaches the constant tails of sine and cosine (beyond 4.5 and
+    # 9 at most) and the extrapolated cubic beyond the last table node
+    return np.unique(np.concatenate([np.linspace(0.0, top, 20001)[1:],
+                                     np.geomspace(1e-6 * top, top, 2001)]))
+
+
 class TestEnvelope:
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["zero", "sine", "cosine", "oscillatory", "sine table",
@@ -266,22 +285,29 @@ class TestEnvelope:
            top=st.floats(0.05, 25.0))
     def test_envelope_bounds_h_and_never_decreases(self, family, gamma, n, alpha, width,
                                                    nodes, top):
-        b = {"zero": make_zero,
-             "sine": lambda: make_sine(SystemParams(gamma), n),
-             "cosine": lambda: make_cosine(SystemParams(gamma), n),
-             "oscillatory": lambda: make_oscillatory(alpha),
-             "sine table": lambda: _sine_table(gamma, n),
-             "random table": lambda: make_table(
-                 [(0.0, 0.0, nodes[0][1])] + [(width * (i + 1), h, d)
-                                               for i, (h, d) in enumerate(nodes)]),
-             }[family]()
-        # up to 25 reaches the constant tails of sine and cosine (beyond 4.5 and
-        # 9 at most) and the extrapolated cubic beyond the last table node
-        ys = np.unique(np.concatenate([np.linspace(0.0, top, 20001)[1:],
-                                       np.geomspace(1e-6 * top, top, 2001)]))
+        b = _boundary(family, gamma, n, alpha, width, nodes)
+        ys = _dense_grid(top)
         env = np.array([b.envelope(float(y)) for y in ys])
         assert np.all(np.diff(env) >= 0.0)
         assert np.all(np.maximum.accumulate(np.abs(b.evaluate(ys))) <= env)
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["zero", "sine", "cosine", "oscillatory", "sine table",
+                                   "random table"]),
+           gamma=st.floats(0.05, 0.45), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
+           width=st.floats(0.1, 2.0),
+           nodes=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0) | st.none()),
+                          min_size=1, max_size=6),
+           top=st.floats(0.05, 25.0) | st.floats(1e-4, 0.05))
+    def test_slope_envelope_bounds_h_prime_and_never_decreases(self, family, gamma, n, alpha,
+                                                               width, nodes, top):
+        # the grid reaches past the last table node and, for the oscillatory
+        # family, close to 0, where h' = 2 alpha y sin(1/y) - alpha cos(1/y) swings fastest
+        b = _boundary(family, gamma, n, alpha, width, nodes)
+        ys = _dense_grid(top)
+        env = np.array([b.slope_envelope(float(y)) for y in ys])
+        assert np.all(np.diff(env) >= 0.0)
+        assert np.all(np.maximum.accumulate(np.abs(b.derivative(ys))) <= env)
 
     def test_table_envelope_is_the_running_max_of_h_at_the_nodes(self):
         # each piece's bound is its largest |cubic| (at an end or where the

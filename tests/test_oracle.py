@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -119,6 +120,21 @@ class TestStepper:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[1] = 0.0
+
+    def test_a_verify_round_rebuilds_no_plan(self):
+        # the benchmark's verify systems in turn use 15 plans, which the cache holds
+        def round_():
+            for make in VERIFY_SYSTEMS.values():
+                system, roots, _ = make()
+                for i, y in enumerate(roots):
+                    resolve_stability(system, y, probe_eps(y, roots[:i] + roots[i + 1:]))
+                    return_map(system, upper_to_lower(system, y))
+                numeric_displacement(system, np.linspace(0.05, 1.0, 5))
+
+        round_()
+        misses = _plan.cache_info().misses
+        round_()
+        assert _plan.cache_info().misses == misses
 
     def test_real_spectrum_plan_steps_plainly(self, sine_system, monkeypatch):
         # a discriminant that rounds to >= 0 leaves the plan without a table
@@ -440,12 +456,9 @@ class TestReturnMap:
 
 
 def _sine_table_system(gamma, n):
-    # the sine boundary as (y, h, h') samples, four per unit, exact zeros at 1..n
-    amp, slope = 2 * gamma / ((gamma * gamma + 1) * math.pi), 2 * gamma / (gamma * gamma + 1)
-    samples = [[i / 4, 0.0 if i % 4 == 0 else amp * math.sin(math.pi * i / 4),
-                slope * math.cos(math.pi * i / 4)] for i in range(4 * n + 3)]
     return families.system_from_descriptor(
-        {"gamma": gamma, "boundary": {"family": "table", "params": {"samples": samples}}})
+        {"gamma": gamma,
+         "boundary": {"family": "table", "params": {"samples": sine_table_samples(gamma, n)}}})
 
 
 def _family_system(gamma, family, **params):
@@ -736,6 +749,143 @@ class TestChunkSkipping:
         assert seg.terminal_point == counted.terminal_point
 
 
+def _counted_leg_bits(system, zone, start, direction, step):
+    """``_leg_bits`` of a counted endpoints-only leg, or its error."""
+    try:
+        return _leg_bits(integrate_in_zone(system, zone, start, direction, step,
+                                           record_stride=0))
+    except PWLError as exc:
+        return type(exc), str(exc)
+
+
+def _sparse_equals_full(system, zone, start, direction, step):
+    """Whether a counted leg has the bits of the same leg built in full chunks."""
+    with mock.patch.object(orc, "MAX_TIME", 10.0):
+        with _full_chunks():
+            ref = _counted_leg_bits(system, zone, start, direction, step)
+        return _counted_leg_bits(system, zone, start, direction, step) == ref
+
+
+def _zigzag_table():
+    # h alternates between +-0.05 at nodes 0.002 apart, so |h'| reaches about 75
+    # and one sampled interval of a chunk may hold a whole narrow peak of h
+    return families.make_table([(0.0, 0.0)] + [(0.002 * k, 0.05 * (-1) ** k)
+                                                for k in range(1, 1001)])
+
+
+class TestCertifiedChunks:
+    """Rule 3: a counted leg evaluates g on sparse rows and builds only the
+    runs of rows whose sign the slope bound does not certify."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
+           zone=st.sampled_from(list(Zone)),
+           direction=st.sampled_from(list(Direction)),
+           y=st.floats(0.05, 3.0), dx=st.floats(-0.3, 0.3) | st.floats(-1e-3, 1e-3),
+           below=st.booleans(), step=st.floats(1e-4, 5e-3))
+    def test_counted_leg_equals_full_chunks(self, family, zone, direction, y, dx, below,
+                                            step):
+        # starts next to the curve, or as far below the axis, so that curve
+        # stops and counted section stops meet the curve in a chunk
+        system = SKIP_FAMILIES[family]()
+        start = (Point(dx, -y) if below
+                 else Point(float(system.boundary.evaluate(y)) + dx, y))
+        assert _sparse_equals_full(system, zone, start, direction, step)
+
+    def test_a_wrong_slope_bound_is_caught(self):
+        # with a slope bound of 0 a chunk is certified across a narrow peak of
+        # h, so the leg misses its first crossing: the equality test must see it
+        table = _zigzag_table()
+        params = SystemParams(0.75)
+        honest = PWLSystem(params, table)
+        planted = PWLSystem(params, Boundary(table.evaluate, table.derivative,
+                                             envelope=table.envelope,
+                                             slope_envelope=lambda y: 0.0))
+        start = Point(0.06, 0.3)
+        assert _sparse_equals_full(honest, Zone.RIGHT, start, Direction.FORWARD, 1e-4)
+        assert not _sparse_equals_full(planted, Zone.RIGHT, start, Direction.FORWARD, 1e-4)
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_counted_turn_evaluates_h_on_few_rows(self, name, monkeypatch):
+        # a counted turn from each cycle's lower crossing evaluates h on a few
+        # hundred rows where whole chunks took 10k to 40k
+        system, roots, _ = VERIFY_SYSTEMS[name]()
+        rows = []
+        values = orc.manifold_values
+        monkeypatch.setattr(orc, "manifold_values",
+                            lambda system, states: rows.append(len(states))
+                            or values(system, states))
+        for y in roots:
+            rows.clear()
+            turn = return_map(system, -y * math.exp(-system.gamma * math.pi))
+            assert turn.sigma_crossings == turn.section_returns == 1
+            assert sum(rows) <= 1500, (y, rows)
+
+    def test_boundary_without_slope_bound_builds_full_chunks(self, monkeypatch):
+        # a boundary with an envelope but no slope_envelope keeps the full chunk
+        sine = _family_system(0.75, "sine", n=2)
+        system = PWLSystem(sine.params, Boundary(sine.boundary.evaluate,
+                                                 sine.boundary.derivative,
+                                                 envelope=sine.boundary.envelope))
+        monkeypatch.setattr(orc._Leg, "_uncertified",
+                            lambda *a: pytest.fail("rule 3 ran without a slope bound"))
+        built = _chunks_built(monkeypatch)
+        seg = return_map(system, -2.0 * EXP_M_075PI)
+        assert seg.sigma_crossings == 1
+        assert max(built) == math.ceil(orc._BLOCK_TIME / 1e-4)
+
+
+class TestArrayForms:
+    """The scan's array forms of rule 2 and of the axis landing against the
+    per-leg forms they stand for, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(gamma=st.sampled_from([0.3, 0.75, 1.0]), zone=st.sampled_from(list(Zone)),
+           forward=st.booleans(), step=st.floats(1e-4, 5e-3),
+           xs=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                       min_size=1, max_size=30),
+           cut=st.floats(0.05, 1.0))
+    def test_sign_changes_and_landings_equal_the_per_leg_forms(self, gamma, zone, forward,
+                                                                step, xs, cut):
+        chunk = math.ceil(orc._BLOCK_TIME / step)
+        n = max(1, int(cut * chunk))
+        plan = _plan(SystemParams(gamma), zone, forward, step, chunk)
+        x = np.array(xs).reshape(-1, 2)
+        a = orc._coefficient(plan, x)
+        end = orc._points(plan, a * plan.powers[n])
+        changes = x[:, 0] * end[:, 0] < 0.0
+        x, a = x[changes], a[changes]
+        ok, pairs = orc._sign_changes(plan, a, x, n)
+        for j in range(len(a)):
+            bracket = orc._sign_change(plan, complex(a[j]), x[j], n)
+            assert ok[j] == (bracket is not None)
+            if bracket is not None:
+                assert pairs[j].tobytes() == bracket[1].tobytes()
+        starts = pairs[ok]
+        landed = orc._land_on_axis(plan.matrix, starts[:, 0], step) if len(starts) else []
+        for start, got in zip(starts, landed):
+            ref = orc._localize(None, plan.matrix, start[0], step, float(start[0, 0]), True)[1]
+            assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           step=st.floats(0.05, 2.0),
+           xs=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=1, max_size=30))
+    def test_landings_on_curved_quartics_equal_localize(self, matrix, step, xs):
+        # long substeps of arbitrary fields bend the quartic, so the Illinois
+        # iteration runs many steps, halves either end and falls back to bisection
+        matrix = np.array(matrix).reshape(2, 2)
+        x = np.array(xs)
+        ends = np.array([orc._horner(c, step) for c in zip(*orc._quartic(matrix, *x.T))]).T
+        x = x[(x[:, 0] < 0.0) != (ends[:, 0] < 0.0)]
+        if len(x):
+            got = orc._land_on_axis(matrix, x, step)
+            for start, landed in zip(x, got):
+                ref = orc._localize(None, matrix, start, step, float(start[0]), True)[1]
+                assert landed.tobytes() == ref.tobytes()
+
+
 _EVENT_RATE = orc._event_rate
 
 
@@ -806,17 +956,21 @@ class TestLockstepDisplacement:
             numeric_displacement(sine_system, np.ones((2, 2)))
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
-    def test_scan_legs_settle_only_to_land(self, name, monkeypatch):
-        # every other chunk of a scan leg hops in lockstep (y > 0 at both
-        # ends included); 40 more legs settled without that rule
+    def test_scan_lands_every_leg_as_arrays(self, name, monkeypatch):
+        # every chunk of a scan leg hops or is bracketed in lockstep, and every
+        # leg lands in the one array Illinois: no leg settles alone, and no
+        # chunk is built in full
         system = VERIFY_SYSTEMS[name]()[0]
         ys = np.linspace(0.05, 1.0, 40) if name == "oscillatory" else np.linspace(0.1, 4.0, 40)
-        settled = []
-        settle = orc._Leg.settle
-        monkeypatch.setattr(orc._Leg, "settle",
-                            lambda leg, *a: settled.append(leg) or settle(leg, *a))
+        landed = []
+        land = orc._land_on_axis
+        monkeypatch.setattr(orc, "_land_on_axis",
+                            lambda matrix, x, step: landed.append(len(x)) or land(matrix, x, step))
+        monkeypatch.setattr(orc._Leg, "settle", lambda *a: pytest.fail("a scan leg settled alone"))
+        built = _chunks_built(monkeypatch)
         numeric_displacement(system, ys)
-        assert len(settled) == 2 * len(ys)
+        assert sum(landed) == 2 * len(ys)
+        assert built == []
 
     def test_scan_runs_no_leg_through_integrate_in_zone(self, sine_system, monkeypatch):
         monkeypatch.setattr(orc, "integrate_in_zone",
