@@ -29,10 +29,12 @@ and (0, -exp(-gamma*pi)*y*) of period 2*pi.
 
 Both half-turns are one arc kernel, (atan(x/(y - gamma*x)),
 hypot(y - gamma*x, x)), taken at x = h for the right zone and at x = -h
-for the left: aL is minus the left arc's angle.  Every function here
-wraps that kernel, and ``displacement`` evaluates h once for both arcs.
-The radius goes through hypot, in factored form, to avoid cancellation
-for small y.
+for the left: aL is minus the left arc's angle.  ``_arc`` is the one
+reference for that kernel and every function here wraps it, except
+``displacement``: it evaluates h once and spells both arcs out inline,
+since the root search and the scans call it most, and a test pins its
+bits to the two ``_landing_y`` calls it replaces.  The radius goes
+through hypot, in factored form, to avoid cancellation for small y.
 """
 
 from __future__ import annotations
@@ -143,9 +145,28 @@ def displacement(y: float, system: PWLSystem) -> float:
 
     Zero iff h(y) = 0; shares the sign of h(y) elsewhere, which is what
     makes zeros of h correspond one-to-one to periodic orbits.
+
+    The checks of ``_boundary_offset`` and the two ``_landing_y`` arcs are
+    written out here, the same float operations in the same order, so the
+    result has the bits of ``_landing_y(y, -h, g) - _landing_y(y, h, g)``
+    without calling another function of this module.
     """
-    h = _boundary_offset(y, system)
-    return _landing_y(y, -h, system.gamma) - _landing_y(y, h, system.gamma)
+    if not (math.isfinite(y) and y > 0.0):
+        raise DomainError(f"y must be a positive real, got {y!r}")
+    h = float(system.boundary.evaluate(y))
+    if not math.isfinite(h):
+        raise EvaluationError(f"boundary value not finite at y={y!r}")
+    g = system.params.gamma
+    if abs(h) * g >= y:
+        raise HypothesisError(
+            f"amplitude bound |h(y)| < y/gamma fails at y={y!r}: |h|={abs(h)!r}, y/gamma={y / g!r}"
+        )
+    x, base = -h, -g * math.pi
+    d = y - g * x
+    left = -math.exp(base + g * math.atan(x / d)) * math.hypot(d, x)
+    d = y - g * h
+    right = -math.exp(base + g * math.atan(h / d)) * math.hypot(d, h)
+    return left - right
 
 
 def delta(y: float, x: float, params: SystemParams) -> float:

@@ -21,9 +21,10 @@ Four built-in families plus tabulated user data:
 
 Every evaluate/derivative pair accepts floats or 1-d arrays.  Each
 family writes h and h' once, as formula(y, m) with m = math for a float
-and m = numpy for an array, so a float skips numpy's ufuncs.  A table
-keeps its cubics in one coefficient array.  Each family also writes the
-``envelope`` of |h| over (0, Y] in closed form:
+and m = numpy for an array.  A float, numpy's float64 included, never
+reaches numpy: it is tested with isinstance before any numpy call.  A
+table keeps its cubics in one coefficient array.  Each family also
+writes the ``envelope`` of |h| over (0, Y] in closed form:
 0, amp, 2*amp, alpha*Y**2, and for a table the running maximum of each
 piece's largest |cubic|, and the ``slope_envelope`` of |h'| alike: 0,
 slope, slope, alpha*(2*Y + 1) and the same running maximum for h'.
@@ -60,35 +61,40 @@ def _check_count(n) -> int:
 def _windowed(formula, window: float, tail: float):
     """formula(y, m) for y <= window and the constant ``tail`` beyond.
 
-    ``m`` is ``math`` for a scalar argument and ``numpy`` for an array, so
-    a float is computed with math functions, not numpy ufuncs.
+    ``m`` is ``math`` for a scalar argument and ``numpy`` for an array.  A
+    float (numpy's float64 is one) is taken with ``float()`` before any
+    numpy call, so it never reaches numpy; any other scalar goes through
+    ``np.asarray`` once and then takes the same float path.
     """
 
     def fn(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            y = float(arr)
-            return formula(y, math) if y <= window else tail
-        return np.where(arr <= window, formula(arr, np), tail)
+        if not isinstance(y, float):
+            y = np.asarray(y, dtype=float)
+            if y.ndim:
+                return np.where(y <= window, formula(y, np), tail)
+        y = float(y)
+        return formula(y, math) if y <= window else tail
 
     return fn
 
 
 def _positive(formula):
-    """formula(y, m) for y > 0 and 0 elsewhere, with ``m`` as in ``_windowed``.
+    """formula(y, m) for y > 0 and 0 elsewhere, with ``m`` and a scalar's
+    path as in ``_windowed``.
 
     The array path evaluates the formula only on the positive entries.
     """
 
     def fn(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            y = float(arr)
-            return formula(y, math) if y > 0.0 else 0.0
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        out[pos] = formula(arr[pos], np)
-        return out
+        if not isinstance(y, float):
+            y = np.asarray(y, dtype=float)
+            if y.ndim:
+                out = np.zeros_like(y)
+                pos = y > 0.0
+                out[pos] = formula(y[pos], np)
+                return out
+        y = float(y)
+        return formula(y, math) if y > 0.0 else 0.0
 
     return fn
 
@@ -109,6 +115,8 @@ def make_zero() -> Boundary:
     """Straight-line boundary h = 0; the two zones join into a continuous field."""
 
     def evaluate(y):
+        if isinstance(y, float):
+            return 0.0
         arr = np.asarray(y, dtype=float)
         return np.zeros_like(arr) if arr.ndim else 0.0
 
@@ -229,28 +237,31 @@ def _pchip_slopes(ys, hs):
 
 def _piecewise(ys, c):
     """y -> sum_k c[k, j] * (y - ys[j])**(K-1-k) on piece j = [ys[j], ys[j+1]),
-    the outer pieces extended.  The sum runs as scipy's PPoly runs it, from
-    0.0, lowest power first, powers by repeated multiplication, so the bits
-    are scipy's.  A float is summed in Python, an array gathers each row."""
+    the outer pieces extended, for K = 4 (h) or 3 (h').  The sum runs as
+    scipy's PPoly runs it, from 0.0, lowest power first, powers by repeated
+    multiplication, so the bits are scipy's.  A scalar takes the path of
+    ``_windowed`` and is summed in Python, its terms unrolled; an array
+    gathers each row."""
     inner, cols = ys[1:-1], [c[-1] + 0.0, *c[-2::-1]]
-    knots, inner_list, col_lists = ys.tolist(), inner.tolist(), [col.tolist() for col in cols]
+    knots, inner_list = ys.tolist(), inner.tolist()
+    c0, c1, c2, *c3 = (col.tolist() for col in cols)  # no c3 for h'
 
     def fn(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            y = float(arr)
-            j = bisect.bisect_right(inner_list, y)
-            s, out, z = y - knots[j], col_lists[0][j], 1.0
-            for col in col_lists[1:]:
-                z *= s
-                out += col[j] * z
-            return out
-        j = inner.searchsorted(arr, side="right")
-        s, out, z = arr - ys.take(j), cols[0].take(j), None
-        for col in cols[1:]:
-            z = s if z is None else z * s
-            out += col.take(j) * z
-        return out
+        if not isinstance(y, float):
+            arr = np.asarray(y, dtype=float)
+            if arr.ndim:
+                j = inner.searchsorted(arr, side="right")
+                s, out, z = arr - ys.take(j), cols[0].take(j), None
+                for col in cols[1:]:
+                    z = s if z is None else z * s
+                    out += col.take(j) * z
+                return out
+        y = float(y)
+        j = bisect.bisect_right(inner_list, y)
+        s = y - knots[j]
+        z = s * s
+        out = c0[j] + c1[j] * s + c2[j] * z
+        return out + c3[0][j] * (z * s) if c3 else out
 
     return fn
 

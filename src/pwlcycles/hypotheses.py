@@ -151,6 +151,9 @@ def check_boundary_hypotheses(system: PWLSystem, y_grid: np.ndarray) -> Hypothes
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.size == 0:
         raise DomainError("empty grid")
+    # NaN fails every comparison below, so it is refused here, with +-inf
+    if not np.all(np.isfinite(y_grid)):
+        raise DomainError("grid points must be finite")
     if np.any(y_grid <= 0.0):
         raise DomainError("grid points must be positive")
     if np.any(np.diff(y_grid) <= 0.0):

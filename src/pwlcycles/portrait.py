@@ -67,6 +67,12 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
     Every revolution of these systems lasts close to 2*pi (exactly 2*pi
     on a cycle) and visits the lower section once, so the orbit is
     followed leg by leg until a leg ends at or past turns * 2*pi.
+
+    No output reads the crossing counters, so the legs run uncounted:
+    a forward-left leg, which stops on the lower section, is decided by
+    x alone and its counters read -1, while a forward-right leg, which
+    stops on the switching curve, counts as always.  Times and points
+    are those of a counted leg, bit for bit.
     """
     _check_seed(seed)
     if turns < 1:
@@ -77,7 +83,7 @@ def sample_orbit(system: PWLSystem, seed: Point, turns: int) -> list[TrajectoryS
     t0 = 0.0
     for _ in range(2 * turns + 4):
         seg = integrate_in_zone(system, _forward_zone(system, p), p, Direction.FORWARD, ORBIT_STEP,
-                                record_stride=ORBIT_RECORD_STRIDE)
+                                record_stride=ORBIT_RECORD_STRIDE, _count_crossings=False)
         seg.times += t0  # each leg's clock starts at 0
         segments.append(seg)
         if seg.terminal_event is TerminalEvent.TIME_OUT:

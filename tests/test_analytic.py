@@ -1,8 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -18,9 +22,14 @@ from pwlcycles import (
     displacement_f3_at_root,
     flow,
     left_exit_y,
+    make_cosine,
+    make_oscillatory,
+    make_sine,
+    make_table,
     right_entry_y,
 )
-from pwlcycles.core import zone_matrix
+from pwlcycles.analytic import _boundary_offset, _landing_y
+from pwlcycles.core import EvaluationError, PWLError, zone_matrix
 
 EXP_M_075PI = 0.09478022484215486
 
@@ -214,6 +223,64 @@ class TestDisplacement:
             for y in roots:
                 total = crossing_time_left(y, system) - crossing_time_right(y, system)
                 assert total == pytest.approx(2.0 * math.pi, abs=1e-14)
+
+
+def _kernel_system(family: str, gamma: float, n: int, alpha: float, cone: float) -> PWLSystem:
+    """A system of ``family``, the rate clipped into its certified range; "cone" is
+    h = cone*y/gamma, |h| within a factor ``cone`` of the amplitude bound y/gamma."""
+    if family == "cone":
+        return PWLSystem(SystemParams(gamma), Boundary(evaluate=lambda y: cone * y / gamma,
+                                                       derivative=lambda y: cone / gamma))
+    if family == "oscillatory":
+        return PWLSystem(SystemParams(1.0), make_oscillatory(alpha))
+    params = SystemParams(min(gamma, 0.47))
+    boundary = {"sine": lambda: make_sine(params, n),
+                "cosine": lambda: make_cosine(params, n),
+                "table": lambda: make_table(sine_table_samples(params.gamma, n))}[family]()
+    return PWLSystem(params, boundary)
+
+
+def _outcome(fn, *args):
+    """fn's value as bits, or its error as (type, message)."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except PWLError as exc:
+        return type(exc), str(exc)
+
+
+def _two_landings(y: float, system: PWLSystem) -> float:
+    """The displacement as two calls of the arc kernel."""
+    h = _boundary_offset(y, system)
+    return _landing_y(y, -h, system.gamma) - _landing_y(y, h, system.gamma)
+
+
+class TestDisplacementKernel:
+    """``displacement`` writes out ``_boundary_offset`` and two ``_landing_y`` arcs."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(family=st.sampled_from(["sine", "cosine", "oscillatory", "table", "cone"]),
+           gamma=st.floats(0.05, 3.0), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
+           cone=st.integers(1, 40).map(lambda k: 1.0 - 2.0 ** -k) | st.floats(-1.0, 1.0),
+           sign=st.sampled_from([1.0, -1.0]), y=st.floats(1e-6, 10.0))
+    def test_bits_equal_the_two_landings(self, family, gamma, n, alpha, cone, sign, y):
+        system = _kernel_system(family, gamma, n, alpha, sign * cone)
+        assert _outcome(displacement, y, system) == _outcome(_two_landings, y, system)
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1.0])
+    @pytest.mark.parametrize("h", ["sine", "nan", "inf", "-inf", "outside the cone"])
+    def test_errors_are_those_of_the_boundary_offset(self, params075, y, h):
+        # y is checked before h is evaluated, and h's finiteness before the cone
+        evaluate = {"sine": make_sine(params075, 2).evaluate,
+                    "nan": lambda y: math.nan, "inf": lambda y: math.inf,
+                    "-inf": lambda y: -math.inf,
+                    "outside the cone": lambda y: 2.0 * y / 0.75}[h]
+        system = PWLSystem(params075, Boundary(evaluate=evaluate, derivative=evaluate))
+        got = _outcome(displacement, y, system)
+        assert got == _outcome(_two_landings, y, system)
+        expected = (DomainError if not (math.isfinite(y) and y > 0.0) else
+                    bytes if h == "sine" else
+                    HypothesisError if h == "outside the cone" else EvaluationError)
+        assert (type(got) if isinstance(got, bytes) else got[0]) is expected
 
 
 class TestDelta:

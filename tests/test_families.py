@@ -1,4 +1,5 @@
 import math
+import struct
 import sys
 
 import numpy as np
@@ -21,6 +22,7 @@ from pwlcycles import (
     system_descriptor,
     system_from_descriptor,
 )
+from pwlcycles import families
 from pwlcycles.families import COSINE_GAMMA_LIMIT, OSCILLATORY_ALPHA_LIMIT, SINE_GAMMA_LIMIT
 
 SINE_AMP_075 = 0.30557749073643903  # 2*0.75 / ((0.75^2+1)*pi)
@@ -394,3 +396,51 @@ def test_scalar_path_equals_array_path_bitwise(family):
         scalars = [fn(float(y)) for y in ys]
         assert all(type(v) is float for v in scalars)
         assert np.array(scalars).tobytes() == np.asarray(fn(ys), dtype=float).tobytes()
+
+
+_TABLE_NODES = [0.0, 0.7, 1.5, 3.0]
+# every family; the table with some slopes given, with all given and with none
+_KERNEL_BOUNDARIES = {
+    **_agreement_boundaries(),
+    "table given": make_table(list(zip(_TABLE_NODES, [0.0, 0.2, -0.1, 0.05],
+                                       [0.4, -0.1, 0.3, 0.0]))),
+    "table pchip": make_table(list(zip(_TABLE_NODES, [0.0, 0.2, -0.1, 0.05]))),
+}
+# the sine window edge 2.5 and cosine edge 5 with their neighbours and the tails
+# beyond, 1/y overflowing below about 5.6e-309 (oscillatory h NaN), the table
+# nodes with their neighbours and the cubic extrapolated past the last one
+_KERNEL_POINTS = [0.0, -0.0, -1.0, 5e-309, 1e-300, 2.75, 7.0, 40.0, 1e6,
+                  *(e for w in (2.5, 5.0, *_TABLE_NODES[1:])
+                    for e in (math.nextafter(w, 0.0), w, math.nextafter(w, 9.0)))]
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(_KERNEL_BOUNDARIES)),
+       y=st.sampled_from(_KERNEL_POINTS) | st.floats(-2.0, 12.0) | st.floats(1e-310, 1e-3))
+def test_float_and_float64_take_the_bits_of_the_0d_array_path(family, y):
+    b = _KERNEL_BOUNDARIES[family]
+    for fn in (b.evaluate, b.derivative):
+        want = fn(np.array(y))
+        assert type(want) is float
+        for arg in (y, np.float64(y)):
+            got = fn(arg)
+            assert type(got) is float and _bits(got) == _bits(want), (arg, got, want)
+
+
+def test_float_calls_never_reach_numpy(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"a float call reached numpy.{name}")
+
+    ys = [*_KERNEL_POINTS, 0.3, 1.0, 2.2, 4.1]
+    args = [*ys, *(np.float64(y) for y in ys)]
+    want = {name: [(b.evaluate(y), b.derivative(y)) for y in args]
+            for name, b in _KERNEL_BOUNDARIES.items()}
+    monkeypatch.setattr(families, "np", NoNumpy())
+    for name, b in _KERNEL_BOUNDARIES.items():
+        got = [(b.evaluate(y), b.derivative(y)) for y in args]
+        assert [tuple(map(_bits, v)) for v in got] == [tuple(map(_bits, v)) for v in want[name]]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -17,6 +18,7 @@ from pwlcycles import (
     make_cosine,
     make_oscillatory,
     make_sine,
+    make_table,
 )
 from pwlcycles.core import zone_matrix
 
@@ -133,6 +135,17 @@ class TestBoundaryHypotheses:
             check_boundary_hypotheses(sine_system, np.array([-1.0, 1.0]))
         with pytest.raises(DomainError):
             check_boundary_hypotheses(sine_system, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("family", ["sine", "table"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, -1])
+    def test_nonfinite_grid_points_refused(self, params075, family, bad, where):
+        boundary = (make_sine(params075, 2) if family == "sine"
+                    else make_table(sine_table_samples(0.75, 2)))
+        grid = np.array([0.5, 1.0, 1.5])
+        grid[where] = bad
+        with pytest.raises(DomainError, match="finite"):
+            check_boundary_hypotheses(PWLSystem(params075, boundary), grid)
 
     def test_json_shape(self, sine_system):
         report = check_boundary_hypotheses(sine_system, geometric_grid(0.05, 4.0, 64))

@@ -33,7 +33,32 @@ class TestSampleOrbit:
         segs = sample_orbit(zero_system, Point(0.0, 1.0), 1)
         end = segs[-1].terminal_point
         assert math.hypot(end.x - 0.0, end.y - 1.0) < 1e-6
-        assert sum(s.section_returns for s in segs) == 1
+        # the forward-left leg runs uncounted (counters -1); it alone meets the section
+        assert [s.terminal_event for s in segs].count(TerminalEvent.AXIS_CROSS) == 1
+        counted = [s for s in segs if s.section_returns != -1]
+        assert counted and all(s.section_returns == 0 for s in counted)
+
+    @pytest.mark.parametrize("seed", [(0.0, 2.3), (0.0, 0.4), (0.0, 2.2), (0.0, 1.0),
+                                      (0.5, -1.7), (-0.3, 0.9), (1.2, 3.1)])
+    def test_uncounted_legs_equal_counted_legs_bitwise(self, sine_system, monkeypatch, seed):
+        from test_oracle import _chunks_built
+        built = _chunks_built(monkeypatch)
+        segs = sample_orbit(sine_system, Point(*seed), 3)
+        uncounted_chunks = len(built)
+        integrate = portrait.integrate_in_zone
+        monkeypatch.setattr(portrait, "integrate_in_zone",
+                            lambda *args, _count_crossings, **kw: integrate(*args, **kw))
+        counted = sample_orbit(sine_system, Point(*seed), 3)
+        assert uncounted_chunks < len(built) - uncounted_chunks
+        assert len(segs) == len(counted)
+        for seg, ref in zip(segs, counted):
+            assert seg.zone is ref.zone and seg.terminal_event is ref.terminal_event
+            assert seg.times.tobytes() == ref.times.tobytes()
+            assert seg.points.tobytes() == ref.points.tobytes()
+            assert seg.landing_error == ref.landing_error
+            left = seg.zone is Zone.LEFT
+            assert (seg.sigma_crossings, seg.section_returns) == (
+                (-1, -1) if left else (ref.sigma_crossings, ref.section_returns))
 
     def test_spiral_approaches_stable_cycle(self, sine_system):
         segs = sample_orbit(sine_system, Point(0.0, 2.2), 5)
