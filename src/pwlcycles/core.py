@@ -181,7 +181,7 @@ def _boundary_values(fn: Callable, ys: np.ndarray) -> np.ndarray:
     """
     vals = np.asarray(fn(ys), dtype=float)
     bad = ~np.isfinite(vals)
-    if np.any(bad):
+    if np.count_nonzero(bad):
         raise EvaluationError(f"boundary value not finite at y={float(ys[bad][0])!r}")
     return vals
 
@@ -192,7 +192,7 @@ def manifold_values(system: PWLSystem, points: np.ndarray) -> np.ndarray:
     ys = points[:, 1]
     out = xs.astype(float)
     mask = ys > 0.0
-    if np.any(mask):
+    if np.count_nonzero(mask):  # on small arrays far cheaper than np.any
         out[mask] -= _boundary_values(system.boundary.evaluate, ys[mask])
     return out
 

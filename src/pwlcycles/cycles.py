@@ -335,10 +335,18 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
     discrepancies: list[dict] = []
     records: list[dict] = []
     roots = [c.y_star for c in cycles]
-    for i, rep in enumerate(cycles):
-        rm = oracle.return_map(system, rep.lower_crossing.y, step)
-        eps = oracle.probe_eps(rep.y_star, roots[:i] + roots[i + 1:])
-        stab = oracle.resolve_stability(system, rep.y_star, eps=eps, step=step)
+    lows = [rep.lower_crossing.y for rep in cycles]
+    eps = [oracle.probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
+    try:  # each oracle call runs the turns of every cycle in lockstep
+        turns = oracle.return_map(system, np.array(lows), step)
+        stabs = oracle.resolve_stability(system, np.array(roots), np.array(eps), step)
+    except PWLError:
+        # raise the error that checking one cycle at a time meets first
+        for low, y, e in zip(lows, roots, eps):
+            oracle.return_map(system, low, step)
+            oracle.resolve_stability(system, y, e, step)
+        raise
+    for rep, rm, stab in zip(cycles, turns, stabs):
         rec = {
             "y_star": rep.y_star,
             "classified": rep.stability.value,

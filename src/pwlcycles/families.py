@@ -160,9 +160,13 @@ def make_oscillatory(alpha: float) -> Boundary:
             f"oscillatory family requires 0 < alpha < (sqrt(3)-1)/2 ~= {OSCILLATORY_ALPHA_LIMIT:.6f}, got {alpha!r}"
         )
     a = float(alpha)
+
+    def slope(y, m):  # 1/y once for both terms
+        r = _recip(y, m)
+        return 2.0 * a * y * m.sin(r) - a * m.cos(r)
+
     evaluate = _positive(lambda y, m: a * y * y * m.sin(_recip(y, m)))
-    derivative = _positive(lambda y, m: 2.0 * a * y * m.sin(_recip(y, m))
-                           - a * m.cos(_recip(y, m)))
+    derivative = _positive(slope)
     return Boundary(evaluate=evaluate, derivative=derivative,
                     descriptor={"family": "oscillatory", "params": {"alpha": a}},
                     envelope=lambda Y: a * Y * Y,

@@ -44,9 +44,9 @@ and a chunk starts at x = 0 (a leg's start on the section), row 1 stands
 in for the start: g = 0 starts no crossing, and that 0 is the one sign
 change of x in the chunk.  Where x alone decides, a chunk with y > 0 at
 both ends has y > 0 in every state, so it holds no section return and
-hops whatever x does; ``_hop_mask`` holds the tests where x alone
-decides.  A leg that records samples (a portrait's orbit) builds only the
-rows it records of a hopped chunk.  Rule 2, for legs that record no
+hops whatever x does; ``_skip`` holds rule 1.  A leg that records samples
+(a portrait's orbit) builds only the rows it records of a hopped chunk.
+Rule 2, for legs that record no
 interior samples, settles an axis-stop chunk whose x changes sign away
 from the curve from a few rows around the change, which the phase of
 x_k = 2 Re(a v0 lam**k) places: the leg lands from them, or hops to the
@@ -60,20 +60,26 @@ the boundary's ``slope_envelope`` of |h'|, so where rows i < j have g of
 one strict sign and |g_i| + |g_j| > (j - i)*L + 4*delta, delta far above
 g's roundoff as in rule 1, every row between has it too (Piyavskii 1972,
 Shubert 1972).  Only runs of rows not so certified are built, each masked
-as the full chunk is.  A boundary without both envelopes and a start at
-0 < y < ``_DBL_MIN`` take the full chunk.
+as the full chunk is.  A boundary without both envelopes, a start at
+0 < y < ``_DBL_MIN`` and a chunk of amplitude at most ``_HOP_FLOOR`` take
+the full chunk.
 Callers that read only where an axis-stop leg lands (the numerical
 displacement, and the probe placement and the left-zone legs of the
 return-map turns of the stability check) waive the crossing counters, so
 for them x alone decides, and the boundary is never evaluated.
 
-``numeric_displacement`` runs the legs of all its ordinates in lockstep.
-The legs of one zone and direction share a plan and a step count, so each
-chunk's hop test (``_hop_mask``) and rule 2 (``_sign_changes``) are array
-arithmetic over every active leg, and the legs rule 2 brackets land together
-after the last chunk (``_land_on_axis``), with the float operations of the
-per-leg forms in the same order; a chunk rule 2 does not confirm takes the
-per-leg code (``_Leg.settle``).  So every leg keeps its bits.
+``integrate_in_zone`` runs one leg at a time, recording samples if asked;
+``_stops`` runs the endpoints-only legs of the numerical displacement, the
+return map and the stability check in lockstep, with the bits of their own
+``integrate_in_zone`` legs.  Legs of one zone, direction and step share a
+plan and a step count, so a chunk's end states, rules 2 and 3 and the rows
+built are array work over the legs (``_settle``), and many axis landings
+are one array Illinois (``_land_on_axis``).  The states' bits are those of
+numpy's vectorized complex product ``a * plan.powers[lo:hi]``: Python's
+``complex`` product and numpy's complex128 scalar product each differ from
+it in the last bit for about two in five (a, k) (numpy 2.4, an AVX-512 CPU
+with FMA), so a scalar path must keep the product an array operation, and
+the oracle's bits depend on numpy's SIMD dispatch.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -333,65 +339,29 @@ def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _hop_mask(plan: _Plan, a, x: np.ndarray, end: np.ndarray):
-    """Whether a chunk hops where x alone decides the stop, leg by leg.
-
-    ``x`` and ``end`` are the start and end states of one leg's chunk,
-    shape (2,), or of m legs' chunks, shape (m, 2), and ``a`` the chunks'
-    coefficients; one leg gives one flag, m legs a mask.  A chunk hops
-    where x keeps its strict sign (rule 1), where it starts at x = 0 and
-    row 1 has the sign of its end, or where y > 0 at both ends, so that
-    it holds no section return.
-    """
-    x, end = x.T, end.T
-    row1 = (a * plan.powers[1]).real * (2.0 * plan.v[0].real)  # x of row 1, as _points
-    return ((x[0] * end[0] > 0.0) | ((x[0] == 0.0) & (row1 * end[0] > 0.0))
-            | ((x[1] > 0.0) & (end[1] > 0.0)))
-
-
-def _clear_of_curve(envelope, plan: _Plan, a: complex, x0: np.ndarray,
-                    end: np.ndarray) -> bool:
-    """Whether a chunk's x keeps its strict sign from x0 to end and |x|
-    stays above |h| in every state (rule 1 where x alone does not decide)."""
-    if envelope is None or 0.0 < x0[1] < _DBL_MIN or not x0[0] * end[0] > 0.0:
-        return False
+def _skip(plan: _Plan, envelope, counted: bool, a: complex, x, end) -> tuple[bool, bool]:
+    """(whether rule 1 hops the chunk with coefficient ``a`` from state ``x`` to
+    ``end``, pairs of floats, whether x alone decides the leg's stop there)."""
+    (x0, y0), (e0, e1) = x, end
+    if not counted or (y0 <= 0.0 and e1 <= 0.0):
+        return (x0 * e0 > 0.0 or (y0 > 0.0 and e1 > 0.0) or x0 == 0.0
+                and (a * plan.powers[1]).real * (2.0 * plan.v[0].real) * e0 > 0.0), True
+    if envelope is None or 0.0 < y0 < _DBL_MIN or not x0 * e0 > 0.0:
+        return False, False
     amp = abs(a)
     margin = (envelope(amp * plan.reach_y) * (1.0 + _HOP_SLACK)
               + _HOP_SLACK * amp * plan.reach_x + _HOP_FLOOR)
-    return min(abs(x0[0]), abs(end[0])) > margin
-
-
-def _sign_change(plan: _Plan, a: complex, x0: np.ndarray, n: int):
-    """(k, states k and k+1) of the one step pair over which x changes sign
-    in a chunk of n steps whose ends have x of opposite strict signs, or
-    None where a few rows do not confirm it (rule 2 of ``integrate_in_zone``).
-
-    x_k is proportional to cos(arg a + k*turn), so the change lies next to
-    the first k at which that angle passes pi/2 modulo pi.  Rows from 1 on
-    around it must show exactly one strict change, from the sign of x0.
-    """
-    if abs(a) * plan.reach_x <= _HOP_FLOOR:
-        return None
-    k = int(((0.5 * math.pi - math.atan2(a.imag, a.real)) % math.pi) / plan.turn)
-    lo, hi = max(1, k - 2), min(n + 1, k + 4)
-    if hi - lo < 2:
-        return None
-    rows = _states(plan, a, lo, hi)
-    xs = rows[:, 0]
-    neg = xs < 0.0
-    flips = np.flatnonzero(neg[1:] != neg[:-1])
-    if len(flips) != 1 or neg[0] != (x0[0] < 0.0) or not xs.all():
-        return None
-    j = int(flips[0])
-    return lo + j, rows[j:j + 2]
+    return min(abs(x0), abs(e0)) > margin, False
 
 
 def _sign_changes(plan: _Plan, a: np.ndarray, x0: np.ndarray, n: int):
-    """``_sign_change`` of m chunks at once, for coefficients ``a`` (m,) and
-    starts ``x0`` (m, 2): a mask of the confirmed changes, and the states
-    k and k+1 of each, shape (m, 2, 2).  Rows k-2..k+3 are clipped to 1..n,
-    where a repeated row adds no change.  One chunk takes three to six times
-    as long as in ``_sign_change``, which the per-leg callers keep."""
+    """Rule 2 for m chunks of n steps whose ends have x of opposite strict signs,
+    coefficients ``a`` (m,) and starts ``x0`` (m, 2): a mask of the chunks where
+    rows confirm the step pair over which x changes sign, its k and its states
+    k and k+1, shape (m, 2, 2).  x_k is proportional to cos(arg a + k*turn), so
+    the change lies next to the first k at which that angle passes pi/2 modulo
+    pi; rows k-2..k+3, clipped to 1..n where a repeated row adds no change,
+    must show exactly one strict change, from the sign of x0."""
     k = (((0.5 * math.pi - np.arctan2(a.imag, a.real)) % math.pi) / plan.turn).astype(int)
     ks = np.minimum(np.maximum(k[:, None] + np.arange(-2, 4), 1), n)
     rows = _points(plan, (a[:, None] * plan.powers[ks]).ravel())
@@ -401,34 +371,14 @@ def _sign_changes(plan: _Plan, a: np.ndarray, x0: np.ndarray, n: int):
     ok = ((np.abs(a) * plan.reach_x > _HOP_FLOOR) & (np.count_nonzero(flips, axis=1) == 1)
           & (np.minimum(k + 4, n + 1) - np.maximum(k - 2, 1) >= 2)
           & (neg[:, 0] == (x0[:, 0] < 0.0)) & xs.all(axis=1))
-    j = 6 * np.arange(len(a)) + flips.argmax(axis=1)
-    return ok, np.stack((rows[j], rows[j + 1]), axis=1)
-
-
-def _section_return(pairs: np.ndarray, sense: int):
-    """The section mask of a built chunk over state pairs (..., 2, 2): x crosses
-    in the sense of the forward flow, with y < 0 on both states."""
-    return (((pairs[..., 0, 0] < 0.0) == (sense > 0)) & (pairs[..., 0, 1] < 0.0)
-            & (pairs[..., 1, 1] < 0.0))
+    m, j = np.arange(len(a)), flips.argmax(axis=1)
+    return ok, ks[m, j], rows.reshape(-1, 6, 2)[m[:, None], j[:, None] + [0, 1]]
 
 
 def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
     if axis:
         return float(x[0])
     return manifold_value(system, Point(float(x[0]), float(x[1])))
-
-
-def _crossings(g: np.ndarray, direction: int, first: bool) -> np.ndarray:
-    """Mask over step pairs (k, k+1) on which g crosses zero in ``direction``.
-
-    In the first chunk of a leg a start residue |g[0]| <= EVENT_TOL is
-    not a crossing.
-    """
-    ahead = g < 0.0 if direction > 0 else g > 0.0
-    mask = ahead[:-1] & ~ahead[1:]
-    if first and abs(g[0]) <= EVENT_TOL:
-        mask[0] = False
-    return mask
 
 
 def _event_rate(system: PWLSystem, axis: bool, matrix: np.ndarray,
@@ -515,10 +465,11 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     return tau, np.array(x_t), abs(g_t)
 
 
-def _land_on_axis(matrix: np.ndarray, x_from: np.ndarray, step: float) -> np.ndarray:
-    """The states ``_localize`` lands on x = 0 from m states x_from, shape (m, 2):
-    its axis case as arrays, the same float operations in the same order for
-    each state, which leaves the iteration where ``_localize`` breaks."""
+def _land_on_axis(matrix: np.ndarray, x_from: np.ndarray, step: float):
+    """The substeps tau (m,) and states (m, 2) ``_localize`` lands on x = 0 from
+    m states x_from, shape (m, 2): its axis case as arrays, the same float
+    operations in the same order for each state, which leaves the iteration
+    where ``_localize`` breaks."""
     c = np.array(_quartic(matrix, x_from[:, 0], x_from[:, 1]))  # (5, 2, m)
     taus, idx, cx, g_lo = np.empty(len(x_from)), np.arange(len(x_from)), c[:, 0], x_from[:, 0]
     lo, side, tau = np.zeros(len(idx)), np.zeros(len(idx)), np.full(len(idx), step)
@@ -541,7 +492,7 @@ def _land_on_axis(matrix: np.ndarray, x_from: np.ndarray, step: float) -> np.nda
         lo, hi = np.where(same, lo, tau), np.where(same, tau, hi)
         side = np.where(same, 1.0, -1.0)
     taus[idx] = tau  # the taus of the last iteration, or again those of the last stops
-    return _horner(c, taus).T
+    return taus, _horner(c, taus).T
 
 
 def _steps_next(done: int, step: float, chunk: int) -> int:
@@ -556,28 +507,135 @@ def _hops(plan: _Plan, chunk: int) -> bool:
     return plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
 
 
+def _uncertified(system: PWLSystem, plan: _Plan, a: np.ndarray, x: np.ndarray, n: int):
+    """Rule 3 for the n-step chunks of m legs with coefficients ``a`` (m,) and
+    states ``x`` (m, 2): the intervals (leg, lo, hi) of rows, between rows sampled
+    about every sqrt(n), over which g may change sign, leg by leg and in order."""
+    boundary, ks = system.boundary, np.minimum(np.arange(0, n + math.isqrt(n), math.isqrt(n)), n)
+    rows = _points(plan, (a[:, None] * plan.powers[ks]).ravel()).reshape(len(a), -1, 2)
+    rows[:, 0] = x
+    g = manifold_values(system, rows.reshape(-1, 2)).reshape(len(a), -1)
+    bars = []  # per leg: the most g moves in a step, and the slack
+    for amp in np.abs(a).tolist():
+        top = amp * plan.reach_y
+        reach = amp * (plan.reach_x + boundary.slope_envelope(top) * plan.reach_y)
+        bars.append((plan.move * reach, 4.0 * (_HOP_SLACK * (reach + boundary.envelope(top))
+                                               + _HOP_FLOOR)))
+    move, slack = np.array(bars).T[:, :, None]
+    # |g_i| + |g_j| = |g_i + g_j| where the two have one strict sign
+    sure = (g[:, :-1] * g[:, 1:] > 0.0) & (np.abs(g[:, :-1] + g[:, 1:])
+                                           > np.diff(ks) * move + slack)
+    leg, i = np.nonzero(~sure)
+    return leg, ks[i], ks[i + 1]
+
+
+def _build(plan: _Plan, x: np.ndarray, a: np.ndarray, leg: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray):
+    """Rows lo[s]..hi[s] of the chunk of leg[s], one run s after another, from the
+    legs' states ``x`` and coefficients ``a`` (row 0 is the state itself), with
+    the run and the step index k of each row."""
+    size = hi - lo + 1
+    run = np.repeat(np.arange(len(leg)), size)
+    k = np.arange(len(run)) + np.repeat(lo - np.cumsum(size) + size, size)
+    rows = _points(plan, a[leg[run]] * plan.powers[k])
+    at0 = np.flatnonzero(k == 0)
+    rows[at0] = x[leg[run[at0]]]
+    return rows, run, k
+
+
+def _settle(system: PWLSystem, plan: _Plan, n: int, first: bool, x: np.ndarray, a: np.ndarray,
+            end: np.ndarray, take: list, legs: list) -> list:
+    """Take by rule 2, rule 3 or in full, as array work, the n-step chunks that did
+    not hop of the legs (h, x alone decides) in ``take``, of the ``_Leg``s
+    ``legs`` with states ``x``, coefficients ``a`` and ends ``end`` (``first``:
+    the chunks start their legs), as ``_stop_pairs`` returns and counts them."""
+    axis, sense, xs, es = legs[0].axis, legs[0].sense, x.tolist(), end[:, 0].tolist()
+    sparse = None not in (system.boundary.envelope, system.boundary.slope_envelope)
+    stops, runs, done = [], [], set()  # runs: (leg, lo, hi, counted) of rows to build
+    two = [h for h, decides in take if axis and decides and xs[h][0] * es[h] < 0.0]
+    if two:
+        ok, base, pairs = _sign_changes(plan, a[two], x[two], n)
+        # a confirmed change stops the leg where x crosses in the sense of the
+        # forward flow with y < 0 on both states, and hops elsewhere
+        land = (((pairs[:, 0, 0] < 0.0) == (sense > 0)) & (pairs[:, 0, 1] < 0.0)
+                & (pairs[:, 1, 1] < 0.0))
+        for h, o, stop, k, pair in zip(two, ok.tolist(), land.tolist(), base.tolist(), pairs):
+            if o:
+                done.add(h)
+                stops += [(h, k, pair, *pair[:, 0].tolist())] if stop else []
+    # rule 3 leaves to the full chunk a start at 0 < y < _DBL_MIN and a chunk whose
+    # amplitude is at most _HOP_FLOOR, where h may not be finite (the full chunk reports it)
+    three = [h for h, _ in take if legs[h].counted and sparse and h not in done
+             and not 0.0 < xs[h][1] < _DBL_MIN and abs(a[h]) * plan.reach_y > _HOP_FLOOR]
+    if three:
+        leg, lo, hi = _uncertified(system, plan, a[three], x[three], n)
+        runs += [(three[i], b, e, True) for i, b, e in zip(leg.tolist(), lo.tolist(), hi.tolist())]
+    runs += [(h, 0, n, legs[h].counted) for h, _ in take if h not in done and h not in three]
+    if not runs:
+        return stops
+    leg, lo, hi, on = (np.array(v) for v in zip(*runs))
+    return stops + _stop_pairs(system, legs, *_build(plan, x, a, leg, lo, hi), leg, on, first)
+
+
+def _stop_pairs(system: PWLSystem, legs: list, rows: np.ndarray, run: np.ndarray,
+                k: np.ndarray, leg: np.ndarray, on: np.ndarray, first: bool) -> list:
+    """The stop of each leg in built chunk rows, run s holding rows of legs[leg[s]]
+    at step indices k, as (leg, k, states k and k+1, event values there); adds
+    the crossings each leg passes before its stop to its counters.  ``on``
+    marks the runs of counted legs, ``first`` chunks that start their legs."""
+    axis, sense, on = legs[0].axis, legs[0].sense, on[run]
+    g, counted = rows[:, 0], np.count_nonzero(on)
+    if counted == len(on):  # selecting rows by a mask costs about as much as evaluating them
+        g = manifold_values(system, rows)
+    elif counted:
+        g = g.copy()
+        g[on] = manifold_values(system, rows[on])
+    y0, y1, same = rows[:-1, 1], rows[1:, 1], run[:-1] == run[1:] if len(leg) > 1 else True
+
+    def crossings(g, direction):  # of g through zero in direction; a start residue is none
+        ahead = g < 0.0 if direction > 0 else g > 0.0
+        mask = ahead[:-1] & ~ahead[1:] & same
+        if first:
+            starts = np.flatnonzero(k == 0)
+            mask[starts[np.abs(g[starts]) <= EVENT_TOL]] = False
+        return mask
+
+    section = crossings(rows[:, 0], sense) & (y0 < 0.0) & (y1 < 0.0)
+    sigma = crossings(g, -sense) & on[:-1] if counted else None
+    r = np.flatnonzero(section if axis else sigma)
+    hits = dict(zip(leg[run[r]].tolist()[::-1], r.tolist()[::-1]))  # each leg's first stop pair
+    if counted:  # only counted legs read their counters
+        pl, cut = leg[run[:-1]], np.full(len(legs), len(rows))
+        cut[list(hits)] = list(hits.values())
+        before = np.arange(len(pl)) < cut[pl]
+        counts = [np.bincount(pl[m & before], minlength=len(legs)).tolist()
+                  for m in (sigma & (y0 > 0.0) & (y1 > 0.0), section)]
+        for one, up, across in zip(legs, *counts):
+            one.sigma_count, one.section_count = one.sigma_count + up, one.section_count + across
+    g_stop = rows[:, 0] if axis else g
+    return [(h, int(k[p]), rows[p:p + 2], *g_stop[p:p + 2].tolist()) for h, p in hits.items()]
+
+
 class _Leg:
     """One leg between chunks: its state, steps taken, counters and records.
 
     The constructor refuses a non-finite or tangent start.  ``settle``
-    takes a chunk that did not hop (rules 2 and 3, the full chunk and the
-    landing); ``integrate_in_zone`` and the lockstep legs of
-    ``_section_stops`` share it, as they share ``_hop_mask``.
+    takes a chunk that did not hop, and ``land`` stops the leg on its event;
+    ``integrate_in_zone`` and the lockstep runner ``_stops`` share both.
     """
 
     def __init__(self, system: PWLSystem, plan: _Plan, start, step: float, axis: bool,
                  forward: bool, stride: int, counted: bool):
         x = np.array([start[0], start[1]], dtype=float)
-        if not np.all(np.isfinite(x)):
+        x0, y0 = x.tolist()
+        if not (math.isfinite(x0) and math.isfinite(y0)):
             raise DomainError(f"non-finite start point {start!r}")
-        g0 = _event_value_scalar(system, axis, x)
-        if abs(g0) <= EVENT_TOL:
+        if abs(_event_value_scalar(system, axis, (x0, y0))) <= EVENT_TOL:
             dgdt, vel = _event_rate(system, axis, plan.matrix, x)
             speed = float(np.hypot(*vel))
             if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
-                raise TangencyError(
-                    f"start {start!r} sits on the stop section with tangent velocity"
-                )
+                raise TangencyError(f"start {start!r} sits on the stop section with tangent "
+                                    "velocity")
         self.system, self.plan, self.step, self.axis = system, plan, step, axis
         # A forward orbit crosses the section with x rising and the curve with
         # x - h(y) falling; a backward leg meets the same crossings reversed.
@@ -585,8 +643,7 @@ class _Leg:
         self.stride, self.counted = stride, counted or not axis
         self.x = x
         self.done = 0  # steps taken before the current chunk
-        self.rec_t: list[np.ndarray] = [] if stride else [np.zeros(1)]
-        self.rec_p: list[np.ndarray] = [] if stride else [x[None, :]]
+        self.rec_t, self.rec_p = ([], []) if stride else ([np.zeros(1)], [x[None, :]])
         self.sigma_count = self.section_count = 0
         self.terminal = TerminalEvent.TIME_OUT
         self.landing_error = 0.0
@@ -596,101 +653,57 @@ class _Leg:
                x_decides: bool) -> bool:
         """Take an n-step chunk that did not hop; True once the leg stops.
 
-        ``a`` and ``end`` are the chunk's coefficient and end state where
-        the plan hops (None elsewhere), and ``x_decides`` whether x alone
-        decides the stop.
-        """
-        system, plan, x, step, axis = self.system, self.plan, self.x, self.step, self.axis
-        states = None
-        # Rule 2: x changes sign at most once; only a section return stops the leg.
-        if a is not None and not self.stride and axis and x_decides and x[0] * end[0] < 0.0:
-            bracket = _sign_change(plan, a, x, n)
-            if bracket is not None:
-                base, states = bracket
-                if not _section_return(states, self.sense):
-                    self.x = end
-                    self.done += n
-                    return False
-                g_stop, hit = states[:, 0], 0
-        if states is None:
-            runs = [(0, n)]
-            # Rule 3: a counted leg builds only the rows where g may change sign.
-            if (a is not None and not self.stride and self.counted and not 0.0 < x[1] < _DBL_MIN
-                    and None not in (system.boundary.envelope, system.boundary.slope_envelope)):
-                runs = self._uncertified(n, a)
-            hit = None
-            for base, last in runs:
-                states = (_propagate_states(plan, x, last) if base == 0
-                          else _states(plan, a, base, last + 1))
-                hit, g_stop = self._mask(states, self.done == 0 and base == 0)
-                if hit is not None:
-                    break
-            if self.stride > 0:  # a recording leg builds its chunks in full
-                idx = np.arange((-self.done) % self.stride, n if hit is None else hit + 1,
-                                self.stride)
-                self.rec_t.append((self.done + idx) * step)
-                self.rec_p.append(states[idx])
-            if hit is None:
-                self.x = states[-1] if end is None else end
-                self.done += n
-                return False
-        if g_stop[hit + 1] == 0.0:
-            tau, self.x = step, states[hit + 1]
-        else:
-            tau, self.x, residual = _localize(system, plan.matrix, states[hit], step,
-                                              float(g_stop[hit]), axis)
+        ``a`` and ``end`` are the chunk's coefficient and end state where the
+        plan hops (None elsewhere), and ``x_decides`` whether x alone decides
+        the stop; a leg that records no samples takes such a chunk by
+        ``_settle``, the others build their chunks in full."""
+        plan, x, step = self.plan, self.x, self.step
+        if a is not None and not self.stride:
+            stops = _settle(self.system, plan, n, self.done == 0, x[None], np.array([a]),
+                            end[None], [(0, x_decides)], [self])
+            if stops:
+                return self.land(*stops[0][1:3], stops[0][3:])
+            self.x = end
+            self.done += n
+            return False
+        states = _propagate_states(plan, x, n)
+        stops = _stop_pairs(self.system, [self], states, np.zeros(n + 1, dtype=int),
+                            np.arange(n + 1), np.zeros(1, dtype=int), np.array([self.counted]),
+                            self.done == 0)
+        if self.stride > 0:  # a recording leg records the rows up to its stop
+            idx = np.arange((-self.done) % self.stride, stops[0][1] + 1 if stops else n,
+                            self.stride)
+            self.rec_t.append((self.done + idx) * step)
+            self.rec_p.append(states[idx])
+        if stops:
+            return self.land(*stops[0][1:3], stops[0][3:])
+        self.x = states[-1] if end is None else end
+        self.done += n
+        return False
+
+    def land(self, k: int, pair: np.ndarray, g, landed=None) -> bool:
+        """Stop the leg on its event between the states k and k+1 of its current
+        chunk, ``pair``, with event values ``g`` there; ``landed`` holds the
+        (tau, state, landing error) of an axis landing made elsewhere."""
+        if landed is not None:
+            tau, self.x, self.landing_error = landed
+        elif g[1] == 0.0:
+            tau, self.x = self.step, pair[1]
+        else:  # the landing error is |y'|*|g|/|dg/dt| at the residual |g| reached
+            tau, self.x, residual = _localize(self.system, self.plan.matrix, pair[0], self.step,
+                                              float(g[0]), self.axis)
             if residual > 0.0:
-                dgdt, vel = _event_rate(system, axis, plan.matrix, self.x)
+                dgdt, vel = _event_rate(self.system, self.axis, self.plan.matrix, self.x)
                 self.landing_error = (residual * abs(float(vel[1])) / abs(dgdt) if dgdt
                                       else math.inf)
-        self.end_time = (self.done + base + hit) * step + tau
-        if axis:
+        self.end_time = (self.done + k) * self.step + tau
+        if self.axis:
             self.terminal = TerminalEvent.AXIS_CROSS
             self.section_count += 1
         else:
             self.terminal = TerminalEvent.BOUNDARY_CROSS
             self.sigma_count += 1
         return True
-
-    def _mask(self, states: np.ndarray, first: bool):
-        """(stop pair or None, event values) of consecutive chunk rows, counting the
-        crossings before the stop; ``first``: the rows start the leg (residue rule)."""
-        g_axis, y = states.T
-        # One crossing mask per kind; the exit mask is the counter of its kind.
-        section = _crossings(g_axis, self.sense, first) & (y[:-1] < 0.0) & (y[1:] < 0.0)
-        if self.counted:
-            g_man = manifold_values(self.system, states)
-            sigma = _crossings(g_man, -self.sense, first)
-        g_stop, hits = (g_axis, section) if self.axis else (g_man, sigma)
-        hit = int(np.argmax(hits)) if hits.any() else None
-        if self.counted:
-            upto = len(hits) if hit is None else hit
-            upper = sigma & (y[:-1] > 0.0) & (y[1:] > 0.0)
-            self.sigma_count += int(np.count_nonzero(upper[:upto]))
-            self.section_count += int(np.count_nonzero(section[:upto]))
-        return hit, g_stop
-
-    def _uncertified(self, n: int, a: complex) -> list:
-        """Rule 3: the runs (first, last) of chunk rows outside which g keeps
-        its strict sign between rows sampled about every sqrt(n)."""
-        plan, boundary = self.plan, self.system.boundary
-        ks = np.minimum(np.arange(0, n + math.isqrt(n), math.isqrt(n)), n)
-        rows = _points(plan, a * plan.powers[ks])
-        rows[0] = self.x
-        g = manifold_values(self.system, rows)
-        top = abs(a) * plan.reach_y
-        reach = abs(a) * (plan.reach_x + boundary.slope_envelope(top) * plan.reach_y)
-        slack = 4.0 * (_HOP_SLACK * (reach + boundary.envelope(top)) + _HOP_FLOOR)
-        # |g_i| + |g_j| = |g_i + g_j| where the two have one strict sign
-        sure = (g[:-1] * g[1:] > 0.0) & (np.abs(g[:-1] + g[1:])
-                                         > np.diff(ks) * (plan.move * reach) + slack)
-        ks, runs = ks.tolist(), []
-        for i in np.flatnonzero(~sure).tolist():
-            if runs and runs[-1][1] == ks[i]:
-                runs[-1][1] = ks[i + 1]
-            else:
-                runs.append([ks[i], ks[i + 1]])
-        return runs
 
     def segment(self, zone: Zone) -> TrajectorySegment:
         """The leg as it stands, stopped or timed out."""
@@ -754,11 +767,9 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
             x = leg.x
             a = complex(_coefficient(plan, x))
             end = _states(plan, a, n, n + 1)[0]
-            # y <= 0 at both ends, so g = x throughout, or only x is asked for.
-            x_decides = not leg.counted or (x[1] <= 0.0 and end[1] <= 0.0)
-            # Elsewhere rule 1 also needs x clear of the curve where y > 0.
-            if (_hop_mask(plan, a, x, end) if x_decides
-                    else _clear_of_curve(system.boundary.envelope, plan, a, x, end)):
+            skip, x_decides = _skip(plan, system.boundary.envelope, leg.counted, a, x.tolist(),
+                                    end.tolist())
+            if skip:
                 if stride:
                     # the recorded rows alone; row 0 is the carried state
                     first = (-leg.done) % stride
@@ -804,97 +815,110 @@ def _time_out(direction: Direction, zone: Zone, origin_y: float) -> IntegrationE
                             f"MAX_TIME={MAX_TIME!r}")
 
 
-def _leg(system: PWLSystem, zone: Zone, start: Point, direction: Direction, step: float,
-         origin_y: float, counted: bool = True) -> TrajectorySegment:
-    """An endpoints-only leg that must leave its zone within ``MAX_TIME``.
-
-    ``origin_y`` is the ordinate the caller's orbit started from; a
-    time-out raises ``IntegrationError`` naming it.  ``counted=False``
-    waives the crossing counters.  The leg runs through the module's
-    ``integrate_in_zone``, so a wrapper installed there sees every leg of
-    a return-map turn and of ``upper_to_lower``; the lockstep legs of
-    ``numeric_displacement`` do not pass through it.
-    """
-    leg = integrate_in_zone(system, zone, start, direction, step, record_stride=0,
-                            _count_crossings=counted)
-    if leg.terminal_event is TerminalEvent.TIME_OUT:
-        raise _time_out(direction, zone, origin_y)
-    return leg
+_ARRAY_LANDINGS = 8  # axis landings from which one array Illinois beats landing each alone
 
 
-def _section_stops(system: PWLSystem, zone: Zone, direction: Direction, starts: list,
-                   step: float) -> tuple[list, dict]:
-    """Landing ordinates of endpoints-only section-stop legs run in lockstep.
+def _stops(system: PWLSystem, zone: Zone, direction: Direction, legs: list) -> list:
+    """Endpoints-only legs through one zone in one direction, run in lockstep.
 
-    Every leg starts at its own point of ``starts`` and has its counters
-    waived, so x alone decides and all of them share one plan and one
-    step count.  Each chunk's hop test and rule 2 are array arithmetic over
-    the active legs, and the legs rule 2 brackets land together at the end
-    (``_land_on_axis``); a chunk rule 2 does not confirm goes through
-    ``_Leg.settle`` as in ``integrate_in_zone``.  Either way a leg keeps its
-    bits.  Returns the landing ordinates (None for a failed leg) and the
-    error of each failed leg by its index: a start refused by ``_Leg`` or a
-    time-out naming the start's ordinate.
+    Each leg (start, step, counted, origin_y) is the ``_Leg`` that ``integrate_in_zone`` runs
+    from ``start`` with ``record_stride=0`` and ``_count_crossings=counted``, with its bits.
+    A plan that does not hop, or a chunk whose rows the boundary fails on, takes its legs
+    one at a time (``_Leg.settle``).  Returns each leg's stopped ``_Leg``, or the error it
+    meets: its step or start refused, an evaluation error, or a time-out naming ``origin_y``.
     """
     forward = direction is Direction.FORWARD
-    chunk = max(1, math.ceil(_BLOCK_TIME / step))
-    plan = _plan(system.params, zone, forward, step, chunk)
-    ends: list = [None] * len(starts)
-    errors: dict = {}
+    axis, envelope = (zone is Zone.LEFT) == forward, system.boundary.envelope
+    out: list = [None] * len(legs)
+    groups: dict = {}
+    for i, leg in enumerate(legs):
+        groups.setdefault(leg[1], []).append(i)
+    for step, group in groups.items():
+        chunk, live, ids = max(1, math.ceil(_BLOCK_TIME / step)), [], []  # the running legs
+        try:
+            plan = _plan(system.params, zone, forward, _check_step(step), chunk)
+        except DomainError as exc:
+            out = [exc if i in group else leg for i, leg in enumerate(out)]
+            continue
+        for i in group:
+            try:
+                out[i] = _Leg(system, plan, legs[i][0], step, axis, forward, 0, legs[i][2])
+                live.append(out[i])
+                ids.append(i)
+            except PWLError as exc:
+                out[i] = exc
+        hop, x, lands, done = _hops(plan, chunk), np.array([leg.x for leg in live]), [], 0
+        while live and (n := _steps_next(done, step, chunk)):
+            stop, end, stops = [False] * len(live), x if hop else x.copy(), []
+            take = [(h, False) for h in range(len(live))]  # the legs taken one at a time
+            if hop:
+                a = _coefficient(plan, x)
+                end = _points(plan, a * plan.powers[n])
+                take = []
+                for h, (leg, c, p, e) in enumerate(zip(live, a.tolist(), x.tolist(), end.tolist())):
+                    # a chunk whose x keeps its strict sign hops where x alone decides
+                    if leg.counted or p[0] * e[0] <= 0.0:
+                        skip, decides = _skip(plan, envelope, leg.counted, c, p, e)
+                        if not skip:
+                            take.append((h, decides))
+                try:
+                    stops, take = (_settle(system, plan, n, done == 0, x, a, end, take, live)
+                                   if take else []), []
+                except PWLError:  # the boundary fails on a row: each leg meets its own error
+                    pass
+            for h, k, pair, *g in stops:
+                stop[h], live[h].done = True, done
+                try:
+                    if axis and g[1] != 0.0:
+                        lands.append((live[h], k, pair, g))
+                    else:
+                        live[h].land(k, pair, g)
+                except PWLError as exc:
+                    out[ids[h]] = exc
+            for h, decides in take:
+                leg = live[h]
+                leg.x, leg.done = x[h], done
+                try:
+                    stop[h] = leg.settle(n, *((complex(a[h]), end[h]) if hop else (None, None)),
+                                         decides)
+                    end[h] = leg.x
+                except PWLError as exc:
+                    out[ids[h]], stop[h] = exc, True
+            if True in stop:
+                keep = [not s for s in stop]
+                live, ids = ([v for v, kept in zip(vals, keep) if kept] for vals in (live, ids))
+                end = end[keep]
+            x = end
+            done += n
+        for i in ids:
+            out[i] = _time_out(direction, zone, legs[i][3])
+        if len(lands) >= _ARRAY_LANDINGS:
+            taus, states = _land_on_axis(plan.matrix, np.array([p[0] for *_, p, _ in lands]),
+                                         step)
+            vel = np.matmul(plan.matrix, states[:, :, None])[:, :, 0]  # matrix @ x, as per leg
+            errors = [0.0 if not r > 0.0 else r * abs(v1) / abs(v0) if v0 else math.inf
+                      for r, (v0, v1) in zip(np.abs(states[:, 0]).tolist(), vel.tolist())]
+            lands = [(leg, k, None, None, landed) for (leg, k, _, _), landed in zip(
+                lands, zip(taus.tolist(), states, errors))]
+        for leg, *land in lands:
+            leg.land(*land)
+    return out
 
-    def leg(i: int) -> _Leg:  # for a start near the section, or a chunk settled alone
-        return _Leg(system, plan, starts[i], step, True, forward, 0, False)
 
-    live = []  # the active legs' indices, in the order of the rows of x
-    for i, start in enumerate(starts):
-        try:  # _Leg refuses a start that is not finite or that is tangent to the section
-            if not (EVENT_TOL < abs(start[0]) < math.inf and math.isfinite(start[1])):
-                leg(i)
-            live.append(i)
-        except PWLError as exc:
-            errors[i] = exc
-    hop = _hops(plan, chunk)
-    x = np.array([starts[i] for i in live], dtype=float).reshape(-1, 2)
-    landed, pairs, done = [], [], 0  # the legs rule 2 lands, and their bracketing states
-    while live and (n := _steps_next(done, step, chunk)):
-        if hop:
-            a = _coefficient(plan, x)
-            end = _points(plan, a * plan.powers[n])
-            settle = ~_hop_mask(plan, a, x, end)
-        else:
-            end, settle = x.copy(), np.ones(len(live), dtype=bool)
-        if settle.any():
-            stop = np.zeros(len(live), dtype=bool)
-            change = np.flatnonzero(settle & (x[:, 0] * end[:, 0] < 0.0)) if hop else []
-            if len(change):
-                ok, bracket = _sign_changes(plan, a[change], x[change], n)
-                lands = ok & _section_return(bracket, 1 if forward else -1)
-                landed += [live[j] for j in change[lands].tolist()]
-                pairs.append(bracket[lands])
-                stop[change[lands]] = True
-                settle[change[ok]] = False  # a confirmed change that is no return hops
-            for j in np.flatnonzero(settle).tolist():
-                one = leg(live[j])
-                one.x, one.done = x[j], done
-                if one.settle(n, *((complex(a[j]), end[j]) if hop else (None, None)), True):
-                    ends[live[j]] = float(one.x[1])
-                    stop[j] = True
-                else:
-                    end[j] = one.x
-            live = [i for i, s in zip(live, stop.tolist()) if not s]
-            end = end[~stop]
-        done += n
-        x = end
-    for i in live:
-        errors[i] = _time_out(direction, zone, starts[i][1])
-    if landed:
-        # a pair whose second x is exactly 0 lands there, as in _Leg.settle
-        pairs = np.concatenate(pairs)
-        ys, land = pairs[:, 1, 1].copy(), pairs[:, 1, 0] != 0.0
-        ys[land] = _land_on_axis(plan.matrix, pairs[land, 0], step)[:, 1]
-        for i, y in zip(landed, ys.tolist()):
-            ends[i] = y
-    return ends, errors
+def _each(value, name: str, refuse, batch) -> tuple[list, bool]:
+    """``batch``'s results on the floats of ``value`` (a float or a 1-d array) before the
+    first that ``refuse`` (index, float) refuses, and whether it is a float; raising, as
+    calls in order would, the first error among the results, then the refusal."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError(f"{name} must be a float or a 1-d array, got shape {arr.shape}")
+    values = np.atleast_1d(arr).tolist()
+    m = next((i for i, v in enumerate(values) if refuse(i, v) is not None), len(values))
+    out = batch(values[:m])
+    error = next((r for r in out if isinstance(r, PWLError)), None)
+    if error is not None or m < len(values):
+        raise error if error is not None else refuse(m, values[m])
+    return out, arr.ndim == 0
 
 
 def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
@@ -905,72 +929,102 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     backward through the right zone from the same point, difference of
     landing ordinates.  ``y`` is a float or a 1-d array, which gives an
     array; a float is a batch of one.  The legs run in lockstep
-    (``_section_stops``), each with the bits of its own
-    ``integrate_in_zone`` leg.  The lockstep's array work is fixed per chunk
-    and per landing: a float takes about 0.7 ms on the README sine at the
-    default step, where its two legs alone take 0.2 ms, so pass an array.
-    A failure raises the error of the first failing y, as calls in order
-    would: its ordinate check, then its forward leg, then its backward leg.
+    (``_stops``), each with the bits of its own ``integrate_in_zone`` leg.
+    A float takes about 0.35 ms on the README sine at the default step,
+    where its two legs alone take 0.23 ms.  A failure raises the error of
+    the first failing y, as calls in order would: its ordinate check, then
+    its forward leg, then its backward leg.
     """
-    ys = np.asarray(y, dtype=float)
-    if ys.ndim > 1:
-        raise DomainError(f"y must be a float or a 1-d array, got shape {ys.shape}")
-    starts, refused = [], None
-    for v in np.atleast_1d(ys).tolist():
-        if not (math.isfinite(v) and v > 0.0):
-            refused = DomainError(f"y must be a positive real, got {v!r}")
-            break
-        starts.append(Point(float(system.boundary.evaluate(v)), v))
-    if starts:
-        _check_step(step)
-    fwd, fwd_err = _section_stops(system, Zone.LEFT, Direction.FORWARD, starts, step)
-    bwd, bwd_err = _section_stops(system, Zone.RIGHT, Direction.BACKWARD, starts, step)
-    for i in sorted(fwd_err.keys() | bwd_err.keys()):
-        raise fwd_err.get(i) or bwd_err[i]
-    if refused is not None:
-        raise refused
-    out = [f - b for f, b in zip(fwd, bwd)]
-    return out[0] if ys.ndim == 0 else np.array(out)
+    def legs(ys: list) -> list:  # in batches, which bound the legs held at once
+        starts = [(Point(float(system.boundary.evaluate(v)), v), step, False, v) for v in ys]
+        out: list = []
+        for part in (starts[lo:lo + 1024] for lo in range(0, len(starts), 1024)):
+            out += [one if isinstance(one, PWLError) else two if isinstance(two, PWLError)
+                    else float(one.x[1] - two.x[1])
+                    for one, two in zip(_stops(system, Zone.LEFT, Direction.FORWARD, part),
+                                        _stops(system, Zone.RIGHT, Direction.BACKWARD, part))]
+        return out
+
+    out, scalar = _each(y, "y", lambda i, v: None if math.isfinite(v) and v > 0.0
+                        else DomainError(f"y must be a positive real, got {v!r}"), legs)
+    return out[0] if scalar else np.array(out)
 
 
-def return_map(system: PWLSystem, y_in: float, step: float = 1e-4, *,
-               _count_crossings: bool = True) -> ReturnMapResult:
+def _turns(system: PWLSystem, y_ins: list, steps: list, counted: bool) -> list:
+    """A return-map turn from each (0, y_ins[i]) at steps[i], its left-zone leg
+    counted or not: a ``ReturnMapResult``, or the error its legs meet first."""
+    first = _stops(system, Zone.RIGHT, Direction.FORWARD,
+                   [(Point(0.0, y), s, True, y) for y, s in zip(y_ins, steps)])
+    go = [i for i, leg in enumerate(first) if not isinstance(leg, PWLError)]
+    second = dict(zip(go, _stops(system, Zone.LEFT, Direction.FORWARD,
+                                 [(Point(*first[i].x.tolist()), steps[i], counted, y_ins[i])
+                                  for i in go])))
+    out = []
+    for i, (y, one) in enumerate(zip(y_ins, first)):
+        two = second.get(i, one)
+        out.append(two if isinstance(two, PWLError) else ReturnMapResult(
+            y, float(two.x[1]), one.end_time + two.end_time,
+            one.sigma_count + two.sigma_count if counted else -1,
+            one.section_count + two.section_count if counted else -1,
+            one.landing_error + two.landing_error))
+    return out
+
+
+def return_map(system: PWLSystem, y_in: float | np.ndarray, step: float = 1e-4, *,
+               _count_crossings: bool = True) -> ReturnMapResult | list:
     """One forward turn of the Poincare map on the lower section {x=0, y<0}.
 
-    ``_count_crossings=False`` is for callers that read only ``y_out``,
-    ``flight_time`` and ``landing_error``: the left-zone leg back to the
-    section then runs uncounted, never evaluating the switching function,
-    and both counters read -1.
+    ``y_in`` is a float, which gives one ``ReturnMapResult``, or a 1-d array,
+    which gives a list of them; the turns' legs run in lockstep (``_stops``),
+    each with the bits of its own ``integrate_in_zone`` leg.  A float takes
+    about 0.7 ms on the README sine at the default step, as its two legs
+    alone do.  A failure raises the error of the first failing
+    y_in, as calls in order would: its check, then its right-zone leg, then
+    its left-zone leg.  ``_count_crossings=False`` is for callers that read
+    only ``y_out``, ``flight_time`` and ``landing_error``: the left-zone leg
+    back to the section then runs uncounted, never evaluating the switching
+    function, and both counters read -1.
     """
-    if not (math.isfinite(y_in) and y_in < 0.0):
-        raise DomainError(f"y_in must be negative, got {y_in!r}")
-    leg1 = _leg(system, Zone.RIGHT, Point(0.0, y_in), Direction.FORWARD, step, y_in)
-    leg2 = _leg(system, Zone.LEFT, leg1.terminal_point, Direction.FORWARD, step, y_in,
-                counted=_count_crossings)
-    counted = _count_crossings
-    return ReturnMapResult(
-        y_in=y_in,
-        y_out=leg2.terminal_point.y,
-        flight_time=leg1.terminal_time + leg2.terminal_time,
-        sigma_crossings=leg1.sigma_crossings + leg2.sigma_crossings if counted else -1,
-        section_returns=leg1.section_returns + leg2.section_returns if counted else -1,
-        landing_error=leg1.landing_error + leg2.landing_error,
-    )
+    out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
+                        else DomainError(f"y_in must be negative, got {v!r}"),
+                        lambda ys: _turns(system, ys, [step] * len(ys), _count_crossings))
+    return out[0] if scalar else out
 
 
-def upper_to_lower(system: PWLSystem, y0: float, step: float = 1e-4) -> float:
+def _lowers(system: PWLSystem, y0s: list, step: float) -> list:
+    """The lower-section ordinate of the forward orbit through each (0, y0 > 0), or its error."""
+    out: list = []
+    for y0 in y0s:
+        try:  # None: the orbit first crosses the switching curve from the right zone
+            out.append(None if _forward_zone(system, Point(0.0, y0)) is Zone.RIGHT
+                       else Point(0.0, y0))
+        except PWLError as exc:
+            out.append(exc)
+    right = [i for i, p in enumerate(out) if p is None]
+    for i, leg in zip(right, _stops(system, Zone.RIGHT, Direction.FORWARD,
+                                    [(Point(0.0, y0s[i]), step, True, y0s[i]) for i in right])):
+        out[i] = leg if isinstance(leg, PWLError) else Point(*leg.x.tolist())
+    left = [i for i, p in enumerate(out) if isinstance(p, Point)]
+    for i, leg in zip(left, _stops(system, Zone.LEFT, Direction.FORWARD,
+                                   [(out[i], step, False, y0s[i]) for i in left])):
+        out[i] = leg if isinstance(leg, PWLError) else float(leg.x[1])
+    return out
+
+
+def upper_to_lower(system: PWLSystem, y0: float | np.ndarray,
+                   step: float = 1e-4) -> float | np.ndarray:
     """Lower-section ordinate of the forward orbit through (0, y0), y0 > 0.
 
     Depending on the sign of h(y0) the start lies in the left zone
     directly or must first cross the switching curve from the right zone.
+    ``y0`` is a float or a 1-d array, which gives an array; the legs run in
+    lockstep (``_stops``), and a failure raises the error of the first
+    failing y0, as calls in order would.
     """
-    if not (math.isfinite(y0) and y0 > 0.0):
-        raise DomainError(f"y0 must be positive, got {y0!r}")
-    p = Point(0.0, y0)
-    if _forward_zone(system, p) is Zone.RIGHT:
-        p = _leg(system, Zone.RIGHT, p, Direction.FORWARD, step, y0).terminal_point
-    return _leg(system, Zone.LEFT, p, Direction.FORWARD, step, y0,
-                counted=False).terminal_point.y
+    out, scalar = _each(y0, "y0", lambda i, v: None if math.isfinite(v) and v > 0.0
+                        else DomainError(f"y0 must be positive, got {v!r}"),
+                        lambda ys: _lowers(system, ys, step))
+    return out[0] if scalar else np.array(out)
 
 
 def probe_eps(y_star: float, neighbors=()) -> float:
@@ -984,9 +1038,9 @@ def probe_eps(y_star: float, neighbors=()) -> float:
     return min(0.05 * y_star, 0.25 * min(gaps))
 
 
-def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
-                   step: float = 1e-4) -> list[tuple[str | None, float]]:
-    """('approach' | 'retreat' | None, margin ratio) of the inner and the outer probe.
+def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
+    """('approach' | 'retreat' | None, margin ratio) of the inner and the outer
+    probe of each cycle (y*, eps), or the error the cycle meets first.
 
     Each probe is the orbit through (0, y* -+ eps); one turn of the return
     map runs from its lower crossing r = -y_in at ``step`` and at twice
@@ -995,7 +1049,10 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     margin ratio is |d| / bar.  The inner probe approaches when d > 0, the
     outer one when d < 0.  Only the turns' ``y_out`` and ``landing_error``
     are read, so their left-zone legs run uncounted: x alone decides where
-    they land, with the bits of a counted turn.
+    they land, with the bits of a counted turn.  The probes of all cycles
+    are placed together, then all their turns at both steps, and a cycle's
+    error is the first in the order inner probe, outer probe, fine turns,
+    coarse turns, as one cycle at a time would meet it.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
     starts exactly at (0, y_in), so it does not enter the bar.  A late or
@@ -1005,21 +1062,30 @@ def _side_verdicts(system: PWLSystem, y_star: float, eps: float,
     the time offset, which ``MARGIN`` covers.
     """
     sides = (-1.0, +1.0)
-    y_ins = [upper_to_lower(system, y_star + side * eps, step) for side in sides]
-    fine = [return_map(system, y_in, step, _count_crossings=False) for y_in in y_ins]
-    coarse = [return_map(system, y_in, 2.0 * step, _count_crossings=False) for y_in in y_ins]
+    y_ins = [y if isinstance(y, PWLError) or y < 0.0  # as return_map checks them
+             else DomainError(f"y_in must be negative, got {y!r}")
+             for y in _lowers(system, [y + side * e for y, e in cycles for side in sides], step)]
+    go = [i for i, y in enumerate(y_ins) if not isinstance(y, PWLError)]
+    turns = _turns(system, [y_ins[i] for i in go] * 2,
+                   [step] * len(go) + [2.0 * step] * len(go), False)
+    fine, coarse = dict(zip(go, turns)), dict(zip(go, turns[len(go):]))
     out = []
-    for side, y_in, f, c in zip(sides, y_ins, fine, coarse):
-        drift = y_in - f.y_out
-        bar = abs(f.y_out - c.y_out) + f.landing_error
-        ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
-        verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
-        out.append((verdict if ratio > MARGIN else None, ratio))
+    for probes in zip(range(0, len(y_ins), 2), range(1, len(y_ins), 2)):
+        stages = [stage.get(i) for stage in (dict(enumerate(y_ins)), fine, coarse) for i in probes]
+        failed = [r for r in stages if isinstance(r, PWLError)]
+        out.append(failed[0] if failed else [])
+        for side, i in zip(sides, probes if not failed else ()):
+            drift = y_ins[i] - fine[i].y_out
+            bar = abs(fine[i].y_out - coarse[i].y_out) + fine[i].landing_error
+            ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
+            verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
+            out[-1].append((verdict if ratio > MARGIN else None, ratio))
     return out
 
 
-def resolve_stability(system: PWLSystem, y_star: float, eps: float,
-                      step: float = 1e-4) -> StabilityClass:
+def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
+                      eps: float | np.ndarray,
+                      step: float = 1e-4) -> StabilityClass | list:
     """Empirical stability from one checked return-map turn on each side.
 
     Starts orbits at the upper crossings y* -+ eps and takes one turn of
@@ -1032,13 +1098,27 @@ def resolve_stability(system: PWLSystem, y_star: float, eps: float,
     when the step is doubled plus the landing error.  Otherwise the result
     is UNDETERMINED.  Each leg stops at ``EVENT_TOL`` and times out after
     ``MAX_TIME``.
-    """
-    if not (math.isfinite(y_star) and y_star > 0.0):
-        raise DomainError(f"y_star must be positive, got {y_star!r}")
-    if not (0.0 < eps < y_star):
-        raise DomainError(f"eps must lie in (0, y_star), got {eps!r}")
 
-    (interior, _), (exterior, _) = _side_verdicts(system, y_star, eps, step)
-    if interior is None or exterior is None:
-        return StabilityClass.UNDETERMINED
-    return _stability_class(interior == "approach", exterior == "approach")
+    ``y_star`` is a float, or a 1-d array that gives a list, and ``eps`` a
+    float or an array of its shape.  The turns of all cycles run in
+    lockstep, and a failure raises the error of the first failing cycle, as
+    calls one cycle at a time would.  A float takes about 1.8 ms on the
+    README sine's stable cycle at the default step.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape not in ((), np.shape(y_star)):
+        raise DomainError(f"eps must be a float or an array of y_star's shape, got {eps.shape}")
+    eps = np.broadcast_to(eps, np.shape(y_star)).ravel().tolist()
+
+    def refuse(i: int, y: float):
+        if not (math.isfinite(y) and y > 0.0):
+            return DomainError(f"y_star must be positive, got {y!r}")
+        return None if 0.0 < eps[i] < y else DomainError(
+            f"eps must lie in (0, y_star), got {eps[i]!r}")
+
+    out, scalar = _each(y_star, "y_star", refuse,
+                        lambda ys: _side_verdicts(system, list(zip(ys, eps)), step))
+    out = [StabilityClass.UNDETERMINED if inner is None or outer is None
+           else _stability_class(inner == "approach", outer == "approach")
+           for (inner, _), (outer, _) in out]
+    return out[0] if scalar else out

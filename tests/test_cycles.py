@@ -254,9 +254,8 @@ class TestVerify:
     def test_return_map_fault_gives_its_own_kind(self, sine_system, monkeypatch, kind, changes):
         turn = oracle.return_map
 
-        def faulty(*args, **kwargs):
-            rm = turn(*args, **kwargs)
-            return dataclasses.replace(rm, **changes(rm))
+        def faulty(*args, **kwargs):  # verify asks for the turns of all cycles at once
+            return [dataclasses.replace(rm, **changes(rm)) for rm in turn(*args, **kwargs)]
 
         monkeypatch.setattr(oracle, "return_map", faulty)
         report = self._report(sine_system)
@@ -265,7 +264,8 @@ class TestVerify:
 
     def test_stability_fault_gives_its_own_kind(self, sine_system, monkeypatch):
         monkeypatch.setattr(oracle, "resolve_stability",
-                            lambda *a, **k: StabilityClass.UNDETERMINED)
+                            lambda system, y_star, *a, **k: [StabilityClass.UNDETERMINED]
+                            * len(y_star))
         report = self._report(sine_system)
         assert report["passed"] is False
         assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]

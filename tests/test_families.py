@@ -129,6 +129,25 @@ class TestOscillatory:
         assert b.evaluate(0.0) == 0.0
         assert b.derivative(0.0) == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(ys=st.lists(st.floats(1e-6, 4.0) | st.sampled_from([1e-310, 5e-309, 0.0, -1.0]),
+                       min_size=1, max_size=20))
+    def test_slope_has_the_bits_of_two_reciprocals(self, ys):
+        # h' takes 1/y once for its sine and cosine terms, with the bits of
+        # taking it for each term, on the float and on the array path
+        a, recip = 0.3, families._recip
+        b = make_oscillatory(a)
+
+        def ref(y, m):
+            return 2.0 * a * y * m.sin(recip(y, m)) - a * m.cos(recip(y, m))
+
+        arr = np.array(ys)
+        want = np.zeros_like(arr)
+        want[arr > 0.0] = ref(arr[arr > 0.0], np)
+        assert b.derivative(arr).tobytes() == want.tobytes()
+        floats = [ref(y, math) if y > 0.0 else 0.0 for y in ys]
+        assert np.array([b.derivative(y) for y in ys]).tobytes() == np.array(floats).tobytes()
+
 
 class TestCosine:
     def test_parameter_range(self):

@@ -10,7 +10,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sine_table_samples
@@ -34,6 +34,7 @@ from pwlcycles import (
     reports_for_roots,
     resolve_stability,
     return_map,
+    verify,
 )
 from pwlcycles import oracle as orc
 from pwlcycles.core import manifold_value
@@ -52,16 +53,39 @@ EXP_M_075PI = 0.09478022484215486
 
 
 def _chunks_built(monkeypatch) -> list:
-    """The step counts of the chunks built in full from here on, one entry each."""
+    """The step counts of the chunks built from their first row on, one entry
+    each, by a per-leg leg (``_propagate_states``) or by the lockstep runner
+    (the runs of ``_build`` that start at row 0)."""
     built = []
-    propagate = orc._propagate_states
+    propagate, build = orc._propagate_states, orc._build
 
     def counting(plan, x0, n):
         built.append(n)  # states beyond the given start
         return propagate(plan, x0, n)
 
+    def counting_runs(plan, x, a, leg, lo, hi):
+        built.extend(hi[lo == 0].tolist())
+        return build(plan, x, a, leg, lo, hi)
+
     monkeypatch.setattr(orc, "_propagate_states", counting)
+    monkeypatch.setattr(orc, "_build", counting_runs)
     return built
+
+
+def _legs_run(monkeypatch) -> list:
+    """(zone, direction, step, counted) of every leg the lockstep runner runs
+    from here on, and a guard that no leg runs through ``integrate_in_zone``."""
+    legs = []
+    stops = orc._stops
+
+    def recording(system, zone, direction, todo):
+        legs.extend((zone, direction, step, counted) for _, step, counted, _ in todo)
+        return stops(system, zone, direction, todo)
+
+    monkeypatch.setattr(orc, "_stops", recording)
+    monkeypatch.setattr(orc, "integrate_in_zone",
+                        lambda *a, **k: pytest.fail("a turn leg ran through integrate_in_zone"))
+    return legs
 
 
 class TestStepper:
@@ -370,16 +394,9 @@ class TestForwardZone:
         system = PWLSystem(params075, Boundary(evaluate=lambda y: h0 * y,
                                                derivative=lambda y: h0 + 0.0 * y))
         assert orc._forward_zone(system, Point(0.0, 1.0)) is Zone.LEFT
-        zones = []
-        integrate = orc.integrate_in_zone
-
-        def recording(system, zone, *args, **kwargs):
-            zones.append(zone)
-            return integrate(system, zone, *args, **kwargs)
-
-        monkeypatch.setattr(orc, "integrate_in_zone", recording)
+        legs = _legs_run(monkeypatch)
         upper_to_lower(system, 1.0, 1e-3)
-        assert zones == [Zone.LEFT]  # no right-zone leg first
+        assert [zone for zone, *_ in legs] == [Zone.LEFT]  # no right-zone leg first
 
     def test_off_the_switching_set_the_sign_of_g_decides(self, sine_system):
         rng = np.random.default_rng(17)
@@ -536,6 +553,10 @@ class TestChunkSkipping:
            x=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2),
            y=st.floats(-3.0, 3.0) | st.floats(-0.2, 0.2), on_axis=st.booleans(),
            step=st.floats(1e-4, 2e-3))
+    # rule 3 sampled rows of this orbit next to the origin, where h is not
+    # finite, and named another y than the full chunk does
+    @example(family="oscillatory", zone=Zone.LEFT, direction=Direction.FORWARD, x=0.0,
+             y=-2.2250738585072014e-308, on_axis=False, step=0.001953125)
     def test_unrecorded_leg_equals_full_chunks(self, family, zone, direction,
                                                x, y, on_axis, step):
         system = SKIP_FAMILIES[family]()
@@ -827,7 +848,7 @@ class TestCertifiedChunks:
         system = PWLSystem(sine.params, Boundary(sine.boundary.evaluate,
                                                  sine.boundary.derivative,
                                                  envelope=sine.boundary.envelope))
-        monkeypatch.setattr(orc._Leg, "_uncertified",
+        monkeypatch.setattr(orc, "_uncertified",
                             lambda *a: pytest.fail("rule 3 ran without a slope bound"))
         built = _chunks_built(monkeypatch)
         seg = return_map(system, -2.0 * EXP_M_075PI)
@@ -836,8 +857,8 @@ class TestCertifiedChunks:
 
 
 class TestArrayForms:
-    """The scan's array forms of rule 2 and of the axis landing against the
-    per-leg forms they stand for, bit for bit."""
+    """The array forms of rule 2 and of the axis landing against what they
+    stand for, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(gamma=st.sampled_from([0.3, 0.75, 1.0]), zone=st.sampled_from(list(Zone)),
@@ -855,17 +876,24 @@ class TestArrayForms:
         end = orc._points(plan, a * plan.powers[n])
         changes = x[:, 0] * end[:, 0] < 0.0
         x, a = x[changes], a[changes]
-        ok, pairs = orc._sign_changes(plan, a, x, n)
+        ok, base, pairs = orc._sign_changes(plan, a, x, n)
         for j in range(len(a)):
-            bracket = orc._sign_change(plan, complex(a[j]), x[j], n)
-            assert ok[j] == (bracket is not None)
-            if bracket is not None:
-                assert pairs[j].tobytes() == bracket[1].tobytes()
+            # each chunk alone, as a per-leg leg asks, and the chunk in full
+            alone = orc._sign_changes(plan, a[j:j + 1], x[j:j + 1], n)
+            assert alone[0][0] == ok[j]
+            rows = _propagate_states(plan, x[j], n)
+            flips = np.flatnonzero((rows[1:, 0] < 0.0) != (rows[:-1, 0] < 0.0))
+            if ok[j]:
+                assert alone[1][0] == base[j] and alone[2][0].tobytes() == pairs[j].tobytes()
+                assert flips.tolist() == [base[j]]
+                assert pairs[j].tobytes() == rows[base[j]:base[j] + 2].tobytes()
         starts = pairs[ok]
-        landed = orc._land_on_axis(plan.matrix, starts[:, 0], step) if len(starts) else []
-        for start, got in zip(starts, landed):
-            ref = orc._localize(None, plan.matrix, start[0], step, float(start[0, 0]), True)[1]
-            assert got.tobytes() == ref.tobytes()
+        if len(starts):
+            taus, landed = orc._land_on_axis(plan.matrix, starts[:, 0], step)
+            for start, tau, got in zip(starts, taus, landed):
+                ref_tau, ref, _ = orc._localize(None, plan.matrix, start[0], step,
+                                                float(start[0, 0]), True)
+                assert got.tobytes() == ref.tobytes() and tau == ref_tau
 
     @settings(max_examples=60, deadline=None)
     @given(matrix=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
@@ -880,7 +908,7 @@ class TestArrayForms:
         ends = np.array([orc._horner(c, step) for c in zip(*orc._quartic(matrix, *x.T))]).T
         x = x[(x[:, 0] < 0.0) != (ends[:, 0] < 0.0)]
         if len(x):
-            got = orc._land_on_axis(matrix, x, step)
+            got = orc._land_on_axis(matrix, x, step)[1]
             for start, landed in zip(x, got):
                 ref = orc._localize(None, matrix, start, step, float(start[0]), True)[1]
                 assert landed.tobytes() == ref.tobytes()
@@ -895,13 +923,22 @@ def _tangent_rate(system, axis, matrix, x):
     return (0.0, vel) if float(x[1]) in (1.0, 2.0) else (dgdt, vel)
 
 
+def _leg_by_integration(system, zone, start, direction, step, origin_y, counted=True):
+    """One endpoints-only ``integrate_in_zone`` leg, raising the time-out ``_stops`` raises."""
+    seg = integrate_in_zone(system, zone, start, direction, step, record_stride=0,
+                            _count_crossings=counted)
+    if seg.terminal_event is TerminalEvent.TIME_OUT:
+        raise orc._time_out(direction, zone, origin_y)
+    return seg
+
+
 def _displacement_by_legs(system, y, step):
     """numeric_displacement at a float y from one ``integrate_in_zone`` leg per direction."""
     if not (math.isfinite(y) and y > 0.0):
         raise DomainError(f"y must be a positive real, got {y!r}")
     start = Point(float(system.boundary.evaluate(y)), y)
-    fwd = orc._leg(system, Zone.LEFT, start, Direction.FORWARD, step, y, counted=False)
-    bwd = orc._leg(system, Zone.RIGHT, start, Direction.BACKWARD, step, y, counted=False)
+    fwd = _leg_by_integration(system, Zone.LEFT, start, Direction.FORWARD, step, y, False)
+    bwd = _leg_by_integration(system, Zone.RIGHT, start, Direction.BACKWARD, step, y, False)
     return fwd.terminal_point.y - bwd.terminal_point.y
 
 
@@ -972,10 +1009,46 @@ class TestLockstepDisplacement:
         assert sum(landed) == 2 * len(ys)
         assert built == []
 
+    def test_long_scan_holds_its_legs_in_batches(self, sine_system, monkeypatch):
+        # the legs of a long scan run 1024 ordinates at a time, with the bits of float calls
+        sizes, stops = [], orc._stops
+        monkeypatch.setattr(orc, "_stops", lambda system, zone, direction, legs: sizes.append(
+            len(legs)) or stops(system, zone, direction, legs))
+        ys = np.linspace(0.1, 4.0, 1100)
+        got = numeric_displacement(sine_system, ys, 1e-3)
+        assert sizes == [1024, 1024, 76, 76]
+        want = np.array([numeric_displacement(sine_system, y, 1e-3) for y in ys])
+        assert got.tobytes() == want.tobytes()
+
     def test_scan_runs_no_leg_through_integrate_in_zone(self, sine_system, monkeypatch):
         monkeypatch.setattr(orc, "integrate_in_zone",
                             lambda *a, **k: pytest.fail("a lockstep leg ran a whole leg"))
         assert numeric_displacement(sine_system, np.linspace(0.1, 4.0, 40)).shape == (40,)
+
+
+def _side_verdicts_by_legs(system, y_star, eps, step=1e-4):
+    """``_side_verdicts`` of one cycle as (verdict, ratio.hex()) pairs, from
+    counted ``integrate_in_zone`` legs run one at a time."""
+    out = []
+    for side in (-1.0, +1.0):
+        p = Point(0.0, y_star + side * eps)
+        if orc._forward_zone(system, p) is Zone.RIGHT:
+            p = integrate_in_zone(system, Zone.RIGHT, p, step=step, record_stride=0).terminal_point
+        y_in = integrate_in_zone(system, Zone.LEFT, p, step=step, record_stride=0).terminal_point.y
+        turns = []
+        for s in (step, 2.0 * step):
+            first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=s,
+                                      record_stride=0)
+            second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=s,
+                                       record_stride=0)
+            assert first.sigma_crossings + second.sigma_crossings == 1
+            turns.append((second.terminal_point.y, first.landing_error + second.landing_error))
+        (fine, error), (coarse, _) = turns
+        drift, bar = y_in - fine, abs(fine - coarse) + error
+        ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
+        verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
+        out.append((verdict if ratio > orc.MARGIN else None, ratio.hex()))
+    return out
 
 
 class TestResolveStability:
@@ -990,7 +1063,7 @@ class TestResolveStability:
     def test_center_is_undetermined(self, zero_system):
         got = resolve_stability(zero_system, 1.0, eps=0.05)
         assert got is StabilityClass.UNDETERMINED
-        for verdict, ratio in orc._side_verdicts(zero_system, 1.0, 0.05):
+        for verdict, ratio in orc._side_verdicts(zero_system, [(1.0, 0.05)])[0]:
             assert verdict is None and ratio < orc.MARGIN
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
@@ -999,45 +1072,40 @@ class TestResolveStability:
         for i, (y_star, cls) in enumerate(zip(roots, expected)):
             eps = probe_eps(y_star, roots[:i] + roots[i + 1:])
             assert resolve_stability(system, y_star, eps=eps) is cls
-            for verdict, ratio in orc._side_verdicts(system, y_star, eps):
+            for verdict, ratio in orc._side_verdicts(system, [(y_star, eps)])[0]:
                 assert verdict is not None and ratio >= 1e3, (y_star, ratio)
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
-    def test_side_verdicts_equal_counted_turns(self, name, monkeypatch):
-        # the turns' left legs run uncounted; counted turns give the same bits
+    def test_side_verdicts_equal_counted_turns(self, name):
+        # the probes and turns of all cycles run in lockstep, their left legs
+        # uncounted; counted integrate_in_zone turns, one leg at a time, give
+        # every verdict and the bits of every margin ratio
         system, roots, _ = VERIFY_SYSTEMS[name]()
-        probes = [(y_star, probe_eps(y_star, roots[:i] + roots[i + 1:]))
-                  for i, y_star in enumerate(roots)]
-
-        def bits():
-            return [[(verdict, ratio.hex()) for verdict, ratio in orc._side_verdicts(system, *p)]
-                    for p in probes]
-
-        got = bits()
-        turn = orc.return_map  # without the keyword, every leg of a turn is counted
-        monkeypatch.setattr(orc, "return_map",
-                            lambda *a, _count_crossings=False, **k: turn(*a, **k))
-        assert got == bits()
+        eps = [probe_eps(y_star, roots[:i] + roots[i + 1:]) for i, y_star in enumerate(roots)]
+        got = [[(verdict, ratio.hex()) for verdict, ratio in cycle]
+               for cycle in orc._side_verdicts(system, list(zip(roots, eps)))]
+        assert got == [_side_verdicts_by_legs(system, y, e) for y, e in zip(roots, eps)]
 
     def test_readme_sine_stable_probes_build_at_most_13_chunks(self, sine_system, monkeypatch):
         # the probes of y* = 2 built 26 chunks while the turns' left legs were counted
         built = _chunks_built(monkeypatch)
-        orc._side_verdicts(sine_system, 2.0, probe_eps(2.0, [1.0]))
+        orc._side_verdicts(sine_system, [(2.0, probe_eps(2.0, [1.0]))])
         assert len(built) <= 13, built
 
     def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
-        calls = []
-        integrate = orc.integrate_in_zone
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(orc, "integrate_in_zone", counting)
+        # per cycle: at most two legs per probe and two per turn, at two steps,
+        # and the legs of two cycles at once are those of each alone
+        legs = _legs_run(monkeypatch)
+        alone = []
         for y_star in (1.0, 2.0):
-            calls.clear()
+            legs.clear()
             resolve_stability(sine_system, y_star, eps=0.05)
-            assert 0 < len(calls) <= 16
+            assert 0 < len(legs) <= 16
+            assert {step for _, _, step, _ in legs} == {1e-4, 2e-4}
+            alone += legs
+        legs.clear()
+        resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05)
+        assert sorted(legs) == sorted(alone)
 
     @pytest.mark.parametrize("k", [24, 31, 36])
     def test_small_oscillatory_cycles(self, oscillatory_system, k):
@@ -1056,6 +1124,140 @@ class TestResolveStability:
         eps = probe_eps(r[4], r[:4])
         assert 0.0 < eps <= 0.25 * (r[3] - r[4])
         assert probe_eps(2.0, [1.0, 3.0]) == pytest.approx(0.1)
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except PWLError as exc:
+        return type(exc), str(exc)
+
+
+class TestLockstepTurns:
+    """The lockstep runner (``_stops``) against per-leg ``integrate_in_zone``
+    legs, and the array forms of the turns against calls one value at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(sorted(SKIP_FAMILIES)), zone=st.sampled_from(list(Zone)),
+           direction=st.sampled_from(list(Direction)),
+           legs=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(-0.3, 0.3) | st.just(0.0),
+                                   st.booleans(),
+                                   st.sampled_from([1e-4, 2e-4, 1.3e-3]) | st.floats(1e-4, 5e-3),
+                                   st.booleans()), min_size=1, max_size=6),
+           max_time=st.sampled_from([10.0, 3.0]))
+    def test_legs_equal_per_leg_integration(self, family, zone, direction, legs, max_time):
+        # starts next to (or on) the curve, or as far below the axis, so that
+        # both stops meet the curve, the section, a tangent start or a time-out;
+        # counted and uncounted legs of several steps share each batch
+        system = SKIP_FAMILIES[family]()
+        starts = [Point(dx, -y) if below else Point(float(system.boundary.evaluate(y)) + dx, y)
+                  for y, dx, below, _, _ in legs]
+        todo = [(start, step, counted, y) for start, (y, _, _, step, counted) in zip(starts, legs)]
+        with mock.patch.object(orc, "MAX_TIME", max_time):
+            got = orc._stops(system, zone, direction, todo)
+            for leg, (start, step, counted, y) in zip(got, todo):
+                ref = _outcome(lambda: _leg_bits(_leg_by_integration(system, zone, start,
+                                                                     direction, step, y, counted)))
+                assert (_leg_bits(leg.segment(zone)) if isinstance(leg, orc._Leg)
+                        else (type(leg), str(leg))) == ref
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_many_axis_landings_land_as_arrays_with_the_bits_of_legs(self, name, monkeypatch):
+        # the displacement's 40 starts in both zones, counted or not: the legs
+        # land on the section in one array Illinois, and every leg has the end
+        # point, time, counters and landing error of its own leg
+        system = VERIFY_SYSTEMS[name]()[0]
+        ys = np.linspace(0.05, 1.0, 40) if name == "oscillatory" else np.linspace(0.1, 4.0, 40)
+        landed = []
+        land = orc._land_on_axis
+        monkeypatch.setattr(orc, "_land_on_axis",
+                            lambda matrix, x, step: landed.append(len(x)) or land(matrix, x, step))
+        starts = [Point(float(system.boundary.evaluate(y)), y) for y in ys]
+        for zone, direction in ((Zone.LEFT, Direction.FORWARD), (Zone.RIGHT, Direction.BACKWARD)):
+            for counted in (False, True):
+                landed.clear()
+                legs = orc._stops(system, zone, direction,
+                                  [(p, 1e-4, counted, p.y) for p in starts])
+                assert landed == [len(ys)]
+                for leg, p in zip(legs, starts):
+                    assert _leg_bits(leg.segment(zone)) == _leg_bits(integrate_in_zone(
+                        system, zone, p, direction, 1e-4, record_stride=0,
+                        _count_crossings=counted))
+
+    def test_arrays_give_the_results_of_floats(self, sine_system):
+        y_ins = [-0.2, -EXP_M_075PI, -2.0 * EXP_M_075PI]
+        turns = return_map(sine_system, np.array(y_ins))
+        assert turns == [return_map(sine_system, y) for y in y_ins]
+        assert return_map(sine_system, np.array([])) == []
+        lows = upper_to_lower(sine_system, np.array([0.5, 1.5, 2.5]))
+        assert lows.tolist() == [upper_to_lower(sine_system, y) for y in (0.5, 1.5, 2.5)]
+        classes = resolve_stability(sine_system, np.array([1.0, 2.0]), np.array([0.05, 0.1]))
+        assert classes == [StabilityClass.UNSTABLE, StabilityClass.STABLE]
+        assert resolve_stability(sine_system, np.array([1.0, 2.0]), 0.05) == classes
+        for call in (lambda: return_map(sine_system, np.ones((2, 2))),
+                     lambda: resolve_stability(sine_system, np.array([1.0, 2.0]),
+                                               np.array([0.05, 0.05, 0.05]))):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("max_time", [orc.MAX_TIME, 2.5])
+    @pytest.mark.parametrize("plant", [(), ("probe",), ("turn",), ("turn", "eps"), ("eps",),
+                                       ("y_in",)])
+    def test_array_calls_raise_what_calls_in_order_raise(self, sine_system, monkeypatch,
+                                                         max_time, plant):
+        # A short MAX_TIME times out the first leg.  A zero rate planted at
+        # y = 1 and 2 makes tangent the probe starts of y* = 1.5 at eps = 0.5,
+        # and one planted at the lower crossing of the first cycle's outer
+        # probe makes tangent the starts of its fine and coarse turns, so the
+        # first cycle fails in its fine turns while the third refuses its eps.
+        stars, eps = [1.0, 1.5 if "probe" in plant else 1.2, 2.0], [0.05, 0.5, 0.05]
+        if "eps" in plant:
+            eps[2] = 3.0
+        tangent = {1.0, 2.0} if "probe" in plant else set()
+        if "turn" in plant:
+            tangent.add(upper_to_lower(sine_system, stars[0] + eps[0]))
+
+        def rate(system, axis, matrix, x):
+            dgdt, vel = _EVENT_RATE(system, axis, matrix, x)
+            return (0.0, vel) if float(x[1]) in tangent else (dgdt, vel)
+
+        monkeypatch.setattr(orc, "_event_rate", rate)
+        monkeypatch.setattr(orc, "MAX_TIME", max_time)
+        y_ins = [-0.2, 0.3 if "y_in" in plant else -0.4, -0.6]
+
+        def in_order(call, values):
+            return [call(*v) for v in values]
+
+        assert (_outcome(lambda: resolve_stability(sine_system, np.array(stars), np.array(eps)))
+                == _outcome(lambda: in_order(lambda y, e: resolve_stability(sine_system, y, e),
+                                             zip(stars, eps))))
+        assert (_outcome(lambda: return_map(sine_system, np.array(y_ins)))
+                == _outcome(lambda: in_order(lambda y: return_map(sine_system, y),
+                                             [(y,) for y in y_ins])))
+        probes = [y + side * e for y, e in zip(stars, eps) for side in (-1.0, 1.0)]
+        assert (_outcome(lambda: upper_to_lower(sine_system, np.array(probes)).tolist())
+                == _outcome(lambda: in_order(lambda y: upper_to_lower(sine_system, y),
+                                             [(y,) for y in probes])))
+
+    @pytest.mark.parametrize("max_time", [orc.MAX_TIME, 2.5, 3.5, 5.0, 6.5])
+    def test_verify_raises_what_one_cycle_at_a_time_raises(self, monkeypatch, max_time):
+        system, roots, _ = VERIFY_SYSTEMS["oscillatory"]()
+        cycles = reports_for_roots(system, roots)
+        ys = np.linspace(0.05, 1.0, 5)
+        monkeypatch.setattr(orc, "MAX_TIME", max_time)
+
+        def one_at_a_time():
+            stars = [c.y_star for c in cycles]
+            for i, rep in enumerate(cycles):
+                return_map(system, rep.lower_crossing.y)
+                resolve_stability(system, rep.y_star, probe_eps(rep.y_star,
+                                                                stars[:i] + stars[i + 1:]))
+            return "passed"
+
+        got = _outcome(lambda: verify(system, cycles, ys, 1e-4, 1e-6))
+        ref = _outcome(one_at_a_time)
+        assert got == ref if isinstance(ref, tuple) else isinstance(got, dict)
 
 
 class TestOptionsAndExport:
