@@ -68,14 +68,16 @@ displacement, and the probe placement and the left-zone legs of the
 return-map turns of the stability check) waive the crossing counters, so
 for them x alone decides, and the boundary is never evaluated.
 
-``integrate_in_zone`` runs one leg at a time, recording samples if asked;
-``_stops`` runs the endpoints-only legs of the numerical displacement, the
-return map and the stability check in lockstep, with the bits of their own
-``integrate_in_zone`` legs.  Legs of one zone, direction and step share a
-plan and a step count, so a chunk's end states, rules 2 and 3 and the rows
-built are array work over the legs (``_settle``), and many axis landings
-are one array Illinois (``_land_on_axis``).  The states' bits are those of
-numpy's vectorized complex product ``a * plan.powers[lo:hi]``: Python's
+One runner, ``_stops``, runs every leg: a batch of legs through one zone
+in one direction, in lockstep, counted or not and recording samples or not
+as the batch asks.  ``integrate_in_zone`` is a batch of one leg; the
+numerical displacement, the return map and the stability check run all
+their legs of a zone and direction as one batch, and a leg has the same
+bits in any batch.  Legs of one step share a plan and a step count, so a
+chunk's end states, rules 2 and 3 and the rows built are array work over
+the legs (``_settle``), and many axis landings are one array Illinois
+(``_land_on_axis``).  The states' bits are those of numpy's vectorized
+complex product ``a * plan.powers[lo:hi]``: Python's
 ``complex`` product and numpy's complex128 scalar product each differ from
 it in the last bit for about two in five (a, k) (numpy 2.4, an AVX-512 CPU
 with FMA), so a scalar path must keep the product an array operation, and
@@ -502,11 +504,6 @@ def _steps_next(done: int, step: float, chunk: int) -> int:
     return min(math.ceil((MAX_TIME - done * step) / step), chunk)
 
 
-def _hops(plan: _Plan, chunk: int) -> bool:
-    """Whether the legs of a plan may skip chunks by rules 1 and 2."""
-    return plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
-
-
 def _uncertified(system: PWLSystem, plan: _Plan, a: np.ndarray, x: np.ndarray, n: int):
     """Rule 3 for the n-step chunks of m legs with coefficients ``a`` (m,) and
     states ``x`` (m, 2): the intervals (leg, lo, hi) of rows, between rows sampled
@@ -543,86 +540,107 @@ def _build(plan: _Plan, x: np.ndarray, a: np.ndarray, leg: np.ndarray, lo: np.nd
     return rows, run, k
 
 
-def _settle(system: PWLSystem, plan: _Plan, n: int, first: bool, x: np.ndarray, a: np.ndarray,
-            end: np.ndarray, take: list, legs: list) -> list:
-    """Take by rule 2, rule 3 or in full, as array work, the n-step chunks that did
-    not hop of the legs (h, x alone decides) in ``take``, of the ``_Leg``s
-    ``legs`` with states ``x``, coefficients ``a`` and ends ``end`` (``first``:
-    the chunks start their legs), as ``_stop_pairs`` returns and counts them."""
-    axis, sense, xs, es = legs[0].axis, legs[0].sense, x.tolist(), end[:, 0].tolist()
-    sparse = None not in (system.boundary.envelope, system.boundary.slope_envelope)
-    stops, runs, done = [], [], set()  # runs: (leg, lo, hi, counted) of rows to build
-    two = [h for h, decides in take if axis and decides and xs[h][0] * es[h] < 0.0]
-    if two:
-        ok, base, pairs = _sign_changes(plan, a[two], x[two], n)
-        # a confirmed change stops the leg where x crosses in the sense of the
-        # forward flow with y < 0 on both states, and hops elsewhere
-        land = (((pairs[:, 0, 0] < 0.0) == (sense > 0)) & (pairs[:, 0, 1] < 0.0)
-                & (pairs[:, 1, 1] < 0.0))
-        for h, o, stop, k, pair in zip(two, ok.tolist(), land.tolist(), base.tolist(), pairs):
-            if o:
-                done.add(h)
-                stops += [(h, k, pair, *pair[:, 0].tolist())] if stop else []
-    # rule 3 leaves to the full chunk a start at 0 < y < _DBL_MIN and a chunk whose
-    # amplitude is at most _HOP_FLOOR, where h may not be finite (the full chunk reports it)
-    three = [h for h, _ in take if legs[h].counted and sparse and h not in done
-             and not 0.0 < xs[h][1] < _DBL_MIN and abs(a[h]) * plan.reach_y > _HOP_FLOOR]
-    if three:
-        leg, lo, hi = _uncertified(system, plan, a[three], x[three], n)
-        runs += [(three[i], b, e, True) for i, b, e in zip(leg.tolist(), lo.tolist(), hi.tolist())]
-    runs += [(h, 0, n, legs[h].counted) for h, _ in take if h not in done and h not in three]
-    if not runs:
-        return stops
-    leg, lo, hi, on = (np.array(v) for v in zip(*runs))
-    return stops + _stop_pairs(system, legs, *_build(plan, x, a, leg, lo, hi), leg, on, first)
+@functools.lru_cache(maxsize=8)
+def _one_chunk(n: int) -> tuple:
+    """(run, k) of the rows 0..n of one whole n-step chunk, shared and read-only."""
+    run, k = np.zeros(n + 1, dtype=int), np.arange(n + 1)
+    run.flags.writeable = k.flags.writeable = False
+    return run, k
+
+
+def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a, end: np.ndarray,
+            take: list, legs: list) -> list:
+    """Take as array work the n-step chunks that did not hop of the legs (h, x alone
+    decides) in ``take``, of the ``_Leg``s ``legs`` with states ``x`` after ``done``
+    steps, coefficients ``a`` and ends ``end``: by rule 2, rule 3 or whole, and whole
+    for recording legs, which record the rows to their stops, and for a plan that does
+    not hop (``a`` None), whose ends it writes.  Returns the stops as ``_stop_pairs``."""
+    one = legs[0]
+    stops, runs, settled, three = [], [], set(), []  # runs: (leg, lo, hi) of rows to build
+    if a is not None and not one.stride:
+        xs, es = x.tolist(), end[:, 0].tolist()
+        two = [h for h, decides in take if one.axis and decides and xs[h][0] * es[h] < 0.0]
+        if two:
+            ok, base, pairs = _sign_changes(plan, a[two], x[two], n)
+            # a confirmed change stops the leg where x crosses in the sense of the
+            # forward flow with y < 0 on both states, and hops elsewhere
+            land = (((pairs[:, 0, 0] < 0.0) == (one.sense > 0)) & (pairs[:, 0, 1] < 0.0)
+                    & (pairs[:, 1, 1] < 0.0))
+            for h, o, stop, k, pair in zip(two, ok.tolist(), land.tolist(), base.tolist(), pairs):
+                if o:
+                    settled.add(h)
+                    stops += [(h, k, pair, *pair[:, 0].tolist())] if stop else []
+        # rule 3 leaves to the whole chunk a start at 0 < y < _DBL_MIN and a chunk whose
+        # amplitude is at most _HOP_FLOOR, where h may not be finite (the chunk reports it)
+        if one.counted and None not in (system.boundary.envelope, system.boundary.slope_envelope):
+            three = [h for h, _ in take if h not in settled and not 0.0 < xs[h][1] < _DBL_MIN
+                     and abs(a[h]) * plan.reach_y > _HOP_FLOOR]
+        if three:
+            leg, lo, hi = _uncertified(system, plan, a[three], x[three], n)
+            runs += zip([three[i] for i in leg.tolist()], lo.tolist(), hi.tolist())
+    whole = [h for h, _ in take if h not in settled and h not in three]
+    if a is None or one.stride or not runs and len(whole) == 1:  # each leg's chunk alone
+        leg, rows = np.array(whole), [_propagate_states(plan, x[h], n) for h in whole]
+        if len(rows) == 1:
+            rows, (run, k) = rows[0], _one_chunk(n)
+        else:
+            rows, (run, k) = np.concatenate(rows), np.divmod(np.arange(len(rows) * (n + 1)), n + 1)
+    else:
+        runs += [(h, 0, n) for h in whole]
+        if not runs:
+            return stops
+        leg, lo, hi = (np.array(v) for v in zip(*runs))
+        rows, run, k = _build(plan, x, a, leg, lo, hi)
+    found = _stop_pairs(system, legs, rows, run, k, leg, done == 0)
+    if a is None or one.stride:  # whole chunks: a plan that does not hop takes their ends
+        last, stride = {f[0]: f[1] for f in found}, one.stride
+        for j, h in enumerate(whole):
+            chunk = rows[j * (n + 1):(j + 1) * (n + 1)]
+            if a is None:
+                end[h] = chunk[-1]
+            if stride:
+                lo, hi = (-done) % stride, last[h] + 1 if h in last else n
+                legs[h].rec_t.append((done + np.arange(lo, hi, stride)) * one.step)
+                legs[h].rec_p.append(chunk[lo:hi:stride])
+    return stops + found
 
 
 def _stop_pairs(system: PWLSystem, legs: list, rows: np.ndarray, run: np.ndarray,
-                k: np.ndarray, leg: np.ndarray, on: np.ndarray, first: bool) -> list:
+                k: np.ndarray, leg: np.ndarray, first: bool) -> list:
     """The stop of each leg in built chunk rows, run s holding rows of legs[leg[s]]
     at step indices k, as (leg, k, states k and k+1, event values there); adds
-    the crossings each leg passes before its stop to its counters.  ``on``
-    marks the runs of counted legs, ``first`` chunks that start their legs."""
-    axis, sense, on = legs[0].axis, legs[0].sense, on[run]
-    g, counted = rows[:, 0], np.count_nonzero(on)
-    if counted == len(on):  # selecting rows by a mask costs about as much as evaluating them
-        g = manifold_values(system, rows)
-    elif counted:
-        g = g.copy()
-        g[on] = manifold_values(system, rows[on])
+    the crossings each counted leg passes before its stop to its counters.
+    ``first`` marks chunks that start their legs."""
+    axis, sense, counted = legs[0].axis, legs[0].sense, legs[0].counted
+    g = manifold_values(system, rows) if counted else rows[:, 0]
     y0, y1, same = rows[:-1, 1], rows[1:, 1], run[:-1] == run[1:] if len(leg) > 1 else True
+    starts = np.flatnonzero(k == 0) if first else None
 
     def crossings(g, direction):  # of g through zero in direction; a start residue is none
         ahead = g < 0.0 if direction > 0 else g > 0.0
         mask = ahead[:-1] & ~ahead[1:] & same
         if first:
-            starts = np.flatnonzero(k == 0)
             mask[starts[np.abs(g[starts]) <= EVENT_TOL]] = False
         return mask
 
     section = crossings(rows[:, 0], sense) & (y0 < 0.0) & (y1 < 0.0)
-    sigma = crossings(g, -sense) & on[:-1] if counted else None
+    sigma = crossings(g, -sense) if counted else None
     r = np.flatnonzero(section if axis else sigma)
     hits = dict(zip(leg[run[r]].tolist()[::-1], r.tolist()[::-1]))  # each leg's first stop pair
     if counted:  # only counted legs read their counters
-        pl, cut = leg[run[:-1]], np.full(len(legs), len(rows))
-        cut[list(hits)] = list(hits.values())
-        before = np.arange(len(pl)) < cut[pl]
-        counts = [np.bincount(pl[m & before], minlength=len(legs)).tolist()
-                  for m in (sigma & (y0 > 0.0) & (y1 > 0.0), section)]
-        for one, up, across in zip(legs, *counts):
-            one.sigma_count, one.section_count = one.sigma_count + up, one.section_count + across
+        for name, m in (("sigma_count", sigma & (y0 > 0.0) & (y1 > 0.0)),
+                        ("section_count", section)):
+            r = np.flatnonzero(m)
+            for h, i in zip(leg[run[r]].tolist(), r.tolist()):
+                if i < hits.get(h, i + 1):  # a crossing before the leg's stop
+                    setattr(legs[h], name, getattr(legs[h], name) + 1)
     g_stop = rows[:, 0] if axis else g
     return [(h, int(k[p]), rows[p:p + 2], *g_stop[p:p + 2].tolist()) for h, p in hits.items()]
 
 
 class _Leg:
-    """One leg between chunks: its state, steps taken, counters and records.
-
-    The constructor refuses a non-finite or tangent start.  ``settle``
-    takes a chunk that did not hop, and ``land`` stops the leg on its event;
-    ``integrate_in_zone`` and the lockstep runner ``_stops`` share both.
-    """
+    """One leg between chunks of ``_stops``: its state, counters and records.  The
+    constructor refuses a non-finite or tangent start; ``land`` stops the leg on its event."""
 
     def __init__(self, system: PWLSystem, plan: _Plan, start, step: float, axis: bool,
                  forward: bool, stride: int, counted: bool):
@@ -640,7 +658,7 @@ class _Leg:
         # A forward orbit crosses the section with x rising and the curve with
         # x - h(y) falling; a backward leg meets the same crossings reversed.
         self.sense = 1 if forward else -1
-        self.stride, self.counted = stride, counted or not axis
+        self.stride, self.counted = stride, counted
         self.x = x
         self.done = 0  # steps taken before the current chunk
         self.rec_t, self.rec_p = ([], []) if stride else ([np.zeros(1)], [x[None, :]])
@@ -648,39 +666,6 @@ class _Leg:
         self.terminal = TerminalEvent.TIME_OUT
         self.landing_error = 0.0
         self.end_time = 0.0
-
-    def settle(self, n: int, a: complex | None, end: np.ndarray | None,
-               x_decides: bool) -> bool:
-        """Take an n-step chunk that did not hop; True once the leg stops.
-
-        ``a`` and ``end`` are the chunk's coefficient and end state where the
-        plan hops (None elsewhere), and ``x_decides`` whether x alone decides
-        the stop; a leg that records no samples takes such a chunk by
-        ``_settle``, the others build their chunks in full."""
-        plan, x, step = self.plan, self.x, self.step
-        if a is not None and not self.stride:
-            stops = _settle(self.system, plan, n, self.done == 0, x[None], np.array([a]),
-                            end[None], [(0, x_decides)], [self])
-            if stops:
-                return self.land(*stops[0][1:3], stops[0][3:])
-            self.x = end
-            self.done += n
-            return False
-        states = _propagate_states(plan, x, n)
-        stops = _stop_pairs(self.system, [self], states, np.zeros(n + 1, dtype=int),
-                            np.arange(n + 1), np.zeros(1, dtype=int), np.array([self.counted]),
-                            self.done == 0)
-        if self.stride > 0:  # a recording leg records the rows up to its stop
-            idx = np.arange((-self.done) % self.stride, stops[0][1] + 1 if stops else n,
-                            self.stride)
-            self.rec_t.append((self.done + idx) * step)
-            self.rec_p.append(states[idx])
-        if stops:
-            return self.land(*stops[0][1:3], stops[0][3:])
-        self.x = states[-1] if end is None else end
-        self.done += n
-        return False
-
     def land(self, k: int, pair: np.ndarray, g, landed=None) -> bool:
         """Stop the leg on its event between the states k and k+1 of its current
         chunk, ``pair``, with event values ``g`` there; ``landed`` holds the
@@ -743,46 +728,18 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
 
-    A chunk's states are built only where an event can be, by rules 1
-    to 3 of the module notes, with the bits of building them all.
+    The leg is a batch of one of the lockstep runner ``_stops``, which
+    builds a chunk's states only where an event can be, by rules 1 to 3 of
+    the module notes, with the bits of building them all.
     ``_count_crossings=False`` on a section-stop leg is for callers
     that read only the terminal state: the switching function is then never
     evaluated, more chunks are skipped, and both counters read -1.
     """
-    _check_step(step)
-    direction, zone = Direction(direction), Zone(zone)
-    forward = direction is Direction.FORWARD
-    chunk = max(1, math.ceil(_BLOCK_TIME / step))
-    plan = _plan(system.params, zone, forward, step, chunk)
-    # Forward, the left zone is left through the section and the right zone
-    # through the curve; backward, the other way round.
-    axis = (zone is Zone.LEFT) == forward
-    stride = max(0, int(record_stride))
-    leg = _Leg(system, plan, start, step, axis, forward, stride, _count_crossings)
-    hop = _hops(plan, chunk)
-    while n := _steps_next(leg.done, step, chunk):
-        a = end = None
-        x_decides = False
-        if hop:
-            x = leg.x
-            a = complex(_coefficient(plan, x))
-            end = _states(plan, a, n, n + 1)[0]
-            skip, x_decides = _skip(plan, system.boundary.envelope, leg.counted, a, x.tolist(),
-                                    end.tolist())
-            if skip:
-                if stride:
-                    # the recorded rows alone; row 0 is the carried state
-                    first = (-leg.done) % stride
-                    rows = _states(plan, a, first, n, stride)
-                    if first == 0:
-                        rows[0] = x
-                    leg.rec_t.append((leg.done + np.arange(first, n, stride)) * step)
-                    leg.rec_p.append(rows)
-                leg.x = end
-                leg.done += n
-                continue
-        if leg.settle(n, a, end, x_decides):
-            break
+    zone = Zone(zone)
+    leg, = _stops(system, zone, Direction(direction), [(start, step)], _count_crossings,
+                  max(0, int(record_stride)))
+    if isinstance(leg, PWLError):
+        raise leg
     return leg.segment(zone)
 
 
@@ -818,80 +775,92 @@ def _time_out(direction: Direction, zone: Zone, origin_y: float) -> IntegrationE
 _ARRAY_LANDINGS = 8  # axis landings from which one array Illinois beats landing each alone
 
 
-def _stops(system: PWLSystem, zone: Zone, direction: Direction, legs: list) -> list:
-    """Endpoints-only legs through one zone in one direction, run in lockstep.
+def _stops(system: PWLSystem, zone: Zone, direction: Direction, legs: list, counted: bool,
+           stride: int = 0) -> list:
+    """The oracle's one leg runner: legs through one zone in one direction, in lockstep.
 
-    Each leg (start, step, counted, origin_y) is the ``_Leg`` that ``integrate_in_zone`` runs
-    from ``start`` with ``record_stride=0`` and ``_count_crossings=counted``, with its bits.
-    A plan that does not hop, or a chunk whose rows the boundary fails on, takes its legs
-    one at a time (``_Leg.settle``).  Returns each leg's stopped ``_Leg``, or the error it
-    meets: its step or start refused, an evaluation error, or a time-out naming ``origin_y``.
+    Each leg is a (start, step) pair.  The batch is counted or not (``counted``;
+    a leg that stops on the curve always counts) and records samples every
+    ``stride`` steps (0: the endpoints only).  Legs of one step share a plan and
+    a step count.  In each chunk rule 1 hops the legs it can, ``_settle`` takes
+    the chunks of the others as array work, and many axis landings are one array
+    Illinois (``_land_on_axis``).  Where a chunk's rows fail the boundary, each
+    leg takes the chunk again alone and meets its own error.  Returns each leg's
+    ``_Leg``, stopped or timed out, or the error it meets: its step or start
+    refused, or an evaluation error.
     """
     forward = direction is Direction.FORWARD
     axis, envelope = (zone is Zone.LEFT) == forward, system.boundary.envelope
+    counted = counted or not axis
     out: list = [None] * len(legs)
     groups: dict = {}
-    for i, leg in enumerate(legs):
-        groups.setdefault(leg[1], []).append(i)
+    for i, (_, step) in enumerate(legs):
+        groups.setdefault(step, []).append(i)
     for step, group in groups.items():
-        chunk, live, ids = max(1, math.ceil(_BLOCK_TIME / step)), [], []  # the running legs
         try:
-            plan = _plan(system.params, zone, forward, _check_step(step), chunk)
+            chunk = max(1, math.ceil(_BLOCK_TIME / _check_step(step)))
         except DomainError as exc:
             out = [exc if i in group else leg for i, leg in enumerate(out)]
             continue
+        plan, live, ids = _plan(system.params, zone, forward, step, chunk), [], []  # running legs
         for i in group:
             try:
-                out[i] = _Leg(system, plan, legs[i][0], step, axis, forward, 0, legs[i][2])
+                out[i] = _Leg(system, plan, legs[i][0], step, axis, forward, stride, counted)
                 live.append(out[i])
                 ids.append(i)
             except PWLError as exc:
                 out[i] = exc
-        hop, x, lands, done = _hops(plan, chunk), np.array([leg.x for leg in live]), [], 0
+        # the plan's legs may skip chunks by rules 1 and 2
+        hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
+        x, lands, done = np.array([leg.x for leg in live]), [], 0
         while live and (n := _steps_next(done, step, chunk)):
-            stop, end, stops = [False] * len(live), x if hop else x.copy(), []
-            take = [(h, False) for h in range(len(live))]  # the legs taken one at a time
-            if hop:
-                a = _coefficient(plan, x)
-                end = _points(plan, a * plan.powers[n])
-                take = []
-                for h, (leg, c, p, e) in enumerate(zip(live, a.tolist(), x.tolist(), end.tolist())):
+            if not hop:
+                a, end, take = None, np.empty_like(x), [(h, False) for h in range(len(live))]
+            else:  # a lone leg's coefficient in the scalar form, with the bits of the array
+                a = _coefficient(plan, x[0])[None] if len(live) == 1 else _coefficient(plan, x)
+                end, take = _points(plan, a * plan.powers[n]), []
+                for h, (c, p, e) in enumerate(zip(a.tolist(), x.tolist(), end.tolist())):
                     # a chunk whose x keeps its strict sign hops where x alone decides
-                    if leg.counted or p[0] * e[0] <= 0.0:
-                        skip, decides = _skip(plan, envelope, leg.counted, c, p, e)
-                        if not skip:
-                            take.append((h, decides))
+                    skip, decides = ((True, True) if not counted and p[0] * e[0] > 0.0
+                                     else _skip(plan, envelope, counted, c, p, e))
+                    if not skip:
+                        take.append((h, decides))
+                    elif stride:  # the recorded rows alone; row 0 is the carried state
+                        first = (-done) % stride
+                        rows = _states(plan, c, first, n, stride)
+                        if first == 0:
+                            rows[0] = x[h]
+                        live[h].rec_t.append((done + np.arange(first, n, stride)) * step)
+                        live[h].rec_p.append(rows)
+            if take:
+                stop, stops = [False] * len(live), []
                 try:
-                    stops, take = (_settle(system, plan, n, done == 0, x, a, end, take, live)
-                                   if take else []), []
+                    stops = _settle(system, plan, n, done, x, a, end, take, live)
                 except PWLError:  # the boundary fails on a row: each leg meets its own error
-                    pass
-            for h, k, pair, *g in stops:
-                stop[h], live[h].done = True, done
-                try:
-                    if axis and g[1] != 0.0:
-                        lands.append((live[h], k, pair, g))
-                    else:
-                        live[h].land(k, pair, g)
-                except PWLError as exc:
-                    out[ids[h]] = exc
-            for h, decides in take:
-                leg = live[h]
-                leg.x, leg.done = x[h], done
-                try:
-                    stop[h] = leg.settle(n, *((complex(a[h]), end[h]) if hop else (None, None)),
-                                         decides)
-                    end[h] = leg.x
-                except PWLError as exc:
-                    out[ids[h]], stop[h] = exc, True
-            if True in stop:
-                keep = [not s for s in stop]
-                live, ids = ([v for v, kept in zip(vals, keep) if kept] for vals in (live, ids))
-                end = end[keep]
+                    for h, decides in take:
+                        try:
+                            stops += _settle(system, plan, n, done, x, a, end, [(h, decides)], live)
+                        except PWLError as exc:
+                            out[ids[h]], stop[h] = exc, True
+                for h, k, pair, *g in stops:
+                    stop[h], live[h].done = True, done
+                    try:
+                        if axis and g[1] != 0.0:
+                            lands.append((live[h], k, pair, g))
+                        else:
+                            live[h].land(k, pair, g)
+                    except PWLError as exc:
+                        out[ids[h]] = exc
+                if True in stop:
+                    if False not in stop:
+                        break
+                    keep = [h for h, s in enumerate(stop) if not s]
+                    live, ids, end = [live[h] for h in keep], [ids[h] for h in keep], end[keep]
             x = end
             done += n
-        for i in ids:
-            out[i] = _time_out(direction, zone, legs[i][3])
+        else:  # the legs still running time out; a break means every leg stopped
+            for leg, x_end in zip(live, x):
+                leg.x, leg.done = x_end, done
         if len(lands) >= _ARRAY_LANDINGS:
             taus, states = _land_on_axis(plan.matrix, np.array([p[0] for *_, p, _ in lands]),
                                          step)
@@ -903,6 +872,15 @@ def _stops(system: PWLSystem, zone: Zone, direction: Direction, legs: list) -> l
         for leg, *land in lands:
             leg.land(*land)
     return out
+
+
+def _ends(system: PWLSystem, zone: Zone, direction: Direction, legs: list, counted: bool) -> list:
+    """``_stops`` on endpoints-only legs (start, step, origin_y): each stopped ``_Leg``,
+    or the error it meets, a time-out naming ``origin_y``."""
+    out = _stops(system, zone, direction, [leg[:2] for leg in legs], counted)
+    return [_time_out(direction, zone, y)
+            if isinstance(one, _Leg) and one.terminal is TerminalEvent.TIME_OUT else one
+            for one, (_, _, y) in zip(out, legs)]
 
 
 def _each(value, name: str, refuse, batch) -> tuple[list, bool]:
@@ -930,19 +908,19 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     landing ordinates.  ``y`` is a float or a 1-d array, which gives an
     array; a float is a batch of one.  The legs run in lockstep
     (``_stops``), each with the bits of its own ``integrate_in_zone`` leg.
-    A float takes about 0.35 ms on the README sine at the default step,
-    where its two legs alone take 0.23 ms.  A failure raises the error of
-    the first failing y, as calls in order would: its ordinate check, then
-    its forward leg, then its backward leg.
+    A float takes about 0.3 ms on the README sine at the default step.  A
+    failure raises the error of the first failing y, as calls in order
+    would: its ordinate check, then its forward leg, then its backward leg.
     """
     def legs(ys: list) -> list:  # in batches, which bound the legs held at once
-        starts = [(Point(float(system.boundary.evaluate(v)), v), step, False, v) for v in ys]
+        starts = [(Point(float(system.boundary.evaluate(v)), v), step, v) for v in ys]
         out: list = []
         for part in (starts[lo:lo + 1024] for lo in range(0, len(starts), 1024)):
             out += [one if isinstance(one, PWLError) else two if isinstance(two, PWLError)
                     else float(one.x[1] - two.x[1])
-                    for one, two in zip(_stops(system, Zone.LEFT, Direction.FORWARD, part),
-                                        _stops(system, Zone.RIGHT, Direction.BACKWARD, part))]
+                    for one, two in zip(_ends(system, Zone.LEFT, Direction.FORWARD, part, False),
+                                        _ends(system, Zone.RIGHT, Direction.BACKWARD, part,
+                                              False))]
         return out
 
     out, scalar = _each(y, "y", lambda i, v: None if math.isfinite(v) and v > 0.0
@@ -953,12 +931,12 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
 def _turns(system: PWLSystem, y_ins: list, steps: list, counted: bool) -> list:
     """A return-map turn from each (0, y_ins[i]) at steps[i], its left-zone leg
     counted or not: a ``ReturnMapResult``, or the error its legs meet first."""
-    first = _stops(system, Zone.RIGHT, Direction.FORWARD,
-                   [(Point(0.0, y), s, True, y) for y, s in zip(y_ins, steps)])
+    first = _ends(system, Zone.RIGHT, Direction.FORWARD,
+                  [(Point(0.0, y), s, y) for y, s in zip(y_ins, steps)], True)
     go = [i for i, leg in enumerate(first) if not isinstance(leg, PWLError)]
-    second = dict(zip(go, _stops(system, Zone.LEFT, Direction.FORWARD,
-                                 [(Point(*first[i].x.tolist()), steps[i], counted, y_ins[i])
-                                  for i in go])))
+    second = dict(zip(go, _ends(system, Zone.LEFT, Direction.FORWARD,
+                                [(Point(*first[i].x.tolist()), steps[i], y_ins[i]) for i in go],
+                                counted)))
     out = []
     for i, (y, one) in enumerate(zip(y_ins, first)):
         two = second.get(i, one)
@@ -970,24 +948,20 @@ def _turns(system: PWLSystem, y_ins: list, steps: list, counted: bool) -> list:
     return out
 
 
-def return_map(system: PWLSystem, y_in: float | np.ndarray, step: float = 1e-4, *,
-               _count_crossings: bool = True) -> ReturnMapResult | list:
+def return_map(system: PWLSystem, y_in: float | np.ndarray,
+               step: float = 1e-4) -> ReturnMapResult | list:
     """One forward turn of the Poincare map on the lower section {x=0, y<0}.
 
     ``y_in`` is a float, which gives one ``ReturnMapResult``, or a 1-d array,
     which gives a list of them; the turns' legs run in lockstep (``_stops``),
     each with the bits of its own ``integrate_in_zone`` leg.  A float takes
-    about 0.7 ms on the README sine at the default step, as its two legs
-    alone do.  A failure raises the error of the first failing
-    y_in, as calls in order would: its check, then its right-zone leg, then
-    its left-zone leg.  ``_count_crossings=False`` is for callers that read
-    only ``y_out``, ``flight_time`` and ``landing_error``: the left-zone leg
-    back to the section then runs uncounted, never evaluating the switching
-    function, and both counters read -1.
+    about 0.6 ms on the README sine at y_in = -1 and the default step.  A
+    failure raises the error of the first failing y_in, as calls in order
+    would: its check, then its right-zone leg, then its left-zone leg.
     """
     out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
                         else DomainError(f"y_in must be negative, got {v!r}"),
-                        lambda ys: _turns(system, ys, [step] * len(ys), _count_crossings))
+                        lambda ys: _turns(system, ys, [step] * len(ys), True))
     return out[0] if scalar else out
 
 
@@ -1001,12 +975,12 @@ def _lowers(system: PWLSystem, y0s: list, step: float) -> list:
         except PWLError as exc:
             out.append(exc)
     right = [i for i, p in enumerate(out) if p is None]
-    for i, leg in zip(right, _stops(system, Zone.RIGHT, Direction.FORWARD,
-                                    [(Point(0.0, y0s[i]), step, True, y0s[i]) for i in right])):
+    for i, leg in zip(right, _ends(system, Zone.RIGHT, Direction.FORWARD,
+                                   [(Point(0.0, y0s[i]), step, y0s[i]) for i in right], True)):
         out[i] = leg if isinstance(leg, PWLError) else Point(*leg.x.tolist())
     left = [i for i, p in enumerate(out) if isinstance(p, Point)]
-    for i, leg in zip(left, _stops(system, Zone.LEFT, Direction.FORWARD,
-                                   [(out[i], step, False, y0s[i]) for i in left])):
+    for i, leg in zip(left, _ends(system, Zone.LEFT, Direction.FORWARD,
+                                  [(out[i], step, y0s[i]) for i in left], False)):
         out[i] = leg if isinstance(leg, PWLError) else float(leg.x[1])
     return out
 
@@ -1103,7 +1077,7 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     float or an array of its shape.  The turns of all cycles run in
     lockstep, and a failure raises the error of the first failing cycle, as
     calls one cycle at a time would.  A float takes about 1.8 ms on the
-    README sine's stable cycle at the default step.
+    README sine's stable cycle at eps = 0.05 and the default step.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape not in ((), np.shape(y_star)):

@@ -17,6 +17,7 @@ from conftest import sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
+    EvaluationError,
     IntegrationError,
     Point,
     PWLError,
@@ -78,9 +79,9 @@ def _legs_run(monkeypatch) -> list:
     legs = []
     stops = orc._stops
 
-    def recording(system, zone, direction, todo):
-        legs.extend((zone, direction, step, counted) for _, step, counted, _ in todo)
-        return stops(system, zone, direction, todo)
+    def recording(system, zone, direction, todo, counted, stride=0):
+        legs.extend((zone, direction, step, counted) for _, step in todo)
+        return stops(system, zone, direction, todo, counted, stride)
 
     monkeypatch.setattr(orc, "_stops", recording)
     monkeypatch.setattr(orc, "integrate_in_zone",
@@ -924,7 +925,7 @@ def _tangent_rate(system, axis, matrix, x):
 
 
 def _leg_by_integration(system, zone, start, direction, step, origin_y, counted=True):
-    """One endpoints-only ``integrate_in_zone`` leg, raising the time-out ``_stops`` raises."""
+    """One endpoints-only ``integrate_in_zone`` leg, raising the time-out ``_ends`` names."""
     seg = integrate_in_zone(system, zone, start, direction, step, record_stride=0,
                             _count_crossings=counted)
     if seg.terminal_event is TerminalEvent.TIME_OUT:
@@ -995,25 +996,29 @@ class TestLockstepDisplacement:
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_scan_lands_every_leg_as_arrays(self, name, monkeypatch):
         # every chunk of a scan leg hops or is bracketed in lockstep, and every
-        # leg lands in the one array Illinois: no leg settles alone, and no
-        # chunk is built in full
+        # leg lands in the one array Illinois: no leg settles alone (a chunk
+        # settles its legs in at most one call), and no chunk is built in full
         system = VERIFY_SYSTEMS[name]()[0]
         ys = np.linspace(0.05, 1.0, 40) if name == "oscillatory" else np.linspace(0.1, 4.0, 40)
-        landed = []
-        land = orc._land_on_axis
+        landed, events = [], []
+        land, steps_next, settle = orc._land_on_axis, orc._steps_next, orc._settle
         monkeypatch.setattr(orc, "_land_on_axis",
                             lambda matrix, x, step: landed.append(len(x)) or land(matrix, x, step))
-        monkeypatch.setattr(orc._Leg, "settle", lambda *a: pytest.fail("a scan leg settled alone"))
+        monkeypatch.setattr(orc, "_steps_next",
+                            lambda *a: events.append("chunk") or steps_next(*a))
+        monkeypatch.setattr(orc, "_settle", lambda *a: events.append("settle") or settle(*a))
         built = _chunks_built(monkeypatch)
         numeric_displacement(system, ys)
         assert sum(landed) == 2 * len(ys)
         assert built == []
+        assert "settle" in events and ["settle", "settle"] not in [
+            events[i:i + 2] for i in range(len(events))], "a scan leg settled alone"
 
     def test_long_scan_holds_its_legs_in_batches(self, sine_system, monkeypatch):
         # the legs of a long scan run 1024 ordinates at a time, with the bits of float calls
         sizes, stops = [], orc._stops
-        monkeypatch.setattr(orc, "_stops", lambda system, zone, direction, legs: sizes.append(
-            len(legs)) or stops(system, zone, direction, legs))
+        monkeypatch.setattr(orc, "_stops", lambda system, zone, direction, legs, *rest:
+                            sizes.append(len(legs)) or stops(system, zone, direction, legs, *rest))
         ys = np.linspace(0.1, 4.0, 1100)
         got = numeric_displacement(sine_system, ys, 1e-3)
         assert sizes == [1024, 1024, 76, 76]
@@ -1143,24 +1148,59 @@ class TestLockstepTurns:
            direction=st.sampled_from(list(Direction)),
            legs=st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(-0.3, 0.3) | st.just(0.0),
                                    st.booleans(),
-                                   st.sampled_from([1e-4, 2e-4, 1.3e-3]) | st.floats(1e-4, 5e-3),
-                                   st.booleans()), min_size=1, max_size=6),
-           max_time=st.sampled_from([10.0, 3.0]))
-    def test_legs_equal_per_leg_integration(self, family, zone, direction, legs, max_time):
+                                   st.sampled_from([1e-4, 2e-4, 1.3e-3]) | st.floats(1e-4, 5e-3)),
+                         min_size=1, max_size=6),
+           counted=st.booleans(), max_time=st.sampled_from([10.0, 3.0]))
+    def test_legs_equal_per_leg_integration(self, family, zone, direction, legs, counted,
+                                            max_time):
         # starts next to (or on) the curve, or as far below the axis, so that
         # both stops meet the curve, the section, a tangent start or a time-out;
-        # counted and uncounted legs of several steps share each batch
+        # legs of several steps share each batch, counted or not
         system = SKIP_FAMILIES[family]()
         starts = [Point(dx, -y) if below else Point(float(system.boundary.evaluate(y)) + dx, y)
-                  for y, dx, below, _, _ in legs]
-        todo = [(start, step, counted, y) for start, (y, _, _, step, counted) in zip(starts, legs)]
+                  for y, dx, below, _ in legs]
+        todo = [(start, step, y) for start, (y, _, _, step) in zip(starts, legs)]
         with mock.patch.object(orc, "MAX_TIME", max_time):
-            got = orc._stops(system, zone, direction, todo)
-            for leg, (start, step, counted, y) in zip(got, todo):
+            got = orc._ends(system, zone, direction, todo, counted)
+            for leg, (start, step, y) in zip(got, todo):
                 ref = _outcome(lambda: _leg_bits(_leg_by_integration(system, zone, start,
                                                                      direction, step, y, counted)))
                 assert (_leg_bits(leg.segment(zone)) if isinstance(leg, orc._Leg)
                         else (type(leg), str(leg))) == ref
+
+    def test_a_leg_the_boundary_fails_leaves_the_others_their_bits(self, monkeypatch):
+        # the boundary is not finite on the first leg's rows, so a chunk that the
+        # last leg also settles raises, each leg takes it again alone, and only
+        # the first leg fails
+        system, step = SKIP_FAMILIES["oscillatory"](), 0.001953125
+        starts = [Point(0.0, -2.2250738585072014e-308), Point(0.0, -0.5), Point(0.0, -1.0),
+                  Point(0.3, -0.2), Point(0.3, -0.5)]
+        raised, settle = [], orc._settle
+
+        def settling(*args):
+            try:
+                return settle(*args)
+            except PWLError:
+                raised.append(args[7])
+                raise
+
+        monkeypatch.setattr(orc, "_settle", settling)
+        legs = orc._stops(system, Zone.LEFT, Direction.FORWARD, [(p, step) for p in starts], True)
+        assert [len(take) for take in raised] == [2, 1]  # the batch, then the first leg alone
+        alone = [_outcome(lambda: _leg_bits(integrate_in_zone(system, Zone.LEFT, p,
+                                                              Direction.FORWARD, step,
+                                                              record_stride=0)))
+                 for p in starts]
+        assert isinstance(legs[0], EvaluationError) and alone[0] == (type(legs[0]), str(legs[0]))
+        assert [_leg_bits(leg.segment(Zone.LEFT)) for leg in legs[1:]] == alone[1:]
+
+    def test_array_calls_raise_the_error_of_the_float_call(self, oscillatory_system):
+        # 1/y overflows at y = 1e-309, so h is not finite there
+        with pytest.raises(EvaluationError) as info:
+            upper_to_lower(oscillatory_system, np.array([0.5, 1e-309]))
+        assert str(info.value) == "boundary value not finite at y=1e-309"
+        assert _outcome(lambda: upper_to_lower(oscillatory_system, 1e-309)) == (
+            EvaluationError, str(info.value))
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_many_axis_landings_land_as_arrays_with_the_bits_of_legs(self, name, monkeypatch):
@@ -1177,8 +1217,7 @@ class TestLockstepTurns:
         for zone, direction in ((Zone.LEFT, Direction.FORWARD), (Zone.RIGHT, Direction.BACKWARD)):
             for counted in (False, True):
                 landed.clear()
-                legs = orc._stops(system, zone, direction,
-                                  [(p, 1e-4, counted, p.y) for p in starts])
+                legs = orc._stops(system, zone, direction, [(p, 1e-4) for p in starts], counted)
                 assert landed == [len(ys)]
                 for leg, p in zip(legs, starts):
                     assert _leg_bits(leg.segment(zone)) == _leg_bits(integrate_in_zone(
@@ -1277,6 +1316,27 @@ class TestOptionsAndExport:
             with pytest.raises(DomainError, match="^step must"):
                 propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), 1.0, step=step)
         assert orc._check_step(orc.MIN_STEP) == orc.MIN_STEP
+
+    @pytest.mark.parametrize("step", [0.0, math.nan, -1e-4, math.inf, orc.MIN_STEP / 2])
+    def test_entry_points_refuse_a_bad_step(self, sine_system, step):
+        # the lockstep runner checks each step before it sizes the step's chunks
+        message = f"step must be finite and at least {orc.MIN_STEP!r}, got {step!r}"
+        for call in (lambda: numeric_displacement(sine_system, 1.5, step),
+                     lambda: return_map(sine_system, -1.0, step),
+                     lambda: upper_to_lower(sine_system, 1.5, step),
+                     lambda: resolve_stability(sine_system, 2.0, 0.05, step)):
+            assert _outcome(call) == (DomainError, message)
+
+    def test_non_finite_starts_are_refused(self, sine_system):
+        for start in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, -1.0)):
+            with pytest.raises(DomainError, match="^non-finite start point"):
+                integrate_in_zone(sine_system, Zone.LEFT, Point(*start), record_stride=0)
+
+    def test_resolve_stability_refuses_a_non_positive_y_star(self, sine_system):
+        for y_star in (0.0, -1.0, math.nan):
+            for value in (y_star, np.array([2.0, y_star])):
+                with pytest.raises(DomainError, match="^y_star must be positive"):
+                    resolve_stability(sine_system, value, 0.05)
 
     @pytest.mark.parametrize("values", [
         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308],
