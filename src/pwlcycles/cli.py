@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -32,7 +33,17 @@ EXIT_DISCREPANCY = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1, not 2."""
+    """argparse variant whose usage failures exit with code 1, not 2.
+
+    A token that starts like a negative number is a value, as in
+    ``--seed -0.5,1`` or ``--window -1e-1 1e-1 -1e-1 1e-1``; argparse alone
+    takes only a plain decimal there and reads the rest as flags.  No flag of
+    this program starts that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,6 +9,7 @@ operations are pure, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -213,3 +214,111 @@ def vector_field(system: PWLSystem, p: Point) -> Point:
 def system_descriptor(system: PWLSystem) -> dict:
     """JSON-ready descriptor: {"gamma": ..., "boundary": {...}}."""
     return {"gamma": system.gamma, "boundary": dict(system.boundary.descriptor)}
+
+
+# Decimal text of float arrays: the CSV's "%.12g" and the SVG's "%.3f", byte for byte
+# what Python's % writes (correctly rounded, Gay 1990).  A value is written from its
+# scaled mantissa q = |v|*10**s, one float product with 10**s exact, so q is within half
+# an ulp of the exact |v|*10**s: 2**-14 for q < 1e12 ("%.12g", s = 11 - e for the decimal
+# exponent e of v), 2**-30 for q < 1e7 ("%.3f", s = 3).  Where q lies further than
+# _TIE_MARGIN from a rounding tie, rint(q) is the correctly rounded mantissa whatever the
+# rounding rule, and integer digit arithmetic writes it.  The exact domain:
+#   "%.12g": 1e-4 <= |v| < 1e4 and 1e11 + 1 <= q <= 1e12 - 1, so the mantissa has twelve
+#            digits that no carry widens and %g writes it in fixed notation (e is taken
+#            from |v| clamped to that range, so a value outside it puts q outside too);
+#   "%.3f":  0 < |v| and q < 9999999, so the integer part has at most four digits.
+# Every other value (zero, non-finite, out of range, near a tie or a decade edge) is
+# written by Python's % itself.
+_TIE_MARGIN = 0.01
+_WORD = np.dtype("<u4")  # four ASCII bytes in text order; NUL bytes are padding
+# offsets into _digit_words() of the forms of a 3-digit group: in full, with trailing
+# zeros dropped, with leading zeros dropped (0 keeps one "0"), after a point; the point
+# form with trailing zeros dropped (and no point for 000) sits at _POINT + _TRIM.  Then
+# come the words of the sign and the thousands digit.
+_FULL, _TRIM, _LEAD, _POINT, _SIGN_HI = 0, 1000, 2000, 3000, 5000
+_PLACES = {"%.12g": 15, "%.3f": 3}  # fraction digits of each format's fixed grid
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+_SCALE = 10.0 ** np.arange(8, 16)  # 10**(11 - e) for e = 3, 2, ..., -4, all exact
+
+
+@functools.lru_cache(maxsize=1)
+def _digit_words() -> np.ndarray:
+    """The word table: 1000 words per group form, then 20 sign-and-thousands words,
+    index 10*negative + thousands digit.  Built by slice assignments alone."""
+    t = np.zeros((5020, 4), dtype=np.uint8)
+    full, trim, lead, point, point_trim = t[:5000].reshape(5, 10, 10, 10, 4)
+    digit = np.arange(48, 58, dtype=np.uint8)  # ASCII "0".."9"
+    full[..., 0], full[..., 1], full[..., 2] = digit[:, None, None], digit[:, None], digit
+    trim[...] = lead[...] = full
+    trim[:, :, 0, 2] = trim[:, 0, 0, 1] = trim[0, 0, 0, 0] = 0
+    lead[0, :, :, 0] = lead[0, 0, :, 1] = 0
+    point[..., 0] = point_trim[..., 0] = 46  # "."
+    point[..., 1:], point_trim[..., 1:] = full[..., :3], trim[..., :3]
+    point_trim[0, 0, 0, 0] = 0
+    sign_hi = t[_SIGN_HI:].reshape(2, 10, 4)
+    sign_hi[1, :, 0] = 45  # "-"
+    sign_hi[:, 1:, 1] = digit[1:]
+    return t.view(_WORD).ravel()
+
+
+def _decimal_words(values, fmt: str) -> np.ndarray:
+    """``fmt % v`` ("%.12g" or "%.3f") of each float v of ``values`` as ASCII words.
+
+    Returns a ``"<u4"`` array of shape values.shape + (k,): the bytes of a value's k
+    words, NUL bytes dropped, are exactly ``fmt % v``, so ``_decimal_text`` of any
+    arrangement of them is the text of the values in that order.  Inside the exact
+    domain above the digits come from integer arithmetic and a table of 3-digit groups;
+    each other value is formatted by ``fmt % v`` alone.
+    """
+    v = np.asarray(values, dtype=float)
+    flat = v.ravel()
+    places = _PLACES[fmt]
+    a = np.abs(flat)
+    if places == 3:
+        q = np.fmin(a, 1e7) * 1000.0  # a NaN or an inf becomes 1e7: out of the domain
+        ok = (q < 9999999.0) & (a > 0.0)
+        unit, grid = 1000, 1
+    else:
+        c = np.fmin(a, 1e5)  # as above; zero stays 0, so q = 0
+        e = np.floor(np.log10(np.fmax(np.fmin(c, 9999.0), 1e-4))).astype(np.intp)
+        q = c * _SCALE[3 - e]
+        ok = np.abs(q - 5.5e11) <= 4.5e11 - 1.0
+        unit, grid = _POW10[11 - e], _POW10[e + 4]  # the fraction goes on the 15-digit grid
+    n = np.rint(q)
+    ok &= np.abs(q - n) < 0.5 - _TIE_MARGIN
+    n = (n * ok).astype(np.int64)
+    whole = n // unit
+    frac = (n - whole * unit) * grid
+    table = _digit_words()
+    thousands = whole // 1000
+    out = np.empty((len(flat), 2 + places // 3), dtype=_WORD)
+    out[:, 0] = table.take(_SIGN_HI + thousands + 10 * (flat < 0.0))
+    out[:, 1] = table.take(whole - 1000 * thousands + _LEAD * (thousands == 0))
+    for k in range(places // 3):  # groups after the point; "%.12g" drops trailing zeros
+        step = 10 ** (places - 3 * k - 3)
+        group = frac // step
+        frac -= group * step
+        group += _POINT if k == 0 else _FULL
+        if places == 15:
+            group += _TRIM * (frac == 0)
+        out[:, 2 + k] = table.take(group)
+    other = np.flatnonzero(~ok)
+    if len(other):
+        text = [(fmt % x).encode() for x in flat[other].tolist()]
+        width = -(-max(map(len, text)) // 4)
+        if width > out.shape[1]:
+            out = np.hstack((out, np.zeros((len(out), width - out.shape[1]), dtype=_WORD)))
+        padded = np.array(text, dtype=f"S{4 * out.shape[1]}")  # NUL-padded to the row
+        out[other] = padded.view(_WORD).reshape(len(other), -1)
+    return out.reshape(v.shape + out.shape[-1:])
+
+
+def _ascii_words(text: str) -> np.ndarray:
+    """``text`` as words to lay beside ``_decimal_words``: a 1-d ``"<u4"`` array, NUL-padded."""
+    raw = text.encode("ascii")
+    return np.frombuffer(raw.ljust(-(-len(raw) // 4) * 4, b"\0"), dtype=_WORD)
+
+
+def _decimal_text(words: np.ndarray) -> str:
+    """The text of an array of ``_decimal_words`` and ``_ascii_words``, in order, NULs dropped."""
+    return words.tobytes().translate(None, b"\0").decode("ascii")

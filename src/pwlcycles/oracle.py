@@ -112,6 +112,9 @@ from .core import (
     TangencyError,
     Zone,
     _stability_class,
+    _ascii_words,
+    _decimal_text,
+    _decimal_words,
     manifold_value,
     manifold_values,
     zone_matrix,
@@ -199,16 +202,36 @@ class TrajectorySegment:
         return Point(float(self.points[-1, 0]), float(self.points[-1, 1]))
 
 
+_CSV_HEADER = "t,x,y,zone\n"
+# Rows per ``_decimal_words`` call.  A block's arrays stay near 100 kB, so the heap
+# reuses them from one export to the next; all ~8k rows of a portrait in one call
+# peak at 3.3 MB, which the allocator maps afresh each export (~730 page faults).
+_CSV_BLOCK = 1024
+
+
 def segments_to_csv(segments) -> str:
     """CSV export (t, x, y, zone) of one or more trajectory segments.
 
-    A segment's row template, zone written in, formats all its rows at once.
+    Every value of every row is written by ``core._decimal_words``, one call per
+    block of ``_CSV_BLOCK`` rows, exactly as ``"%.12g" % v``: from integer digits
+    where 1e-4 <= |v| < 1e4 and the 12-digit mantissa is clear of a rounding tie
+    and of a decade edge, by ``%`` itself for every other value.
     """
-    parts = ["t,x,y,zone\n"]
-    for seg in segments:
-        values = np.column_stack((seg.times, seg.points))
-        row = "%.12g,%.12g,%.12g," + seg.zone.value + "\n"
-        parts.append((row * len(values)) % tuple(values.ravel().tolist()))
+    segments = list(segments)
+    if not segments:
+        return _CSV_HEADER
+    values = np.concatenate([np.column_stack((seg.times, seg.points)) for seg in segments])
+    zones = np.repeat(np.stack([_ascii_words(f"{seg.zone.value}\n") for seg in segments]),
+                      [len(seg.times) for seg in segments], axis=0)
+    comma, parts = _ascii_words(","), [_CSV_HEADER]
+    for start in range(0, len(values), _CSV_BLOCK):
+        words = _decimal_words(values[start:start + _CSV_BLOCK], "%.12g")
+        n, _, k = words.shape
+        rows = np.empty((n, 3 * (k + 1) + 2), dtype=words.dtype)  # "t,x,y," then the zone
+        for j in range(3):
+            rows[:, j * (k + 1):j * (k + 1) + k], rows[:, j * (k + 1) + k] = words[:, j], comma
+        rows[:, -2:] = zones[start:start + _CSV_BLOCK]
+        parts.append(_decimal_text(rows))
     return "".join(parts)
 
 
@@ -324,11 +347,12 @@ def _points(plan: _Plan, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
+def _propagate_states(plan: _Plan, x0: np.ndarray, n: int, a=None) -> np.ndarray:
     """States x_k = transfer^k @ x0 for k = 0..n, n at most the plan's chunk.
 
-    Both zones are foci, so x_k = 2 Re(a lam**k v); a spectrum that rounds
-    to real is stepped one state at a time.
+    Both zones are foci, so x_k = 2 Re(a lam**k v), from x0's coefficient
+    ``a`` where the caller holds it (``_coefficient(plan, x0)``, the same
+    bits); a spectrum that rounds to real is stepped one state at a time.
     """
     if plan.powers is None:
         out = np.empty((n + 1, 2))
@@ -336,7 +360,7 @@ def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
         for k in range(n):
             out[k + 1] = plan.transfer @ out[k]
         return out
-    out = _states(plan, _coefficient(plan, x0), 0, n + 1)
+    out = _states(plan, _coefficient(plan, x0) if a is None else a, 0, n + 1)
     out[0] = x0
     return out
 
@@ -580,7 +604,8 @@ def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a,
             runs += zip([three[i] for i in leg.tolist()], lo.tolist(), hi.tolist())
     whole = [h for h, _ in take if h not in settled and h not in three]
     if a is None or one.stride or not runs and len(whole) == 1:  # each leg's chunk alone
-        leg, rows = np.array(whole), [_propagate_states(plan, x[h], n) for h in whole]
+        leg = np.array(whole)
+        rows = [_propagate_states(plan, x[h], n, None if a is None else a[h]) for h in whole]
         if len(rows) == 1:
             rows, (run, k) = rows[0], _one_chunk(n)
         else:

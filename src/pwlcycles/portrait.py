@@ -8,8 +8,10 @@ settings: stable cycles bold solid, unstable dashed, semi-stable
 dash-dot.  Sizes and colours are the module constants below.  Identical
 inputs produce byte-identical documents.
 
-A path's pixel coordinates are computed as arrays and formatted at once
-by one " L%.3f,%.3f" template repeated per point.
+A path's pixel coordinates are computed as arrays and written by one
+``core._decimal_words`` call, byte for byte as "%.3f" writes them: from
+integer digits where 0 < |v|*1000 < 9999999 and v*1000 is clear of a
+rounding tie, by Python's % itself for every other value.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from . import analytic
-from .core import DomainError, Point, PWLSystem, Zone
+from .core import DomainError, Point, PWLSystem, Zone, _ascii_words, _decimal_text, _decimal_words
 from .cycles import CycleReport, StabilityClass
 from .oracle import (
     Direction,
@@ -110,6 +112,9 @@ def cycle_polyline(system: PWLSystem, report: CycleReport) -> np.ndarray:
     return pts
 
 
+(_LINE_TO,), (_COMMA,) = _ascii_words(" L"), _ascii_words(",")
+
+
 class _Canvas:
     def __init__(self, window):
         self.x0, self.x1, self.y0, self.y1 = window
@@ -119,7 +124,10 @@ class _Canvas:
     def path(self, xs, ys, color: str, width: float, dash: str | None = None) -> str:
         pts = np.column_stack((MARGIN + (np.asarray(xs) - self.x0) * self.sx,
                                HEIGHT - MARGIN - (np.asarray(ys) - self.y0) * self.sy))
-        coords = (" L%.3f,%.3f" * len(pts)) % tuple(pts.ravel().tolist())
+        words = _decimal_words(pts, "%.3f")  # (points, 2, k)
+        row = np.empty(words.shape[:2] + (words.shape[2] + 1,), dtype=words.dtype)
+        row[:, :, 1:], row[:, 0, 0], row[:, 1, 0] = words, _LINE_TO, _COMMA  # " Lx,y"
+        coords = _decimal_text(row)
         coords = "M" + coords[2:] if coords else ""
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         return (f'<path d="{coords}" fill="none" stroke="{color}" '

@@ -207,6 +207,25 @@ class TestPortrait:
             assert seeds == expected
         assert cli._parser() is cli._parser()
 
+    @pytest.mark.parametrize("given, config", [
+        (["--seed", "-0.5,1"], {"seeds": [[-0.5, 1]]}),
+        (["--window", "-1e-1", "1e-1", "-1e-1", "1e-1", "--seed", "0,0.05"],
+         {"window": [-0.1, 0.1, -0.1, 0.1], "seeds": ["0,0.05"]}),
+    ], ids=["seed", "window"])
+    def test_negative_values_parse_as_through_config(self, capsys, tmp_path, given, config):
+        # a value that starts with "-" and is not a plain decimal is a value, not a flag
+        argv = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                "--range", "0.1", "4", "--turns", "1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        outputs = []
+        for extra in (given, ["--config", str(cfg)]):
+            svg, dump = tmp_path / f"{len(outputs)}.svg", tmp_path / f"{len(outputs)}.csv"
+            code, _, err = run(capsys, argv + extra + ["--out", str(svg), "--csv", str(dump)])
+            assert code == 0, err
+            outputs.append((svg.read_bytes(), dump.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_writes_deterministic_svg(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         argv = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",

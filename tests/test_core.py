@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwlcycles import (
     Boundary,
@@ -16,7 +18,7 @@ from pwlcycles import (
     system_descriptor,
     vector_field,
 )
-from pwlcycles.core import manifold_values, zone_matrix
+from pwlcycles.core import _decimal_text, _decimal_words, manifold_values, zone_matrix
 
 
 class TestSystemParams:
@@ -114,3 +116,77 @@ class TestVectorField:
 def test_system_descriptor_roundtrip_shape(sine_system):
     d = system_descriptor(sine_system)
     assert d == {"gamma": 0.75, "boundary": {"family": "sine", "params": {"n": 2}}}
+
+
+FORMATS = ("%.12g", "%.3f")
+
+
+def _texts(values, fmt):
+    """Each value's text from ``_decimal_words``, one string per value."""
+    words = _decimal_words(np.asarray(values, dtype=float), fmt)
+    return [_decimal_text(w) for w in words.reshape(-1, words.shape[-1])]
+
+
+def _reference(values, fmt):
+    return [fmt % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _edges():
+    """Values at the edges of the kernel's exact domain."""
+    named = [1e-4, 1e4, 9.99999999999995e-5, 9999.99999999995, 1e3, 0.001, 9999999e-3,
+             0.0005, 0.0015, 2.0625, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             math.inf, math.nan]
+    named += [10.0 ** k for k in range(-6, 8)]
+    named += [0.0625 * k for k in range(-400, 400)]  # "%.3f" ties: q = 62.5 * k
+    # "%.12g" ties: odd m times 2**(e - 12), in the decade of exponent e, is
+    # (n + 1/2) * 10**(e - 11): its 13th significant digit is a 5 and the last
+    named += [m * 2.0 ** (e - 12) for e in range(-4, 4)
+              for m in range(int(10.0 ** e * 2.0 ** (12 - e)) | 1,
+                             int(10.0 ** (e + 1) * 2.0 ** (12 - e)), 998)]
+    # and the doubles nearest to such ties that are not ties: |v|*10**(11 - e) rounds to
+    # the tie in floating point while Python's % rounds the exact value away from it
+    named += [(n + 0.5) / 10.0 ** (11 - e) for e in range(-4, 4)
+              for n in range(10 ** 11 + 7, 10 ** 12, 10 ** 11 // 7 + 3)]
+    v = np.array(named)
+    with np.errstate(over="ignore"):
+        v = np.concatenate((v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)))
+    return np.concatenate((v, -v))
+
+
+class TestDecimalWords:
+    """``core._decimal_words`` writes every float exactly as Python's % does."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_domain_edges_ties_and_specials(self, fmt):
+        values = _edges()
+        assert _texts(values, fmt) == _reference(values, fmt)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=40), fmt=st.sampled_from(FORMATS))
+    def test_any_floats(self, values, fmt):
+        assert _texts(values, fmt) == _reference(values, fmt)
+
+    @settings(max_examples=80, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=40), fmt=st.sampled_from(FORMATS))
+    def test_any_bit_patterns(self, bits, fmt):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _texts(values, fmt) == _reference(values, fmt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.floats(-2e4, 2e4) | st.floats(-2e-3, 2e-3), min_size=1, max_size=40),
+           fmt=st.sampled_from(FORMATS))
+    def test_shape_and_order_kept(self, values, fmt):
+        grid = np.array(values)[:, None] * [1.0, -0.5]  # (m, 2): row by row
+        words = _decimal_words(grid, fmt)
+        assert words.shape[:2] == grid.shape
+        assert _decimal_text(words) == "".join(_reference(grid, fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_domain_values_take_the_digit_path(self, fmt):
+        # a value written from its digits keeps its sign word (word 0) NUL where
+        # it is positive and below 1000; a value that % writes starts there
+        values = np.random.default_rng(7).uniform(1.0, 999.0, 2000)
+        words = _decimal_words(values, fmt)
+        assert np.mean(words[:, 0] == 0) > 0.95
+        assert _texts(values, fmt) == _reference(values, fmt)
+

@@ -36,6 +36,7 @@ COMMANDS = [
                               "--alpha", "0.3", "--kmax", "5", "--out", "{cycles_kmax5.json}"]),
     (("displacement.csv",), ["displacement", *SINE2, "--out", "{displacement.csv}"]),
     (("verify.json",), ["verify", *SINE2, "--out", "{verify.json}"]),
+    # the README portrait without its seed at negative x, which the digests predate
     (("portrait.svg", "portrait.csv"), ["portrait", *SINE2, "--seed", "0,2.3", "--seed", "0,0.4",
                                         "--turns", "4", "--out", "{portrait.svg}",
                                         "--csv", "{portrait.csv}"]),

@@ -60,9 +60,9 @@ def _chunks_built(monkeypatch) -> list:
     built = []
     propagate, build = orc._propagate_states, orc._build
 
-    def counting(plan, x0, n):
+    def counting(plan, x0, n, a=None):
         built.append(n)  # states beyond the given start
-        return propagate(plan, x0, n)
+        return propagate(plan, x0, n, a)
 
     def counting_runs(plan, x, a, leg, lo, hi):
         built.extend(hi[lo == 0].tolist())
@@ -1368,6 +1368,15 @@ class TestOptionsAndExport:
         from pwlcycles import sample_orbit
         segs = [seg for seed in (Point(0.0, 2.3), Point(0.0, 0.4))
                 for seg in sample_orbit(sine_system, seed, 2)]
+        assert segments_to_csv(segs) == _csv_reference(segs)
+
+    @pytest.mark.parametrize("block", [1, 5, 7, 1024])
+    def test_csv_blocks_cut_anywhere(self, sine_system, monkeypatch, block):
+        from pwlcycles import sample_orbit
+        segs = sample_orbit(sine_system, Point(0.0, 1.5), 1)[:3]
+        segs = [orc.TrajectorySegment(s.zone, s.times[:9], s.points[:9], s.terminal_event)
+                for s in segs]
+        monkeypatch.setattr(orc, "_CSV_BLOCK", block)
         assert segments_to_csv(segs) == _csv_reference(segs)
 
     def test_csv_export(self, zero_system):
