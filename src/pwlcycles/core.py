@@ -220,16 +220,16 @@ def system_descriptor(system: PWLSystem) -> dict:
 # what Python's % writes (correctly rounded, Gay 1990).  A value is written from its
 # scaled mantissa q = |v|*10**s, one float product with 10**s exact, so q is within half
 # an ulp of the exact |v|*10**s: 2**-14 for q < 1e12 ("%.12g", s = 11 - e for the decimal
-# exponent e of v), 2**-30 for q < 1e7 ("%.3f", s = 3).  Where q lies further than
-# _TIE_MARGIN from a rounding tie, rint(q) is the correctly rounded mantissa whatever the
-# rounding rule, and integer digit arithmetic writes it.  The exact domain:
+# exponent e of v), 2**-30 for q < 1e7 ("%.3f", s = 3).  Every half-integer below 2**52
+# is a double and rounding is monotonic, so where q lies strictly closer than 1/2 to the
+# integer n = rint(q), so does the exact value: n is the correctly rounded mantissa
+# whatever the rounding rule, and integer digit arithmetic writes it.  The exact domain:
 #   "%.12g": 1e-4 <= |v| < 1e4 and 1e11 + 1 <= q <= 1e12 - 1, so the mantissa has twelve
 #            digits that no carry widens and %g writes it in fixed notation (e is taken
 #            from |v| clamped to that range, so a value outside it puts q outside too);
 #   "%.3f":  0 < |v| and q < 9999999, so the integer part has at most four digits.
-# Every other value (zero, non-finite, out of range, near a tie or a decade edge) is
+# Every other value (zero, non-finite, out of range, q on a tie or near a decade edge) is
 # written by Python's % itself.
-_TIE_MARGIN = 0.01
 _WORD = np.dtype("<u4")  # four ASCII bytes in text order; NUL bytes are padding
 # offsets into _digit_words() of the forms of a 3-digit group: in full, with trailing
 # zeros dropped, with leading zeros dropped (0 keeps one "0"), after a point; the point
@@ -285,7 +285,7 @@ def _decimal_words(values, fmt: str) -> np.ndarray:
         ok = np.abs(q - 5.5e11) <= 4.5e11 - 1.0
         unit, grid = _POW10[11 - e], _POW10[e + 4]  # the fraction goes on the 15-digit grid
     n = np.rint(q)
-    ok &= np.abs(q - n) < 0.5 - _TIE_MARGIN
+    ok &= np.abs(q - n) < 0.5
     n = (n * ok).astype(np.int64)
     whole = n // unit
     frac = (n - whole * unit) * grid

@@ -69,15 +69,15 @@ return-map turns of the stability check) waive the crossing counters, so
 for them x alone decides, and the boundary is never evaluated.
 
 One runner, ``_stops``, runs every leg: a batch of legs through one zone
-in one direction, in lockstep, counted or not and recording samples or not
-as the batch asks.  ``integrate_in_zone`` is a batch of one leg; the
-numerical displacement, the return map and the stability check run all
-their legs of a zone and direction as one batch, and a leg has the same
-bits in any batch.  Legs of one step share a plan and a step count, so a
-chunk's end states, rules 2 and 3 and the rows built are array work over
-the legs (``_settle``), and many axis landings are one array Illinois
-(``_land_on_axis``).  The states' bits are those of numpy's vectorized
-complex product ``a * plan.powers[lo:hi]``: Python's
+in one direction at one step, in lockstep, counted or not and recording
+samples or not as the batch asks.  ``integrate_in_zone`` is a batch of one
+leg; the numerical displacement, the return map and the stability check
+run all their legs of a zone, direction and step as one batch, and a leg
+has the same bits in any batch.  A batch's legs share one plan and one step
+count, so a chunk's end states, rules 2 and 3 and the rows built are array
+work over the legs (``_settle``), and many axis landings are one array
+Illinois (``_land_on_axis``).  The states' bits are those of numpy's
+vectorized complex product ``a * plan.powers[lo:hi]``: Python's
 ``complex`` product and numpy's complex128 scalar product each differ from
 it in the last bit for about two in five (a, k) (numpy 2.4, an AVX-512 CPU
 with FMA), so a scalar path must keep the product an array operation, and
@@ -166,9 +166,13 @@ class Direction(str, Enum):
 
 
 def _check_step(step: float) -> float:
-    """The RK4 step, once it is finite and at least ``MIN_STEP``."""
+    """The RK4 step, once it is finite, at least ``MIN_STEP`` and at most ``MAX_TIME`` / 2:
+    a leg at twice it (a coarse stability turn) still takes a step before it times out.
+    Each entry point checks its step before its other arguments and hands it on checked."""
     if not (step >= MIN_STEP and math.isfinite(step)):
         raise DomainError(f"step must be finite and at least {MIN_STEP!r}, got {step!r}")
+    if step > 0.5 * MAX_TIME:
+        raise DomainError(f"step must be at most {0.5 * MAX_TIME!r}, got {step!r}")
     return step
 
 
@@ -347,12 +351,11 @@ def _points(plan: _Plan, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate_states(plan: _Plan, x0: np.ndarray, n: int, a=None) -> np.ndarray:
+def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
     """States x_k = transfer^k @ x0 for k = 0..n, n at most the plan's chunk.
 
-    Both zones are foci, so x_k = 2 Re(a lam**k v), from x0's coefficient
-    ``a`` where the caller holds it (``_coefficient(plan, x0)``, the same
-    bits); a spectrum that rounds to real is stepped one state at a time.
+    Both zones are foci, so x_k = 2 Re(a lam**k v) with a the coefficient of
+    x0; a spectrum that rounds to real is stepped one state at a time.
     """
     if plan.powers is None:
         out = np.empty((n + 1, 2))
@@ -360,7 +363,7 @@ def _propagate_states(plan: _Plan, x0: np.ndarray, n: int, a=None) -> np.ndarray
         for k in range(n):
             out[k + 1] = plan.transfer @ out[k]
         return out
-    out = _states(plan, _coefficient(plan, x0) if a is None else a, 0, n + 1)
+    out = _states(plan, _coefficient(plan, x0), 0, n + 1)
     out[0] = x0
     return out
 
@@ -399,12 +402,6 @@ def _sign_changes(plan: _Plan, a: np.ndarray, x0: np.ndarray, n: int):
           & (neg[:, 0] == (x0[:, 0] < 0.0)) & xs.all(axis=1))
     m, j = np.arange(len(a)), flips.argmax(axis=1)
     return ok, ks[m, j], rows.reshape(-1, 6, 2)[m[:, None], j[:, None] + [0, 1]]
-
-
-def _event_value_scalar(system: PWLSystem, axis: bool, x) -> float:
-    if axis:
-        return float(x[0])
-    return manifold_value(system, Point(float(x[0]), float(x[1])))
 
 
 def _event_rate(system: PWLSystem, axis: bool, matrix: np.ndarray,
@@ -467,7 +464,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
     lo, g_lo = 0.0, g_from
     hi = tau = step
     x_t = state(tau)
-    g_t = g_hi = _event_value_scalar(system, axis, x_t)
+    g_t = g_hi = x_t[0] if axis else manifold_value(system, Point(*x_t))
     side = 0
     for _ in range(_MAX_BISECT):
         # a same-signed bracket only arises from roundoff at the substep end
@@ -477,7 +474,7 @@ def _localize(system: PWLSystem, matrix: np.ndarray, x_from: np.ndarray, step: f
         if not lo < tau < hi:
             tau = 0.5 * (lo + hi)
         x_t = state(tau)
-        g_t = _event_value_scalar(system, axis, x_t)
+        g_t = x_t[0] if axis else manifold_value(system, Point(*x_t))
         if (g_t < 0.0) == (g_hi < 0.0):
             hi, g_hi = tau, g_t
             if side > 0:
@@ -564,14 +561,6 @@ def _build(plan: _Plan, x: np.ndarray, a: np.ndarray, leg: np.ndarray, lo: np.nd
     return rows, run, k
 
 
-@functools.lru_cache(maxsize=8)
-def _one_chunk(n: int) -> tuple:
-    """(run, k) of the rows 0..n of one whole n-step chunk, shared and read-only."""
-    run, k = np.zeros(n + 1, dtype=int), np.arange(n + 1)
-    run.flags.writeable = k.flags.writeable = False
-    return run, k
-
-
 def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a, end: np.ndarray,
             take: list, legs: list) -> list:
     """Take as array work the n-step chunks that did not hop of the legs (h, x alone
@@ -605,9 +594,9 @@ def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a,
     whole = [h for h, _ in take if h not in settled and h not in three]
     if a is None or one.stride or not runs and len(whole) == 1:  # each leg's chunk alone
         leg = np.array(whole)
-        rows = [_propagate_states(plan, x[h], n, None if a is None else a[h]) for h in whole]
+        rows = [_propagate_states(plan, x[h], n) for h in whole]
         if len(rows) == 1:
-            rows, (run, k) = rows[0], _one_chunk(n)
+            rows, run, k = rows[0], np.zeros(n + 1, dtype=int), np.arange(n + 1)
         else:
             rows, (run, k) = np.concatenate(rows), np.divmod(np.arange(len(rows) * (n + 1)), n + 1)
     else:
@@ -673,7 +662,7 @@ class _Leg:
         x0, y0 = x.tolist()
         if not (math.isfinite(x0) and math.isfinite(y0)):
             raise DomainError(f"non-finite start point {start!r}")
-        if abs(_event_value_scalar(system, axis, (x0, y0))) <= EVENT_TOL:
+        if abs(x0 if axis else manifold_value(system, Point(x0, y0))) <= EVENT_TOL:
             dgdt, vel = _event_rate(system, axis, plan.matrix, x)
             speed = float(np.hypot(*vel))
             if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
@@ -761,8 +750,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     evaluated, more chunks are skipped, and both counters read -1.
     """
     zone = Zone(zone)
-    leg, = _stops(system, zone, Direction(direction), [(start, step)], _count_crossings,
-                  max(0, int(record_stride)))
+    leg, = _stops(system, zone, Direction(direction), [start], _check_step(step),
+                  _count_crossings, max(0, int(record_stride)))
     if isinstance(leg, PWLError):
         raise leg
     return leg.segment(zone)
@@ -797,115 +786,107 @@ def _time_out(direction: Direction, zone: Zone, origin_y: float) -> IntegrationE
                             f"MAX_TIME={MAX_TIME!r}")
 
 
-_ARRAY_LANDINGS = 8  # axis landings from which one array Illinois beats landing each alone
+# Axis landings from which one array Illinois beats landing each alone: batches of 8 / 16 /
+# 20 / 24 / 40 README sine left-zone legs took 431 / 499 / 533 / 550 / 703 us landing as one
+# array and 371 / 481 / 534 / 574 / 815 us landing each alone (2-core x86-64, thread CPU).
+_ARRAY_LANDINGS = 20
 
 
-def _stops(system: PWLSystem, zone: Zone, direction: Direction, legs: list, counted: bool,
-           stride: int = 0) -> list:
-    """The oracle's one leg runner: legs through one zone in one direction, in lockstep.
+def _stops(system: PWLSystem, zone: Zone, direction: Direction, starts: list, step: float,
+           counted: bool, stride: int = 0) -> list:
+    """The oracle's one leg runner: legs from ``starts`` in lockstep.
 
-    Each leg is a (start, step) pair.  The batch is counted or not (``counted``;
-    a leg that stops on the curve always counts) and records samples every
-    ``stride`` steps (0: the endpoints only).  Legs of one step share a plan and
-    a step count.  In each chunk rule 1 hops the legs it can, ``_settle`` takes
-    the chunks of the others as array work, and many axis landings are one array
-    Illinois (``_land_on_axis``).  Where a chunk's rows fail the boundary, each
-    leg takes the chunk again alone and meets its own error.  Returns each leg's
-    ``_Leg``, stopped or timed out, or the error it meets: its step or start
-    refused, or an evaluation error.
+    A batch is one zone, one direction and one checked ``step``, so its legs share
+    one plan and one step count.  It is counted or not (``counted``; a leg that
+    stops on the curve always counts) and records samples every ``stride`` steps
+    (0: the endpoints only).  In each chunk rule 1 hops the legs it can, ``_settle``
+    takes the chunks of the others as array work, and many axis landings are one
+    array Illinois (``_land_on_axis``).  Where a chunk's rows fail the boundary,
+    each leg takes the chunk again alone and meets its own error.  Returns each
+    leg's ``_Leg``, stopped or timed out, or the error it meets: its start refused,
+    or an evaluation error.
     """
     forward = direction is Direction.FORWARD
     axis, envelope = (zone is Zone.LEFT) == forward, system.boundary.envelope
     counted = counted or not axis
-    out: list = [None] * len(legs)
-    groups: dict = {}
-    for i, (_, step) in enumerate(legs):
-        groups.setdefault(step, []).append(i)
-    for step, group in groups.items():
+    chunk = max(1, math.ceil(_BLOCK_TIME / step))
+    plan, out, live, ids = _plan(system.params, zone, forward, step, chunk), [], [], []
+    for i, start in enumerate(starts):  # live, ids: the running legs and their places
         try:
-            chunk = max(1, math.ceil(_BLOCK_TIME / _check_step(step)))
-        except DomainError as exc:
-            out = [exc if i in group else leg for i, leg in enumerate(out)]
-            continue
-        plan, live, ids = _plan(system.params, zone, forward, step, chunk), [], []  # running legs
-        for i in group:
+            out.append(_Leg(system, plan, start, step, axis, forward, stride, counted))
+            live.append(out[i])
+            ids.append(i)
+        except PWLError as exc:
+            out.append(exc)
+    # the plan's legs may skip chunks by rules 1 and 2
+    hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
+    x, lands, done = np.array([leg.x for leg in live]), [], 0
+    while live and (n := _steps_next(done, step, chunk)):
+        if not hop:
+            a, end, take = None, np.empty_like(x), [(h, False) for h in range(len(live))]
+        else:  # a lone leg's coefficient in the scalar form, with the bits of the array
+            a = _coefficient(plan, x[0])[None] if len(live) == 1 else _coefficient(plan, x)
+            end, take = _points(plan, a * plan.powers[n]), []
+            for h, (c, p, e) in enumerate(zip(a.tolist(), x.tolist(), end.tolist())):
+                skip, decides = _skip(plan, envelope, counted, c, p, e)
+                if not skip:
+                    take.append((h, decides))
+                elif stride:  # the recorded rows alone; row 0 is the carried state
+                    first = (-done) % stride
+                    rows = _states(plan, c, first, n, stride)
+                    if first == 0:
+                        rows[0] = x[h]
+                    live[h].rec_t.append((done + np.arange(first, n, stride)) * step)
+                    live[h].rec_p.append(rows)
+        if take:
+            stop, stops = [False] * len(live), []
             try:
-                out[i] = _Leg(system, plan, legs[i][0], step, axis, forward, stride, counted)
-                live.append(out[i])
-                ids.append(i)
-            except PWLError as exc:
-                out[i] = exc
-        # the plan's legs may skip chunks by rules 1 and 2
-        hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
-        x, lands, done = np.array([leg.x for leg in live]), [], 0
-        while live and (n := _steps_next(done, step, chunk)):
-            if not hop:
-                a, end, take = None, np.empty_like(x), [(h, False) for h in range(len(live))]
-            else:  # a lone leg's coefficient in the scalar form, with the bits of the array
-                a = _coefficient(plan, x[0])[None] if len(live) == 1 else _coefficient(plan, x)
-                end, take = _points(plan, a * plan.powers[n]), []
-                for h, (c, p, e) in enumerate(zip(a.tolist(), x.tolist(), end.tolist())):
-                    # a chunk whose x keeps its strict sign hops where x alone decides
-                    skip, decides = ((True, True) if not counted and p[0] * e[0] > 0.0
-                                     else _skip(plan, envelope, counted, c, p, e))
-                    if not skip:
-                        take.append((h, decides))
-                    elif stride:  # the recorded rows alone; row 0 is the carried state
-                        first = (-done) % stride
-                        rows = _states(plan, c, first, n, stride)
-                        if first == 0:
-                            rows[0] = x[h]
-                        live[h].rec_t.append((done + np.arange(first, n, stride)) * step)
-                        live[h].rec_p.append(rows)
-            if take:
-                stop, stops = [False] * len(live), []
-                try:
-                    stops = _settle(system, plan, n, done, x, a, end, take, live)
-                except PWLError:  # the boundary fails on a row: each leg meets its own error
-                    for h, decides in take:
-                        try:
-                            stops += _settle(system, plan, n, done, x, a, end, [(h, decides)], live)
-                        except PWLError as exc:
-                            out[ids[h]], stop[h] = exc, True
-                for h, k, pair, *g in stops:
-                    stop[h], live[h].done = True, done
+                stops = _settle(system, plan, n, done, x, a, end, take, live)
+            except PWLError:  # the boundary fails on a row: each leg meets its own error
+                for h, decides in take:
                     try:
-                        if axis and g[1] != 0.0:
-                            lands.append((live[h], k, pair, g))
-                        else:
-                            live[h].land(k, pair, g)
+                        stops += _settle(system, plan, n, done, x, a, end, [(h, decides)], live)
                     except PWLError as exc:
-                        out[ids[h]] = exc
-                if True in stop:
-                    if False not in stop:
-                        break
-                    keep = [h for h, s in enumerate(stop) if not s]
-                    live, ids, end = [live[h] for h in keep], [ids[h] for h in keep], end[keep]
-            x = end
-            done += n
-        else:  # the legs still running time out; a break means every leg stopped
-            for leg, x_end in zip(live, x):
-                leg.x, leg.done = x_end, done
-        if len(lands) >= _ARRAY_LANDINGS:
-            taus, states = _land_on_axis(plan.matrix, np.array([p[0] for *_, p, _ in lands]),
-                                         step)
-            vel = np.matmul(plan.matrix, states[:, :, None])[:, :, 0]  # matrix @ x, as per leg
-            errors = [0.0 if not r > 0.0 else r * abs(v1) / abs(v0) if v0 else math.inf
-                      for r, (v0, v1) in zip(np.abs(states[:, 0]).tolist(), vel.tolist())]
-            lands = [(leg, k, None, None, landed) for (leg, k, _, _), landed in zip(
-                lands, zip(taus.tolist(), states, errors))]
-        for leg, *land in lands:
-            leg.land(*land)
+                        out[ids[h]], stop[h] = exc, True
+            for h, k, pair, *g in stops:
+                stop[h], live[h].done = True, done
+                try:
+                    if axis and g[1] != 0.0:
+                        lands.append((live[h], k, pair, g))
+                    else:
+                        live[h].land(k, pair, g)
+                except PWLError as exc:
+                    out[ids[h]] = exc
+            if True in stop:
+                if False not in stop:
+                    break
+                keep = [h for h, s in enumerate(stop) if not s]
+                live, ids, end = [live[h] for h in keep], [ids[h] for h in keep], end[keep]
+        x = end
+        done += n
+    else:  # the legs still running time out; a break means every leg stopped
+        for leg, x_end in zip(live, x):
+            leg.x, leg.done = x_end, done
+    if len(lands) >= _ARRAY_LANDINGS:
+        taus, states = _land_on_axis(plan.matrix, np.array([p[0] for *_, p, _ in lands]), step)
+        vel = np.matmul(plan.matrix, states[:, :, None])[:, :, 0]  # matrix @ x, as per leg
+        errors = [0.0 if not r > 0.0 else r * abs(v1) / abs(v0) if v0 else math.inf
+                  for r, (v0, v1) in zip(np.abs(states[:, 0]).tolist(), vel.tolist())]
+        lands = [(leg, k, None, None, landed) for (leg, k, _, _), landed in zip(
+            lands, zip(taus.tolist(), states, errors))]
+    for leg, *land in lands:
+        leg.land(*land)
     return out
 
 
-def _ends(system: PWLSystem, zone: Zone, direction: Direction, legs: list, counted: bool) -> list:
-    """``_stops`` on endpoints-only legs (start, step, origin_y): each stopped ``_Leg``,
-    or the error it meets, a time-out naming ``origin_y``."""
-    out = _stops(system, zone, direction, [leg[:2] for leg in legs], counted)
+def _ends(system: PWLSystem, zone: Zone, direction: Direction, legs: list, step: float,
+          counted: bool) -> list:
+    """``_stops`` on endpoints-only legs (start, origin_y) of one zone, direction and
+    step: each stopped ``_Leg``, or the error it meets, a time-out naming ``origin_y``."""
+    out = _stops(system, zone, direction, [start for start, _ in legs], step, counted)
     return [_time_out(direction, zone, y)
             if isinstance(one, _Leg) and one.terminal is TerminalEvent.TIME_OUT else one
-            for one, (_, _, y) in zip(out, legs)]
+            for one, (_, y) in zip(out, legs)]
 
 
 def _each(value, name: str, refuse, batch) -> tuple[list, bool]:
@@ -937,15 +918,16 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     failure raises the error of the first failing y, as calls in order
     would: its ordinate check, then its forward leg, then its backward leg.
     """
+    step = _check_step(step)
+
     def legs(ys: list) -> list:  # in batches, which bound the legs held at once
-        starts = [(Point(float(system.boundary.evaluate(v)), v), step, v) for v in ys]
+        starts = [(Point(float(system.boundary.evaluate(v)), v), v) for v in ys]
         out: list = []
         for part in (starts[lo:lo + 1024] for lo in range(0, len(starts), 1024)):
+            fwd = _ends(system, Zone.LEFT, Direction.FORWARD, part, step, False)
+            bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, part, step, False)
             out += [one if isinstance(one, PWLError) else two if isinstance(two, PWLError)
-                    else float(one.x[1] - two.x[1])
-                    for one, two in zip(_ends(system, Zone.LEFT, Direction.FORWARD, part, False),
-                                        _ends(system, Zone.RIGHT, Direction.BACKWARD, part,
-                                              False))]
+                    else float(one.x[1] - two.x[1]) for one, two in zip(fwd, bwd)]
         return out
 
     out, scalar = _each(y, "y", lambda i, v: None if math.isfinite(v) and v > 0.0
@@ -953,14 +935,15 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     return out[0] if scalar else np.array(out)
 
 
-def _turns(system: PWLSystem, y_ins: list, steps: list, counted: bool) -> list:
-    """A return-map turn from each (0, y_ins[i]) at steps[i], its left-zone leg
-    counted or not: a ``ReturnMapResult``, or the error its legs meet first."""
-    first = _ends(system, Zone.RIGHT, Direction.FORWARD,
-                  [(Point(0.0, y), s, y) for y, s in zip(y_ins, steps)], True)
+def _turns(system: PWLSystem, y_ins: list, step: float, counted: bool) -> list:
+    """A return-map turn from each (0, y_in) at one ``step``, its left-zone leg
+    counted or not: a ``ReturnMapResult``, or the error its legs meet first.  The
+    turns' right-zone legs are one batch and their left-zone legs another."""
+    first = _ends(system, Zone.RIGHT, Direction.FORWARD, [(Point(0.0, y), y) for y in y_ins],
+                  step, True)
     go = [i for i, leg in enumerate(first) if not isinstance(leg, PWLError)]
     second = dict(zip(go, _ends(system, Zone.LEFT, Direction.FORWARD,
-                                [(Point(*first[i].x.tolist()), steps[i], y_ins[i]) for i in go],
+                                [(Point(*first[i].x.tolist()), y_ins[i]) for i in go], step,
                                 counted)))
     out = []
     for i, (y, one) in enumerate(zip(y_ins, first)):
@@ -984,9 +967,10 @@ def return_map(system: PWLSystem, y_in: float | np.ndarray,
     failure raises the error of the first failing y_in, as calls in order
     would: its check, then its right-zone leg, then its left-zone leg.
     """
+    step = _check_step(step)
     out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
                         else DomainError(f"y_in must be negative, got {v!r}"),
-                        lambda ys: _turns(system, ys, [step] * len(ys), True))
+                        lambda ys: _turns(system, ys, step, True))
     return out[0] if scalar else out
 
 
@@ -1001,11 +985,11 @@ def _lowers(system: PWLSystem, y0s: list, step: float) -> list:
             out.append(exc)
     right = [i for i, p in enumerate(out) if p is None]
     for i, leg in zip(right, _ends(system, Zone.RIGHT, Direction.FORWARD,
-                                   [(Point(0.0, y0s[i]), step, y0s[i]) for i in right], True)):
+                                   [(Point(0.0, y0s[i]), y0s[i]) for i in right], step, True)):
         out[i] = leg if isinstance(leg, PWLError) else Point(*leg.x.tolist())
     left = [i for i, p in enumerate(out) if isinstance(p, Point)]
     for i, leg in zip(left, _ends(system, Zone.LEFT, Direction.FORWARD,
-                                  [(out[i], step, y0s[i]) for i in left], False)):
+                                  [(out[i], y0s[i]) for i in left], step, False)):
         out[i] = leg if isinstance(leg, PWLError) else float(leg.x[1])
     return out
 
@@ -1020,6 +1004,7 @@ def upper_to_lower(system: PWLSystem, y0: float | np.ndarray,
     lockstep (``_stops``), and a failure raises the error of the first
     failing y0, as calls in order would.
     """
+    step = _check_step(step)
     out, scalar = _each(y0, "y0", lambda i, v: None if math.isfinite(v) and v > 0.0
                         else DomainError(f"y0 must be positive, got {v!r}"),
                         lambda ys: _lowers(system, ys, step))
@@ -1049,9 +1034,10 @@ def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
     outer one when d < 0.  Only the turns' ``y_out`` and ``landing_error``
     are read, so their left-zone legs run uncounted: x alone decides where
     they land, with the bits of a counted turn.  The probes of all cycles
-    are placed together, then all their turns at both steps, and a cycle's
-    error is the first in the order inner probe, outer probe, fine turns,
-    coarse turns, as one cycle at a time would meet it.
+    are placed together, then all their turns at ``step`` (the fine turns)
+    and then all at twice it (the coarse turns), each a batch of one step
+    per zone.  A cycle's error is the first in the order inner probe, outer
+    probe, fine turns, coarse turns, as one cycle at a time would meet it.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
     starts exactly at (0, y_in), so it does not enter the bar.  A late or
@@ -1065,9 +1051,8 @@ def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
              else DomainError(f"y_in must be negative, got {y!r}")
              for y in _lowers(system, [y + side * e for y, e in cycles for side in sides], step)]
     go = [i for i, y in enumerate(y_ins) if not isinstance(y, PWLError)]
-    turns = _turns(system, [y_ins[i] for i in go] * 2,
-                   [step] * len(go) + [2.0 * step] * len(go), False)
-    fine, coarse = dict(zip(go, turns)), dict(zip(go, turns[len(go):]))
+    fine, coarse = (dict(zip(go, _turns(system, [y_ins[i] for i in go], s, False)))
+                    for s in (step, 2.0 * step))
     out = []
     for probes in zip(range(0, len(y_ins), 2), range(1, len(y_ins), 2)):
         stages = [stage.get(i) for stage in (dict(enumerate(y_ins)), fine, coarse) for i in probes]
@@ -1104,6 +1089,7 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     calls one cycle at a time would.  A float takes about 1.8 ms on the
     README sine's stable cycle at eps = 0.05 and the default step.
     """
+    step = _check_step(step)
     eps = np.asarray(eps, dtype=float)
     if eps.shape not in ((), np.shape(y_star)):
         raise DomainError(f"eps must be a float or an array of y_star's shape, got {eps.shape}")

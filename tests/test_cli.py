@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -175,6 +176,16 @@ class TestVerify:
         assert code == 3
         payload = json.loads(out)
         assert payload["discrepancies"]
+
+    def test_step_no_leg_can_take_is_a_usage_error(self, capsys, monkeypatch):
+        # refused before any work, with no numpy warning (the plan's product overflowed)
+        monkeypatch.setattr(oracle, "_plan", lambda *a: pytest.fail("a plan was built"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", "--gamma", "0.75", "--family", "sine",
+                                          "--n", "2", "--range", "0.1", "4", "--step", "1e80"])
+        assert code == 1 and out == ""
+        assert err == f"error: step must be at most {0.5 * oracle.MAX_TIME!r}, got 1e+80\n"
 
     @pytest.mark.parametrize("flag, config", [("nan", None), ("inf", None), ("0", None),
                                               ("-1", None), (None, "nan")])

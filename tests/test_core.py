@@ -190,3 +190,22 @@ class TestDecimalWords:
         assert np.mean(words[:, 0] == 0) > 0.95
         assert _texts(values, fmt) == _reference(values, fmt)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_values_next_to_a_tie_take_the_digit_path(self, fmt):
+        # a scaled mantissa q within 0.01 of a rounding tie, but off it, is
+        # still written from its digits: every half-integer below 2**52 is a
+        # double, so q strictly inside (n - 1/2, n + 1/2) puts the exact value there
+        rng = np.random.default_rng(23)
+        size = 2000
+        if fmt == "%.3f":
+            scale, m = np.full(size, 1e3), rng.integers(1000, 999000, size)
+        else:  # 1 <= v < 1000: the decimal exponent e is 0, 1 or 2
+            scale, m = 10.0 ** (11 - rng.integers(0, 3, size)), rng.integers(10**11, 10**12, size)
+        d = rng.uniform(0.001, 0.009, size) * rng.choice([-1.0, 1.0], size)
+        values = (m + 0.5 + d) / scale
+        gap = np.abs(values * scale - np.rint(values * scale))
+        assert np.all((gap > 0.49) & (gap < 0.5))
+        words = _decimal_words(values, fmt)
+        assert np.all(words[:, 0] == 0)
+        assert _texts(values, fmt) == _reference(values, fmt)
+

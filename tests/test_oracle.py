@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -60,9 +61,9 @@ def _chunks_built(monkeypatch) -> list:
     built = []
     propagate, build = orc._propagate_states, orc._build
 
-    def counting(plan, x0, n, a=None):
+    def counting(plan, x0, n):
         built.append(n)  # states beyond the given start
-        return propagate(plan, x0, n, a)
+        return propagate(plan, x0, n)
 
     def counting_runs(plan, x, a, leg, lo, hi):
         built.extend(hi[lo == 0].tolist())
@@ -79,9 +80,9 @@ def _legs_run(monkeypatch) -> list:
     legs = []
     stops = orc._stops
 
-    def recording(system, zone, direction, todo, counted, stride=0):
-        legs.extend((zone, direction, step, counted) for _, step in todo)
-        return stops(system, zone, direction, todo, counted, stride)
+    def recording(system, zone, direction, starts, step, counted, stride=0):
+        legs.extend((zone, direction, step, counted) for _ in starts)
+        return stops(system, zone, direction, starts, step, counted, stride)
 
     monkeypatch.setattr(orc, "_stops", recording)
     monkeypatch.setattr(orc, "integrate_in_zone",
@@ -1155,18 +1156,20 @@ class TestLockstepTurns:
                                             max_time):
         # starts next to (or on) the curve, or as far below the axis, so that
         # both stops meet the curve, the section, a tangent start or a time-out;
-        # legs of several steps share each batch, counted or not
+        # the legs of each drawn step are one batch, counted or not
         system = SKIP_FAMILIES[family]()
         starts = [Point(dx, -y) if below else Point(float(system.boundary.evaluate(y)) + dx, y)
                   for y, dx, below, _ in legs]
         todo = [(start, step, y) for start, (y, _, _, step) in zip(starts, legs)]
         with mock.patch.object(orc, "MAX_TIME", max_time):
-            got = orc._ends(system, zone, direction, todo, counted)
-            for leg, (start, step, y) in zip(got, todo):
-                ref = _outcome(lambda: _leg_bits(_leg_by_integration(system, zone, start,
-                                                                     direction, step, y, counted)))
-                assert (_leg_bits(leg.segment(zone)) if isinstance(leg, orc._Leg)
-                        else (type(leg), str(leg))) == ref
+            for step in dict.fromkeys(step for _, step, _ in todo):
+                batch = [(start, y) for start, s, y in todo if s == step]
+                got = orc._ends(system, zone, direction, batch, step, counted)
+                for leg, (start, y) in zip(got, batch):
+                    ref = _outcome(lambda: _leg_bits(_leg_by_integration(
+                        system, zone, start, direction, step, y, counted)))
+                    assert (_leg_bits(leg.segment(zone)) if isinstance(leg, orc._Leg)
+                            else (type(leg), str(leg))) == ref
 
     def test_a_leg_the_boundary_fails_leaves_the_others_their_bits(self, monkeypatch):
         # the boundary is not finite on the first leg's rows, so a chunk that the
@@ -1185,7 +1188,7 @@ class TestLockstepTurns:
                 raise
 
         monkeypatch.setattr(orc, "_settle", settling)
-        legs = orc._stops(system, Zone.LEFT, Direction.FORWARD, [(p, step) for p in starts], True)
+        legs = orc._stops(system, Zone.LEFT, Direction.FORWARD, starts, step, True)
         assert [len(take) for take in raised] == [2, 1]  # the batch, then the first leg alone
         alone = [_outcome(lambda: _leg_bits(integrate_in_zone(system, Zone.LEFT, p,
                                                               Direction.FORWARD, step,
@@ -1217,7 +1220,7 @@ class TestLockstepTurns:
         for zone, direction in ((Zone.LEFT, Direction.FORWARD), (Zone.RIGHT, Direction.BACKWARD)):
             for counted in (False, True):
                 landed.clear()
-                legs = orc._stops(system, zone, direction, [(p, 1e-4) for p in starts], counted)
+                legs = orc._stops(system, zone, direction, starts, 1e-4, counted)
                 assert landed == [len(ys)]
                 for leg, p in zip(legs, starts):
                     assert _leg_bits(leg.segment(zone)) == _leg_bits(integrate_in_zone(
@@ -1319,13 +1322,43 @@ class TestOptionsAndExport:
 
     @pytest.mark.parametrize("step", [0.0, math.nan, -1e-4, math.inf, orc.MIN_STEP / 2])
     def test_entry_points_refuse_a_bad_step(self, sine_system, step):
-        # the lockstep runner checks each step before it sizes the step's chunks
+        # each entry point checks the step before it runs a leg or sizes a chunk
         message = f"step must be finite and at least {orc.MIN_STEP!r}, got {step!r}"
         for call in (lambda: numeric_displacement(sine_system, 1.5, step),
                      lambda: return_map(sine_system, -1.0, step),
                      lambda: upper_to_lower(sine_system, 1.5, step),
                      lambda: resolve_stability(sine_system, 2.0, 0.05, step)):
             assert _outcome(call) == (DomainError, message)
+
+    @pytest.mark.parametrize("step", [math.nextafter(0.5 * orc.MAX_TIME, math.inf),
+                                      2.0 * orc.MAX_TIME, 1e80])
+    def test_entry_points_refuse_a_step_no_leg_can_take(self, sine_system, monkeypatch, step):
+        # at twice a step above MAX_TIME / 2, as the stability check's coarse turns
+        # take it, a leg would time out before its first step, and from about 5.6e38
+        # the plan's discriminant overflows: every entry point refuses such a step
+        # before any plan is built, with no numpy warning
+        monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
+        message = f"step must be at most {0.5 * orc.MAX_TIME!r}, got {step!r}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: numeric_displacement(sine_system, 1.5, step),
+                         lambda: return_map(sine_system, -1.0, step),
+                         lambda: upper_to_lower(sine_system, 1.5, step),
+                         lambda: resolve_stability(sine_system, 2.0, 0.05, step),
+                         lambda: integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 1.0),
+                                                   step=step),
+                         lambda: propagate_fixed(sine_system, Zone.LEFT, Point(0.0, 1.0), 1.0,
+                                                 step=step)):
+                assert _outcome(call) == (DomainError, message)
+
+    def test_the_largest_step_runs_the_stability_check_at_twice_it(self, sine_system,
+                                                                  monkeypatch):
+        # MAX_TIME / 2 is accepted, and the coarse turns at MAX_TIME take one step
+        assert orc._check_step(0.5 * orc.MAX_TIME) == 0.5 * orc.MAX_TIME
+        legs = _legs_run(monkeypatch)
+        with pytest.raises(IntegrationError, match="did not leave its zone"):
+            resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
+        assert {step for *_, step, _ in legs} == {0.5 * orc.MAX_TIME, orc.MAX_TIME}
 
     def test_non_finite_starts_are_refused(self, sine_system):
         for start in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, -1.0)):
