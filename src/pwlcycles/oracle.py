@@ -72,16 +72,18 @@ One runner, ``_stops``, runs every leg: a batch of legs through one zone
 in one direction at one step, in lockstep, counted or not and recording
 samples or not as the batch asks.  ``integrate_in_zone`` is a batch of one
 leg; the numerical displacement, the return map and the stability check
-run all their legs of a zone, direction and step as one batch, and a leg
-has the same bits in any batch.  A batch's legs share one plan and one step
-count, so a chunk's end states, rules 2 and 3 and the rows built are array
-work over the legs (``_settle``), and many axis landings are one array
-Illinois (``_land_on_axis``).  The states' bits are those of numpy's
-vectorized complex product ``a * plan.powers[lo:hi]``: Python's
-``complex`` product and numpy's complex128 scalar product each differ from
-it in the last bit for about two in five (a, k) (numpy 2.4, an AVX-512 CPU
-with FMA), so a scalar path must keep the product an array operation, and
-the oracle's bits depend on numpy's SIMD dispatch.
+run all their legs of a zone, direction and step as one batch, and a
+portrait's ``sample_orbit`` runs the pending legs of all its seeds in one
+zone as one batch.  A leg has the same bits in any batch.  A batch's legs
+share one plan and one step count, so a chunk's end states, rules 2 and 3
+and the rows built are array work over the legs (``_settle``), and many
+axis landings are one array Illinois (``_land_on_axis``).  The states'
+bits are those of numpy's vectorized complex product
+``a * plan.powers[lo:hi]``: Python's ``complex`` product and numpy's
+complex128 scalar product each differ from it in the last bit for about
+two in five (a, k) (numpy 2.4, an AVX-512 CPU with FMA), so a scalar path
+must keep the product an array operation, and the oracle's bits depend on
+numpy's SIMD dispatch.
 
 Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
@@ -168,11 +170,32 @@ class Direction(str, Enum):
 def _check_step(step: float) -> float:
     """The RK4 step, once it is finite, at least ``MIN_STEP`` and at most ``MAX_TIME`` / 2:
     a leg at twice it (a coarse stability turn) still takes a step before it times out.
-    Each entry point checks its step before its other arguments and hands it on checked."""
+    Each entry point checks its step, then ``_check_rk4`` of it, before its other
+    arguments and hands it on checked."""
     if not (step >= MIN_STEP and math.isfinite(step)):
         raise DomainError(f"step must be finite and at least {MIN_STEP!r}, got {step!r}")
     if step > 0.5 * MAX_TIME:
         raise DomainError(f"step must be at most {0.5 * MAX_TIME!r}, got {step!r}")
+    return step
+
+
+def _check_rk4(params: SystemParams, step: float) -> float:
+    """The RK4 step, once each zone's one-step map grows or decays as the flow does.
+
+    The zone eigenvalues are sigma +- i with sigma = -gamma and +gamma, and the
+    one-step map's are R(step*(sigma + i)), R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24;
+    a step where |R| lies on the other side of 1 from exp(sigma*step) is refused.
+    At gamma = 0.75 that is every step from about 2.103, where the left zone's RK4
+    grows.  At gamma = 0.1 the right zone's RK4 decays from about 2.034 to 2.358 and the
+    left zone's grows from about 2.936, so the steps between those are taken.
+    """
+    for sigma in (-params.gamma, params.gamma):
+        z = step * complex(sigma, 1.0)
+        growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+        if (growth - 1.0) * sigma < 0.0:
+            raise DomainError(f"step {step!r} is too large for RK4 at gamma={params.gamma!r}: "
+                              f"one step scales the {'expanding' if sigma > 0.0 else 'contracting'}"
+                              f" focus by {growth:.6g}, on the other side of 1 from the flow")
     return step
 
 
@@ -750,7 +773,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     evaluated, more chunks are skipped, and both counters read -1.
     """
     zone = Zone(zone)
-    leg, = _stops(system, zone, Direction(direction), [start], _check_step(step),
+    leg, = _stops(system, zone, Direction(direction), [start],
+                  _check_rk4(system.params, _check_step(step)),
                   _count_crossings, max(0, int(record_stride)))
     if isinstance(leg, PWLError):
         raise leg
@@ -766,7 +790,7 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     squaring, apart from the plans ``integrate_in_zone`` uses, so it
     cross-checks them and the closed-form zone flow at arbitrary times.
     """
-    _check_step(step)
+    _check_rk4(system.params, _check_step(step))
     if not (duration >= 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be finite and non-negative, got {duration!r}")
     matrix = zone_matrix(system.params, zone)
@@ -918,7 +942,7 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     failure raises the error of the first failing y, as calls in order
     would: its ordinate check, then its forward leg, then its backward leg.
     """
-    step = _check_step(step)
+    step = _check_rk4(system.params, _check_step(step))
 
     def legs(ys: list) -> list:  # in batches, which bound the legs held at once
         starts = [(Point(float(system.boundary.evaluate(v)), v), v) for v in ys]
@@ -967,7 +991,7 @@ def return_map(system: PWLSystem, y_in: float | np.ndarray,
     failure raises the error of the first failing y_in, as calls in order
     would: its check, then its right-zone leg, then its left-zone leg.
     """
-    step = _check_step(step)
+    step = _check_rk4(system.params, _check_step(step))
     out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
                         else DomainError(f"y_in must be negative, got {v!r}"),
                         lambda ys: _turns(system, ys, step, True))
@@ -1004,7 +1028,7 @@ def upper_to_lower(system: PWLSystem, y0: float | np.ndarray,
     lockstep (``_stops``), and a failure raises the error of the first
     failing y0, as calls in order would.
     """
-    step = _check_step(step)
+    step = _check_rk4(system.params, _check_step(step))
     out, scalar = _each(y0, "y0", lambda i, v: None if math.isfinite(v) and v > 0.0
                         else DomainError(f"y0 must be positive, got {v!r}"),
                         lambda ys: _lowers(system, ys, step))
@@ -1089,7 +1113,8 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     calls one cycle at a time would.  A float takes about 1.8 ms on the
     README sine's stable cycle at eps = 0.05 and the default step.
     """
-    step = _check_step(step)
+    step = _check_rk4(system.params, _check_step(step))
+    _check_rk4(system.params, 2.0 * step)  # the coarse turns' step
     eps = np.asarray(eps, dtype=float)
     if eps.shape not in ((), np.shape(y_star)):
         raise DomainError(f"eps must be a float or an array of y_star's shape, got {eps.shape}")

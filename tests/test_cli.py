@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import pwlcycles
@@ -156,6 +157,18 @@ class TestDisplacement:
             assert math.copysign(1.0, f) == math.copysign(1.0, h)
             assert float(row["abs_diff"]) < 1e-6
 
+    def test_step_rk4_cannot_take_is_a_usage_error(self, capsys):
+        # at step 10 RK4 grows the contracting zone, and the scan read f_numeric 7.6e16
+        argv = ["displacement", "--gamma", "0.75", "--family", "sine", "--n", "2",
+                "--range", "0.5", "1.5", "--points", "3"]
+        code, out, err = run(capsys, argv + ["--step", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: step 10.0 is too large for RK4 at gamma=0.75")
+        # step 2 is below the bound of about 2.103, and the scan still runs
+        code, out, _ = run(capsys, argv + ["--step", "2"])
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+
 
 class TestVerify:
     def test_sine_passes(self, capsys):
@@ -187,6 +200,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == f"error: step must be at most {0.5 * oracle.MAX_TIME!r}, got 1e+80\n"
 
+    def test_step_rk4_cannot_double_is_a_usage_error(self, capsys, monkeypatch):
+        # 1.2 is a step RK4 takes at gamma 0.75 and 2.4, the stability check's, is not
+        monkeypatch.setattr(oracle, "_plan", lambda *a: pytest.fail("a plan was built"))
+        code, out, err = run(capsys, ["verify", "--gamma", "0.75", "--family", "sine",
+                                      "--n", "2", "--range", "0.1", "4", "--step", "1.2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: step 2.4 is too large for RK4 at gamma=0.75")
+
     @pytest.mark.parametrize("flag, config", [("nan", None), ("inf", None), ("0", None),
                                               ("-1", None), (None, "nan")])
     def test_tol_must_be_finite_and_positive(self, capsys, tmp_path, monkeypatch, flag, config):
@@ -205,17 +226,21 @@ class TestPortrait:
     def test_calls_in_one_process_do_not_share_options(self, tmp_path, monkeypatch):
         # the parser is built once per process; each parse starts from its defaults
         from pwlcycles import cli
-        seeds = []
-        monkeypatch.setattr(portrait, "sample_orbit",
-                            lambda system, seed, turns: seeds.append(seed) or [])
+        calls = []  # the seeds of each sample_orbit call, as points
+
+        def sampling(system, seeds, turns):
+            calls.append([Point(*p) for p in np.asarray(seeds).tolist()])
+            return [[] for _ in calls[-1]]
+
+        monkeypatch.setattr(portrait, "sample_orbit", sampling)
         argv = ["portrait", "--gamma", "0.75", "--family", "sine", "--n", "2",
                 "--range", "0.1", "4", "--out", str(tmp_path / "p.svg")]
         for given, expected in ((["--seed", "0,2.2", "--seed", "0,0.4"],
                                  [Point(0.0, 2.2), Point(0.0, 0.4)]),
                                 ([], []), (["--seed", "0,1.5"], [Point(0.0, 1.5)])):
-            seeds.clear()
+            calls.clear()
             assert main(argv + given) == 0
-            assert seeds == expected
+            assert calls == [expected]  # one call takes every seed
         assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize("given, config", [
@@ -268,7 +293,7 @@ class TestPortrait:
         calls = []
 
         def counting(system, seed, turns, *args, **kwargs):
-            calls.append(seed)
+            calls.append([Point(*p) for p in np.asarray(seed).tolist()])
             return sample_orbit(system, seed, turns, *args, **kwargs)
 
         monkeypatch.setattr(portrait, "sample_orbit", counting)
@@ -278,9 +303,9 @@ class TestPortrait:
                                   "--seed", "0,2.2", "--seed", "0,0.5", "--turns", "2",
                                   "--out", str(svg), "--csv", str(dump)])
         assert code == 0
-        assert calls == seeds
+        assert calls == [seeds]  # one call samples every seed, once
         monkeypatch.undo()
-        # the same bytes as rendering and exporting with separate sampling
+        # the same bytes as rendering and exporting with each seed sampled alone
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
         segments = [seg for seed in seeds for seg in sample_orbit(sine_system, seed, 2)]
         assert svg.read_bytes() == render(sine_system, (-2.6, 2.6, -2.6, 2.6),

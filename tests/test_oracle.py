@@ -1353,12 +1353,68 @@ class TestOptionsAndExport:
 
     def test_the_largest_step_runs_the_stability_check_at_twice_it(self, sine_system,
                                                                   monkeypatch):
-        # MAX_TIME / 2 is accepted, and the coarse turns at MAX_TIME take one step
+        # MAX_TIME / 2 is accepted, and the coarse turns at MAX_TIME take one step.  RK4
+        # grows the contracting zone at such a step for every gamma, so that check refuses
+        # it first; without that check the step bound alone still leaves a step to take
         assert orc._check_step(0.5 * orc.MAX_TIME) == 0.5 * orc.MAX_TIME
+        with pytest.raises(DomainError, match="^step 50.0 is too large for RK4 at gamma=0.75"):
+            resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
+        monkeypatch.setattr(orc, "_check_rk4", lambda params, step: step)
         legs = _legs_run(monkeypatch)
         with pytest.raises(IntegrationError, match="did not leave its zone"):
             resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
         assert {step for *_, step, _ in legs} == {0.5 * orc.MAX_TIME, orc.MAX_TIME}
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.75, 3.0])
+    def test_rk4_growth_is_the_transfer_eigenvalue(self, gamma):
+        # |R(step*(sigma + i))| is the modulus of each zone's one-step map in either
+        # direction, and a step is refused exactly where it lies across 1 from the flow's
+        params = SystemParams(gamma)
+        for step in np.geomspace(1e-3, 5.0, 60).tolist():
+            refused = _outcome(lambda: orc._check_rk4(params, step)) != step
+            wrong = False
+            for zone in Zone:
+                for sign in (1.0, -1.0):
+                    lam = np.linalg.eigvals(_step_transfer(sign * orc.zone_matrix(params, zone),
+                                                           step))
+                    sigma = sign * zone.sign * gamma
+                    z = step * complex(sigma, 1.0)
+                    growth = abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24)
+                    assert np.abs(lam) == pytest.approx([growth, growth], rel=1e-12)
+                    wrong |= (growth > 1.0) != (sigma > 0.0)
+            assert refused == wrong, (gamma, step)
+
+    @pytest.mark.parametrize("gamma, last, first", [(0.75, 2.10, 2.11), (0.1, 2.03, 2.04)])
+    def test_rk4_step_bound_where_measured(self, gamma, last, first):
+        params = SystemParams(gamma)
+        assert orc._check_rk4(params, last) == last
+        with pytest.raises(DomainError, match=f"^step {first!r} is too large for RK4 at "
+                                              f"gamma={gamma!r}"):
+            orc._check_rk4(params, first)
+
+    def test_entry_points_refuse_a_step_rk4_cannot_take(self, sine_system, monkeypatch):
+        # at step 10 and gamma 0.75 RK4 grows the contracting zone by a factor of about
+        # 830 a step: every entry point refuses it before any plan is built
+        monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
+        for call in (lambda: numeric_displacement(sine_system, 1.5, 10.0),
+                     lambda: numeric_displacement(sine_system, np.zeros(0), 10.0),
+                     lambda: return_map(sine_system, -1.0, 10.0),
+                     lambda: upper_to_lower(sine_system, 1.5, 10.0),
+                     lambda: resolve_stability(sine_system, 2.0, 0.05, 10.0),
+                     lambda: integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 1.0), step=10.0),
+                     lambda: propagate_fixed(sine_system, Zone.LEFT, Point(0.0, 1.0), 1.0,
+                                             step=10.0)):
+            kind, message = _outcome(call)
+            assert kind is DomainError
+            assert message.startswith("step 10.0 is too large for RK4 at gamma=0.75")
+
+    def test_stability_check_refuses_a_step_rk4_cannot_double(self, sine_system):
+        # 1.2 is a step RK4 takes at gamma 0.75, and 2.4 is not: the turns run, while the
+        # stability check, whose coarse turns take twice the step, refuses it
+        turn = return_map(sine_system, -2.0 * EXP_M_075PI, 1.2)
+        assert turn.y_out < 0.0
+        with pytest.raises(DomainError, match="^step 2.4 is too large for RK4 at gamma=0.75"):
+            resolve_stability(sine_system, 2.0, 0.05, 1.2)
 
     def test_non_finite_starts_are_refused(self, sine_system):
         for start in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, -1.0)):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -9,14 +10,18 @@ from hypothesis import strategies as st
 from pwlcycles import (
     DomainError,
     Point,
+    PWLSystem,
+    SystemParams,
     TerminalEvent,
     Zone,
     find_limit_cycles,
     flow,
+    make_zero,
     render,
     sample_orbit,
 )
-from pwlcycles import portrait
+from pwlcycles import oracle, portrait
+from pwlcycles.oracle import Direction
 from pwlcycles.portrait import cycle_polyline, default_window
 
 EXP_M_075PI = 0.09478022484215486
@@ -45,9 +50,10 @@ class TestSampleOrbit:
         built = _chunks_built(monkeypatch)
         segs = sample_orbit(sine_system, Point(*seed), 3)
         uncounted_chunks = len(built)
-        integrate = portrait.integrate_in_zone
-        monkeypatch.setattr(portrait, "integrate_in_zone",
-                            lambda *args, _count_crossings, **kw: integrate(*args, **kw))
+        stops = oracle._stops  # the same legs, counted
+        monkeypatch.setattr(oracle, "_stops", lambda system, zone, direction, starts, step,
+                            counted, stride: stops(system, zone, direction, starts, step, True,
+                                                   stride))
         counted = sample_orbit(sine_system, Point(*seed), 3)
         assert uncounted_chunks < len(built) - uncounted_chunks
         assert len(segs) == len(counted)
@@ -84,6 +90,122 @@ class TestSampleOrbit:
     def test_turns_below_one_rejected(self, zero_system):
         with pytest.raises(DomainError):
             sample_orbit(zero_system, Point(0.0, 1.0), 0)
+
+    def test_orbit_step_rk4_cannot_take_rejected(self, monkeypatch):
+        # at gamma 5000 one RK4 step of ORBIT_STEP grows the contracting zone
+        monkeypatch.setattr(oracle, "_plan", lambda *a: pytest.fail("a plan was built"))
+        system = PWLSystem(SystemParams(5000.0), make_zero())
+        with pytest.raises(DomainError, match="^step 0.001 is too large for RK4 at gamma=5000.0"):
+            sample_orbit(system, [(0.0, 1.0), (0.0, 2.0)], 1)
+
+
+def _same_orbit(got, ref):
+    """Two orbits' segments agree bit for bit, counters and landing errors included."""
+    assert len(got) == len(ref)
+    for seg, one in zip(got, ref):
+        assert seg.zone is one.zone and seg.terminal_event is one.terminal_event
+        assert seg.times.tobytes() == one.times.tobytes()
+        assert seg.points.tobytes() == one.points.tobytes()
+        assert (seg.sigma_crossings, seg.section_returns) == (one.sigma_crossings,
+                                                              one.section_returns)
+        assert seg.landing_error == one.landing_error
+
+
+def _failing_above(system, top):
+    """``system`` with a boundary that raises on any ordinate above ``top``, naming it."""
+    evaluate = system.boundary.evaluate
+
+    def failing(y):
+        high = float(np.max(y))
+        if high > top:
+            raise DomainError(f"h fails at y={high!r}")
+        return evaluate(y)
+
+    return PWLSystem(system.params, dataclasses.replace(system.boundary, evaluate=failing))
+
+
+class TestLockstepSeeds:
+    """``sample_orbit`` on an array of seeds against one call per seed."""
+
+    @pytest.mark.parametrize("name, seeds, turns", [
+        # both zones, the switching curve itself (None: the point of the curve at y = 1.5)
+        ("sine_system", [(0.0, 2.3), (0.0, 0.4), (-1.0, 0.2), (0.5, -1.7), None, (1.2, 3.1)], 3),
+        ("sine_system", [(0.0, 2.0), (0.0, 1.5), (0.0, 0.5)], 4),  # the benchmark's seeds
+        ("sine_system", [(0.0, 2.2), (0.0, 0.05)], 1),
+        ("sine_system", [(0.0, 2.2)], 2),  # m = 1
+        ("sine_system", [], 2),  # m = 0
+        ("zero_system", [(0.0, 1.0), (-0.7, 0.3), (0.4, -0.6)], 2),
+        ("oscillatory_system", [(0.0, 0.3), (0.1, -0.2), (-0.05, 0.01)], 2),
+        ("cosine_system", [(0.0, 1.5), (0.0, 2.0), (-2.0, 0.5)], 3),
+    ])
+    def test_seeds_in_lockstep_equal_each_seed_alone(self, request, name, seeds, turns):
+        system = request.getfixturevalue(name)
+        seeds = [(float(system.boundary.evaluate(1.5)), 1.5) if p is None else p for p in seeds]
+        orbits = sample_orbit(system, np.array(seeds).reshape(-1, 2), turns)
+        assert isinstance(orbits, list) and len(orbits) == len(seeds)
+        for seed, orbit in zip(seeds, orbits):
+            _same_orbit(orbit, sample_orbit(system, Point(*seed), turns))
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(["sine_system", "cosine_system", "zero_system"]),
+           seeds=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)).filter(
+               lambda p: math.hypot(*p) > 0.05), max_size=4),
+           turns=st.integers(1, 3))
+    def test_any_seeds_in_lockstep_equal_each_seed_alone(self, request, name, seeds, turns):
+        system = request.getfixturevalue(name)
+        orbits = sample_orbit(system, np.array(seeds, dtype=float).reshape(-1, 2), turns)
+        for seed, orbit in zip(seeds, orbits):
+            _same_orbit(orbit, sample_orbit(system, Point(*seed), turns))
+
+    def test_seeds_run_as_batches_of_one_zone(self, sine_system, monkeypatch):
+        # the benchmark's three seeds take 27 legs in 11 batches, not 27 calls: two
+        # seeds start left and one right, and after one round every orbit is in step
+        from test_oracle import _legs_run
+        legs = _legs_run(monkeypatch)
+        batches = []
+        stops = oracle._stops
+
+        def recording(system, zone, direction, starts, *args):
+            batches.append((zone, len(starts)))
+            return stops(system, zone, direction, starts, *args)
+
+        monkeypatch.setattr(oracle, "_stops", recording)
+        orbits = sample_orbit(sine_system, [(0.0, 2.0), (0.0, 1.5), (0.0, 0.5)], 4)
+        assert sum(map(len, orbits)) == len(legs) == 27
+        left, right = Zone.LEFT, Zone.RIGHT
+        assert batches == [(left, 2), (right, 3), (left, 3), (right, 3), (left, 3), (right, 3),
+                           (left, 3), (right, 3), (left, 2), (right, 1), (left, 1)]
+        assert {(d, step, counted) for _, d, step, counted in legs} == {
+            (Direction.FORWARD, portrait.ORBIT_STEP, False)}
+
+    def test_error_of_the_first_failing_seed(self, sine_system):
+        # seed 0 spirals out and fails after five legs, seed 1 before its first
+        system = _failing_above(sine_system, 1.55)
+        late, early = (0.0, 1.5), (0.0, 3.0)
+        assert len(sample_orbit(system, Point(*late), 2)) == 5
+        errors = []
+        for seed in (late, early):
+            with pytest.raises(DomainError) as err:
+                sample_orbit(system, Point(*seed), 3)
+            errors.append(str(err.value))
+        assert errors == ["h fails at y=1.5610412684427764", "h fails at y=3.0"]
+        for seeds, error in (([late, early], errors[0]), ([early, late], errors[1])):
+            with pytest.raises(DomainError) as err:
+                sample_orbit(system, seeds, 3)
+            assert str(err.value) == error
+
+    def test_checks_in_the_order_of_calls(self, zero_system):
+        # each seed's check, then the turns, then its legs, seed after seed
+        origin, one = (0.0, 0.0), (0.0, 1.0)
+        for seeds, turns, message in (([one, origin], 1, "seed must differ from the origin"),
+                                      ([origin, one], 0, "seed must differ from the origin"),
+                                      ([one, origin], 0, "turns must be >= 1"),
+                                      ([], 0, "turns must be >= 1")):
+            with pytest.raises(DomainError, match=message):
+                sample_orbit(zero_system, np.reshape(seeds, (-1, 2)), turns)
+        for shape in ((3,), (2, 3), (1, 2, 2)):
+            with pytest.raises(DomainError, match="^seed must be a point or an"):
+                sample_orbit(zero_system, np.ones(shape), 1)
 
 
 class TestCyclePolyline:
@@ -225,11 +347,34 @@ class TestPathFormat:
         ys = np.array([p[1] for p in points], dtype=float)
         assert cv.path(xs, ys, "#000", 1.0) == _path_reference(cv, xs, ys, "#000", 1.0)
 
+    def test_paths_split_as_each_line_alone(self):
+        # empty lines first, between and last, one-point lines, and the tie cases
+        cv = portrait._Canvas((-2.6, 2.6, -2.6, 2.6))
+        _, xs, ys = PATH_CASES[2]
+        lines = [(np.zeros(0), np.zeros(0), "#000", 1.0, None), ([0.5], [-0.5], "#111", 2.0, None),
+                 (xs, ys, "#222", 0.8, portrait.SIGMA_DASH), ([], [], "#333", 1.0, "1,1"),
+                 ([1.0, -1.0], [2.0, 0.0], "#444", 1.4, None), ([], [], "#555", 1.0, None)]
+        assert cv.paths(lines) == [_path_reference(cv, *line) for line in lines]
+        assert cv.paths([]) == []
+
     def test_render_matches_per_point_reference(self, sine_system, monkeypatch):
         cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
-        orbits = [seg for seed in (Point(0.0, 2.3), Point(0.0, 0.4))
-                  for seg in sample_orbit(sine_system, seed, 2)]
+        orbits = [seg for orbit in sample_orbit(sine_system, [(0.0, 2.3), (0.0, 0.4)], 2)
+                  for seg in orbit]
         window = default_window(cycles)
         svg = render(sine_system, window, cycles, orbits)
-        monkeypatch.setattr(portrait._Canvas, "path", _path_reference)
+        paths = portrait._Canvas.paths
+        monkeypatch.setattr(portrait._Canvas, "paths",
+                            lambda cv, lines: [_path_reference(cv, *line) for line in lines])
         assert svg == render(sine_system, window, cycles, orbits)
+
+        def split_one_late(cv, lines):  # the same coordinates, each path border a point late
+            xs, ys = (np.concatenate([np.asarray(line[j], dtype=float) for line in lines])
+                      for j in (0, 1))
+            ends = np.cumsum([len(line[0]) for line in lines]) + 1
+            ends[-1] = len(xs)
+            return paths(cv, [(xs[lo:hi], ys[lo:hi], *line[2:])
+                              for lo, hi, line in zip([0, *ends[:-1]], ends, lines)])
+
+        monkeypatch.setattr(portrait._Canvas, "paths", split_one_late)
+        assert svg != render(sine_system, window, cycles, orbits)
