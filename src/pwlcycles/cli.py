@@ -192,7 +192,7 @@ def cmd_displacement(args, cfg: dict, system: PWLSystem, rng: tuple[float, float
 def cmd_verify(args, cfg: dict, system: PWLSystem, rng: tuple[float, float]) -> int:
     step = oracle._check_rk4(system.params,
                              oracle._check_step(_option(args, cfg, "step", 1e-4)))
-    oracle._check_rk4(system.params, 2.0 * step)  # the stability check's coarse turns
+    oracle._check_rk4(system.params, 2.0 * step)  # as resolve_stability checks it
     tol = _option(args, cfg, "tol", 1e-6, float, lambda v: v > 0.0 and math.isfinite(v),
                   "finite and > 0")
     kmax = _kmax(args, cfg)
@@ -284,7 +284,7 @@ def _parser() -> _Parser:
     pv.add_argument("--step", type=float,
                     help="integrator step (default 1e-4, from 1e-5 to 50; refused where one RK4 "
                          "step, or one of twice it, turns a zone's decay into growth or back, "
-                         "from about 1.05 at gamma 0.75)")
+                         "from about 1.05 at gamma 0.75; every leg runs at the step itself)")
     pv.add_argument("--tol", type=float, help="discrepancy tolerance, finite and > 0 (default 1e-6)")
     pv.set_defaults(fn=cmd_verify)
 

@@ -89,8 +89,17 @@ Stability is decided from one return-map turn on each side of a cycle.
 A planar return map is strictly increasing, so with no other cycle
 between the probe and the cycle the sign of the drift P(r) - r settles
 that side.  The drift is trusted only when it exceeds ``MARGIN`` times an
-error bar made of the change when the step is doubled and the ordinate
-error the landings' actual residuals allow.
+error bar the turn computes at its own step.  A leg's table orbit is the
+flow's with two errors its plan knows (``_Plan``): its spiral exponent
+log|lam| / arg(lam) is off from sigma, which scales the leg's end by the
+angle swept times the error, and its eigenvector is off from the flow's,
+which moves a state by a multiple of its x.  A phase error moves only when
+a leg lands, not where.  ``_Leg.integration_error`` carries both to the
+leg's end, through its landing, with a roundoff floor per chunk; a turn
+adds its left leg's and its right leg's carried through the left leg, and
+the bar adds the ordinate error the landings' actual residuals allow.
+Against the flow's own turn at 40 digits, the bar covers the error at every
+probe of the tests, within about 1% where the terms share a sign.
 """
 
 from __future__ import annotations
@@ -155,6 +164,11 @@ MIN_STEP = 1e-5
 # exceeds this multiple of the drift's error bar.
 MARGIN = 10.0
 
+# The roundoff a leg's integration error allows per chunk, relative to |state|.
+# Against 40-digit turns the error beyond the first-order terms measured at most
+# a few ulps a turn, where this allows about 130.
+_ROUNDOFF = 8.0 * sys.float_info.epsilon
+
 
 class TerminalEvent(str, Enum):
     BOUNDARY_CROSS = "boundary_cross"
@@ -168,8 +182,8 @@ class Direction(str, Enum):
 
 
 def _check_step(step: float) -> float:
-    """The RK4 step, once it is finite, at least ``MIN_STEP`` and at most ``MAX_TIME`` / 2:
-    a leg at twice it (a coarse stability turn) still takes a step before it times out.
+    """The RK4 step, once it is finite, at least ``MIN_STEP`` and at most ``MAX_TIME`` / 2,
+    so that twice it, which ``resolve_stability`` also checks, leaves a leg a step.
     Each entry point checks its step, then ``_check_rk4`` of it, before its other
     arguments and hands it on checked."""
     if not (step >= MIN_STEP and math.isfinite(step)):
@@ -209,7 +223,9 @@ class TrajectorySegment:
     count switching-curve crossings in y > 0 and lower-section crossings
     in the sense the forward flow takes them, so a backward leg counts
     those of the orbit it retraces.  They read -1 where the caller waived
-    them (see ``integrate_in_zone``).
+    them (see ``integrate_in_zone``).  ``landing_error`` and
+    ``integration_error`` bound the terminal ordinate's error from the
+    landing's residual and from the plan (``_Leg.integration_error``).
     """
 
     zone: Zone
@@ -219,6 +235,7 @@ class TrajectorySegment:
     sigma_crossings: int = 0
     section_returns: int = 0
     landing_error: float = 0.0
+    integration_error: float = 0.0
 
     @property
     def terminal_time(self) -> float:
@@ -269,6 +286,9 @@ class ReturnMapResult:
     A valid turn crosses the switching curve exactly once and returns to
     {x=0, y<0} exactly once; the counters let callers verify that.
     ``landing_error`` sums the two legs' ``TrajectorySegment.landing_error``.
+    ``integration_error`` is the left leg's ``TrajectorySegment.integration_error``
+    plus the right leg's times ``_carry``, which takes an ordinate error on the
+    switching curve through the left leg.
     """
 
     y_in: float
@@ -277,6 +297,7 @@ class ReturnMapResult:
     sigma_crossings: int
     section_returns: int
     landing_error: float = 0.0
+    integration_error: float = 0.0
 
 
 def _step_transfer(matrix: np.ndarray, step: float) -> np.ndarray:
@@ -303,6 +324,15 @@ class _Plan:
     widened by ``_HOP_SLACK``, and times ``move`` = |lam - 1| their change
     in a step.  A real spectrum leaves ``powers`` None, and the leg steps
     plainly.  A plan is shared, so its arrays are read-only.
+
+    The table's orbit is the flow's with two errors, which ``_Leg.integration_error``
+    carries to a leg's end.  ``spiral`` is its spiral exponent log|lam| / arg(lam),
+    read off the ``log lam`` the powers are built from, less the flow's exact
+    sigma = matrix[0, 0] / 2 (the flow turns at rate 1).  ``shape`` = (e1, e2)
+    is the second row of E = P' P^-1 - I, P' and P the real bases 2 [Re w, -Im w]
+    of the normalized eigenvector w = v / v[0] of the table and of the flow:
+    the table flow is (I + E) F (I + E)^-1, F the flow with the table's
+    eigenvalue, and I + E keeps x.
     """
 
     matrix: np.ndarray
@@ -315,12 +345,14 @@ class _Plan:
     reach_x: float = 0.0
     reach_y: float = 0.0
     move: float = 0.0
+    spiral: float = 0.0
+    shape: tuple = (0.0, 0.0)
 
 
 # Every leg of one zone, direction and step shares its plan.  A verify job
-# runs five kinds of leg (forward in either zone and backward in the right
-# zone at its step, forward in either zone at twice it); the benchmark's four
-# verify systems (three rates) use 15 in turn, and 32 leave room to spare.  A
+# runs three kinds of leg (forward in either zone and backward in the right
+# zone, all at its step); the benchmark's four verify systems (three rates)
+# use 9 in turn, and 32 leave room for portraits and other steps.  A
 # table holds 80 KB at step 1e-4 and at most 0.8 MB at MIN_STEP.  The chunk
 # length is an argument, not read here, so it follows _BLOCK_TIME.
 @functools.lru_cache(maxsize=32)
@@ -340,13 +372,20 @@ def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: i
     lam = complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
     v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
     vc = np.conj(v)
-    powers = np.exp(np.arange(chunk + 1) * np.log(lam))
+    log_lam = np.log(lam)
+    powers = np.exp(np.arange(chunk + 1) * log_lam)
     for a in (v, vc, powers):
         a.flags.writeable = False
     growth = 2.0 * max(1.0, abs(lam) ** chunk)
+    # the flow's eigenvector for the eigenvalue sigma + i is (1, r) with r below
+    sigma, (m00, m01) = 0.5 * matrix[0, 0], matrix[0].tolist()
+    r = (1j - 0.5 * m00) / m01
+    dr = complex(v[1] / v[0]) - r
     return _Plan(matrix, transfer, powers, math.atan2(lam.imag, lam.real), v, vc,
                  v[0] * vc[1] - v[1] * vc[0], growth * abs(v[0]),
-                 growth * abs(v[1]) * (1.0 + _HOP_SLACK), abs(lam - 1.0))
+                 growth * abs(v[1]) * (1.0 + _HOP_SLACK), abs(lam - 1.0),
+                 float(log_lam.real / log_lam.imag - sigma),
+                 (dr.real - dr.imag * r.real / r.imag, dr.imag / r.imag))
 
 
 def _coefficient(plan: _Plan, x0: np.ndarray):
@@ -696,7 +735,7 @@ class _Leg:
         # x - h(y) falling; a backward leg meets the same crossings reversed.
         self.sense = 1 if forward else -1
         self.stride, self.counted = stride, counted
-        self.x = x
+        self.start = self.x = x
         self.done = 0  # steps taken before the current chunk
         self.rec_t, self.rec_p = ([], []) if stride else ([np.zeros(1)], [x[None, :]])
         self.sigma_count = self.section_count = 0
@@ -727,6 +766,42 @@ class _Leg:
             self.sigma_count += 1
         return True
 
+    def integration_error(self) -> float:
+        """First-order bound on the ordinate error of the leg's end against the
+        flow's orbit from its start: its plan's ``spiral`` and ``shape`` errors,
+        each bounded alone, and a roundoff floor of ``_ROUNDOFF`` per chunk.
+
+        At a phase, the table's state is (1 + theta*spiral) times the flow's,
+        theta the angle swept.  (I + E)^-1 moves a start s by u = s_x (e2, -e1) and a
+        multiple of s, and a start moved by u ends (u x f_s) / (s x f_s) times further
+        out, f_s the field at s; I + E moves the end p by p_x (-e2, e1) and a multiple
+        of p.  The landing then takes the moved end back onto the event along the
+        field.  A plan without a table has no bound (inf).
+        """
+        plan = self.plan
+        if plan.powers is None:
+            return math.inf
+        (a00, a01), (a10, a11) = plan.matrix.tolist()
+        (e1, e2), (sx, sy), (px, py) = plan.shape, self.start.tolist(), self.x.tolist()
+        scale = abs(self.end_time / self.step * plan.turn * plan.spiral)
+        if sx:
+            gx, gy = a00 * sx + a01 * sy, a10 * sx + a11 * sy
+            cross = sx * gy - sy * gx  # 0 only where it underflows
+            if not cross:
+                return math.inf
+            scale += abs(sx * (e2 * gy + e1 * gx) / cross)
+        fx, fy = a00 * px + a01 * py, a10 * px + a11 * py
+        if self.terminal is TerminalEvent.TIME_OUT:
+            ends = py, px * e1
+        else:  # the event's normal (1, ny) and rate
+            ny = 0.0 if self.axis or py <= 0.0 else -float(self.system.boundary.derivative(py))
+            rate = fx + ny * fy
+            if not rate:
+                return math.inf
+            ends = py - (px + ny * py) * fy / rate, px * (e1 - (ny * e1 - e2) * fy / rate)
+        floor = _ROUNDOFF * (self.end_time / _BLOCK_TIME + 2.0) * math.hypot(px, py)
+        return scale * abs(ends[0]) + abs(ends[1]) + floor
+
     def segment(self, zone: Zone) -> TrajectorySegment:
         """The leg as it stands, stopped or timed out."""
         if self.terminal is TerminalEvent.TIME_OUT:
@@ -738,7 +813,8 @@ class _Leg:
                                  terminal_event=self.terminal,
                                  sigma_crossings=counters[0],
                                  section_returns=counters[1],
-                                 landing_error=self.landing_error)
+                                 landing_error=self.landing_error,
+                                 integration_error=self.integration_error())
 
 
 def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
@@ -764,6 +840,8 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     The segment's ``landing_error`` is the first-order ordinate offset
     between the landed state and the event, |y'|*|g|/|dg/dt| from the
     residual |g| the landing reached (0 for an exact hit or a time-out).
+    Its ``integration_error`` bounds the terminal ordinate's error against
+    the flow's own orbit from the start (``_Leg.integration_error``).
 
     The leg is a batch of one of the lockstep runner ``_stops``, which
     builds a chunk's states only where an event can be, by rules 1 to 3 of
@@ -976,8 +1054,19 @@ def _turns(system: PWLSystem, y_ins: list, step: float, counted: bool) -> list:
             y, float(two.x[1]), one.end_time + two.end_time,
             one.sigma_count + two.sigma_count if counted else -1,
             one.section_count + two.section_count if counted else -1,
-            one.landing_error + two.landing_error))
+            one.landing_error + two.landing_error,
+            two.integration_error() + one.integration_error()
+            * _carry(system, two.plan.matrix, two.start, two.x[1])))
     return out
+
+
+def _carry(system: PWLSystem, matrix: np.ndarray, start, y_end: float) -> float:
+    """|d y_end / d y| of an axis-stop leg of the field ``matrix`` from ``start`` on the
+    switching curve, for its start moved along the curve by d y: a start moved by u
+    ends (u x f) / (start x f) times further out, f the field at the start, and the
+    curve's tangent (h'(y), 1) has u x f = -dg/dt."""
+    rate, (fx, fy) = _event_rate(system, False, matrix, np.asarray(start))
+    return abs(y_end * rate / (start[0] * fy - start[1] * fx))
 
 
 def return_map(system: PWLSystem, y_in: float | np.ndarray,
@@ -1051,40 +1140,34 @@ def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
     probe of each cycle (y*, eps), or the error the cycle meets first.
 
     Each probe is the orbit through (0, y* -+ eps); one turn of the return
-    map runs from its lower crossing r = -y_in at ``step`` and at twice
-    that step from the same r.  The drift d = P(r) - r has the error bar
-    |d(step) - d(2 step)| plus the turn's landing error at ``step``; the
-    margin ratio is |d| / bar.  The inner probe approaches when d > 0, the
-    outer one when d < 0.  Only the turns' ``y_out`` and ``landing_error``
-    are read, so their left-zone legs run uncounted: x alone decides where
-    they land, with the bits of a counted turn.  The probes of all cycles
-    are placed together, then all their turns at ``step`` (the fine turns)
-    and then all at twice it (the coarse turns), each a batch of one step
-    per zone.  A cycle's error is the first in the order inner probe, outer
-    probe, fine turns, coarse turns, as one cycle at a time would meet it.
+    map runs from its lower crossing r = -y_in.  The drift d = P(r) - r has
+    the error bar the turn computes, its ``integration_error`` plus its
+    ``landing_error``; the margin ratio is |d| / bar.  The inner probe
+    approaches when d > 0, the outer one when d < 0.  Only the turns'
+    ``y_out`` and errors are read, so their left-zone legs run uncounted: x
+    alone decides where they land, with the bits of a counted turn.  The
+    probes of all cycles are placed together, then all their turns run,
+    each a batch of one step per zone.  A cycle's error is the first in the
+    order inner probe, outer probe, turns, as one cycle at a time would meet
+    it.
 
     The landing of ``upper_to_lower`` only places the probe: the turn
-    starts exactly at (0, y_in), so it does not enter the bar.  A late or
-    early switching-curve landing moves the turn's end by the field jump
-    4*gamma*x times the time offset, carried through the left zone; that
-    is at most about 1.5 times its ordinate offset (gamma^2+1)*|x| times
-    the time offset, which ``MARGIN`` covers.
+    starts exactly at (0, y_in), so it does not enter the bar.
     """
     sides = (-1.0, +1.0)
     y_ins = [y if isinstance(y, PWLError) or y < 0.0  # as return_map checks them
              else DomainError(f"y_in must be negative, got {y!r}")
              for y in _lowers(system, [y + side * e for y, e in cycles for side in sides], step)]
     go = [i for i, y in enumerate(y_ins) if not isinstance(y, PWLError)]
-    fine, coarse = (dict(zip(go, _turns(system, [y_ins[i] for i in go], s, False)))
-                    for s in (step, 2.0 * step))
+    turns = dict(zip(go, _turns(system, [y_ins[i] for i in go], step, False)))
     out = []
     for probes in zip(range(0, len(y_ins), 2), range(1, len(y_ins), 2)):
-        stages = [stage.get(i) for stage in (dict(enumerate(y_ins)), fine, coarse) for i in probes]
+        stages = [stage.get(i) for stage in (dict(enumerate(y_ins)), turns) for i in probes]
         failed = [r for r in stages if isinstance(r, PWLError)]
         out.append(failed[0] if failed else [])
         for side, i in zip(sides, probes if not failed else ()):
-            drift = y_ins[i] - fine[i].y_out
-            bar = abs(fine[i].y_out - coarse[i].y_out) + fine[i].landing_error
+            drift = y_ins[i] - turns[i].y_out
+            bar = turns[i].integration_error + turns[i].landing_error
             ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
             verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
             out[-1].append((verdict if ratio > MARGIN else None, ratio))
@@ -1102,19 +1185,21 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     neighbouring cycles.  A planar return map is strictly increasing, so
     with no other cycle between probe and cycle the sign of its drift
     P(r) - r settles whether that side approaches or retreats.  The drift
-    counts only when it exceeds ``MARGIN`` times its error bar: the change
-    when the step is doubled plus the landing error.  Otherwise the result
+    counts only when it exceeds ``MARGIN`` times its error bar, the turn's
+    ``integration_error`` plus its ``landing_error``.  Otherwise the result
     is UNDETERMINED.  Each leg stops at ``EVENT_TOL`` and times out after
     ``MAX_TIME``.
 
     ``y_star`` is a float, or a 1-d array that gives a list, and ``eps`` a
     float or an array of its shape.  The turns of all cycles run in
     lockstep, and a failure raises the error of the first failing cycle, as
-    calls one cycle at a time would.  A float takes about 1.8 ms on the
-    README sine's stable cycle at eps = 0.05 and the default step.
+    calls one cycle at a time would.  A float takes about 1.0 ms on the
+    README sine's stable cycle at eps = 0.05 and the default step.  A step
+    whose double ``_check_rk4`` refuses is refused too, though every leg
+    runs at the step itself.
     """
     step = _check_rk4(system.params, _check_step(step))
-    _check_rk4(system.params, 2.0 * step)  # the coarse turns' step
+    _check_rk4(system.params, 2.0 * step)
     eps = np.asarray(eps, dtype=float)
     if eps.shape not in ((), np.shape(y_star)):
         raise DomainError(f"eps must be a float or an array of y_star's shape, got {eps.shape}")

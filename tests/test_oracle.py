@@ -30,6 +30,7 @@ from pwlcycles import (
     Zone,
     displacement,
     families,
+    find_limit_cycles,
     flow,
     integrate_in_zone,
     numeric_displacement,
@@ -1034,27 +1035,93 @@ class TestLockstepDisplacement:
 
 def _side_verdicts_by_legs(system, y_star, eps, step=1e-4):
     """``_side_verdicts`` of one cycle as (verdict, ratio.hex()) pairs, from
-    counted ``integrate_in_zone`` legs run one at a time."""
+    counted ``integrate_in_zone`` legs run one at a time: the bar is the left
+    leg's integration error, the right leg's carried through the left leg,
+    and both landing errors."""
     out = []
     for side in (-1.0, +1.0):
         p = Point(0.0, y_star + side * eps)
         if orc._forward_zone(system, p) is Zone.RIGHT:
             p = integrate_in_zone(system, Zone.RIGHT, p, step=step, record_stride=0).terminal_point
         y_in = integrate_in_zone(system, Zone.LEFT, p, step=step, record_stride=0).terminal_point.y
-        turns = []
-        for s in (step, 2.0 * step):
-            first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=s,
-                                      record_stride=0)
-            second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=s,
-                                       record_stride=0)
-            assert first.sigma_crossings + second.sigma_crossings == 1
-            turns.append((second.terminal_point.y, first.landing_error + second.landing_error))
-        (fine, error), (coarse, _) = turns
-        drift, bar = y_in - fine, abs(fine - coarse) + error
+        first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=step, record_stride=0)
+        second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=step,
+                                   record_stride=0)
+        assert first.sigma_crossings + second.sigma_crossings == 1
+        y_out = second.terminal_point.y
+        carry = orc._carry(system, orc.zone_matrix(system.params, Zone.LEFT), second.points[0],
+                           y_out)
+        drift = y_in - y_out
+        bar = (second.integration_error + first.integration_error * carry
+               + (first.landing_error + second.landing_error))
         ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
         verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
         out.append((verdict if ratio > orc.MARGIN else None, ratio.hex()))
     return out
+
+
+def _mp_boundary(system):
+    """h of the system's boundary at mpmath's precision, from its descriptor: the
+    family's formula, or a table's cubic Hermite pieces, the outer ones extended."""
+    family, params = system.boundary.descriptor["family"], system.boundary.descriptor["params"]
+    g, pi = mpmath.mpf(system.params.gamma), mpmath.pi
+    amp = 2 * g / ((g * g + 1) * pi)
+    if family == "sine":
+        window, tail = mpmath.mpf(2 * params["n"] + 1) / 2, amp * (-1) ** params["n"]
+        return lambda y: amp * mpmath.sin(pi * y) if y <= window else tail
+    if family == "cosine":
+        return lambda y: amp * (1 - mpmath.cos(pi * y)) if y <= 2 * params["n"] + 1 else 2 * amp
+    if family == "oscillatory":
+        return lambda y: params["alpha"] * y * y * mpmath.sin(1 / y)
+    knots = [[mpmath.mpf(v) for v in row] for row in params["samples"]]
+
+    def table(y):
+        j = max([0] + [i for i in range(1, len(knots) - 1) if y >= knots[i][0]])
+        (y0, h0, d0), (y1, h1, d1) = knots[j], knots[j + 1]
+        w = y1 - y0
+        t = (y - y0) / w
+        return ((2 * t - 3) * t * t * (h0 - h1) + h0
+                + w * t * ((t - 1) ** 2 * d0 + t * (t - 1) * d1))
+
+    return table
+
+
+def _exact_turn(system, y_in, t_right, t_left):
+    """y_out of the flow's own turn from (0, y_in), at 40 digits: the right zone's
+    closed-form flow, its switching-curve crossing by ``findroot`` from the oracle
+    leg's time ``t_right``, and the left zone's closed-form landing on x = 0 at the
+    root nearest the oracle leg's time ``t_left``."""
+    with mpmath.workdps(40):
+        g, h = mpmath.mpf(system.params.gamma), _mp_boundary(system)
+
+        def flow(sign, p, t):  # exp(t A) = exp(sigma t) (cos t + sin t (A - sigma)), sigma = sign g
+            (x, y), e = p, mpmath.exp(sign * g * t)
+            wx, wy = sign * g * x - y, (g * g + 1) * x - sign * g * y
+            return (e * (mpmath.cos(t) * x + mpmath.sin(t) * wx),
+                    e * (mpmath.cos(t) * y + mpmath.sin(t) * wy))
+
+        start = (mpmath.mpf(0), mpmath.mpf(y_in))
+
+        def switching(t):
+            x, y = flow(1, start, t)
+            return x - h(y)
+
+        x1, y1 = p1 = flow(1, start, mpmath.findroot(switching, mpmath.mpf(t_right)))
+        t0 = mpmath.atan(x1 / (g * x1 + y1))
+        return flow(-1, p1, t0 + mpmath.pi * mpmath.nint((t_left - t0) / mpmath.pi))[1]
+
+
+def _turn_error_and_bar(system, y_in, step):
+    """|y_out - exact y_out| of the oracle's turn from (0, y_in) and its error bar."""
+    rm = return_map(system, y_in, step)
+    first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=step, record_stride=0)
+    second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=step,
+                               record_stride=0)
+    assert second.terminal_point.y == rm.y_out
+    with mpmath.workdps(40):
+        exact = _exact_turn(system, y_in, first.terminal_time, second.terminal_time)
+        err = float(abs(mpmath.mpf(rm.y_out) - exact))
+    return err, rm.integration_error + rm.landing_error
 
 
 class TestResolveStability:
@@ -1099,15 +1166,15 @@ class TestResolveStability:
         assert len(built) <= 13, built
 
     def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
-        # per cycle: at most two legs per probe and two per turn, at two steps,
-        # and the legs of two cycles at once are those of each alone
+        # per cycle: at most two legs per probe and two per turn, all at the one
+        # step, and the legs of two cycles at once are those of each alone
         legs = _legs_run(monkeypatch)
         alone = []
         for y_star in (1.0, 2.0):
             legs.clear()
             resolve_stability(sine_system, y_star, eps=0.05)
-            assert 0 < len(legs) <= 16
-            assert {step for _, _, step, _ in legs} == {1e-4, 2e-4}
+            assert 0 < len(legs) <= 8
+            assert {step for _, _, step, _ in legs} == {1e-4}
             alone += legs
         legs.clear()
         resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05)
@@ -1121,6 +1188,30 @@ class TestResolveStability:
         got = resolve_stability(oscillatory_system, roots[k - 1], eps=eps, step=1e-3)
         assert got is expected
 
+    def test_no_leg_runs_at_twice_the_step(self, sine_system, monkeypatch):
+        # the error bar comes from the turn at the step itself, so neither the
+        # stability check nor verify runs a leg at any other step
+        legs = _legs_run(monkeypatch)
+        resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05, step=2e-4)
+        assert legs and {step for _, _, step, _ in legs} == {2e-4}
+        legs.clear()
+        cycles = find_limit_cycles(sine_system, 0.1, 4.0).cycles
+        report = verify(sine_system, cycles, np.linspace(0.1, 4.0, 5), 3e-4, 1e-6)
+        assert report["passed"]
+        assert legs and {step for _, _, step, _ in legs} == {3e-4}
+
+    @pytest.mark.parametrize("family, gamma", [("sine", 0.3), ("sine", 0.75), ("cosine", 0.3)])
+    def test_coarse_steps_give_no_wrong_class(self, family, gamma):
+        # at a step far too coarse for the drift, each side is undetermined rather than wrong
+        system = _family_system(gamma, family, n=2)
+        roots = [1.0, 2.0] if family == "sine" else [2.0, 4.0]
+        paper = [rep.stability for rep in reports_for_roots(system, roots)]
+        eps = [probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
+        for step in (0.05, 0.07, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0):
+            got = resolve_stability(system, np.array(roots), np.array(eps), step)
+            for cls, expected in zip(got, paper):
+                assert cls in (expected, StabilityClass.UNDETERMINED), (step, cls, expected)
+
     def test_probe_validation(self, sine_system):
         with pytest.raises(DomainError):
             resolve_stability(sine_system, 1.0, eps=1.5)
@@ -1130,6 +1221,52 @@ class TestResolveStability:
         eps = probe_eps(r[4], r[:4])
         assert 0.0 < eps <= 0.25 * (r[3] - r[4])
         assert probe_eps(2.0, [1.0, 3.0]) == pytest.approx(0.1)
+
+
+def _oscillatory_probes():
+    """A sample of the probes of the oscillatory cycles k = 1..100 at gamma = 1."""
+    roots = [families.oscillatory_root(k) for k in range(1, 101)]
+    return [(roots[k - 1], probe_eps(roots[k - 1], roots[:k - 1] + roots[k:]))
+            for k in (1, 2, 5, 12, 23, 34, 45, 56, 67, 78, 89, 95, 100)]
+
+
+class TestErrorBar:
+    """The turn's error bar, ``integration_error`` + ``landing_error``, against the
+    flow's own turn at 40 digits, at the probes of the stability check."""
+
+    @staticmethod
+    def _check(system, cycles, step=1e-4):
+        for y_star, eps in cycles:
+            for side in (-1.0, 1.0):
+                y_in = upper_to_lower(system, y_star + side * eps, step)
+                err, bar = _turn_error_and_bar(system, y_in, step)
+                assert err <= bar, (y_star, side, err, bar)
+
+    @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
+    def test_bar_covers_the_verify_systems(self, name):
+        system, roots, _ = VERIFY_SYSTEMS[name]()
+        self._check(system, [(y, probe_eps(y, roots[:i] + roots[i + 1:]))
+                             for i, y in enumerate(roots)])
+
+    def test_bar_covers_the_cosine_fixture(self, cosine_system):
+        self._check(cosine_system, [(2.0, probe_eps(2.0, [4.0])), (4.0, probe_eps(4.0, [2.0]))])
+
+    def test_bar_covers_oscillatory_cycles_to_k_100(self, oscillatory_system):
+        self._check(oscillatory_system, _oscillatory_probes())
+
+    @settings(max_examples=25, deadline=None)
+    @given(gamma=st.floats(0.2, 1.0), amps=st.lists(st.floats(0.02, 0.4), min_size=3, max_size=3),
+           slopes=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+           tilts=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+           step=st.sampled_from([2e-5, 1e-4, 3e-4, 1e-3]))
+    def test_bar_covers_table_systems(self, gamma, amps, slopes, tilts, step):
+        # h has zeros at 1 and 2, so cycles there, and humps of either sign between
+        samples = [[0, 0, slopes[0]], [0.5, amps[0], tilts[0]], [1, 0, -slopes[1]],
+                   [1.5, -amps[1], tilts[1]], [2, 0, slopes[2]], [2.5, amps[2], tilts[2]],
+                   [3, 0, -slopes[3]]]
+        system = families.system_from_descriptor(
+            {"gamma": gamma, "boundary": {"family": "table", "params": {"samples": samples}}})
+        self._check(system, [(1.0, probe_eps(1.0, [2.0])), (2.0, probe_eps(2.0, [1.0]))], step)
 
 
 def _outcome(call):
@@ -1251,8 +1388,8 @@ class TestLockstepTurns:
         # A short MAX_TIME times out the first leg.  A zero rate planted at
         # y = 1 and 2 makes tangent the probe starts of y* = 1.5 at eps = 0.5,
         # and one planted at the lower crossing of the first cycle's outer
-        # probe makes tangent the starts of its fine and coarse turns, so the
-        # first cycle fails in its fine turns while the third refuses its eps.
+        # probe makes tangent the start of its turn, so the first cycle fails
+        # in its turns while the third refuses its eps.
         stars, eps = [1.0, 1.5 if "probe" in plant else 1.2, 2.0], [0.05, 0.5, 0.05]
         if "eps" in plant:
             eps[2] = 3.0
@@ -1333,8 +1470,8 @@ class TestOptionsAndExport:
     @pytest.mark.parametrize("step", [math.nextafter(0.5 * orc.MAX_TIME, math.inf),
                                       2.0 * orc.MAX_TIME, 1e80])
     def test_entry_points_refuse_a_step_no_leg_can_take(self, sine_system, monkeypatch, step):
-        # at twice a step above MAX_TIME / 2, as the stability check's coarse turns
-        # take it, a leg would time out before its first step, and from about 5.6e38
+        # at twice a step above MAX_TIME / 2, a leg would time out before its first
+        # step (the step bound keeps that room), and from about 5.6e38
         # the plan's discriminant overflows: every entry point refuses such a step
         # before any plan is built, with no numpy warning
         monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
@@ -1351,11 +1488,11 @@ class TestOptionsAndExport:
                                                  step=step)):
                 assert _outcome(call) == (DomainError, message)
 
-    def test_the_largest_step_runs_the_stability_check_at_twice_it(self, sine_system,
+    def test_the_largest_step_runs_the_stability_check_at_it_alone(self, sine_system,
                                                                   monkeypatch):
-        # MAX_TIME / 2 is accepted, and the coarse turns at MAX_TIME take one step.  RK4
-        # grows the contracting zone at such a step for every gamma, so that check refuses
-        # it first; without that check the step bound alone still leaves a step to take
+        # MAX_TIME / 2 is accepted, and RK4 grows the contracting zone at such a step for
+        # every gamma, so that check refuses it first; without that check the stability
+        # check runs its legs at that step and at no other
         assert orc._check_step(0.5 * orc.MAX_TIME) == 0.5 * orc.MAX_TIME
         with pytest.raises(DomainError, match="^step 50.0 is too large for RK4 at gamma=0.75"):
             resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
@@ -1363,7 +1500,7 @@ class TestOptionsAndExport:
         legs = _legs_run(monkeypatch)
         with pytest.raises(IntegrationError, match="did not leave its zone"):
             resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
-        assert {step for *_, step, _ in legs} == {0.5 * orc.MAX_TIME, orc.MAX_TIME}
+        assert {step for *_, step, _ in legs} == {0.5 * orc.MAX_TIME}
 
     @pytest.mark.parametrize("gamma", [0.1, 0.75, 3.0])
     def test_rk4_growth_is_the_transfer_eigenvalue(self, gamma):
@@ -1410,7 +1547,7 @@ class TestOptionsAndExport:
 
     def test_stability_check_refuses_a_step_rk4_cannot_double(self, sine_system):
         # 1.2 is a step RK4 takes at gamma 0.75, and 2.4 is not: the turns run, while the
-        # stability check, whose coarse turns take twice the step, refuses it
+        # stability check, which also checks twice the step, refuses it
         turn = return_map(sine_system, -2.0 * EXP_M_075PI, 1.2)
         assert turn.y_out < 0.0
         with pytest.raises(DomainError, match="^step 2.4 is too large for RK4 at gamma=0.75"):
