@@ -27,7 +27,8 @@ and the direction pick the stop: forward-left and backward-right legs
 stop on the lower section {x = 0, y < 0}, forward-right and backward-left
 legs on the switching curve x = h(y).  Backward integration is forward
 integration of the negated field.  The RK4 step is the oracle's only
-setting: a start residue or a landing counts as on its event within
+setting, and every entry point takes it by the one rule of ``_check_step``:
+a start residue or a landing counts as on its event within
 ``EVENT_TOL``, and a leg that has not left its zone after ``MAX_TIME``
 time units stops with ``TIME_OUT``.
 
@@ -135,8 +136,9 @@ from .core import (
 # A leg wastes at most one chunk past its event, and every chunk pays a
 # fixed overhead; 0.5 ran the verify command fastest of 0.125 to 2.
 # Rules 1 and 2 of the module notes need a chunk to turn the eigenvalue
-# by less than _MAX_HOP_TURN; chunks that turn further (very large
-# steps), and real spectra, are taken in full.
+# by less than _MAX_HOP_TURN, which every step ``_check_step`` accepts
+# does (by at most 1.48); at a _MAX_HOP_TURN of 0 every chunk is taken
+# in full, the reference the rules must match.
 _BLOCK_TIME = 0.5
 _MAX_HOP_TURN = 0.5 * math.pi
 _MAX_BISECT = 200
@@ -181,35 +183,32 @@ class Direction(str, Enum):
     BACKWARD = "backward"
 
 
-def _check_step(step: float) -> float:
-    """The RK4 step, once it is finite, at least ``MIN_STEP`` and at most ``MAX_TIME`` / 2,
-    so that twice it, which ``resolve_stability`` also checks, leaves a leg a step.
-    Each entry point checks its step, then ``_check_rk4`` of it, before its other
-    arguments and hands it on checked."""
-    if not (step >= MIN_STEP and math.isfinite(step)):
-        raise DomainError(f"step must be finite and at least {MIN_STEP!r}, got {step!r}")
-    if step > 0.5 * MAX_TIME:
-        raise DomainError(f"step must be at most {0.5 * MAX_TIME!r}, got {step!r}")
-    return step
-
-
-def _check_rk4(params: SystemParams, step: float) -> float:
-    """The RK4 step, once each zone's one-step map grows or decays as the flow does.
+def _check_step(params: SystemParams, step: float) -> float:
+    """The RK4 step, once it is finite and at least ``MIN_STEP`` and each zone's
+    one-step map grows or decays as the flow does, at the step and at twice it.
 
     The zone eigenvalues are sigma +- i with sigma = -gamma and +gamma, and the
-    one-step map's are R(step*(sigma + i)), R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24;
-    a step where |R| lies on the other side of 1 from exp(sigma*step) is refused.
-    At gamma = 0.75 that is every step from about 2.103, where the left zone's RK4
-    grows.  At gamma = 0.1 the right zone's RK4 decays from about 2.034 to 2.358 and the
-    left zone's grows from about 2.936, so the steps between those are taken.
+    one-step map's are R(h*(sigma + i)), R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24;
+    a step is refused where, for h = step or 2*step, |R| is NaN (from about 1e154)
+    or lies on the other side of 1 from exp(sigma*h).  With the double, every step
+    taken has a complex one-step spectrum that turns forward by at least 0.448*step,
+    so a chunk turns by less than ``_MAX_HOP_TURN`` (Hairer & Wanner, Solving ODEs
+    II, IV.2); the step alone takes steps at which RK4 turns a zone by pi, or
+    backwards, and the README sine's stable cycle reads semi-stable at steps 1.07 to
+    1.10.  At gamma = 0.75 the steps from about 1.0516 are refused, and at gamma = 0.1
+    those from about 1.017 to 1.179 and from 1.468.  Each entry point checks its step
+    once, before its other arguments, and hands it on checked.
     """
-    for sigma in (-params.gamma, params.gamma):
-        z = step * complex(sigma, 1.0)
-        growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
-        if (growth - 1.0) * sigma < 0.0:
-            raise DomainError(f"step {step!r} is too large for RK4 at gamma={params.gamma!r}: "
-                              f"one step scales the {'expanding' if sigma > 0.0 else 'contracting'}"
-                              f" focus by {growth:.6g}, on the other side of 1 from the flow")
+    if not (step >= MIN_STEP and math.isfinite(step)):
+        raise DomainError(f"step must be finite and at least {MIN_STEP!r}, got {step!r}")
+    for h in (step, 2.0 * step):
+        for sigma in (-params.gamma, params.gamma):
+            z = h * complex(sigma, 1.0)
+            growth = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+            if not (growth - 1.0) * sigma >= 0.0:
+                raise DomainError(f"step {h!r} is too large for RK4 at gamma={params.gamma!r}: one "
+                                  f"step scales the {'expanding' if sigma > 0.0 else 'contracting'}"
+                                  f" focus by {growth:.6g}, on the other side of 1 from the flow")
     return step
 
 
@@ -322,8 +321,8 @@ class _Plan:
     coefficient a, and ``powers`` = lam**k for k = 0..chunk.  ``reach_x``
     and ``reach_y`` times |a| bound |x| and |y| over a chunk, the latter
     widened by ``_HOP_SLACK``, and times ``move`` = |lam - 1| their change
-    in a step.  A real spectrum leaves ``powers`` None, and the leg steps
-    plainly.  A plan is shared, so its arrays are read-only.
+    in a step.  Every step ``_check_step`` accepts gives lam complex with
+    ``turn`` > 0.  A plan is shared, so its arrays are read-only.
 
     The table's orbit is the flow's with two errors, which ``_Leg.integration_error``
     carries to a leg's end.  ``spiral`` is its spiral exponent log|lam| / arg(lam),
@@ -337,16 +336,16 @@ class _Plan:
 
     matrix: np.ndarray
     transfer: np.ndarray
-    powers: np.ndarray | None = None
-    turn: float = 0.0
-    v: np.ndarray | None = None
-    vc: np.ndarray | None = None
-    den: complex = 0j
-    reach_x: float = 0.0
-    reach_y: float = 0.0
-    move: float = 0.0
-    spiral: float = 0.0
-    shape: tuple = (0.0, 0.0)
+    powers: np.ndarray
+    turn: float
+    v: np.ndarray
+    vc: np.ndarray
+    den: complex
+    reach_x: float
+    reach_y: float
+    move: float
+    spiral: float
+    shape: tuple
 
 
 # Every leg of one zone, direction and step shares its plan.  A verify job
@@ -367,8 +366,6 @@ def _plan(params: SystemParams, zone: Zone, forward: bool, step: float, chunk: i
     # cancellation that would otherwise poison the rotation angle per step.
     diag = transfer[0, 0] - transfer[1, 1]
     disc = diag * diag + 4.0 * transfer[0, 1] * transfer[1, 0]
-    if disc >= 0.0 or abs(transfer[0, 1]) < 1e-300:
-        return _Plan(matrix, transfer)
     lam = complex(0.5 * (transfer[0, 0] + transfer[1, 1]), 0.5 * math.sqrt(-disc))
     v = np.array([transfer[0, 1], lam - transfer[0, 0]], dtype=complex)
     vc = np.conj(v)
@@ -416,15 +413,8 @@ def _points(plan: _Plan, c: np.ndarray) -> np.ndarray:
 def _propagate_states(plan: _Plan, x0: np.ndarray, n: int) -> np.ndarray:
     """States x_k = transfer^k @ x0 for k = 0..n, n at most the plan's chunk.
 
-    Both zones are foci, so x_k = 2 Re(a lam**k v) with a the coefficient of
-    x0; a spectrum that rounds to real is stepped one state at a time.
+    Both zones are foci, so x_k = 2 Re(a lam**k v) with a the coefficient of x0.
     """
-    if plan.powers is None:
-        out = np.empty((n + 1, 2))
-        out[0] = x0
-        for k in range(n):
-            out[k + 1] = plan.transfer @ out[k]
-        return out
     out = _states(plan, _coefficient(plan, x0), 0, n + 1)
     out[0] = x0
     return out
@@ -623,16 +613,16 @@ def _build(plan: _Plan, x: np.ndarray, a: np.ndarray, leg: np.ndarray, lo: np.nd
     return rows, run, k
 
 
-def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a, end: np.ndarray,
-            take: list, legs: list) -> list:
+def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a: np.ndarray,
+            end: np.ndarray, take: list, legs: list, hop: bool) -> list:
     """Take as array work the n-step chunks that did not hop of the legs (h, x alone
     decides) in ``take``, of the ``_Leg``s ``legs`` with states ``x`` after ``done``
     steps, coefficients ``a`` and ends ``end``: by rule 2, rule 3 or whole, and whole
-    for recording legs, which record the rows to their stops, and for a plan that does
-    not hop (``a`` None), whose ends it writes.  Returns the stops as ``_stop_pairs``."""
+    for recording legs, which record the rows to their stops, and where the plan does
+    not ``hop``.  Returns the stops as ``_stop_pairs``."""
     one = legs[0]
     stops, runs, settled, three = [], [], set(), []  # runs: (leg, lo, hi) of rows to build
-    if a is not None and not one.stride:
+    if hop and not one.stride:
         xs, es = x.tolist(), end[:, 0].tolist()
         two = [h for h, decides in take if one.axis and decides and xs[h][0] * es[h] < 0.0]
         if two:
@@ -654,13 +644,10 @@ def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a,
             leg, lo, hi = _uncertified(system, plan, a[three], x[three], n)
             runs += zip([three[i] for i in leg.tolist()], lo.tolist(), hi.tolist())
     whole = [h for h, _ in take if h not in settled and h not in three]
-    if a is None or one.stride or not runs and len(whole) == 1:  # each leg's chunk alone
+    if one.stride:  # each leg's chunk alone
         leg = np.array(whole)
-        rows = [_propagate_states(plan, x[h], n) for h in whole]
-        if len(rows) == 1:
-            rows, run, k = rows[0], np.zeros(n + 1, dtype=int), np.arange(n + 1)
-        else:
-            rows, (run, k) = np.concatenate(rows), np.divmod(np.arange(len(rows) * (n + 1)), n + 1)
+        rows = np.concatenate([_propagate_states(plan, x[h], n) for h in whole])
+        run, k = np.divmod(np.arange(len(rows)), n + 1)
     else:
         runs += [(h, 0, n) for h in whole]
         if not runs:
@@ -668,16 +655,12 @@ def _settle(system: PWLSystem, plan: _Plan, n: int, done: int, x: np.ndarray, a,
         leg, lo, hi = (np.array(v) for v in zip(*runs))
         rows, run, k = _build(plan, x, a, leg, lo, hi)
     found = _stop_pairs(system, legs, rows, run, k, leg, done == 0)
-    if a is None or one.stride:  # whole chunks: a plan that does not hop takes their ends
+    if one.stride:  # record each whole chunk's rows to the leg's stop
         last, stride = {f[0]: f[1] for f in found}, one.stride
         for j, h in enumerate(whole):
-            chunk = rows[j * (n + 1):(j + 1) * (n + 1)]
-            if a is None:
-                end[h] = chunk[-1]
-            if stride:
-                lo, hi = (-done) % stride, last[h] + 1 if h in last else n
-                legs[h].rec_t.append((done + np.arange(lo, hi, stride)) * one.step)
-                legs[h].rec_p.append(chunk[lo:hi:stride])
+            lo, hi = (-done) % stride, last[h] + 1 if h in last else n
+            legs[h].rec_t.append((done + np.arange(lo, hi, stride)) * one.step)
+            legs[h].rec_p.append(rows[j * (n + 1):(j + 1) * (n + 1)][lo:hi:stride])
     return stops + found
 
 
@@ -776,11 +759,9 @@ class _Leg:
         multiple of s, and a start moved by u ends (u x f_s) / (s x f_s) times further
         out, f_s the field at s; I + E moves the end p by p_x (-e2, e1) and a multiple
         of p.  The landing then takes the moved end back onto the event along the
-        field.  A plan without a table has no bound (inf).
+        field.
         """
         plan = self.plan
-        if plan.powers is None:
-            return math.inf
         (a00, a01), (a10, a11) = plan.matrix.tolist()
         (e1, e2), (sx, sy), (px, py) = plan.shape, self.start.tolist(), self.x.tolist()
         scale = abs(self.end_time / self.step * plan.turn * plan.spiral)
@@ -852,7 +833,7 @@ def integrate_in_zone(system: PWLSystem, zone: Zone, start: Point,
     """
     zone = Zone(zone)
     leg, = _stops(system, zone, Direction(direction), [start],
-                  _check_rk4(system.params, _check_step(step)),
+                  _check_step(system.params, step),
                   _count_crossings, max(0, int(record_stride)))
     if isinstance(leg, PWLError):
         raise leg
@@ -868,7 +849,7 @@ def propagate_fixed(system: PWLSystem, zone: Zone, start: Point, duration: float
     squaring, apart from the plans ``integrate_in_zone`` uses, so it
     cross-checks them and the closed-form zone flow at arbitrary times.
     """
-    _check_rk4(system.params, _check_step(step))
+    _check_step(system.params, step)
     if not (duration >= 0.0 and math.isfinite(duration)):
         raise DomainError(f"duration must be finite and non-negative, got {duration!r}")
     matrix = zone_matrix(system.params, zone)
@@ -921,33 +902,31 @@ def _stops(system: PWLSystem, zone: Zone, direction: Direction, starts: list, st
         except PWLError as exc:
             out.append(exc)
     # the plan's legs may skip chunks by rules 1 and 2
-    hop = plan.powers is not None and chunk * abs(plan.turn) < _MAX_HOP_TURN
+    hop = chunk * plan.turn < _MAX_HOP_TURN
     x, lands, done = np.array([leg.x for leg in live]), [], 0
     while live and (n := _steps_next(done, step, chunk)):
-        if not hop:
-            a, end, take = None, np.empty_like(x), [(h, False) for h in range(len(live))]
-        else:  # a lone leg's coefficient in the scalar form, with the bits of the array
-            a = _coefficient(plan, x[0])[None] if len(live) == 1 else _coefficient(plan, x)
-            end, take = _points(plan, a * plan.powers[n]), []
-            for h, (c, p, e) in enumerate(zip(a.tolist(), x.tolist(), end.tolist())):
-                skip, decides = _skip(plan, envelope, counted, c, p, e)
-                if not skip:
-                    take.append((h, decides))
-                elif stride:  # the recorded rows alone; row 0 is the carried state
-                    first = (-done) % stride
-                    rows = _states(plan, c, first, n, stride)
-                    if first == 0:
-                        rows[0] = x[h]
-                    live[h].rec_t.append((done + np.arange(first, n, stride)) * step)
-                    live[h].rec_p.append(rows)
+        a = _coefficient(plan, x)
+        end, take = _points(plan, a * plan.powers[n]), []
+        for h, (c, p, e) in enumerate(zip(a.tolist(), x.tolist(), end.tolist())):
+            skip, decides = _skip(plan, envelope, counted, c, p, e) if hop else (False, False)
+            if not skip:
+                take.append((h, decides))
+            elif stride:  # the recorded rows alone; row 0 is the carried state
+                first = (-done) % stride
+                rows = _states(plan, c, first, n, stride)
+                if first == 0:
+                    rows[0] = x[h]
+                live[h].rec_t.append((done + np.arange(first, n, stride)) * step)
+                live[h].rec_p.append(rows)
         if take:
             stop, stops = [False] * len(live), []
             try:
-                stops = _settle(system, plan, n, done, x, a, end, take, live)
+                stops = _settle(system, plan, n, done, x, a, end, take, live, hop)
             except PWLError:  # the boundary fails on a row: each leg meets its own error
                 for h, decides in take:
                     try:
-                        stops += _settle(system, plan, n, done, x, a, end, [(h, decides)], live)
+                        stops += _settle(system, plan, n, done, x, a, end, [(h, decides)], live,
+                                         hop)
                     except PWLError as exc:
                         out[ids[h]], stop[h] = exc, True
             for h, k, pair, *g in stops:
@@ -1020,7 +999,7 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     failure raises the error of the first failing y, as calls in order
     would: its ordinate check, then its forward leg, then its backward leg.
     """
-    step = _check_rk4(system.params, _check_step(step))
+    step = _check_step(system.params, step)
 
     def legs(ys: list) -> list:  # in batches, which bound the legs held at once
         starts = [(Point(float(system.boundary.evaluate(v)), v), v) for v in ys]
@@ -1080,7 +1059,7 @@ def return_map(system: PWLSystem, y_in: float | np.ndarray,
     failure raises the error of the first failing y_in, as calls in order
     would: its check, then its right-zone leg, then its left-zone leg.
     """
-    step = _check_rk4(system.params, _check_step(step))
+    step = _check_step(system.params, step)
     out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
                         else DomainError(f"y_in must be negative, got {v!r}"),
                         lambda ys: _turns(system, ys, step, True))
@@ -1117,7 +1096,7 @@ def upper_to_lower(system: PWLSystem, y0: float | np.ndarray,
     lockstep (``_stops``), and a failure raises the error of the first
     failing y0, as calls in order would.
     """
-    step = _check_rk4(system.params, _check_step(step))
+    step = _check_step(system.params, step)
     out, scalar = _each(y0, "y0", lambda i, v: None if math.isfinite(v) and v > 0.0
                         else DomainError(f"y0 must be positive, got {v!r}"),
                         lambda ys: _lowers(system, ys, step))
@@ -1194,12 +1173,9 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     float or an array of its shape.  The turns of all cycles run in
     lockstep, and a failure raises the error of the first failing cycle, as
     calls one cycle at a time would.  A float takes about 1.0 ms on the
-    README sine's stable cycle at eps = 0.05 and the default step.  A step
-    whose double ``_check_rk4`` refuses is refused too, though every leg
-    runs at the step itself.
+    README sine's stable cycle at eps = 0.05 and the default step.
     """
-    step = _check_rk4(system.params, _check_step(step))
-    _check_rk4(system.params, 2.0 * step)
+    step = _check_step(system.params, step)
     eps = np.asarray(eps, dtype=float)
     if eps.shape not in ((), np.shape(y_star)):
         raise DomainError(f"eps must be a float or an array of y_star's shape, got {eps.shape}")

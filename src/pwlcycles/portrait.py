@@ -93,7 +93,7 @@ def sample_orbit(system: PWLSystem, seed, turns: int) -> list:
         _check_seed(seeds[0])
     if turns < 1:
         raise DomainError("turns must be >= 1")
-    oracle._check_rk4(system.params, ORBIT_STEP)
+    oracle._check_step(system.params, ORBIT_STEP)
     horizon = turns * 2.0 * math.pi * (1.0 - 1e-9)
     orbits: list[list] = [[] for _ in seeds]
     failed: dict[int, PWLError] = {}

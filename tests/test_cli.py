@@ -164,8 +164,8 @@ class TestDisplacement:
         code, out, err = run(capsys, argv + ["--step", "10"])
         assert code == 1 and out == ""
         assert err.startswith("error: step 10.0 is too large for RK4 at gamma=0.75")
-        # step 2 is below the bound of about 2.103, and the scan still runs
-        code, out, _ = run(capsys, argv + ["--step", "2"])
+        # step 1.05 is below the bound of about 1.0515, and the scan still runs
+        code, out, _ = run(capsys, argv + ["--step", "1.05"])
         assert code == 0
         assert len(list(csv.DictReader(io.StringIO(out)))) == 3
 
@@ -191,14 +191,15 @@ class TestVerify:
         assert payload["discrepancies"]
 
     def test_step_no_leg_can_take_is_a_usage_error(self, capsys, monkeypatch):
-        # refused before any work, with no numpy warning (the plan's product overflowed)
+        # refused before any work, with no numpy warning (RK4's growth overflows to inf,
+        # and the plan's product would overflow)
         monkeypatch.setattr(oracle, "_plan", lambda *a: pytest.fail("a plan was built"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, ["verify", "--gamma", "0.75", "--family", "sine",
                                           "--n", "2", "--range", "0.1", "4", "--step", "1e80"])
         assert code == 1 and out == ""
-        assert err == f"error: step must be at most {0.5 * oracle.MAX_TIME!r}, got 1e+80\n"
+        assert err.startswith("error: step 1e+80 is too large for RK4 at gamma=0.75")
 
     def test_step_rk4_cannot_double_is_a_usage_error(self, capsys, monkeypatch):
         # 1.2 is a step RK4 takes at gamma 0.75 and 2.4, the stability check's, is not

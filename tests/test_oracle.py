@@ -57,7 +57,7 @@ EXP_M_075PI = 0.09478022484215486
 
 def _chunks_built(monkeypatch) -> list:
     """The step counts of the chunks built from their first row on, one entry
-    each, by a per-leg leg (``_propagate_states``) or by the lockstep runner
+    each, by a recording leg (``_propagate_states``) or by the lockstep runner
     (the runs of ``_build`` that start at row 0)."""
     built = []
     propagate, build = orc._propagate_states, orc._build
@@ -149,7 +149,7 @@ class TestStepper:
                 a[1] = 0.0
 
     def test_a_verify_round_rebuilds_no_plan(self):
-        # the benchmark's verify systems in turn use 15 plans, which the cache holds
+        # the benchmark's verify systems in turn use 9 plans, which the cache holds
         def round_():
             for make in VERIFY_SYSTEMS.values():
                 system, roots, _ = make()
@@ -162,23 +162,6 @@ class TestStepper:
         misses = _plan.cache_info().misses
         round_()
         assert _plan.cache_info().misses == misses
-
-    def test_real_spectrum_plan_steps_plainly(self, sine_system, monkeypatch):
-        # a discriminant that rounds to >= 0 leaves the plan without a table
-        ref = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=1e-3,
-                                record_stride=0)
-        plan = orc._plan
-
-        def real(*args):
-            full = plan(*args)
-            return orc._Plan(full.matrix, full.transfer)
-
-        monkeypatch.setattr(orc, "_plan", real)
-        seg = integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 2.2), step=1e-3,
-                                record_stride=0)
-        assert seg.terminal_event is ref.terminal_event
-        assert seg.terminal_time == pytest.approx(ref.terminal_time, abs=1e-12)
-        np.testing.assert_allclose(seg.points, ref.points, rtol=0, atol=1e-12)
 
     def test_propagate_fixed_matches_flow(self, zero_system, params075):
         for zone in Zone:
@@ -704,7 +687,7 @@ class TestChunkSkipping:
                 counts.append(len(built))
             assert counts[1] <= counts[0], (y, counts)
 
-    @pytest.mark.parametrize("step", [0.5, 1.5])
+    @pytest.mark.parametrize("step", [0.5, 1.0])  # chunks of one step
     def test_large_step_equals_full_chunks(self, sine_system, step):
         for zone in Zone:
             for direction in Direction:
@@ -1200,17 +1183,29 @@ class TestResolveStability:
         assert report["passed"]
         assert legs and {step for _, _, step, _ in legs} == {3e-4}
 
-    @pytest.mark.parametrize("family, gamma", [("sine", 0.3), ("sine", 0.75), ("cosine", 0.3)])
+    @pytest.mark.parametrize("family, gamma", [("sine", 0.3), ("sine", 0.75), ("cosine", 0.3),
+                                               ("sine", 0.1)])
     def test_coarse_steps_give_no_wrong_class(self, family, gamma):
-        # at a step far too coarse for the drift, each side is undetermined rather than wrong
-        system = _family_system(gamma, family, n=2)
-        roots = [1.0, 2.0] if family == "sine" else [2.0, 4.0]
+        # at every step taken on a grid of 0.01 from 0.05, however coarse for the
+        # drift, each side is undetermined rather than wrong; sine gamma = 0.1 takes
+        # the steps to about 1.0169 and again from 1.179 to 1.4679
+        n = 3 if gamma == 0.1 else 2
+        system = _family_system(gamma, family, n=n)
+        roots = [float(k) for k in range(1, n + 1)] if family == "sine" else [2.0, 4.0]
         paper = [rep.stability for rep in reports_for_roots(system, roots)]
         eps = [probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
-        for step in (0.05, 0.07, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0):
-            got = resolve_stability(system, np.array(roots), np.array(eps), step)
-            for cls, expected in zip(got, paper):
-                assert cls in (expected, StabilityClass.UNDETERMINED), (step, cls, expected)
+        taken, wrong = [], []
+        for step in (k / 100 for k in range(5, 300)):
+            try:
+                got = resolve_stability(system, np.array(roots), np.array(eps), step)
+            except PWLError as exc:  # the step rule's refusal, or a failure
+                wrong += [] if str(exc).startswith("step ") else [(step, exc)]
+                continue
+            taken.append(step)
+            wrong += [(step, y, cls) for y, cls, expected in zip(roots, got, paper)
+                      if cls not in (expected, StabilityClass.UNDETERMINED)]
+        assert not wrong
+        assert taken[0] == 0.05 and 1.0 <= taken[-1] < 1.47
 
     def test_probe_validation(self, sine_system):
         with pytest.raises(DomainError):
@@ -1439,6 +1434,17 @@ class TestLockstepTurns:
         assert got == ref if isinstance(ref, tuple) else isinstance(got, dict)
 
 
+def _entry_point_calls(system, step):
+    """A call of each oracle entry point that takes ``step``."""
+    return (lambda: numeric_displacement(system, 1.5, step),
+            lambda: numeric_displacement(system, np.zeros(0), step),
+            lambda: return_map(system, -1.0, step),
+            lambda: upper_to_lower(system, 1.5, step),
+            lambda: resolve_stability(system, 2.0, 0.05, step),
+            lambda: integrate_in_zone(system, Zone.LEFT, Point(0.0, 1.0), step=step),
+            lambda: propagate_fixed(system, Zone.LEFT, Point(0.0, 1.0), 1.0, step=step))
+
+
 class TestOptionsAndExport:
     def test_options_validation(self, zero_system, monkeypatch):
         # the step is the oracle's only setting: finite and at least MIN_STEP,
@@ -1450,108 +1456,125 @@ class TestOptionsAndExport:
         below = np.nextafter(orc.MIN_STEP, 0.0)
         for step in (0.0, -1e-3, math.nan, math.inf, orc.EVENT_TOL, 1e-13, 2e-12, 1e-9, below):
             with pytest.raises(DomainError, match="^step must"):
-                orc._check_step(step)
+                orc._check_step(zero_system.params, step)
             with pytest.raises(DomainError, match="^step must"):
                 integrate_in_zone(zero_system, Zone.LEFT, Point(0.0, 1.0), step=step)
             with pytest.raises(DomainError, match="^step must"):
                 propagate_fixed(zero_system, Zone.RIGHT, Point(0.4, -0.6), 1.0, step=step)
-        assert orc._check_step(orc.MIN_STEP) == orc.MIN_STEP
+        assert orc._check_step(zero_system.params, orc.MIN_STEP) == orc.MIN_STEP
 
     @pytest.mark.parametrize("step", [0.0, math.nan, -1e-4, math.inf, orc.MIN_STEP / 2])
     def test_entry_points_refuse_a_bad_step(self, sine_system, step):
         # each entry point checks the step before it runs a leg or sizes a chunk
         message = f"step must be finite and at least {orc.MIN_STEP!r}, got {step!r}"
-        for call in (lambda: numeric_displacement(sine_system, 1.5, step),
-                     lambda: return_map(sine_system, -1.0, step),
-                     lambda: upper_to_lower(sine_system, 1.5, step),
-                     lambda: resolve_stability(sine_system, 2.0, 0.05, step)):
+        for call in _entry_point_calls(sine_system, step):
             assert _outcome(call) == (DomainError, message)
 
-    @pytest.mark.parametrize("step", [math.nextafter(0.5 * orc.MAX_TIME, math.inf),
-                                      2.0 * orc.MAX_TIME, 1e80])
+    @pytest.mark.parametrize("step", [math.nextafter(50.0, math.inf), 200.0, 1e80, 1e300])
     def test_entry_points_refuse_a_step_no_leg_can_take(self, sine_system, monkeypatch, step):
-        # at twice a step above MAX_TIME / 2, a leg would time out before its first
-        # step (the step bound keeps that room), and from about 5.6e38
-        # the plan's discriminant overflows: every entry point refuses such a step
-        # before any plan is built, with no numpy warning
+        # RK4 grows the contracting zone at any step above about 2.8 for every gamma; at
+        # 1e80 its growth overflows to inf and from about 1e154 it is NaN, and from about
+        # 5.6e38 a plan's discriminant would overflow: every entry point refuses such a
+        # step before any plan is built, with no numpy warning
         monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
-        message = f"step must be at most {0.5 * orc.MAX_TIME!r}, got {step!r}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: numeric_displacement(sine_system, 1.5, step),
-                         lambda: return_map(sine_system, -1.0, step),
-                         lambda: upper_to_lower(sine_system, 1.5, step),
-                         lambda: resolve_stability(sine_system, 2.0, 0.05, step),
-                         lambda: integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 1.0),
-                                                   step=step),
-                         lambda: propagate_fixed(sine_system, Zone.LEFT, Point(0.0, 1.0), 1.0,
-                                                 step=step)):
-                assert _outcome(call) == (DomainError, message)
+            for call in _entry_point_calls(sine_system, step):
+                kind, message = _outcome(call)
+                assert kind is DomainError
+                assert message.startswith(f"step {step!r} is too large for RK4 at gamma=0.75")
 
     def test_the_largest_step_runs_the_stability_check_at_it_alone(self, sine_system,
                                                                   monkeypatch):
-        # MAX_TIME / 2 is accepted, and RK4 grows the contracting zone at such a step for
-        # every gamma, so that check refuses it first; without that check the stability
-        # check runs its legs at that step and at no other
-        assert orc._check_step(0.5 * orc.MAX_TIME) == 0.5 * orc.MAX_TIME
-        with pytest.raises(DomainError, match="^step 50.0 is too large for RK4 at gamma=0.75"):
-            resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
-        monkeypatch.setattr(orc, "_check_rk4", lambda params, step: step)
+        # about 1.0515 is the largest step taken at gamma 0.75, where RK4 at twice it
+        # still keeps the contracting zone contracting; the stability check runs its
+        # legs at that step and at no other
+        step = 1.0515
+        assert orc._check_step(sine_system.params, step) == step
+        with pytest.raises(DomainError, match="^step 2.1032 is too large for RK4 at gamma=0.75"):
+            orc._check_step(sine_system.params, 1.0516)
         legs = _legs_run(monkeypatch)
-        with pytest.raises(IntegrationError, match="did not leave its zone"):
-            resolve_stability(sine_system, 2.0, 0.05, 0.5 * orc.MAX_TIME)
-        assert {step for *_, step, _ in legs} == {0.5 * orc.MAX_TIME}
+        assert resolve_stability(sine_system, 2.0, 0.05, step) in StabilityClass
+        assert {step for *_, step, _ in legs} == {step}
 
     @pytest.mark.parametrize("gamma", [0.1, 0.75, 3.0])
     def test_rk4_growth_is_the_transfer_eigenvalue(self, gamma):
         # |R(step*(sigma + i))| is the modulus of each zone's one-step map in either
-        # direction, and a step is refused exactly where it lies across 1 from the flow's
+        # direction, and a step is refused exactly where it lies across 1 from the
+        # flow's, at the step or at twice it
         params = SystemParams(gamma)
         for step in np.geomspace(1e-3, 5.0, 60).tolist():
-            refused = _outcome(lambda: orc._check_rk4(params, step)) != step
+            refused = _outcome(lambda: orc._check_step(params, step)) != step
             wrong = False
-            for zone in Zone:
-                for sign in (1.0, -1.0):
-                    lam = np.linalg.eigvals(_step_transfer(sign * orc.zone_matrix(params, zone),
-                                                           step))
-                    sigma = sign * zone.sign * gamma
-                    z = step * complex(sigma, 1.0)
-                    growth = abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24)
-                    assert np.abs(lam) == pytest.approx([growth, growth], rel=1e-12)
-                    wrong |= (growth > 1.0) != (sigma > 0.0)
+            for h in (step, 2.0 * step):
+                for zone in Zone:
+                    for sign in (1.0, -1.0):
+                        lam = np.linalg.eigvals(
+                            _step_transfer(sign * orc.zone_matrix(params, zone), h))
+                        sigma = sign * zone.sign * gamma
+                        z = h * complex(sigma, 1.0)
+                        growth = abs(1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24)
+                        assert np.abs(lam) == pytest.approx([growth, growth], rel=1e-12)
+                        wrong |= (growth > 1.0) != (sigma > 0.0)
             assert refused == wrong, (gamma, step)
 
-    @pytest.mark.parametrize("gamma, last, first", [(0.75, 2.10, 2.11), (0.1, 2.03, 2.04)])
+    @pytest.mark.parametrize("gamma, last, first", [(0.75, 1.0515, 1.0516), (0.1, 1.0169, 1.017)])
     def test_rk4_step_bound_where_measured(self, gamma, last, first):
+        # the first refusal is twice the step's: at gamma 0.75 RK4 grows the contracting
+        # zone from about 2.103, and at gamma 0.1 it decays the expanding one from about
+        # 2.034 to 2.358, so steps from about 1.179 to 1.4679 are taken again there
         params = SystemParams(gamma)
-        assert orc._check_rk4(params, last) == last
-        with pytest.raises(DomainError, match=f"^step {first!r} is too large for RK4 at "
+        assert orc._check_step(params, last) == last
+        with pytest.raises(DomainError, match=f"^step {2.0 * first!r} is too large for RK4 at "
                                               f"gamma={gamma!r}"):
-            orc._check_rk4(params, first)
+            orc._check_step(params, first)
+        for step in (1.179, 1.4675) if gamma == 0.1 else ():
+            assert orc._check_step(params, step) == step
+        for step in (1.1788, 1.468) if gamma == 0.1 else ():
+            with pytest.raises(DomainError, match="^step .* is too large for RK4"):
+                orc._check_step(params, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(gamma=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           step=st.floats(math.log10(orc.MIN_STEP), math.log10(60.0)).map(lambda e: 10.0 ** e))
+    @example(gamma=0.1, step=2.48)  # the one-step spectrum is about real, and refused
+    @example(gamma=0.1, step=1.4675)
+    @example(gamma=1e-3, step=1.4)
+    @example(gamma=1e3, step=1e-5)
+    def test_every_step_taken_turns_each_chunk_by_less_than_the_hop_bound(self, gamma, step):
+        # what lets the runner keep one path: at every step taken, each zone and
+        # direction has a complex one-step spectrum that turns forward, and a chunk
+        # turns by less than _MAX_HOP_TURN, so rules 1 and 2 may hop it
+        params = SystemParams(gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if _outcome(lambda: orc._check_step(params, step)) != step:
+                return
+            chunk = max(1, math.ceil(orc._BLOCK_TIME / step))
+            for zone in Zone:
+                for forward in (True, False):
+                    plan = _plan(params, zone, forward, step, chunk)
+                    assert len(plan.powers) == chunk + 1 and np.isfinite(plan.powers).all()
+                    assert 0.0 < plan.turn and chunk * plan.turn < orc._MAX_HOP_TURN
 
     def test_entry_points_refuse_a_step_rk4_cannot_take(self, sine_system, monkeypatch):
         # at step 10 and gamma 0.75 RK4 grows the contracting zone by a factor of about
         # 830 a step: every entry point refuses it before any plan is built
         monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
-        for call in (lambda: numeric_displacement(sine_system, 1.5, 10.0),
-                     lambda: numeric_displacement(sine_system, np.zeros(0), 10.0),
-                     lambda: return_map(sine_system, -1.0, 10.0),
-                     lambda: upper_to_lower(sine_system, 1.5, 10.0),
-                     lambda: resolve_stability(sine_system, 2.0, 0.05, 10.0),
-                     lambda: integrate_in_zone(sine_system, Zone.LEFT, Point(0.0, 1.0), step=10.0),
-                     lambda: propagate_fixed(sine_system, Zone.LEFT, Point(0.0, 1.0), 1.0,
-                                             step=10.0)):
+        for call in _entry_point_calls(sine_system, 10.0):
             kind, message = _outcome(call)
             assert kind is DomainError
             assert message.startswith("step 10.0 is too large for RK4 at gamma=0.75")
 
-    def test_stability_check_refuses_a_step_rk4_cannot_double(self, sine_system):
-        # 1.2 is a step RK4 takes at gamma 0.75, and 2.4 is not: the turns run, while the
-        # stability check, which also checks twice the step, refuses it
-        turn = return_map(sine_system, -2.0 * EXP_M_075PI, 1.2)
-        assert turn.y_out < 0.0
-        with pytest.raises(DomainError, match="^step 2.4 is too large for RK4 at gamma=0.75"):
-            resolve_stability(sine_system, 2.0, 0.05, 1.2)
+    def test_stability_check_refuses_a_step_rk4_cannot_double(self, sine_system, monkeypatch):
+        # 1.2 is a step RK4 takes at gamma 0.75, and 2.4 is not: the stability check
+        # refuses 1.2, and every other entry point refuses it as well, before any plan
+        # is built
+        monkeypatch.setattr(orc, "_plan", lambda *a: pytest.fail("a plan was built"))
+        for call in _entry_point_calls(sine_system, 1.2):
+            kind, message = _outcome(call)
+            assert kind is DomainError
+            assert message.startswith("step 2.4 is too large for RK4 at gamma=0.75")
 
     def test_non_finite_starts_are_refused(self, sine_system):
         for start in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, -1.0)):
