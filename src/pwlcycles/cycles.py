@@ -331,21 +331,19 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
     """JSON-ready report of ``cycles`` and the displacement on ``ys`` checked by the oracle.
 
     One record per failed check goes to "discrepancies"; "passed" is True when there are none.
+    One ``oracle.return_map`` call turns every cycle from its lower crossing and the probes
+    of every cycle, placed as ``resolve_stability`` places them on the switching curve at
+    (h(y), y), y = y* -+ eps.  It raises the error that checking one cycle at a time meets
+    first, in the order fixed-point turn, inner placement, outer placement, inner turn, outer
+    turn.
     """
     discrepancies: list[dict] = []
     records: list[dict] = []
     roots = [c.y_star for c in cycles]
     lows = [rep.lower_crossing.y for rep in cycles]
     eps = [oracle.probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
-    try:  # each oracle call runs the turns of every cycle in lockstep
-        turns = oracle.return_map(system, np.array(lows), step)
-        stabs = oracle.resolve_stability(system, np.array(roots), np.array(eps), step)
-    except PWLError:
-        # raise the error that checking one cycle at a time meets first
-        for low, y, e in zip(lows, roots, eps):
-            oracle.return_map(system, low, step)
-            oracle.resolve_stability(system, y, e, step)
-        raise
+    turns, sides = oracle._side_verdicts(system, list(zip(roots, eps)), step, lows)
+    stabs = [oracle._class(verdicts) for verdicts in sides]
     for rep, rm, stab in zip(cycles, turns, stabs):
         rec = {
             "y_star": rep.y_star,

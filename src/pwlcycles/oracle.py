@@ -65,9 +65,9 @@ as the full chunk is.  A boundary without both envelopes, a start at
 0 < y < ``_DBL_MIN`` and a chunk of amplitude at most ``_HOP_FLOOR`` take
 the full chunk.
 Callers that read only where an axis-stop leg lands (the numerical
-displacement, and the probe placement and the left-zone legs of the
-return-map turns of the stability check) waive the crossing counters, so
-for them x alone decides, and the boundary is never evaluated.
+displacement and the stability check's probe placement, which share
+``_down``) waive the crossing counters: x alone decides, and their legs
+never evaluate the boundary.
 
 One runner, ``_stops``, runs every leg: a batch of legs through one zone
 in one direction at one step, in lockstep, counted or not and recording
@@ -986,6 +986,20 @@ def _each(value, name: str, refuse, batch) -> tuple[list, bool]:
     return out, arr.ndim == 0
 
 
+def _down(system: PWLSystem, ys: list, step: float) -> tuple[list, list]:
+    """Each y's start (h(y), y) on the switching curve, as an ``_ends`` leg, and its uncounted
+    forward-left leg to the lower section: a ``_Leg``, or h's error at y or the leg's."""
+    starts, fails = [], {}
+    for i, y in enumerate(ys):
+        try:
+            x = float(system.boundary.evaluate(y))
+        except PWLError as exc:  # the leg refuses the non-finite start
+            x, fails[i] = math.nan, exc
+        starts.append((Point(x, y), y))
+    legs = _ends(system, Zone.LEFT, Direction.FORWARD, starts, step, False)
+    return starts, [fails.get(i, leg) for i, leg in enumerate(legs)]
+
+
 def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
                          step: float = 1e-4) -> float | np.ndarray:
     """Displacement at y measured purely by integration.
@@ -1002,11 +1016,10 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     step = _check_step(system.params, step)
 
     def legs(ys: list) -> list:  # in batches, which bound the legs held at once
-        starts = [(Point(float(system.boundary.evaluate(v)), v), v) for v in ys]
         out: list = []
-        for part in (starts[lo:lo + 1024] for lo in range(0, len(starts), 1024)):
-            fwd = _ends(system, Zone.LEFT, Direction.FORWARD, part, step, False)
-            bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, part, step, False)
+        for part in (ys[lo:lo + 1024] for lo in range(0, len(ys), 1024)):
+            starts, fwd = _down(system, part, step)
+            bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, starts, step, False)
             out += [one if isinstance(one, PWLError) else two if isinstance(two, PWLError)
                     else float(one.x[1] - two.x[1]) for one, two in zip(fwd, bwd)]
         return out
@@ -1016,23 +1029,22 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     return out[0] if scalar else np.array(out)
 
 
-def _turns(system: PWLSystem, y_ins: list, step: float, counted: bool) -> list:
-    """A return-map turn from each (0, y_in) at one ``step``, its left-zone leg
-    counted or not: a ``ReturnMapResult``, or the error its legs meet first.  The
-    turns' right-zone legs are one batch and their left-zone legs another."""
+def _turns(system: PWLSystem, y_ins: list, step: float) -> list:
+    """A return-map turn from each (0, y_in) at one ``step``: a ``ReturnMapResult``, or
+    the error its legs meet first.  The turns' right-zone legs are one batch and their
+    left-zone legs another."""
     first = _ends(system, Zone.RIGHT, Direction.FORWARD, [(Point(0.0, y), y) for y in y_ins],
                   step, True)
     go = [i for i, leg in enumerate(first) if not isinstance(leg, PWLError)]
     second = dict(zip(go, _ends(system, Zone.LEFT, Direction.FORWARD,
                                 [(Point(*first[i].x.tolist()), y_ins[i]) for i in go], step,
-                                counted)))
+                                True)))
     out = []
     for i, (y, one) in enumerate(zip(y_ins, first)):
         two = second.get(i, one)
         out.append(two if isinstance(two, PWLError) else ReturnMapResult(
             y, float(two.x[1]), one.end_time + two.end_time,
-            one.sigma_count + two.sigma_count if counted else -1,
-            one.section_count + two.section_count if counted else -1,
+            one.sigma_count + two.sigma_count, one.section_count + two.section_count,
             one.landing_error + two.landing_error,
             two.integration_error() + one.integration_error()
             * _carry(system, two.plan.matrix, two.start, two.x[1])))
@@ -1055,52 +1067,15 @@ def return_map(system: PWLSystem, y_in: float | np.ndarray,
     ``y_in`` is a float, which gives one ``ReturnMapResult``, or a 1-d array,
     which gives a list of them; the turns' legs run in lockstep (``_stops``),
     each with the bits of its own ``integrate_in_zone`` leg.  A float takes
-    about 0.6 ms on the README sine at y_in = -1 and the default step.  A
+    about 0.5 ms on the README sine at y_in = -1 and the default step.  A
     failure raises the error of the first failing y_in, as calls in order
     would: its check, then its right-zone leg, then its left-zone leg.
     """
     step = _check_step(system.params, step)
     out, scalar = _each(y_in, "y_in", lambda i, v: None if math.isfinite(v) and v < 0.0
                         else DomainError(f"y_in must be negative, got {v!r}"),
-                        lambda ys: _turns(system, ys, step, True))
+                        lambda ys: _turns(system, ys, step))
     return out[0] if scalar else out
-
-
-def _lowers(system: PWLSystem, y0s: list, step: float) -> list:
-    """The lower-section ordinate of the forward orbit through each (0, y0 > 0), or its error."""
-    out: list = []
-    for y0 in y0s:
-        try:  # None: the orbit first crosses the switching curve from the right zone
-            out.append(None if _forward_zone(system, Point(0.0, y0)) is Zone.RIGHT
-                       else Point(0.0, y0))
-        except PWLError as exc:
-            out.append(exc)
-    right = [i for i, p in enumerate(out) if p is None]
-    for i, leg in zip(right, _ends(system, Zone.RIGHT, Direction.FORWARD,
-                                   [(Point(0.0, y0s[i]), y0s[i]) for i in right], step, True)):
-        out[i] = leg if isinstance(leg, PWLError) else Point(*leg.x.tolist())
-    left = [i for i, p in enumerate(out) if isinstance(p, Point)]
-    for i, leg in zip(left, _ends(system, Zone.LEFT, Direction.FORWARD,
-                                  [(out[i], y0s[i]) for i in left], step, False)):
-        out[i] = leg if isinstance(leg, PWLError) else float(leg.x[1])
-    return out
-
-
-def upper_to_lower(system: PWLSystem, y0: float | np.ndarray,
-                   step: float = 1e-4) -> float | np.ndarray:
-    """Lower-section ordinate of the forward orbit through (0, y0), y0 > 0.
-
-    Depending on the sign of h(y0) the start lies in the left zone
-    directly or must first cross the switching curve from the right zone.
-    ``y0`` is a float or a 1-d array, which gives an array; the legs run in
-    lockstep (``_stops``), and a failure raises the error of the first
-    failing y0, as calls in order would.
-    """
-    step = _check_step(system.params, step)
-    out, scalar = _each(y0, "y0", lambda i, v: None if math.isfinite(v) and v > 0.0
-                        else DomainError(f"y0 must be positive, got {v!r}"),
-                        lambda ys: _lowers(system, ys, step))
-    return out[0] if scalar else np.array(out)
 
 
 def probe_eps(y_star: float, neighbors=()) -> float:
@@ -1114,43 +1089,60 @@ def probe_eps(y_star: float, neighbors=()) -> float:
     return min(0.05 * y_star, 0.25 * min(gaps))
 
 
-def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
-    """('approach' | 'retreat' | None, margin ratio) of the inner and the outer
-    probe of each cycle (y*, eps), or the error the cycle meets first.
+def _placements(system: PWLSystem, cycles: list, step: float) -> list:
+    """The lower crossing y_in, or the error met, of the orbit through (h(y), y) on the
+    switching curve (``_down``) of each cycle's inner and outer probe y = y* -+ eps."""
+    ys = [y + side * e for y, e in cycles for side in (-1.0, 1.0)]
+    return [leg if isinstance(leg, PWLError) else float(leg.x[1]) if leg.x[1] < 0.0
+            else DomainError(f"y_in must be negative, got {float(leg.x[1])!r}")
+            for leg in _down(system, ys, step)[1]]  # y_in checked as return_map checks it
 
-    Each probe is the orbit through (0, y* -+ eps); one turn of the return
-    map runs from its lower crossing r = -y_in.  The drift d = P(r) - r has
-    the error bar the turn computes, its ``integration_error`` plus its
-    ``landing_error``; the margin ratio is |d| / bar.  The inner probe
-    approaches when d > 0, the outer one when d < 0.  Only the turns'
-    ``y_out`` and errors are read, so their left-zone legs run uncounted: x
-    alone decides where they land, with the bits of a counted turn.  The
-    probes of all cycles are placed together, then all their turns run,
-    each a batch of one step per zone.  A cycle's error is the first in the
-    order inner probe, outer probe, turns, as one cycle at a time would meet
-    it.
 
-    The landing of ``upper_to_lower`` only places the probe: the turn
-    starts exactly at (0, y_in), so it does not enter the bar.
-    """
-    sides = (-1.0, +1.0)
-    y_ins = [y if isinstance(y, PWLError) or y < 0.0  # as return_map checks them
-             else DomainError(f"y_in must be negative, got {y!r}")
-             for y in _lowers(system, [y + side * e for y, e in cycles for side in sides], step)]
-    go = [i for i, y in enumerate(y_ins) if not isinstance(y, PWLError)]
-    turns = dict(zip(go, _turns(system, [y_ins[i] for i in go], step, False)))
+def _verdicts(y_ins: list, turns: list) -> list:
+    """('approach' | 'retreat' | None, margin ratio) of each cycle's inner and outer probe
+    from their lower crossings ``y_ins`` and turns.  The turn from r = -y_in has drift
+    P(r) - r = d and bar ``integration_error`` + ``landing_error`` (it starts exactly at
+    (0, y_in)); the margin ratio is |d| / bar, and the inner probe approaches when d > 0,
+    the outer when d < 0."""
     out = []
-    for probes in zip(range(0, len(y_ins), 2), range(1, len(y_ins), 2)):
-        stages = [stage.get(i) for stage in (dict(enumerate(y_ins)), turns) for i in probes]
-        failed = [r for r in stages if isinstance(r, PWLError)]
-        out.append(failed[0] if failed else [])
-        for side, i in zip(sides, probes if not failed else ()):
-            drift = y_ins[i] - turns[i].y_out
-            bar = turns[i].integration_error + turns[i].landing_error
+    for i in range(0, len(y_ins), 2):
+        out.append([])
+        for side, y_in, turn in zip((-1.0, 1.0), y_ins[i:i + 2], turns[i:i + 2]):
+            drift, bar = y_in - turn.y_out, turn.integration_error + turn.landing_error
             ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
             verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
             out[-1].append((verdict if ratio > MARGIN else None, ratio))
     return out
+
+
+def _class(verdicts: list) -> StabilityClass:
+    """A cycle's class from its two ``_verdicts``: UNDETERMINED unless both sides have one."""
+    (inner, _), (outer, _) = verdicts
+    return (StabilityClass.UNDETERMINED if inner is None or outer is None
+            else _stability_class(inner == "approach", outer == "approach"))
+
+
+def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4,
+                   lows=()) -> tuple[list, list]:
+    """The turns from the lower crossings ``lows``, and the ``_verdicts`` of the probes of
+    each cycle (y*, eps): one ``return_map`` call takes all the turns, each counted.
+
+    It raises the error that one cycle at a time meets first, in the order turn from
+    its low, inner placement, outer placement, inner turn, outer turn.
+    """
+    step = _check_step(system.params, step)  # before the placements, as return_map would
+    lows, y_ins = list(lows), _placements(system, cycles, step)
+    failed = next((y for y in y_ins if isinstance(y, PWLError)), None)
+    try:
+        turns = return_map(system, np.array(lows + y_ins if failed is None else lows), step)
+        if failed is not None:
+            raise failed
+    except PWLError:
+        if len(cycles) > 1:  # one cycle alone raises its first error, in that order
+            for i in range(len(cycles)):
+                _side_verdicts(system, cycles[i:i + 1], step, lows[i:i + 1])
+        raise
+    return turns[:len(lows)], _verdicts(y_ins, turns[len(lows):])
 
 
 def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
@@ -1158,22 +1150,23 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
                       step: float = 1e-4) -> StabilityClass | list:
     """Empirical stability from one checked return-map turn on each side.
 
-    Starts orbits at the upper crossings y* -+ eps and takes one turn of
-    the lower-section map from each.  ``eps`` is required and must lie in
-    (0, y*); ``probe_eps`` gives one that keeps both probes short of the
-    neighbouring cycles.  A planar return map is strictly increasing, so
-    with no other cycle between probe and cycle the sign of its drift
-    P(r) - r settles whether that side approaches or retreats.  The drift
-    counts only when it exceeds ``MARGIN`` times its error bar, the turn's
-    ``integration_error`` plus its ``landing_error``.  Otherwise the result
-    is UNDETERMINED.  Each leg stops at ``EVENT_TOL`` and times out after
-    ``MAX_TIME``.
+    Each probe starts on the switching curve at (h(y), y), y = y* -+ eps; one
+    forward-left leg takes it to the lower section, and one turn of the map
+    runs from there.  ``eps`` is required and must lie in (0, y*); ``probe_eps``
+    gives one that keeps both probes short of the neighbouring cycles.  A
+    planar return map is strictly increasing, so with no other cycle between
+    probe and cycle the sign of its drift P(r) - r settles whether that side
+    approaches or retreats.  The drift counts only when it exceeds ``MARGIN``
+    times its error bar, the turn's ``integration_error`` plus its
+    ``landing_error``.  Otherwise the result is UNDETERMINED.  Each leg stops
+    at ``EVENT_TOL`` and times out after ``MAX_TIME``.
 
     ``y_star`` is a float, or a 1-d array that gives a list, and ``eps`` a
-    float or an array of its shape.  The turns of all cycles run in
-    lockstep, and a failure raises the error of the first failing cycle, as
-    calls one cycle at a time would.  A float takes about 1.0 ms on the
-    README sine's stable cycle at eps = 0.05 and the default step.
+    float or an array of its shape.  The legs of all cycles run in lockstep,
+    and a failure raises the error of the first failing cycle, as calls one
+    cycle at a time would: inner placement, outer placement, inner turn, outer
+    turn.  A float takes about 1.0 ms on the README sine's stable cycle at
+    eps = 0.05 and the default step.
     """
     step = _check_step(system.params, step)
     eps = np.asarray(eps, dtype=float)
@@ -1187,9 +1180,6 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
         return None if 0.0 < eps[i] < y else DomainError(
             f"eps must lie in (0, y_star), got {eps[i]!r}")
 
-    out, scalar = _each(y_star, "y_star", refuse,
-                        lambda ys: _side_verdicts(system, list(zip(ys, eps)), step))
-    out = [StabilityClass.UNDETERMINED if inner is None or outer is None
-           else _stability_class(inner == "approach", outer == "approach")
-           for (inner, _), (outer, _) in out]
+    out, scalar = _each(y_star, "y_star", refuse, lambda ys: [
+        _class(verdicts) for verdicts in _side_verdicts(system, list(zip(ys, eps)), step)[1]])
     return out[0] if scalar else out

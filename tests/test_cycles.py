@@ -254,8 +254,11 @@ class TestVerify:
     def test_return_map_fault_gives_its_own_kind(self, sine_system, monkeypatch, kind, changes):
         turn = oracle.return_map
 
-        def faulty(*args, **kwargs):  # verify asks for the turns of all cycles at once
-            return [dataclasses.replace(rm, **changes(rm)) for rm in turn(*args, **kwargs)]
+        def faulty(system, y_in, *args, **kwargs):
+            # verify asks in one call for the turns of all n cycles from their lower
+            # crossings, then for those of their 2n probes; only the first n are faulty
+            turns, n = turn(system, y_in, *args, **kwargs), len(y_in) // 3
+            return [dataclasses.replace(rm, **changes(rm)) for rm in turns[:n]] + turns[n:]
 
         monkeypatch.setattr(oracle, "return_map", faulty)
         report = self._report(sine_system)
@@ -263,13 +266,32 @@ class TestVerify:
         assert [d["kind"] for d in report["discrepancies"]] == [kind, kind]
 
     def test_stability_fault_gives_its_own_kind(self, sine_system, monkeypatch):
-        monkeypatch.setattr(oracle, "resolve_stability",
-                            lambda system, y_star, *a, **k: [StabilityClass.UNDETERMINED]
-                            * len(y_star))
+        # verify and resolve_stability share the verdict rule; no side gets a verdict
+        monkeypatch.setattr(oracle, "_verdicts",
+                            lambda y_ins, turns: [[(None, 0.0), (None, 0.0)]] * (len(y_ins) // 2))
         report = self._report(sine_system)
         assert report["passed"] is False
         assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]
         assert {d["oracle"] for d in report["discrepancies"]} == {"undetermined"}
+
+    def test_runs_five_oracle_batches(self, sine_system, monkeypatch):
+        # the README sine's two cycles: their four probes are placed as one batch, the
+        # turns from the two lower crossings and the four probes run as one batch per
+        # zone, and the scan's five ordinates take one batch per direction
+        batches, stops = [], oracle._stops
+
+        def recording(system, zone, direction, starts, step, counted, stride=0):
+            batches.append((zone, direction, counted, len(starts), step))
+            return stops(system, zone, direction, starts, step, counted, stride)
+
+        monkeypatch.setattr(oracle, "_stops", recording)
+        assert self._report(sine_system)["passed"]
+        left, right = oracle.Zone.LEFT, oracle.Zone.RIGHT
+        forward, backward = oracle.Direction.FORWARD, oracle.Direction.BACKWARD
+        assert [batch[:4] for batch in batches] == [
+            (left, forward, False, 4), (right, forward, True, 6), (left, forward, True, 6),
+            (left, forward, False, 5), (right, backward, False, 5)]
+        assert {batch[4] for batch in batches} == {1e-4}
 
     def test_displacement_fault_gives_its_own_kind(self, sine_system, monkeypatch):
         numeric = oracle.numeric_displacement

@@ -47,7 +47,6 @@ from pwlcycles.oracle import (
     _propagate_states,
     _step_transfer,
     probe_eps,
-    upper_to_lower,
     propagate_fixed,
     segments_to_csv,
 )
@@ -73,6 +72,12 @@ def _chunks_built(monkeypatch) -> list:
     monkeypatch.setattr(orc, "_propagate_states", counting)
     monkeypatch.setattr(orc, "_build", counting_runs)
     return built
+
+
+def _lower(system, y, step=1e-4):
+    """Lower crossing of the forward orbit through (h(y), y) on the switching curve."""
+    start = Point(float(system.boundary.evaluate(y)), y)
+    return integrate_in_zone(system, Zone.LEFT, start, step=step, record_stride=0).terminal_point.y
 
 
 def _legs_run(monkeypatch) -> list:
@@ -155,7 +160,7 @@ class TestStepper:
                 system, roots, _ = make()
                 for i, y in enumerate(roots):
                     resolve_stability(system, y, probe_eps(y, roots[:i] + roots[i + 1:]))
-                    return_map(system, upper_to_lower(system, y))
+                    return_map(system, _lower(system, y))
                 numeric_displacement(system, np.linspace(0.05, 1.0, 5))
 
         round_()
@@ -381,8 +386,9 @@ class TestForwardZone:
                                                derivative=lambda y: h0 + 0.0 * y))
         assert orc._forward_zone(system, Point(0.0, 1.0)) is Zone.LEFT
         legs = _legs_run(monkeypatch)
-        upper_to_lower(system, 1.0, 1e-3)
-        assert [zone for zone, *_ in legs] == [Zone.LEFT]  # no right-zone leg first
+        from pwlcycles import sample_orbit
+        sample_orbit(system, Point(0.0, 1.0), 1)
+        assert legs[0][0] is Zone.LEFT  # the orbit takes no right-zone leg first
 
     def test_off_the_switching_set_the_sign_of_g_decides(self, sine_system):
         rng = np.random.default_rng(17)
@@ -520,17 +526,6 @@ def _counted_displacement(system, y, step):
     return fwd.terminal_point.y - bwd.terminal_point.y
 
 
-def _counted_upper_to_lower(system, y0, step):
-    """upper_to_lower from counted legs in full chunks."""
-    p = Point(0.0, y0)
-    with _full_chunks():
-        if orc.manifold_value(system, p) > orc.EVENT_TOL:
-            p = integrate_in_zone(system, Zone.RIGHT, p, Direction.FORWARD, step,
-                                  record_stride=0).terminal_point
-        leg = integrate_in_zone(system, Zone.LEFT, p, Direction.FORWARD, step, record_stride=0)
-    return leg.terminal_point.y
-
-
 class TestChunkSkipping:
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(sorted(SKIP_FAMILIES)),
@@ -634,7 +629,6 @@ class TestChunkSkipping:
     def test_float_callers_equal_counted_full_chunks(self, family, y, step):
         system = SKIP_FAMILIES[family]()
         assert numeric_displacement(system, y, step) == _counted_displacement(system, y, step)
-        assert upper_to_lower(system, y, step) == _counted_upper_to_lower(system, y, step)
 
     def test_displacement_builds_at_most_one_chunk(self, sine_system, cosine_system,
                                                     monkeypatch):
@@ -1018,14 +1012,14 @@ class TestLockstepDisplacement:
 
 def _side_verdicts_by_legs(system, y_star, eps, step=1e-4):
     """``_side_verdicts`` of one cycle as (verdict, ratio.hex()) pairs, from
-    counted ``integrate_in_zone`` legs run one at a time: the bar is the left
-    leg's integration error, the right leg's carried through the left leg,
-    and both landing errors."""
+    counted ``integrate_in_zone`` legs run one at a time: each probe is placed
+    by a forward-left leg from (h(y), y) on the switching curve, and the bar is
+    the left leg's integration error, the right leg's carried through the left
+    leg, and both landing errors."""
     out = []
     for side in (-1.0, +1.0):
-        p = Point(0.0, y_star + side * eps)
-        if orc._forward_zone(system, p) is Zone.RIGHT:
-            p = integrate_in_zone(system, Zone.RIGHT, p, step=step, record_stride=0).terminal_point
+        y = y_star + side * eps
+        p = Point(float(system.boundary.evaluate(y)), y)
         y_in = integrate_in_zone(system, Zone.LEFT, p, step=step, record_stride=0).terminal_point.y
         first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=step, record_stride=0)
         second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=step,
@@ -1119,7 +1113,7 @@ class TestResolveStability:
     def test_center_is_undetermined(self, zero_system):
         got = resolve_stability(zero_system, 1.0, eps=0.05)
         assert got is StabilityClass.UNDETERMINED
-        for verdict, ratio in orc._side_verdicts(zero_system, [(1.0, 0.05)])[0]:
+        for verdict, ratio in orc._side_verdicts(zero_system, [(1.0, 0.05)])[1][0]:
             assert verdict is None and ratio < orc.MARGIN
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
@@ -1128,22 +1122,22 @@ class TestResolveStability:
         for i, (y_star, cls) in enumerate(zip(roots, expected)):
             eps = probe_eps(y_star, roots[:i] + roots[i + 1:])
             assert resolve_stability(system, y_star, eps=eps) is cls
-            for verdict, ratio in orc._side_verdicts(system, [(y_star, eps)])[0]:
+            for verdict, ratio in orc._side_verdicts(system, [(y_star, eps)])[1][0]:
                 assert verdict is not None and ratio >= 1e3, (y_star, ratio)
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_side_verdicts_equal_counted_turns(self, name):
-        # the probes and turns of all cycles run in lockstep, their left legs
-        # uncounted; counted integrate_in_zone turns, one leg at a time, give
-        # every verdict and the bits of every margin ratio
+        # the probes and turns of all cycles run in lockstep; integrate_in_zone
+        # turns, one leg at a time, give every verdict and the bits of every
+        # margin ratio
         system, roots, _ = VERIFY_SYSTEMS[name]()
         eps = [probe_eps(y_star, roots[:i] + roots[i + 1:]) for i, y_star in enumerate(roots)]
         got = [[(verdict, ratio.hex()) for verdict, ratio in cycle]
-               for cycle in orc._side_verdicts(system, list(zip(roots, eps)))]
+               for cycle in orc._side_verdicts(system, list(zip(roots, eps)))[1]]
         assert got == [_side_verdicts_by_legs(system, y, e) for y, e in zip(roots, eps)]
 
     def test_readme_sine_stable_probes_build_at_most_13_chunks(self, sine_system, monkeypatch):
-        # the probes of y* = 2 built 26 chunks while the turns' left legs were counted
+        # placed on the switching curve, the probes of y* = 2 and their counted turns build 2
         built = _chunks_built(monkeypatch)
         orc._side_verdicts(sine_system, [(2.0, probe_eps(2.0, [1.0]))])
         assert len(built) <= 13, built
@@ -1231,11 +1225,10 @@ class TestErrorBar:
 
     @staticmethod
     def _check(system, cycles, step=1e-4):
-        for y_star, eps in cycles:
-            for side in (-1.0, 1.0):
-                y_in = upper_to_lower(system, y_star + side * eps, step)
-                err, bar = _turn_error_and_bar(system, y_in, step)
-                assert err <= bar, (y_star, side, err, bar)
+        # the turns from the lower crossings where the stability check places its probes
+        for i, y_in in enumerate(orc._placements(system, cycles, step)):
+            err, bar = _turn_error_and_bar(system, y_in, step)
+            assert err <= bar, (cycles[i // 2], ("inner", "outer")[i % 2], err, bar)
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_bar_covers_the_verify_systems(self, name):
@@ -1330,12 +1323,32 @@ class TestLockstepTurns:
         assert [_leg_bits(leg.segment(Zone.LEFT)) for leg in legs[1:]] == alone[1:]
 
     def test_array_calls_raise_the_error_of_the_float_call(self, oscillatory_system):
-        # 1/y overflows at y = 1e-309, so h is not finite there
-        with pytest.raises(EvaluationError) as info:
-            upper_to_lower(oscillatory_system, np.array([0.5, 1e-309]))
-        assert str(info.value) == "boundary value not finite at y=1e-309"
-        assert _outcome(lambda: upper_to_lower(oscillatory_system, 1e-309)) == (
-            EvaluationError, str(info.value))
+        # 1/y overflows at y = 1e-309, so h and the start (h(y), y) are not finite there
+        with pytest.raises(DomainError) as info:
+            numeric_displacement(oscillatory_system, np.array([0.5, 1e-309]))
+        assert str(info.value) == "non-finite start point Point(x=nan, y=1e-309)"
+        assert _outcome(lambda: numeric_displacement(oscillatory_system, 1e-309)) == (
+            DomainError, str(info.value))
+
+    def test_a_boundary_that_raises_fails_only_its_own_start(self, sine_system, monkeypatch):
+        # h raises at y = 2.05, the outer probe of y* = 2 and a scan ordinate, and with
+        # MAX_TIME = 2.5 the first legs of y = 1 and of y* = 1 time out first
+        def evaluate(y):
+            if np.ndim(y) == 0 and float(y) == 2.05:
+                raise DomainError("h fails at y=2.05")
+            return sine_system.boundary.evaluate(y)
+
+        system = PWLSystem(sine_system.params, Boundary(
+            evaluate, sine_system.boundary.derivative, sine_system.boundary.descriptor,
+            sine_system.boundary.envelope, sine_system.boundary.slope_envelope))
+        monkeypatch.setattr(orc, "MAX_TIME", 2.5)
+        for call, values in ((lambda y: numeric_displacement(system, y), [1.0, 2.05]),
+                             (lambda y: resolve_stability(system, y, 0.05), [1.0, 2.0])):
+            got = _outcome(lambda: call(np.array(values)))
+            assert got == _outcome(lambda: [call(y) for y in values])
+            assert got[0] is IntegrationError, got
+        assert _outcome(lambda: numeric_displacement(system, 2.05)) == (DomainError,
+                                                                       "h fails at y=2.05")
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_many_axis_landings_land_as_arrays_with_the_bits_of_legs(self, name, monkeypatch):
@@ -1364,8 +1377,8 @@ class TestLockstepTurns:
         turns = return_map(sine_system, np.array(y_ins))
         assert turns == [return_map(sine_system, y) for y in y_ins]
         assert return_map(sine_system, np.array([])) == []
-        lows = upper_to_lower(sine_system, np.array([0.5, 1.5, 2.5]))
-        assert lows.tolist() == [upper_to_lower(sine_system, y) for y in (0.5, 1.5, 2.5)]
+        disp = numeric_displacement(sine_system, np.array([0.5, 1.5, 2.5]))
+        assert disp.tolist() == [numeric_displacement(sine_system, y) for y in (0.5, 1.5, 2.5)]
         classes = resolve_stability(sine_system, np.array([1.0, 2.0]), np.array([0.05, 0.1]))
         assert classes == [StabilityClass.UNSTABLE, StabilityClass.STABLE]
         assert resolve_stability(sine_system, np.array([1.0, 2.0]), 0.05) == classes
@@ -1390,7 +1403,7 @@ class TestLockstepTurns:
             eps[2] = 3.0
         tangent = {1.0, 2.0} if "probe" in plant else set()
         if "turn" in plant:
-            tangent.add(upper_to_lower(sine_system, stars[0] + eps[0]))
+            tangent.add(orc._placements(sine_system, [(stars[0], eps[0])], 1e-4)[1])
 
         def rate(system, axis, matrix, x):
             dgdt, vel = _EVENT_RATE(system, axis, matrix, x)
@@ -1410,8 +1423,8 @@ class TestLockstepTurns:
                 == _outcome(lambda: in_order(lambda y: return_map(sine_system, y),
                                              [(y,) for y in y_ins])))
         probes = [y + side * e for y, e in zip(stars, eps) for side in (-1.0, 1.0)]
-        assert (_outcome(lambda: upper_to_lower(sine_system, np.array(probes)).tolist())
-                == _outcome(lambda: in_order(lambda y: upper_to_lower(sine_system, y),
+        assert (_outcome(lambda: numeric_displacement(sine_system, np.array(probes)).tolist())
+                == _outcome(lambda: in_order(lambda y: numeric_displacement(sine_system, y),
                                              [(y,) for y in probes])))
 
     @pytest.mark.parametrize("max_time", [orc.MAX_TIME, 2.5, 3.5, 5.0, 6.5])
@@ -1435,14 +1448,15 @@ class TestLockstepTurns:
 
 
 def _entry_point_calls(system, step):
-    """A call of each oracle entry point that takes ``step``."""
+    """A call of each oracle entry point that takes ``step``, and of ``verify``, whose
+    probes are placed before its first ``return_map`` call."""
     return (lambda: numeric_displacement(system, 1.5, step),
             lambda: numeric_displacement(system, np.zeros(0), step),
             lambda: return_map(system, -1.0, step),
-            lambda: upper_to_lower(system, 1.5, step),
             lambda: resolve_stability(system, 2.0, 0.05, step),
             lambda: integrate_in_zone(system, Zone.LEFT, Point(0.0, 1.0), step=step),
-            lambda: propagate_fixed(system, Zone.LEFT, Point(0.0, 1.0), 1.0, step=step))
+            lambda: propagate_fixed(system, Zone.LEFT, Point(0.0, 1.0), 1.0, step=step),
+            lambda: verify(system, reports_for_roots(system, [1.0, 2.0]), [1.5], step, 1e-6))
 
 
 class TestOptionsAndExport:
