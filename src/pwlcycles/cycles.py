@@ -331,19 +331,26 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
     """JSON-ready report of ``cycles`` and the displacement on ``ys`` checked by the oracle.
 
     One record per failed check goes to "discrepancies"; "passed" is True when there are none.
-    One ``oracle.return_map`` call turns every cycle from its lower crossing and the probes
-    of every cycle, placed as ``resolve_stability`` places them on the switching curve at
-    (h(y), y), y = y* -+ eps.  It raises the error that checking one cycle at a time meets
-    first, in the order fixed-point turn, inner placement, outer placement, inner turn, outer
-    turn.
+    Three oracle calls do the work, in six batches of legs: ``oracle.return_map`` turns every
+    cycle from its lower crossing for the fixed-point, flight-time and crossing checks (one
+    batch per zone), ``oracle.resolve_stability`` probes every cycle at y* -+ eps with eps from
+    ``oracle.probe_eps`` (one batch per zone), and ``displacement_rows`` scans ``ys`` (one
+    batch per direction).  A failure of the first two raises the error that checking one
+    cycle at a time meets first, in the order fixed-point turn, inner probe, outer probe.
     """
     discrepancies: list[dict] = []
     records: list[dict] = []
     roots = [c.y_star for c in cycles]
     lows = [rep.lower_crossing.y for rep in cycles]
     eps = [oracle.probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
-    turns, sides = oracle._side_verdicts(system, list(zip(roots, eps)), step, lows)
-    stabs = [oracle._class(verdicts) for verdicts in sides]
+    try:
+        turns = oracle.return_map(system, np.array(lows), step)
+        stabs = oracle.resolve_stability(system, np.array(roots), np.array(eps), step)
+    except PWLError:
+        for low, y, e in zip(lows, roots, eps):  # one cycle alone raises its first error
+            oracle.return_map(system, low, step)
+            oracle.resolve_stability(system, y, e, step)
+        raise
     for rep, rm, stab in zip(cycles, turns, stabs):
         rec = {
             "y_star": rep.y_star,

@@ -65,9 +65,9 @@ as the full chunk is.  A boundary without both envelopes, a start at
 0 < y < ``_DBL_MIN`` and a chunk of amplitude at most ``_HOP_FLOOR`` take
 the full chunk.
 Callers that read only where an axis-stop leg lands (the numerical
-displacement and the stability check's probe placement, which share
-``_down``) waive the crossing counters: x alone decides, and their legs
-never evaluate the boundary.
+displacement and the stability check, which share ``_pairs``) waive the
+crossing counters: x alone decides, and their legs never evaluate the
+boundary.
 
 One runner, ``_stops``, runs every leg: a batch of legs through one zone
 in one direction at one step, in lockstep, counted or not and recording
@@ -86,21 +86,24 @@ two in five (a, k) (numpy 2.4, an AVX-512 CPU with FMA), so a scalar path
 must keep the product an array operation, and the oracle's bits depend on
 numpy's SIMD dispatch.
 
-Stability is decided from one return-map turn on each side of a cycle.
-A planar return map is strictly increasing, so with no other cycle
-between the probe and the cycle the sign of the drift P(r) - r settles
-that side.  The drift is trusted only when it exceeds ``MARGIN`` times an
-error bar the turn computes at its own step.  A leg's table orbit is the
-flow's with two errors its plan knows (``_Plan``): its spiral exponent
-log|lam| / arg(lam) is off from sigma, which scales the leg's end by the
-angle swept times the error, and its eigenvector is off from the flow's,
-which moves a state by a multiple of its x.  A phase error moves only when
-a leg lands, not where.  ``_Leg.integration_error`` carries both to the
-leg's end, through its landing, with a roundoff floor per chunk; a turn
-adds its left leg's and its right leg's carried through the left leg, and
-the bar adds the ordinate error the landings' actual residuals allow.
-Against the flow's own turn at 40 digits, the bar covers the error at every
-probe of the tests, within about 1% where the terms share a sign.
+Stability is decided from the displacement f at one probe y = y* -+ eps on
+each side of a cycle y*, from the two legs ``numeric_displacement`` runs.
+f is minus the drift P(r) - r of the return-map turn from the probe's
+lower crossing, and a planar return map is strictly increasing, so with no
+other cycle between the probe and the cycle the sign of f settles that
+side: a stable cycle has f < 0 inside and f > 0 outside.  The sign is
+trusted only when |f| exceeds ``MARGIN`` times an error bar the legs
+compute at their own step.  A leg's table orbit is the flow's with two
+errors its plan knows (``_Plan``): its spiral exponent log|lam| / arg(lam)
+is off from sigma, which scales the leg's end by the angle swept times the
+error, and its eigenvector is off from the flow's, which moves a state by
+a multiple of its x.  A phase error moves only when a leg lands, not where.
+``_Leg.integration_error`` carries both to the leg's end, through its
+landing, with a roundoff floor per chunk.  A probe's bar adds both legs'
+and the ordinate errors their landings' residuals allow; a return-map
+turn's adds its left leg's and its right leg's carried through the left
+leg (``_carry``).  Against the flow's own legs at 40 digits, both bars
+cover the error at every probe of the tests.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ import numpy as np
 
 from .core import (
     DomainError,
+    EvaluationError,
     IntegrationError,
     Point,
     PWLError,
@@ -194,8 +198,7 @@ def _check_step(params: SystemParams, step: float) -> float:
     taken has a complex one-step spectrum that turns forward by at least 0.448*step,
     so a chunk turns by less than ``_MAX_HOP_TURN`` (Hairer & Wanner, Solving ODEs
     II, IV.2); the step alone takes steps at which RK4 turns a zone by pi, or
-    backwards, and the README sine's stable cycle reads semi-stable at steps 1.07 to
-    1.10.  At gamma = 0.75 the steps from about 1.0516 are refused, and at gamma = 0.1
+    backwards.  At gamma = 0.75 the steps from about 1.0516 are refused, and at gamma = 0.1
     those from about 1.017 to 1.179 and from 1.468.  Each entry point checks its step
     once, before its other arguments, and hands it on checked.
     """
@@ -986,18 +989,29 @@ def _each(value, name: str, refuse, batch) -> tuple[list, bool]:
     return out, arr.ndim == 0
 
 
-def _down(system: PWLSystem, ys: list, step: float) -> tuple[list, list]:
-    """Each y's start (h(y), y) on the switching curve, as an ``_ends`` leg, and its uncounted
-    forward-left leg to the lower section: a ``_Leg``, or h's error at y or the leg's."""
-    starts, fails = [], {}
-    for i, y in enumerate(ys):
-        try:
-            x = float(system.boundary.evaluate(y))
-        except PWLError as exc:  # the leg refuses the non-finite start
-            x, fails[i] = math.nan, exc
-        starts.append((Point(x, y), y))
-    legs = _ends(system, Zone.LEFT, Direction.FORWARD, starts, step, False)
-    return starts, [fails.get(i, leg) for i, leg in enumerate(legs)]
+def _pairs(system: PWLSystem, ys: list, step: float, read) -> list:
+    """``read(forward, backward)`` of the two uncounted ``_Leg``s of each y from (h(y), y)
+    on the switching curve, forward-left and backward-right, or the first error met: h's
+    at y (a value that is not finite as ``core._boundary_values`` reports it), then the
+    forward leg's, then the backward leg's.  The ys run in batches of 1024, which bound
+    the legs held at once."""
+    out: list = []
+    for part in (ys[lo:lo + 1024] for lo in range(0, len(ys), 1024)):
+        starts, fails = [], {}
+        for i, y in enumerate(part):
+            try:
+                x = float(system.boundary.evaluate(y))
+            except PWLError as exc:  # the legs refuse the non-finite start
+                x, fails[i] = math.nan, exc
+            if not math.isfinite(x):
+                fails.setdefault(i, EvaluationError(f"boundary value not finite at y={y!r}"))
+            starts.append((Point(x, y), y))
+        fwd = _ends(system, Zone.LEFT, Direction.FORWARD, starts, step, False)
+        bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, starts, step, False)
+        for i, (one, two) in enumerate(zip(fwd, bwd)):
+            error = fails.get(i, one if isinstance(one, PWLError) else two)
+            out.append(error if isinstance(error, PWLError) else read(one, two))
+    return out
 
 
 def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
@@ -1011,21 +1025,14 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     (``_stops``), each with the bits of its own ``integrate_in_zone`` leg.
     A float takes about 0.3 ms on the README sine at the default step.  A
     failure raises the error of the first failing y, as calls in order
-    would: its ordinate check, then its forward leg, then its backward leg.
+    would: its ordinate check, then h at y (``EvaluationError`` where it is
+    not finite), then its forward leg, then its backward leg.
     """
     step = _check_step(system.params, step)
-
-    def legs(ys: list) -> list:  # in batches, which bound the legs held at once
-        out: list = []
-        for part in (ys[lo:lo + 1024] for lo in range(0, len(ys), 1024)):
-            starts, fwd = _down(system, part, step)
-            bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, starts, step, False)
-            out += [one if isinstance(one, PWLError) else two if isinstance(two, PWLError)
-                    else float(one.x[1] - two.x[1]) for one, two in zip(fwd, bwd)]
-        return out
-
     out, scalar = _each(y, "y", lambda i, v: None if math.isfinite(v) and v > 0.0
-                        else DomainError(f"y must be a positive real, got {v!r}"), legs)
+                        else DomainError(f"y must be a positive real, got {v!r}"),
+                        lambda ys: _pairs(system, ys, step,
+                                          lambda one, two: float(one.x[1] - two.x[1])))
     return out[0] if scalar else np.array(out)
 
 
@@ -1089,84 +1096,64 @@ def probe_eps(y_star: float, neighbors=()) -> float:
     return min(0.05 * y_star, 0.25 * min(gaps))
 
 
-def _placements(system: PWLSystem, cycles: list, step: float) -> list:
-    """The lower crossing y_in, or the error met, of the orbit through (h(y), y) on the
-    switching curve (``_down``) of each cycle's inner and outer probe y = y* -+ eps."""
-    ys = [y + side * e for y, e in cycles for side in (-1.0, 1.0)]
-    return [leg if isinstance(leg, PWLError) else float(leg.x[1]) if leg.x[1] < 0.0
-            else DomainError(f"y_in must be negative, got {float(leg.x[1])!r}")
-            for leg in _down(system, ys, step)[1]]  # y_in checked as return_map checks it
-
-
-def _verdicts(y_ins: list, turns: list) -> list:
-    """('approach' | 'retreat' | None, margin ratio) of each cycle's inner and outer probe
-    from their lower crossings ``y_ins`` and turns.  The turn from r = -y_in has drift
-    P(r) - r = d and bar ``integration_error`` + ``landing_error`` (it starts exactly at
-    (0, y_in)); the margin ratio is |d| / bar, and the inner probe approaches when d > 0,
-    the outer when d < 0."""
-    out = []
-    for i in range(0, len(y_ins), 2):
-        out.append([])
-        for side, y_in, turn in zip((-1.0, 1.0), y_ins[i:i + 2], turns[i:i + 2]):
-            drift, bar = y_in - turn.y_out, turn.integration_error + turn.landing_error
-            ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
-            verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
-            out[-1].append((verdict if ratio > MARGIN else None, ratio))
-    return out
+def _verdict(side: float, f: float, bar: float) -> tuple:
+    """('approach' | 'retreat' | None, margin ratio) of a cycle's inner (``side`` -1) or
+    outer (+1) probe from the displacement f there and its error bar.  A stable cycle has
+    f < 0 inside and f > 0 outside; the margin ratio is |f| / bar, and a side gets its
+    verdict only where the ratio exceeds ``MARGIN``."""
+    ratio = abs(f) / bar if bar > 0.0 else (math.inf if f else 0.0)
+    verdict = "approach" if (f > 0.0) == (side > 0.0) else "retreat"
+    return verdict if ratio > MARGIN else None, ratio
 
 
 def _class(verdicts: list) -> StabilityClass:
-    """A cycle's class from its two ``_verdicts``: UNDETERMINED unless both sides have one."""
+    """A cycle's class from its two ``_verdict``s: UNDETERMINED unless both sides have one."""
     (inner, _), (outer, _) = verdicts
     return (StabilityClass.UNDETERMINED if inner is None or outer is None
             else _stability_class(inner == "approach", outer == "approach"))
 
 
-def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4,
-                   lows=()) -> tuple[list, list]:
-    """The turns from the lower crossings ``lows``, and the ``_verdicts`` of the probes of
-    each cycle (y*, eps): one ``return_map`` call takes all the turns, each counted.
-
-    It raises the error that one cycle at a time meets first, in the order turn from
-    its low, inner placement, outer placement, inner turn, outer turn.
+def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
+    """The inner and outer ``_verdict`` of each cycle (y*, eps), from the displacement f at
+    y = y* -+ eps (``_pairs``) and its bar, the integration and landing errors of both
+    legs.  The probes of all cycles run as one batch per zone.  It raises the error that
+    one cycle at a time meets first, in the order inner probe, outer probe.
     """
-    step = _check_step(system.params, step)  # before the placements, as return_map would
-    lows, y_ins = list(lows), _placements(system, cycles, step)
-    failed = next((y for y in y_ins if isinstance(y, PWLError)), None)
-    try:
-        turns = return_map(system, np.array(lows + y_ins if failed is None else lows), step)
-        if failed is not None:
-            raise failed
-    except PWLError:
-        if len(cycles) > 1:  # one cycle alone raises its first error, in that order
-            for i in range(len(cycles)):
-                _side_verdicts(system, cycles[i:i + 1], step, lows[i:i + 1])
-        raise
-    return turns[:len(lows)], _verdicts(y_ins, turns[len(lows):])
+    sides = _pairs(system, [y + side * e for y, e in cycles for side in (-1.0, 1.0)], step,
+                   lambda one, two: (float(one.x[1] - two.x[1]),
+                                     one.integration_error() + one.landing_error
+                                     + two.integration_error() + two.landing_error))
+    error = next((side for side in sides if isinstance(side, PWLError)), None)
+    if error is not None:
+        raise error
+    return [[_verdict(-1.0, *sides[i]), _verdict(1.0, *sides[i + 1])]
+            for i in range(0, len(sides), 2)]
 
 
 def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
                       eps: float | np.ndarray,
                       step: float = 1e-4) -> StabilityClass | list:
-    """Empirical stability from one checked return-map turn on each side.
+    """Empirical stability from the numerical displacement at one probe on each side.
 
-    Each probe starts on the switching curve at (h(y), y), y = y* -+ eps; one
-    forward-left leg takes it to the lower section, and one turn of the map
-    runs from there.  ``eps`` is required and must lie in (0, y*); ``probe_eps``
-    gives one that keeps both probes short of the neighbouring cycles.  A
-    planar return map is strictly increasing, so with no other cycle between
-    probe and cycle the sign of its drift P(r) - r settles whether that side
-    approaches or retreats.  The drift counts only when it exceeds ``MARGIN``
-    times its error bar, the turn's ``integration_error`` plus its
+    Each probe is the point (h(y), y) on the switching curve, y = y* -+ eps, and
+    f at y is measured as ``numeric_displacement`` measures it, from one
+    forward-left and one backward-right leg.  ``eps`` is required and must lie
+    in (0, y*); ``probe_eps`` gives one that keeps both probes short of the
+    neighbouring cycles.  f is minus the drift P(r) - r of the return-map turn
+    from the probe's lower crossing r, and a planar return map is strictly
+    increasing, so with no other cycle between probe and cycle the sign of f
+    settles whether that side approaches or retreats: a stable cycle has f < 0
+    inside and f > 0 outside.  The sign counts only when |f| exceeds ``MARGIN``
+    times its error bar, the two legs' ``integration_error`` plus their
     ``landing_error``.  Otherwise the result is UNDETERMINED.  Each leg stops
     at ``EVENT_TOL`` and times out after ``MAX_TIME``.
 
     ``y_star`` is a float, or a 1-d array that gives a list, and ``eps`` a
-    float or an array of its shape.  The legs of all cycles run in lockstep,
-    and a failure raises the error of the first failing cycle, as calls one
-    cycle at a time would: inner placement, outer placement, inner turn, outer
-    turn.  A float takes about 1.0 ms on the README sine's stable cycle at
-    eps = 0.05 and the default step.
+    float or an array of its shape.  The legs of all probes run as one batch
+    per zone, and a failure raises the error of the first failing cycle, as
+    calls one cycle at a time would: inner probe, then outer probe, each in
+    ``numeric_displacement``'s order.  A float takes about 0.4 ms on the README
+    sine's stable cycle at eps = 0.05 and the default step.
     """
     step = _check_step(system.params, step)
     eps = np.asarray(eps, dtype=float)
@@ -1181,5 +1168,5 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
             f"eps must lie in (0, y_star), got {eps[i]!r}")
 
     out, scalar = _each(y_star, "y_star", refuse, lambda ys: [
-        _class(verdicts) for verdicts in _side_verdicts(system, list(zip(ys, eps)), step)[1]])
+        _class(verdicts) for verdicts in _side_verdicts(system, list(zip(ys, eps)), step)])
     return out[0] if scalar else out

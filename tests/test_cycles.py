@@ -256,9 +256,9 @@ class TestVerify:
 
         def faulty(system, y_in, *args, **kwargs):
             # verify asks in one call for the turns of all n cycles from their lower
-            # crossings, then for those of their 2n probes; only the first n are faulty
-            turns, n = turn(system, y_in, *args, **kwargs), len(y_in) // 3
-            return [dataclasses.replace(rm, **changes(rm)) for rm in turns[:n]] + turns[n:]
+            # crossings, and for no other turn; all n are faulty
+            return [dataclasses.replace(rm, **changes(rm))
+                    for rm in turn(system, y_in, *args, **kwargs)]
 
         monkeypatch.setattr(oracle, "return_map", faulty)
         report = self._report(sine_system)
@@ -266,18 +266,17 @@ class TestVerify:
         assert [d["kind"] for d in report["discrepancies"]] == [kind, kind]
 
     def test_stability_fault_gives_its_own_kind(self, sine_system, monkeypatch):
-        # verify and resolve_stability share the verdict rule; no side gets a verdict
-        monkeypatch.setattr(oracle, "_verdicts",
-                            lambda y_ins, turns: [[(None, 0.0), (None, 0.0)]] * (len(y_ins) // 2))
+        # verify's stability comes from resolve_stability's verdict rule; no side gets a verdict
+        monkeypatch.setattr(oracle, "_verdict", lambda side, f, bar: (None, 0.0))
         report = self._report(sine_system)
         assert report["passed"] is False
         assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]
         assert {d["oracle"] for d in report["discrepancies"]} == {"undetermined"}
 
-    def test_runs_five_oracle_batches(self, sine_system, monkeypatch):
-        # the README sine's two cycles: their four probes are placed as one batch, the
-        # turns from the two lower crossings and the four probes run as one batch per
-        # zone, and the scan's five ordinates take one batch per direction
+    def test_runs_six_oracle_batches(self, sine_system, monkeypatch):
+        # the README sine's two cycles: the turns from their two lower crossings run as one
+        # counted batch per zone, their four probes as one uncounted batch per direction,
+        # and the scan's five ordinates as another
         batches, stops = [], oracle._stops
 
         def recording(system, zone, direction, starts, step, counted, stride=0):
@@ -289,8 +288,8 @@ class TestVerify:
         left, right = oracle.Zone.LEFT, oracle.Zone.RIGHT
         forward, backward = oracle.Direction.FORWARD, oracle.Direction.BACKWARD
         assert [batch[:4] for batch in batches] == [
-            (left, forward, False, 4), (right, forward, True, 6), (left, forward, True, 6),
-            (left, forward, False, 5), (right, backward, False, 5)]
+            (right, forward, True, 2), (left, forward, True, 2), (left, forward, False, 4),
+            (right, backward, False, 4), (left, forward, False, 5), (right, backward, False, 5)]
         assert {batch[4] for batch in batches} == {1e-4}
 
     def test_displacement_fault_gives_its_own_kind(self, sine_system, monkeypatch):

@@ -1010,29 +1010,29 @@ class TestLockstepDisplacement:
         assert numeric_displacement(sine_system, np.linspace(0.1, 4.0, 40)).shape == (40,)
 
 
+def _probe_by_legs(system, y, step):
+    """(f, bar, legs) of the stability probe at y from uncounted ``integrate_in_zone``
+    legs run one at a time, a forward-left and a backward-right leg from (h(y), y) on
+    the switching curve: f is the difference of their landings, and the bar both legs'
+    integration and landing errors."""
+    p = Point(float(system.boundary.evaluate(y)), y)
+    one, two = (integrate_in_zone(system, zone, p, direction, step, record_stride=0,
+                                  _count_crossings=False)
+                for zone, direction in ((Zone.LEFT, Direction.FORWARD),
+                                        (Zone.RIGHT, Direction.BACKWARD)))
+    return (one.terminal_point.y - two.terminal_point.y,
+            one.integration_error + one.landing_error + two.integration_error + two.landing_error,
+            (one, two))
+
+
 def _side_verdicts_by_legs(system, y_star, eps, step=1e-4):
-    """``_side_verdicts`` of one cycle as (verdict, ratio.hex()) pairs, from
-    counted ``integrate_in_zone`` legs run one at a time: each probe is placed
-    by a forward-left leg from (h(y), y) on the switching curve, and the bar is
-    the left leg's integration error, the right leg's carried through the left
-    leg, and both landing errors."""
+    """``_side_verdicts`` of one cycle as (verdict, ratio.hex()) pairs, from the
+    probes y = y* -+ eps of ``_probe_by_legs``."""
     out = []
     for side in (-1.0, +1.0):
-        y = y_star + side * eps
-        p = Point(float(system.boundary.evaluate(y)), y)
-        y_in = integrate_in_zone(system, Zone.LEFT, p, step=step, record_stride=0).terminal_point.y
-        first = integrate_in_zone(system, Zone.RIGHT, Point(0.0, y_in), step=step, record_stride=0)
-        second = integrate_in_zone(system, Zone.LEFT, first.terminal_point, step=step,
-                                   record_stride=0)
-        assert first.sigma_crossings + second.sigma_crossings == 1
-        y_out = second.terminal_point.y
-        carry = orc._carry(system, orc.zone_matrix(system.params, Zone.LEFT), second.points[0],
-                           y_out)
-        drift = y_in - y_out
-        bar = (second.integration_error + first.integration_error * carry
-               + (first.landing_error + second.landing_error))
-        ratio = abs(drift) / bar if bar > 0.0 else (math.inf if drift else 0.0)
-        verdict = "approach" if (drift > 0.0) == (side < 0.0) else "retreat"
+        f, bar, _ = _probe_by_legs(system, y_star + side * eps, step)
+        ratio = abs(f) / bar if bar > 0.0 else (math.inf if f else 0.0)
+        verdict = "approach" if (f > 0.0) == (side > 0.0) else "retreat"
         out.append((verdict if ratio > orc.MARGIN else None, ratio.hex()))
     return out
 
@@ -1063,6 +1063,23 @@ def _mp_boundary(system):
     return table
 
 
+def _mp_flow(g, sign, p, t):
+    """The closed-form flow of the zone with sigma = sign * g from p over time t:
+    exp(t A) = exp(sigma t) (cos t + sin t (A - sigma))."""
+    (x, y), e = p, mpmath.exp(sign * g * t)
+    wx, wy = sign * g * x - y, (g * g + 1) * x - sign * g * y
+    return (e * (mpmath.cos(t) * x + mpmath.sin(t) * wx),
+            e * (mpmath.cos(t) * y + mpmath.sin(t) * wy))
+
+
+def _mp_landing(g, sign, p, t):
+    """y where the zone flow with sigma = sign * g from p meets x = 0, at the root
+    nearest the time t (negative for a backward leg): x(t) = 0 where tan t = -x / wx."""
+    (x, y), pi = p, mpmath.pi
+    t0 = mpmath.atan(-x / (sign * g * x - y))
+    return _mp_flow(g, sign, p, t0 + pi * mpmath.nint((t - t0) / pi))[1]
+
+
 def _exact_turn(system, y_in, t_right, t_left):
     """y_out of the flow's own turn from (0, y_in), at 40 digits: the right zone's
     closed-form flow, its switching-curve crossing by ``findroot`` from the oracle
@@ -1070,22 +1087,14 @@ def _exact_turn(system, y_in, t_right, t_left):
     root nearest the oracle leg's time ``t_left``."""
     with mpmath.workdps(40):
         g, h = mpmath.mpf(system.params.gamma), _mp_boundary(system)
-
-        def flow(sign, p, t):  # exp(t A) = exp(sigma t) (cos t + sin t (A - sigma)), sigma = sign g
-            (x, y), e = p, mpmath.exp(sign * g * t)
-            wx, wy = sign * g * x - y, (g * g + 1) * x - sign * g * y
-            return (e * (mpmath.cos(t) * x + mpmath.sin(t) * wx),
-                    e * (mpmath.cos(t) * y + mpmath.sin(t) * wy))
-
         start = (mpmath.mpf(0), mpmath.mpf(y_in))
 
         def switching(t):
-            x, y = flow(1, start, t)
+            x, y = _mp_flow(g, 1, start, t)
             return x - h(y)
 
-        x1, y1 = p1 = flow(1, start, mpmath.findroot(switching, mpmath.mpf(t_right)))
-        t0 = mpmath.atan(x1 / (g * x1 + y1))
-        return flow(-1, p1, t0 + mpmath.pi * mpmath.nint((t_left - t0) / mpmath.pi))[1]
+        p1 = _mp_flow(g, 1, start, mpmath.findroot(switching, mpmath.mpf(t_right)))
+        return _mp_landing(g, -1, p1, t_left)
 
 
 def _turn_error_and_bar(system, y_in, step):
@@ -1113,7 +1122,7 @@ class TestResolveStability:
     def test_center_is_undetermined(self, zero_system):
         got = resolve_stability(zero_system, 1.0, eps=0.05)
         assert got is StabilityClass.UNDETERMINED
-        for verdict, ratio in orc._side_verdicts(zero_system, [(1.0, 0.05)])[1][0]:
+        for verdict, ratio in orc._side_verdicts(zero_system, [(1.0, 0.05)])[0]:
             assert verdict is None and ratio < orc.MARGIN
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
@@ -1122,36 +1131,35 @@ class TestResolveStability:
         for i, (y_star, cls) in enumerate(zip(roots, expected)):
             eps = probe_eps(y_star, roots[:i] + roots[i + 1:])
             assert resolve_stability(system, y_star, eps=eps) is cls
-            for verdict, ratio in orc._side_verdicts(system, [(y_star, eps)])[1][0]:
+            for verdict, ratio in orc._side_verdicts(system, [(y_star, eps)])[0]:
                 assert verdict is not None and ratio >= 1e3, (y_star, ratio)
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_side_verdicts_equal_counted_turns(self, name):
-        # the probes and turns of all cycles run in lockstep; integrate_in_zone
-        # turns, one leg at a time, give every verdict and the bits of every
-        # margin ratio
+        # the probes of all cycles run in lockstep; integrate_in_zone leg pairs, one
+        # leg at a time, give every verdict and the bits of every margin ratio
         system, roots, _ = VERIFY_SYSTEMS[name]()
         eps = [probe_eps(y_star, roots[:i] + roots[i + 1:]) for i, y_star in enumerate(roots)]
         got = [[(verdict, ratio.hex()) for verdict, ratio in cycle]
-               for cycle in orc._side_verdicts(system, list(zip(roots, eps)))[1]]
+               for cycle in orc._side_verdicts(system, list(zip(roots, eps)))]
         assert got == [_side_verdicts_by_legs(system, y, e) for y, e in zip(roots, eps)]
 
     def test_readme_sine_stable_probes_build_at_most_13_chunks(self, sine_system, monkeypatch):
-        # placed on the switching curve, the probes of y* = 2 and their counted turns build 2
+        # the two legs of each probe of y* = 2 stop on the section and count no crossing
         built = _chunks_built(monkeypatch)
         orc._side_verdicts(sine_system, [(2.0, probe_eps(2.0, [1.0]))])
         assert len(built) <= 13, built
 
-    def test_one_checked_turn_per_side(self, sine_system, monkeypatch):
-        # per cycle: at most two legs per probe and two per turn, all at the one
-        # step, and the legs of two cycles at once are those of each alone
+    def test_two_uncounted_legs_per_probe(self, sine_system, monkeypatch):
+        # per cycle: a forward-left and a backward-right leg per probe, uncounted and
+        # at the one step, and the legs of two cycles at once are those of each alone
         legs = _legs_run(monkeypatch)
         alone = []
         for y_star in (1.0, 2.0):
             legs.clear()
             resolve_stability(sine_system, y_star, eps=0.05)
-            assert 0 < len(legs) <= 8
-            assert {step for _, _, step, _ in legs} == {1e-4}
+            assert sorted(legs) == sorted([(Zone.LEFT, Direction.FORWARD, 1e-4, False),
+                                           (Zone.RIGHT, Direction.BACKWARD, 1e-4, False)] * 2)
             alone += legs
         legs.clear()
         resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05)
@@ -1166,7 +1174,7 @@ class TestResolveStability:
         assert got is expected
 
     def test_no_leg_runs_at_twice_the_step(self, sine_system, monkeypatch):
-        # the error bar comes from the turn at the step itself, so neither the
+        # the error bars come from the legs at the step itself, so neither the
         # stability check nor verify runs a leg at any other step
         legs = _legs_run(monkeypatch)
         resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05, step=2e-4)
@@ -1177,15 +1185,22 @@ class TestResolveStability:
         assert report["passed"]
         assert legs and {step for _, _, step, _ in legs} == {3e-4}
 
-    @pytest.mark.parametrize("family, gamma", [("sine", 0.3), ("sine", 0.75), ("cosine", 0.3),
-                                               ("sine", 0.1)])
-    def test_coarse_steps_give_no_wrong_class(self, family, gamma):
+    @pytest.mark.parametrize("family, gamma, last", [
+        pytest.param(family, gamma, (1.0, 1.47), id=f"{family}-{gamma}")
+        for family, gamma in [("sine", 0.3), ("sine", 0.75), ("cosine", 0.3), ("sine", 0.1)]
+    ] + [pytest.param("oscillatory", 1.0, (0.95, 0.96), id="oscillatory-1.0")])
+    def test_coarse_steps_give_no_wrong_class(self, family, gamma, last):
         # at every step taken on a grid of 0.01 from 0.05, however coarse for the
         # drift, each side is undetermined rather than wrong; sine gamma = 0.1 takes
-        # the steps to about 1.0169 and again from 1.179 to 1.4679
-        n = 3 if gamma == 0.1 else 2
-        system = _family_system(gamma, family, n=n)
-        roots = [float(k) for k in range(1, n + 1)] if family == "sine" else [2.0, 4.0]
+        # the steps to about 1.0169 and again from 1.179 to 1.4679, and the oscillatory
+        # cycles k = 1..4 at gamma = 1 those to 0.95, the last taken in ``last``
+        if family == "oscillatory":
+            system = _family_system(gamma, family, alpha=0.3)
+            roots = sorted(families.oscillatory_root(k) for k in range(1, 5))
+        else:
+            n = 3 if gamma == 0.1 else 2
+            system = _family_system(gamma, family, n=n)
+            roots = [float(k) for k in range(1, n + 1)] if family == "sine" else [2.0, 4.0]
         paper = [rep.stability for rep in reports_for_roots(system, roots)]
         eps = [probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
         taken, wrong = [], []
@@ -1199,7 +1214,7 @@ class TestResolveStability:
             wrong += [(step, y, cls) for y, cls, expected in zip(roots, got, paper)
                       if cls not in (expected, StabilityClass.UNDETERMINED)]
         assert not wrong
-        assert taken[0] == 0.05 and 1.0 <= taken[-1] < 1.47
+        assert taken[0] == 0.05 and last[0] <= taken[-1] < last[1]
 
     def test_probe_validation(self, sine_system):
         with pytest.raises(DomainError):
@@ -1219,16 +1234,31 @@ def _oscillatory_probes():
             for k in (1, 2, 5, 12, 23, 34, 45, 56, 67, 78, 89, 95, 100)]
 
 
+def _scan_error_and_bar(system, y, step):
+    """|f - exact f| of the oracle's displacement at y and its error bar, the exact f
+    from the flow's own legs from the oracle's start (h(y), y), at 40 digits."""
+    f, bar, (one, two) = _probe_by_legs(system, y, step)
+    with mpmath.workdps(40):
+        g, start = mpmath.mpf(system.params.gamma), [mpmath.mpf(v) for v in one.points[0]]
+        exact = (_mp_landing(g, -1, start, one.terminal_time)
+                 - _mp_landing(g, 1, start, -two.terminal_time))
+        return float(abs(mpmath.mpf(f) - exact)), bar
+
+
 class TestErrorBar:
-    """The turn's error bar, ``integration_error`` + ``landing_error``, against the
-    flow's own turn at 40 digits, at the probes of the stability check."""
+    """The error bars against the flow's own legs at 40 digits, at the probes of the
+    stability check: the probe's own, both legs' ``integration_error`` + ``landing_error``,
+    and that of the return-map turn from the probe's lower crossing."""
 
     @staticmethod
     def _check(system, cycles, step=1e-4):
-        # the turns from the lower crossings where the stability check places its probes
-        for i, y_in in enumerate(orc._placements(system, cycles, step)):
-            err, bar = _turn_error_and_bar(system, y_in, step)
-            assert err <= bar, (cycles[i // 2], ("inner", "outer")[i % 2], err, bar)
+        for y_star, eps in cycles:
+            for side in (-1.0, 1.0):
+                y = y_star + side * eps
+                for what, (err, bar) in (("probe", _scan_error_and_bar(system, y, step)),
+                                         ("turn", _turn_error_and_bar(
+                                             system, _lower(system, y, step), step))):
+                    assert err <= bar, (y_star, side, what, err, bar)
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_bar_covers_the_verify_systems(self, name):
@@ -1323,12 +1353,12 @@ class TestLockstepTurns:
         assert [_leg_bits(leg.segment(Zone.LEFT)) for leg in legs[1:]] == alone[1:]
 
     def test_array_calls_raise_the_error_of_the_float_call(self, oscillatory_system):
-        # 1/y overflows at y = 1e-309, so h and the start (h(y), y) are not finite there
-        with pytest.raises(DomainError) as info:
+        # 1/y overflows at y = 1e-309, so h is not finite there
+        with pytest.raises(EvaluationError) as info:
             numeric_displacement(oscillatory_system, np.array([0.5, 1e-309]))
-        assert str(info.value) == "non-finite start point Point(x=nan, y=1e-309)"
+        assert str(info.value) == "boundary value not finite at y=1e-309"
         assert _outcome(lambda: numeric_displacement(oscillatory_system, 1e-309)) == (
-            DomainError, str(info.value))
+            EvaluationError, str(info.value))
 
     def test_a_boundary_that_raises_fails_only_its_own_start(self, sine_system, monkeypatch):
         # h raises at y = 2.05, the outer probe of y* = 2 and a scan ordinate, and with
@@ -1394,20 +1424,24 @@ class TestLockstepTurns:
     def test_array_calls_raise_what_calls_in_order_raise(self, sine_system, monkeypatch,
                                                          max_time, plant):
         # A short MAX_TIME times out the first leg.  A zero rate planted at
-        # y = 1 and 2 makes tangent the probe starts of y* = 1.5 at eps = 0.5,
-        # and one planted at the lower crossing of the first cycle's outer
-        # probe makes tangent the start of its turn, so the first cycle fails
-        # in its turns while the third refuses its eps.
+        # y = 1 and 2, where |h| <= EVENT_TOL, makes tangent both leg starts of the probes
+        # of y* = 1.5 at eps = 0.5.  With y* = 1.05 first, one planted at y = 1
+        # on the field of backward-right legs alone (its [0, 1] entry is +1,
+        # that of forward-left legs -1) makes tangent the start of the inner
+        # probe's second leg, so the first cycle fails there while the third
+        # refuses its eps.
         stars, eps = [1.0, 1.5 if "probe" in plant else 1.2, 2.0], [0.05, 0.5, 0.05]
         if "eps" in plant:
             eps[2] = 3.0
-        tangent = {1.0, 2.0} if "probe" in plant else set()
+        tangent = ({(y, m01) for y in (1.0, 2.0) for m01 in (-1.0, 1.0)} if "probe" in plant
+                   else set())
         if "turn" in plant:
-            tangent.add(orc._placements(sine_system, [(stars[0], eps[0])], 1e-4)[1])
+            stars[0] = 1.05
+            tangent.add((stars[0] - eps[0], 1.0))
 
         def rate(system, axis, matrix, x):
             dgdt, vel = _EVENT_RATE(system, axis, matrix, x)
-            return (0.0, vel) if float(x[1]) in tangent else (dgdt, vel)
+            return (0.0, vel) if (float(x[1]), float(matrix[0, 1])) in tangent else (dgdt, vel)
 
         monkeypatch.setattr(orc, "_event_rate", rate)
         monkeypatch.setattr(orc, "MAX_TIME", max_time)
@@ -1446,10 +1480,28 @@ class TestLockstepTurns:
         ref = _outcome(one_at_a_time)
         assert got == ref if isinstance(ref, tuple) else isinstance(got, dict)
 
+    def test_verify_raises_a_cycles_probe_error_before_a_later_cycles_turn(self, sine_system):
+        # h fails at the outer probe y = 1.05 of y* = 1, and at the float points near
+        # y = 2 where the fixed-point turn of y* = 2 lands on the switching curve: the
+        # batch of turns fails first, yet verify raises what y* = 1 alone meets
+        def evaluate(y):
+            if np.ndim(y) == 0 and (float(y) == 1.05 or 1.99 < float(y) < 2.01):
+                raise DomainError(f"h fails at y={float(y)!r}")
+            return sine_system.boundary.evaluate(y)
+
+        system = PWLSystem(sine_system.params, Boundary(
+            evaluate, sine_system.boundary.derivative, sine_system.boundary.descriptor,
+            sine_system.boundary.envelope, sine_system.boundary.slope_envelope))
+        cycles = reports_for_roots(system, [1.0, 2.0])
+        turns = _outcome(lambda: return_map(system, np.array([c.lower_crossing.y for c in cycles])))
+        assert turns[0] is DomainError and turns[1] != "h fails at y=1.05"
+        assert _outcome(lambda: verify(system, cycles, [1.5], 1e-4, 1e-6)) == (
+            DomainError, "h fails at y=1.05")
+
 
 def _entry_point_calls(system, step):
     """A call of each oracle entry point that takes ``step``, and of ``verify``, whose
-    probes are placed before its first ``return_map`` call."""
+    first oracle call is ``return_map``."""
     return (lambda: numeric_displacement(system, 1.5, step),
             lambda: numeric_displacement(system, np.zeros(0), step),
             lambda: return_map(system, -1.0, step),
