@@ -29,12 +29,13 @@ and (0, -exp(-gamma*pi)*y*) of period 2*pi.
 
 Both half-turns are one arc kernel, (atan(x/(y - gamma*x)),
 hypot(y - gamma*x, x)), taken at x = h for the right zone and at x = -h
-for the left: aL is minus the left arc's angle.  ``_arc`` is the one
-reference for that kernel and every function here wraps it, except
-``displacement``: it evaluates h once and spells both arcs out inline,
-since the root search and the scans call it most, and a test pins its
-bits to the two ``_landing_y`` calls it replaces.  The radius goes
-through hypot, in factored form, to avoid cancellation for small y.
+for the left: aL is minus the left arc's angle, and ``oracle._pairs``
+mirrors its legs alike.  ``_arc`` is the one reference for that kernel
+and every function here wraps it, except ``displacement``: it evaluates
+h once and spells both arcs out inline, since the root search and the
+scans call it most, and a test pins its bits to the two ``_landing_y``
+calls it replaces.  The radius goes through hypot, in factored form, to
+avoid cancellation for small y.
 """
 
 from __future__ import annotations

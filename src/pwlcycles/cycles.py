@@ -331,12 +331,12 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
     """JSON-ready report of ``cycles`` and the displacement on ``ys`` checked by the oracle.
 
     One record per failed check goes to "discrepancies"; "passed" is True when there are none.
-    Three oracle calls do the work, in six batches of legs: ``oracle.return_map`` turns every
+    Three oracle calls do the work, in four batches of legs: ``oracle.return_map`` turns every
     cycle from its lower crossing for the fixed-point, flight-time and crossing checks (one
     batch per zone), ``oracle.resolve_stability`` probes every cycle at y* -+ eps with eps from
-    ``oracle.probe_eps`` (one batch per zone), and ``displacement_rows`` scans ``ys`` (one
-    batch per direction).  A failure of the first two raises the error that checking one
-    cycle at a time meets first, in the order fixed-point turn, inner probe, outer probe.
+    ``oracle.probe_eps`` and ``displacement_rows`` scans ``ys`` (one batch each).  A failure
+    of the first two raises the error that checking one cycle at a time meets first, in the
+    order fixed-point turn, inner probe, outer probe.
     """
     discrepancies: list[dict] = []
     records: list[dict] = []

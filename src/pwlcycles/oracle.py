@@ -23,14 +23,16 @@ for a substep tau, by Illinois (bracketed regula falsi) iteration on the
 event function.
 
 Each leg runs through one zone and stops where it leaves it, so the zone
-and the direction pick the stop: forward-left and backward-right legs
-stop on the lower section {x = 0, y < 0}, forward-right and backward-left
-legs on the switching curve x = h(y).  Backward integration is forward
-integration of the negated field.  The RK4 step is the oracle's only
-setting, and every entry point takes it by the one rule of ``_check_step``:
-a start residue or a landing counts as on its event within
-``EVENT_TOL``, and a leg that has not left its zone after ``MAX_TIME``
-time units stops with ``TIME_OUT``.
+and the direction pick the stop: forward-left and backward-right legs stop
+on the lower section {x = 0, y < 0}, forward-right and backward-left legs
+on the switching curve x = h(y).  Backward integration is forward
+integration of the negated field; -A_R = S A_L S, S = diag(-1, 1), and
+negation is exact, so an uncounted backward-right leg from (x, y) has the
+bits of the forward-left leg from (-x, y), x negated.  The RK4 step is the
+oracle's only setting, and every entry point takes it by the one rule of
+``_check_step``: a start residue or a landing counts as on its event
+within ``EVENT_TOL``, and a leg that has not left its zone after
+``MAX_TIME`` time units stops with ``TIME_OUT``.
 
 A leg builds a chunk's states only where an event can be.  It first
 computes the chunk's end state alone, with the bits the full chunk would
@@ -72,19 +74,19 @@ boundary.
 One runner, ``_stops``, runs every leg: a batch of legs through one zone
 in one direction at one step, in lockstep, counted or not and recording
 samples or not as the batch asks.  ``integrate_in_zone`` is a batch of one
-leg; the numerical displacement, the return map and the stability check
-run all their legs of a zone, direction and step as one batch, and a
-portrait's ``sample_orbit`` runs the pending legs of all its seeds in one
-zone as one batch.  A leg has the same bits in any batch.  A batch's legs
-share one plan and one step count, so a chunk's end states, rules 2 and 3
-and the rows built are array work over the legs (``_settle``), and many
-axis landings are one array Illinois (``_land_on_axis``).  The states'
-bits are those of numpy's vectorized complex product
-``a * plan.powers[lo:hi]``: Python's ``complex`` product and numpy's
-complex128 scalar product each differ from it in the last bit for about
-two in five (a, k) (numpy 2.4, an AVX-512 CPU with FMA), so a scalar path
-must keep the product an array operation, and the oracle's bits depend on
-numpy's SIMD dispatch.
+leg; the return map runs its legs of a zone as one batch, the numerical
+displacement and the stability check (``_pairs``) both legs of every
+ordinate as one forward-left batch, and a portrait's ``sample_orbit`` the
+pending legs of all its seeds in one zone.  A leg has the same bits in any
+batch.  A batch's legs share one plan and one step count, so a chunk's end
+states, rules 2 and 3 and the rows built are array work over the legs
+(``_settle``), and many axis landings are one array Illinois
+(``_land_on_axis``).  The states' bits are those of numpy's vectorized
+complex product ``a * plan.powers[lo:hi]``: Python's ``complex`` product
+and numpy's complex128 scalar product each differ from it in the last bit
+for about two in five (a, k) (numpy 2.4, an AVX-512 CPU with FMA), so a
+scalar path must keep the product an array operation, and the oracle's
+bits depend on numpy's SIMD dispatch.
 
 Stability is decided from the displacement f at one probe y = y* -+ eps on
 each side of a cycle y*, from the two legs ``numeric_displacement`` runs.
@@ -352,9 +354,9 @@ class _Plan:
 
 
 # Every leg of one zone, direction and step shares its plan.  A verify job
-# runs three kinds of leg (forward in either zone and backward in the right
-# zone, all at its step); the benchmark's four verify systems (three rates)
-# use 9 in turn, and 32 leave room for portraits and other steps.  A
+# runs two kinds of leg (forward in either zone at its step; ``_pairs`` runs a
+# backward-right leg as its mirror image); the benchmark's four verify systems
+# (three rates) use 6 in turn, and 32 leave room for portraits and other steps.  A
 # table holds 80 KB at step 1e-4 and at most 0.8 MB at MIN_STEP.  The chunk
 # length is an argument, not read here, so it follows _BLOCK_TIME.
 @functools.lru_cache(maxsize=32)
@@ -714,8 +716,7 @@ class _Leg:
             dgdt, vel = _event_rate(system, axis, plan.matrix, x)
             speed = float(np.hypot(*vel))
             if speed > 1e-14 and abs(dgdt) <= 1e-12 * speed:
-                raise TangencyError(f"start {start!r} sits on the stop section with tangent "
-                                    "velocity")
+                raise _tangent(start)
         self.system, self.plan, self.step, self.axis = system, plan, step, axis
         # A forward orbit crosses the section with x rising and the curve with
         # x - h(y) falling; a backward leg meets the same crossings reversed.
@@ -872,6 +873,10 @@ def _time_out(direction: Direction, zone: Zone, origin_y: float) -> IntegrationE
                             f"MAX_TIME={MAX_TIME!r}")
 
 
+def _tangent(start) -> TangencyError:
+    return TangencyError(f"start {start!r} sits on the stop section with tangent velocity")
+
+
 # Axis landings from which one array Illinois beats landing each alone: batches of 8 / 16 /
 # 20 / 24 / 40 README sine left-zone legs took 431 / 499 / 533 / 550 / 703 us landing as one
 # array and 371 / 481 / 534 / 574 / 815 us landing each alone (2-core x86-64, thread CPU).
@@ -993,8 +998,9 @@ def _pairs(system: PWLSystem, ys: list, step: float, read) -> list:
     """``read(forward, backward)`` of the two uncounted ``_Leg``s of each y from (h(y), y)
     on the switching curve, forward-left and backward-right, or the first error met: h's
     at y (a value that is not finite as ``core._boundary_values`` reports it), then the
-    forward leg's, then the backward leg's.  The ys run in batches of 1024, which bound
-    the legs held at once."""
+    forward leg's, then the backward leg's, which runs as its mirror image from (-h(y), y)
+    (module notes) and meets only a refused start or a time-out.  Both legs of 1024 ys,
+    2048 legs, are one batch; 1024 bounds the legs held at once."""
     out: list = []
     for part in (ys[lo:lo + 1024] for lo in range(0, len(ys), 1024)):
         starts, fails = [], {}
@@ -1006,9 +1012,12 @@ def _pairs(system: PWLSystem, ys: list, step: float, read) -> list:
             if not math.isfinite(x):
                 fails.setdefault(i, EvaluationError(f"boundary value not finite at y={y!r}"))
             starts.append((Point(x, y), y))
-        fwd = _ends(system, Zone.LEFT, Direction.FORWARD, starts, step, False)
-        bwd = _ends(system, Zone.RIGHT, Direction.BACKWARD, starts, step, False)
-        for i, (one, two) in enumerate(zip(fwd, bwd)):
+        legs = _ends(system, Zone.LEFT, Direction.FORWARD,
+                     starts + [(Point(-p.x, y), y) for p, y in starts], step, False)
+        for i, (one, two, (p, y)) in enumerate(zip(legs, legs[len(starts):], starts)):
+            if isinstance(two, PWLError):  # the mirror image's error, named unmirrored
+                two = (_tangent(p) if isinstance(two, TangencyError)
+                       else _time_out(Direction.BACKWARD, Zone.RIGHT, y))
             error = fails.get(i, one if isinstance(one, PWLError) else two)
             out.append(error if isinstance(error, PWLError) else read(one, two))
     return out
@@ -1021,9 +1030,9 @@ def numeric_displacement(system: PWLSystem, y: float | np.ndarray,
     Forward through the left zone from (h(y), y) to the lower section,
     backward through the right zone from the same point, difference of
     landing ordinates.  ``y`` is a float or a 1-d array, which gives an
-    array; a float is a batch of one.  The legs run in lockstep
-    (``_stops``), each with the bits of its own ``integrate_in_zone`` leg.
-    A float takes about 0.3 ms on the README sine at the default step.  A
+    array; a float is a batch of one.  Both legs of every y run in one
+    lockstep batch (``_pairs``), each with the bits of its own ``integrate_in_zone``
+    leg.  A float takes about 0.25 ms on the README sine at the default step.  A
     failure raises the error of the first failing y, as calls in order
     would: its ordinate check, then h at y (``EvaluationError`` where it is
     not finite), then its forward leg, then its backward leg.
@@ -1116,7 +1125,7 @@ def _class(verdicts: list) -> StabilityClass:
 def _side_verdicts(system: PWLSystem, cycles: list, step: float = 1e-4) -> list:
     """The inner and outer ``_verdict`` of each cycle (y*, eps), from the displacement f at
     y = y* -+ eps (``_pairs``) and its bar, the integration and landing errors of both
-    legs.  The probes of all cycles run as one batch per zone.  It raises the error that
+    legs.  The probes of all cycles run as one batch.  It raises the error that
     one cycle at a time meets first, in the order inner probe, outer probe.
     """
     sides = _pairs(system, [y + side * e for y, e in cycles for side in (-1.0, 1.0)], step,
@@ -1149,10 +1158,10 @@ def resolve_stability(system: PWLSystem, y_star: float | np.ndarray,
     at ``EVENT_TOL`` and times out after ``MAX_TIME``.
 
     ``y_star`` is a float, or a 1-d array that gives a list, and ``eps`` a
-    float or an array of its shape.  The legs of all probes run as one batch
-    per zone, and a failure raises the error of the first failing cycle, as
+    float or an array of its shape.  Both legs of all probes run as one batch
+    (``_pairs``), and a failure raises the error of the first failing cycle, as
     calls one cycle at a time would: inner probe, then outer probe, each in
-    ``numeric_displacement``'s order.  A float takes about 0.4 ms on the README
+    ``numeric_displacement``'s order.  A float takes about 0.25 ms on the README
     sine's stable cycle at eps = 0.05 and the default step.
     """
     step = _check_step(system.params, step)

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pwlcycles import PWLSystem, SystemParams, make_cosine, make_oscillatory, make_sine, make_zero
+from pwlcycles import (
+    Boundary,
+    PWLSystem,
+    SystemParams,
+    make_cosine,
+    make_oscillatory,
+    make_sine,
+    make_table,
+    make_zero,
+)
 
 GAMMA_SINE = 0.75
 GAMMA_COSINE = 0.4
@@ -32,6 +41,21 @@ def sine_table_samples(gamma, n):
     amp, slope = 2 * gamma / ((gamma * gamma + 1) * math.pi), 2 * gamma / (gamma * gamma + 1)
     return [[i / 4, 0.0 if i % 4 == 0 else amp * math.sin(math.pi * i / 4),
              slope * math.cos(math.pi * i / 4)] for i in range(4 * n + 3)]
+
+
+def kernel_system(family: str, gamma: float, n: int, alpha: float, cone: float) -> PWLSystem:
+    """A system of ``family``, the rate clipped into its certified range; "cone" is
+    h = cone*y/gamma, |h| within a factor ``cone`` of the amplitude bound y/gamma."""
+    if family == "cone":
+        return PWLSystem(SystemParams(gamma), Boundary(evaluate=lambda y: cone * y / gamma,
+                                                       derivative=lambda y: cone / gamma))
+    if family == "oscillatory":
+        return PWLSystem(SystemParams(1.0), make_oscillatory(alpha))
+    params = SystemParams(min(gamma, 0.47))
+    boundary = {"sine": lambda: make_sine(params, n),
+                "cosine": lambda: make_cosine(params, n),
+                "table": lambda: make_table(sine_table_samples(params.gamma, n))}[family]()
+    return PWLSystem(params, boundary)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sine_table_samples
+from conftest import kernel_system
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -22,10 +22,7 @@ from pwlcycles import (
     displacement_f3_at_root,
     flow,
     left_exit_y,
-    make_cosine,
-    make_oscillatory,
     make_sine,
-    make_table,
     right_entry_y,
 )
 from pwlcycles.analytic import _boundary_offset, _landing_y
@@ -225,21 +222,6 @@ class TestDisplacement:
                 assert total == pytest.approx(2.0 * math.pi, abs=1e-14)
 
 
-def _kernel_system(family: str, gamma: float, n: int, alpha: float, cone: float) -> PWLSystem:
-    """A system of ``family``, the rate clipped into its certified range; "cone" is
-    h = cone*y/gamma, |h| within a factor ``cone`` of the amplitude bound y/gamma."""
-    if family == "cone":
-        return PWLSystem(SystemParams(gamma), Boundary(evaluate=lambda y: cone * y / gamma,
-                                                       derivative=lambda y: cone / gamma))
-    if family == "oscillatory":
-        return PWLSystem(SystemParams(1.0), make_oscillatory(alpha))
-    params = SystemParams(min(gamma, 0.47))
-    boundary = {"sine": lambda: make_sine(params, n),
-                "cosine": lambda: make_cosine(params, n),
-                "table": lambda: make_table(sine_table_samples(params.gamma, n))}[family]()
-    return PWLSystem(params, boundary)
-
-
 def _outcome(fn, *args):
     """fn's value as bits, or its error as (type, message)."""
     try:
@@ -263,7 +245,7 @@ class TestDisplacementKernel:
            cone=st.integers(1, 40).map(lambda k: 1.0 - 2.0 ** -k) | st.floats(-1.0, 1.0),
            sign=st.sampled_from([1.0, -1.0]), y=st.floats(1e-6, 10.0))
     def test_bits_equal_the_two_landings(self, family, gamma, n, alpha, cone, sign, y):
-        system = _kernel_system(family, gamma, n, alpha, sign * cone)
+        system = kernel_system(family, gamma, n, alpha, sign * cone)
         assert _outcome(displacement, y, system) == _outcome(_two_landings, y, system)
 
     @pytest.mark.parametrize("y", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1.0])

@@ -273,24 +273,28 @@ class TestVerify:
         assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]
         assert {d["oracle"] for d in report["discrepancies"]} == {"undetermined"}
 
-    def test_runs_six_oracle_batches(self, sine_system, monkeypatch):
+    def test_runs_four_oracle_batches(self, sine_system, monkeypatch):
         # the README sine's two cycles: the turns from their two lower crossings run as one
-        # counted batch per zone, their four probes as one uncounted batch per direction,
-        # and the scan's five ordinates as another
-        batches, stops = [], oracle._stops
+        # counted batch per zone, the two legs of their four probes as one uncounted
+        # forward-left batch (a backward-right leg runs as its mirror image), and the two
+        # legs of the scan's five ordinates as another; no backward-right plan is built
+        batches, stops, plans, plan = [], oracle._stops, [], oracle._plan
 
         def recording(system, zone, direction, starts, step, counted, stride=0):
             batches.append((zone, direction, counted, len(starts), step))
             return stops(system, zone, direction, starts, step, counted, stride)
 
         monkeypatch.setattr(oracle, "_stops", recording)
+        monkeypatch.setattr(oracle, "_plan", lambda params, zone, forward, *rest:
+                            plans.append((zone, forward)) or plan(params, zone, forward, *rest))
         assert self._report(sine_system)["passed"]
         left, right = oracle.Zone.LEFT, oracle.Zone.RIGHT
-        forward, backward = oracle.Direction.FORWARD, oracle.Direction.BACKWARD
+        forward = oracle.Direction.FORWARD
         assert [batch[:4] for batch in batches] == [
-            (right, forward, True, 2), (left, forward, True, 2), (left, forward, False, 4),
-            (right, backward, False, 4), (left, forward, False, 5), (right, backward, False, 5)]
+            (right, forward, True, 2), (left, forward, True, 2), (left, forward, False, 8),
+            (left, forward, False, 10)]
         assert {batch[4] for batch in batches} == {1e-4}
+        assert set(plans) == {(right, True), (left, True)}
 
     def test_displacement_fault_gives_its_own_kind(self, sine_system, monkeypatch):
         numeric = oracle.numeric_displacement

@@ -4,6 +4,10 @@ import csv
 import io
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -11,10 +15,10 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sine_table_samples
+from conftest import kernel_system, sine_table_samples
 from pwlcycles import (
     Boundary,
     DomainError,
@@ -154,7 +158,8 @@ class TestStepper:
                 a[1] = 0.0
 
     def test_a_verify_round_rebuilds_no_plan(self):
-        # the benchmark's verify systems in turn use 9 plans, which the cache holds
+        # the benchmark's verify systems in turn use 6 plans (forward in either zone at
+        # three rates), which the cache holds
         def round_():
             for make in VERIFY_SYSTEMS.values():
                 system, roots, _ = make()
@@ -994,13 +999,14 @@ class TestLockstepDisplacement:
             events[i:i + 2] for i in range(len(events))], "a scan leg settled alone"
 
     def test_long_scan_holds_its_legs_in_batches(self, sine_system, monkeypatch):
-        # the legs of a long scan run 1024 ordinates at a time, with the bits of float calls
+        # the two legs of a long scan's ordinates run 1024 ordinates (2048 legs) at a
+        # time, with the bits of float calls
         sizes, stops = [], orc._stops
         monkeypatch.setattr(orc, "_stops", lambda system, zone, direction, legs, *rest:
                             sizes.append(len(legs)) or stops(system, zone, direction, legs, *rest))
         ys = np.linspace(0.1, 4.0, 1100)
         got = numeric_displacement(sine_system, ys, 1e-3)
-        assert sizes == [1024, 1024, 76, 76]
+        assert sizes == [2048, 152]
         want = np.array([numeric_displacement(sine_system, y, 1e-3) for y in ys])
         assert got.tobytes() == want.tobytes()
 
@@ -1008,6 +1014,95 @@ class TestLockstepDisplacement:
         monkeypatch.setattr(orc, "integrate_in_zone",
                             lambda *a, **k: pytest.fail("a lockstep leg ran a whole leg"))
         assert numeric_displacement(sine_system, np.linspace(0.1, 4.0, 40)).shape == (40,)
+
+
+def _mirror_bits(system, y, step):
+    """The uncounted backward-right leg from (h(y), y) and the forward-left leg from
+    (-h(y), y) as .hex() of their terminal y, x (the mirror's negated), end time,
+    landing and integration errors, with their events, or their errors' types.  An x
+    of 0 reads +0: a sum of opposite terms rounds to +0 in both legs, not to -0 in one."""
+    h = float(system.boundary.evaluate(y))
+    bits = []
+    for zone, direction, x in ((Zone.RIGHT, Direction.BACKWARD, h),
+                               (Zone.LEFT, Direction.FORWARD, -h)):
+        try:
+            seg = integrate_in_zone(system, zone, Point(x, y), direction, step,
+                                    record_stride=0, _count_crossings=False)
+        except PWLError as exc:
+            bits.append(type(exc))
+            continue
+        end = seg.points[-1]
+        bits.append((seg.terminal_event, float(end[1]).hex(),
+                     (float(end[0] if direction is Direction.BACKWARD else -end[0])
+                      + 0.0).hex(),
+                     seg.terminal_time.hex(), seg.landing_error.hex(),
+                     seg.integration_error.hex()))
+    return bits
+
+
+# numpy's x86-64-v2 loops alone: the dispatch under which the oracle's bits are known to move
+_V2_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+class TestMirroredBackwardLegs:
+    """The backward right field is the mirror image of the forward left one, -A_R = S A_L S
+    with S = diag(-1, 1), so ``_pairs`` runs a backward-right leg as the forward-left leg
+    from the mirrored start, an uncounted axis-stop leg with the same bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(family=st.sampled_from(["sine", "cosine", "oscillatory", "table", "cone"]),
+           gamma=st.floats(0.05, 2.0), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
+           cone=st.integers(1, 40).map(lambda k: 1.0 - 2.0 ** -k) | st.floats(-1.0, 1.0),
+           y=st.floats(1e-3, 6.0),
+           step=st.sampled_from([orc.MIN_STEP, 1e-4, 1e-3])
+           | st.floats(math.log10(orc.MIN_STEP), 0.08).map(lambda e: 10.0 ** e))
+    @example(family="sine", gamma=0.75, n=2, alpha=0.3, cone=0.5, y=1.0, step=1e-4)
+    @example(family="cone", gamma=0.75, n=1, alpha=0.3, cone=0.0, y=1.5, step=0.5)
+    @example(family="sine", gamma=0.25, n=1, alpha=0.25, cone=0.5, y=1.0, step=1.0)
+    def test_backward_right_leg_is_the_forward_left_leg_mirrored(self, family, gamma, n,
+                                                                 alpha, cone, y, step):
+        # every step from MIN_STEP up to the coarse steps the step rule accepts
+        system = kernel_system(family, gamma, n, alpha, cone)
+        try:
+            orc._check_step(system.params, step)
+        except DomainError:
+            assume(False)
+        backward, mirrored = _mirror_bits(system, y, step)
+        assert backward == mirrored
+
+    def test_mirror_holds_under_the_x86_64_v2_dispatch(self):
+        # the property above, run once in a process whose numpy takes its x86-64-v2 loops
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"the dispatch names x86-64 features; this machine is "
+                        f"{platform.machine()}")
+        src = str(Path(orc.__file__).parents[1])
+        env = {**os.environ, **_V2_DISPATCH,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c",
+                                "import numpy"], capture_output=True, text=True, env=env)
+        if probe.returncode:
+            pytest.skip(f"numpy refuses {_V2_DISPATCH}: {probe.stderr.strip().splitlines()[-1]}")
+        test = (f"{__file__}::{type(self).__name__}::"
+                "test_backward_right_leg_is_the_forward_left_leg_mirrored")
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               test], capture_output=True, text=True, env=env,
+                              cwd=Path(__file__).parent)
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert "1 passed" in done.stdout
+
+    def test_the_backward_leg_times_out_under_its_own_name(self, sine_system, monkeypatch):
+        # at MAX_TIME = 3.1 only the backward leg of y = 1.5 times out, and its mirror
+        # image keeps its error: the float call and the array call raise it
+        monkeypatch.setattr(orc, "MAX_TIME", 3.1)
+        message = ("backward right-zone leg of the orbit from y=1.5 did not leave its zone "
+                   "within MAX_TIME=3.1")
+        for y in (1.5, np.array([1.5]), np.array([1.5, 2.5])):
+            assert _outcome(lambda: numeric_displacement(sine_system, y)) == (
+                IntegrationError, message)
+        forward = integrate_in_zone(sine_system, Zone.LEFT,
+                                    Point(float(sine_system.boundary.evaluate(1.5)), 1.5),
+                                    record_stride=0, _count_crossings=False)
+        assert forward.terminal_event is TerminalEvent.AXIS_CROSS
 
 
 def _probe_by_legs(system, y, step):
@@ -1151,15 +1246,15 @@ class TestResolveStability:
         assert len(built) <= 13, built
 
     def test_two_uncounted_legs_per_probe(self, sine_system, monkeypatch):
-        # per cycle: a forward-left and a backward-right leg per probe, uncounted and
-        # at the one step, and the legs of two cycles at once are those of each alone
+        # per cycle: two forward-left legs per probe (the backward-right leg runs as its
+        # mirror image), uncounted and at the one step, and the legs of two cycles at
+        # once are those of each alone
         legs = _legs_run(monkeypatch)
         alone = []
         for y_star in (1.0, 2.0):
             legs.clear()
             resolve_stability(sine_system, y_star, eps=0.05)
-            assert sorted(legs) == sorted([(Zone.LEFT, Direction.FORWARD, 1e-4, False),
-                                           (Zone.RIGHT, Direction.BACKWARD, 1e-4, False)] * 2)
+            assert legs == [(Zone.LEFT, Direction.FORWARD, 1e-4, False)] * 4
             alone += legs
         legs.clear()
         resolve_stability(sine_system, np.array([1.0, 2.0]), eps=0.05)
@@ -1426,22 +1521,22 @@ class TestLockstepTurns:
         # A short MAX_TIME times out the first leg.  A zero rate planted at
         # y = 1 and 2, where |h| <= EVENT_TOL, makes tangent both leg starts of the probes
         # of y* = 1.5 at eps = 0.5.  With y* = 1.05 first, one planted at y = 1
-        # on the field of backward-right legs alone (its [0, 1] entry is +1,
-        # that of forward-left legs -1) makes tangent the start of the inner
-        # probe's second leg, so the first cycle fails there while the third
-        # refuses its eps.
+        # only where y falls makes tangent the start of the inner probe's second
+        # leg alone: h(1) > 0, so y rises from (h(1), 1) on the forward-left leg and
+        # falls on the backward-right leg and on its mirror image from (-h(1), 1).
+        # The first cycle fails there while the third refuses its eps.
         stars, eps = [1.0, 1.5 if "probe" in plant else 1.2, 2.0], [0.05, 0.5, 0.05]
         if "eps" in plant:
             eps[2] = 3.0
-        tangent = ({(y, m01) for y in (1.0, 2.0) for m01 in (-1.0, 1.0)} if "probe" in plant
-                   else set())
+        tangent = ({(y, rises) for y in (1.0, 2.0) for rises in (False, True)}
+                   if "probe" in plant else set())
         if "turn" in plant:
             stars[0] = 1.05
-            tangent.add((stars[0] - eps[0], 1.0))
+            tangent.add((stars[0] - eps[0], False))
 
         def rate(system, axis, matrix, x):
             dgdt, vel = _EVENT_RATE(system, axis, matrix, x)
-            return (0.0, vel) if (float(x[1]), float(matrix[0, 1])) in tangent else (dgdt, vel)
+            return (0.0, vel) if (float(x[1]), bool(vel[1] > 0.0)) in tangent else (dgdt, vel)
 
         monkeypatch.setattr(orc, "_event_rate", rate)
         monkeypatch.setattr(orc, "MAX_TIME", max_time)
@@ -1450,9 +1545,15 @@ class TestLockstepTurns:
         def in_order(call, values):
             return [call(*v) for v in values]
 
-        assert (_outcome(lambda: resolve_stability(sine_system, np.array(stars), np.array(eps)))
-                == _outcome(lambda: in_order(lambda y, e: resolve_stability(sine_system, y, e),
-                                             zip(stars, eps))))
+        got = _outcome(lambda: resolve_stability(sine_system, np.array(stars), np.array(eps)))
+        assert got == _outcome(lambda: in_order(lambda y, e: resolve_stability(sine_system, y, e),
+                                                zip(stars, eps)))
+        if plant == ("turn",) and max_time != 2.5:  # at 2.5 a first leg times out first
+            # the second leg's refusal names its own start, as its own leg does
+            start = Point(float(sine_system.boundary.evaluate(1.0)), 1.0)
+            assert got == _outcome(lambda: integrate_in_zone(
+                sine_system, Zone.RIGHT, start, Direction.BACKWARD, record_stride=0,
+                _count_crossings=False))
         assert (_outcome(lambda: return_map(sine_system, np.array(y_ins)))
                 == _outcome(lambda: in_order(lambda y: return_map(sine_system, y),
                                              [(y,) for y in y_ins])))
