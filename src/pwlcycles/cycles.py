@@ -137,9 +137,9 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float) -> RootScan:
     below tol**(2/3), and accepted when the refined |h| is below that same
     threshold; the 2/3 power matches how a quadratic touch scales.  A
     sample where h is exactly 0 between same-signed neighbours is such a
-    touch too, pinned on h' the same way.  If every scan sample is already
-    a zero within tol the boundary is degenerate and a continuum marker is
-    returned instead of roots.
+    touch too, pinned on h' the same way.  If every scan sample is exactly 0
+    (not merely within tol, as on a narrow range around a simple zero) the
+    boundary is degenerate and a continuum marker is returned instead.
     """
     if not (math.isfinite(y_min) and y_min > 0.0):
         raise DomainError(f"y_min must be a positive real, got {y_min!r}")
@@ -149,7 +149,7 @@ def find_roots(boundary: Boundary, y_min: float, y_max: float) -> RootScan:
     ys = np.linspace(y_min, y_max, DEFAULT_SCAN_POINTS)
     hv = _boundary_values(boundary.evaluate, ys)
 
-    if np.all(np.abs(hv) <= DEFAULT_ROOT_TOL):
+    if not hv.any():
         return RootScan(roots=(), continuum=True)
 
     def h_at(y: float) -> float:
@@ -308,19 +308,24 @@ def find_limit_cycles(system: PWLSystem, y_min: float, y_max: float, *,
     )
 
 
+def _analytic_rows(system: PWLSystem, ys) -> tuple[list, list, PWLError | None]:
+    """``ys`` as floats, the analytic f at each before the first that fails, and its failure."""
+    ys, analytic = [float(y) for y in ys], []
+    for y in ys:
+        try:
+            analytic.append(displacement(y, system))
+        except PWLError as exc:
+            return ys, analytic, exc
+    return ys, analytic, None
+
+
 def displacement_rows(system: PWLSystem, ys, step: float) -> list[tuple]:
     """(y, analytic f, oracle f at ``step``, |difference|) for each y in ``ys``.
 
     The oracle takes the ys in one call, so its legs run in lockstep.  A
     failure is that of the first y that fails, analytic before oracle.
     """
-    ys, analytic, failure = [float(y) for y in ys], [], None
-    for y in ys:
-        try:
-            analytic.append(displacement(y, system))
-        except PWLError as exc:
-            failure = exc
-            break
+    ys, analytic, failure = _analytic_rows(system, ys)
     numeric = oracle.numeric_displacement(system, np.array(ys[:len(analytic)]), step).tolist()
     if failure is not None:
         raise failure
@@ -331,27 +336,30 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
     """JSON-ready report of ``cycles`` and the displacement on ``ys`` checked by the oracle.
 
     One record per failed check goes to "discrepancies"; "passed" is True when there are none.
-    Three oracle calls do the work, in four batches of legs: ``oracle.return_map`` turns every
+    Two oracle calls do the work, in three batches of legs: ``oracle.return_map`` turns every
     cycle from its lower crossing for the fixed-point, flight-time and crossing checks (one
-    batch per zone), ``oracle.resolve_stability`` probes every cycle at y* -+ eps with eps from
-    ``oracle.probe_eps`` and ``displacement_rows`` scans ``ys`` (one batch each).  A failure
-    of the first two raises the error that checking one cycle at a time meets first, in the
-    order fixed-point turn, inner probe, outer probe.
+    batch per zone), and ``oracle._side_verdicts`` probes every cycle at y* -+ eps, eps from
+    ``oracle.probe_eps``, and scans ``ys`` in one batch.  A failure raises the error that
+    checking one cycle at a time meets first (fixed-point turn, inner probe, outer probe),
+    then that of the first y that fails, analytic before oracle.
     """
     discrepancies: list[dict] = []
     records: list[dict] = []
     roots = [c.y_star for c in cycles]
     lows = [rep.lower_crossing.y for rep in cycles]
     eps = [oracle.probe_eps(y, roots[:i] + roots[i + 1:]) for i, y in enumerate(roots)]
+    ys, analytic, failure = _analytic_rows(system, ys)
     try:
         turns = oracle.return_map(system, np.array(lows), step)
-        stabs = oracle.resolve_stability(system, np.array(roots), np.array(eps), step)
+        sides = oracle._side_verdicts(system, list(zip(roots, eps)), step, ys[:len(analytic)])
     except PWLError:
         for low, y, e in zip(lows, roots, eps):  # one cycle alone raises its first error
             oracle.return_map(system, low, step)
             oracle.resolve_stability(system, y, e, step)
         raise
-    for rep, rm, stab in zip(cycles, turns, stabs):
+    if failure is not None:
+        raise failure
+    for rep, rm, stab in zip(cycles, turns, map(oracle._class, sides[:len(cycles)])):
         rec = {
             "y_star": rep.y_star,
             "classified": rep.stability.value,
@@ -368,7 +376,7 @@ def verify(system: PWLSystem, cycles, ys, step: float, tol: float) -> dict:
             if failed:
                 discrepancies.append({"kind": kind, **rec})
 
-    max_diff = max((r[3] for r in displacement_rows(system, ys, step)), default=0.0)
+    max_diff = max((abs(fa - fn) for fa, fn in zip(analytic, sides[len(cycles):])), default=0.0)
     if max_diff > tol:
         discrepancies.append({"kind": "displacement", "max_abs_diff": max_diff})
     return {"cycles": records, "displacement_max_abs_diff": max_diff,

@@ -183,6 +183,18 @@ class TestFindLimitCycles:
         assert result.cycles == []
         assert result.origin == "center"
 
+    def test_narrow_range_around_a_simple_zero_is_no_continuum(self, sine_system):
+        # every scan sample of h lies within DEFAULT_ROOT_TOL of 0 here, yet h is not
+        # identically 0: the README sine's zero y* = 1 is the range's one cycle, and
+        # verify checks it
+        lo, hi = 0.99999999995, 1.00000000005
+        assert np.all(np.abs(sine_system.boundary.evaluate(np.linspace(lo, hi, 5))) < 1e-10)
+        result = find_limit_cycles(sine_system, lo, hi)
+        assert not result.continuum
+        assert [abs(c.y_star - 1.0) <= 1e-10 for c in result.cycles] == [True]
+        report = verify(sine_system, result.cycles, np.linspace(lo, hi, 5), 1e-4, 1e-6)
+        assert report["passed"] and [c["oracle"] for c in report["cycles"]] == ["unstable"]
+
     def test_hypothesis_refusal_with_report(self):
         gamma = 0.75
         b = Boundary(
@@ -273,33 +285,42 @@ class TestVerify:
         assert [d["kind"] for d in report["discrepancies"]] == ["stability", "stability"]
         assert {d["oracle"] for d in report["discrepancies"]} == {"undetermined"}
 
-    def test_runs_four_oracle_batches(self, sine_system, monkeypatch):
+    def test_runs_three_oracle_batches(self, sine_system, monkeypatch):
         # the README sine's two cycles: the turns from their two lower crossings run as one
-        # counted batch per zone, the two legs of their four probes as one uncounted
-        # forward-left batch (a backward-right leg runs as its mirror image), and the two
-        # legs of the scan's five ordinates as another; no backward-right plan is built
-        batches, stops, plans, plan = [], oracle._stops, [], oracle._plan
+        # counted batch per zone, and the two legs of their four probes and of the scan's
+        # five ordinates as one uncounted forward-left batch (a backward-right leg runs as
+        # its mirror image); no backward-right plan is built
+        batches, stops, lefts, plans, plan = [], oracle._stops, oracle._lefts, [], oracle._plan
 
         def recording(system, zone, direction, starts, step, counted, stride=0):
             batches.append((zone, direction, counted, len(starts), step))
             return stops(system, zone, direction, starts, step, counted, stride)
 
+        def recording_lefts(system, starts, step):
+            batches.append(("lefts", len(starts), step))
+            return lefts(system, starts, step)
+
         monkeypatch.setattr(oracle, "_stops", recording)
+        monkeypatch.setattr(oracle, "_lefts", recording_lefts)
         monkeypatch.setattr(oracle, "_plan", lambda params, zone, forward, *rest:
                             plans.append((zone, forward)) or plan(params, zone, forward, *rest))
         assert self._report(sine_system)["passed"]
         left, right = oracle.Zone.LEFT, oracle.Zone.RIGHT
         forward = oracle.Direction.FORWARD
-        assert [batch[:4] for batch in batches] == [
-            (right, forward, True, 2), (left, forward, True, 2), (left, forward, False, 8),
-            (left, forward, False, 10)]
-        assert {batch[4] for batch in batches} == {1e-4}
+        assert [batch[:-1] for batch in batches] == [
+            (right, forward, True, 2), (left, forward, True, 2), ("lefts", 2 * (2 * 2 + 5))]
+        assert {batch[-1] for batch in batches} == {1e-4}
         assert set(plans) == {(right, True), (left, True)}
 
     def test_displacement_fault_gives_its_own_kind(self, sine_system, monkeypatch):
-        numeric = oracle.numeric_displacement
-        monkeypatch.setattr(oracle, "numeric_displacement",
-                            lambda *a, **k: numeric(*a, **k) + 10 * self.TOL)
+        # verify reads the oracle's f on the scan after the cycles' verdicts
+        sides = oracle._side_verdicts
+
+        def faulty(system, cycles, step, ys=()):
+            out = sides(system, cycles, step, ys)
+            return out[:len(cycles)] + [f + 10 * self.TOL for f in out[len(cycles):]]
+
+        monkeypatch.setattr(oracle, "_side_verdicts", faulty)
         report = self._report(sine_system)
         assert report["passed"] is False
         assert report["discrepancies"] == [

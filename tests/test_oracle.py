@@ -85,16 +85,22 @@ def _lower(system, y, step=1e-4):
 
 
 def _legs_run(monkeypatch) -> list:
-    """(zone, direction, step, counted) of every leg the lockstep runner runs
-    from here on, and a guard that no leg runs through ``integrate_in_zone``."""
+    """(zone, direction, step, counted) of every leg the lockstep runners run
+    from here on (``_stops``, and ``_lefts`` for uncounted forward-left legs), and
+    a guard that no leg runs through ``integrate_in_zone``."""
     legs = []
-    stops = orc._stops
+    stops, lefts = orc._stops, orc._lefts
 
     def recording(system, zone, direction, starts, step, counted, stride=0):
         legs.extend((zone, direction, step, counted) for _ in starts)
         return stops(system, zone, direction, starts, step, counted, stride)
 
+    def recording_lefts(system, starts, step):
+        legs.extend((Zone.LEFT, Direction.FORWARD, step, False) for _ in starts)
+        return lefts(system, starts, step)
+
     monkeypatch.setattr(orc, "_stops", recording)
+    monkeypatch.setattr(orc, "_lefts", recording_lefts)
     monkeypatch.setattr(orc, "integrate_in_zone",
                         lambda *a, **k: pytest.fail("a turn leg ran through integrate_in_zone"))
     return legs
@@ -979,31 +985,34 @@ class TestLockstepDisplacement:
 
     @pytest.mark.parametrize("name", sorted(VERIFY_SYSTEMS))
     def test_scan_lands_every_leg_as_arrays(self, name, monkeypatch):
-        # every chunk of a scan leg hops or is bracketed in lockstep, and every
-        # leg lands in the one array Illinois: no leg settles alone (a chunk
-        # settles its legs in at most one call), and no chunk is built in full
+        # every chunk of a scan leg hops by rule 1 or is bracketed by rule 2 in
+        # lockstep, and every leg lands in the one array Illinois: no leg's chunk is
+        # bracketed alone (a chunk brackets its legs in at most one call), none is
+        # left to ``_settle``, and no chunk is built in full
         system = VERIFY_SYSTEMS[name]()[0]
         ys = np.linspace(0.05, 1.0, 40) if name == "oscillatory" else np.linspace(0.1, 4.0, 40)
         landed, events = [], []
-        land, steps_next, settle = orc._land_on_axis, orc._steps_next, orc._settle
+        land, steps_next, changes = orc._land_on_axis, orc._steps_next, orc._sign_changes
         monkeypatch.setattr(orc, "_land_on_axis",
                             lambda matrix, x, step: landed.append(len(x)) or land(matrix, x, step))
         monkeypatch.setattr(orc, "_steps_next",
                             lambda *a: events.append("chunk") or steps_next(*a))
-        monkeypatch.setattr(orc, "_settle", lambda *a: events.append("settle") or settle(*a))
+        monkeypatch.setattr(orc, "_sign_changes",
+                            lambda *a: events.append("bracket") or changes(*a))
+        monkeypatch.setattr(orc, "_settle", lambda *a: pytest.fail("a chunk was left whole"))
         built = _chunks_built(monkeypatch)
         numeric_displacement(system, ys)
-        assert sum(landed) == 2 * len(ys)
+        assert landed == [2 * len(ys)]
         assert built == []
-        assert "settle" in events and ["settle", "settle"] not in [
-            events[i:i + 2] for i in range(len(events))], "a scan leg settled alone"
+        assert "bracket" in events and ["bracket", "bracket"] not in [
+            events[i:i + 2] for i in range(len(events))], "a scan leg was bracketed alone"
 
     def test_long_scan_holds_its_legs_in_batches(self, sine_system, monkeypatch):
         # the two legs of a long scan's ordinates run 1024 ordinates (2048 legs) at a
         # time, with the bits of float calls
-        sizes, stops = [], orc._stops
-        monkeypatch.setattr(orc, "_stops", lambda system, zone, direction, legs, *rest:
-                            sizes.append(len(legs)) or stops(system, zone, direction, legs, *rest))
+        sizes, lefts = [], orc._lefts
+        monkeypatch.setattr(orc, "_lefts", lambda system, starts, step:
+                            sizes.append(len(starts)) or lefts(system, starts, step))
         ys = np.linspace(0.1, 4.0, 1100)
         got = numeric_displacement(sine_system, ys, 1e-3)
         assert sizes == [2048, 152]
@@ -1103,6 +1112,87 @@ class TestMirroredBackwardLegs:
                                     Point(float(sine_system.boundary.evaluate(1.5)), 1.5),
                                     record_stride=0, _count_crossings=False)
         assert forward.terminal_event is TerminalEvent.AXIS_CROSS
+
+
+def _left_leg_bits(x, y, end_time, landing_error, bar):
+    """.hex() of an uncounted forward-left leg's terminal x and y, end time, landing
+    error and bar, its ``integration_error`` plus its landing error."""
+    return tuple(float(v).hex() for v in (x, y, end_time, landing_error, bar))
+
+
+def _lefts_run_under_v2_dispatch(test: str):
+    """Run ``test`` of this file in a process whose numpy takes its x86-64-v2 loops,
+    or skip where the dispatch does not apply or numpy refuses it."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the dispatch names x86-64 features; this machine is "
+                    f"{platform.machine()}")
+    src = str(Path(orc.__file__).parents[1])
+    env = {**os.environ, **_V2_DISPATCH,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c",
+                            "import numpy"], capture_output=True, text=True, env=env)
+    if probe.returncode:
+        pytest.skip(f"numpy refuses {_V2_DISPATCH}: {probe.stderr.strip().splitlines()[-1]}")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::{test}"], capture_output=True, text=True, env=env,
+                          cwd=Path(__file__).parent)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert "1 passed" in done.stdout
+
+
+class TestLeftRunner:
+    """``_lefts``, the array-native runner of the uncounted forward-left legs that
+    ``_pairs`` runs, against per-leg ``integrate_in_zone`` legs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["sine", "cosine", "oscillatory", "table", "cone"]),
+           gamma=st.floats(0.05, 2.0), n=st.integers(1, 4), alpha=st.floats(0.01, 0.36),
+           cone=st.integers(1, 40).map(lambda k: 1.0 - 2.0 ** -k) | st.floats(-1.0, 1.0),
+           ys=st.lists(st.floats(1e-3, 6.0), min_size=1, max_size=5),
+           step=st.sampled_from([orc.MIN_STEP, 1e-4, 1e-3])
+           | st.floats(math.log10(orc.MIN_STEP), 0.08).map(lambda e: 10.0 ** e),
+           max_time=st.floats(1.0, 8.0), order=st.randoms(use_true_random=False))
+    @example(family="sine", gamma=0.75, n=2, alpha=0.3, cone=0.5, ys=[0.5, 1.5, 2.5],
+             step=1e-4, max_time=8.0, order=None)
+    def test_legs_equal_integrate_in_zone(self, family, gamma, n, alpha, cone, ys, step,
+                                          max_time, order):
+        # the two starts (+-h(y), y) of each y, and starts at x == 0, refused as tangent
+        # (a zero rate planted at y = 2), not finite, at the origin, which never leaves
+        # its zone, and two whose chunk rule 2 leaves whole (``_settle``): one so near the
+        # origin that its rows underflow, one that lands in its first step; a short
+        # MAX_TIME times out the legs that land later
+        system = kernel_system(family, gamma, n, alpha, cone)
+        try:
+            orc._check_step(system.params, step)
+        except DomainError:
+            assume(False)
+        hs = [float(system.boundary.evaluate(y)) for y in ys]
+        starts = ([Point(h, y) for h, y in zip(hs, ys)] + [Point(-h, y) for h, y in zip(hs, ys)]
+                  + [Point(0.0, ys[0]), Point(0.0, -ys[0]), Point(0.0, 2.0),
+                     Point(math.nan, ys[0]), Point(0.0, 0.0), Point(-3e-201, -2e-201),
+                     Point(-1e-9, -ys[0])])
+        if order is not None:
+            order.shuffle(starts)
+        with mock.patch.object(orc, "MAX_TIME", max_time), \
+                mock.patch.object(orc, "_event_rate", _tangent_rate):
+            plan, ends, times, landing, errors = orc._lefts(system, np.array(starts), step)
+            for i, p in enumerate(starts):
+                got = (type(errors[i]), str(errors[i])) if i in errors else _left_leg_bits(
+                    *ends[i], times[i], landing[i],
+                    orc._carried_error(plan, step, p, ends[i].tolist(), float(times[i]), 0.0)
+                    + landing[i])
+                ref = _outcome(lambda: _leg_by_integration(system, Zone.LEFT, p,
+                                                           Direction.FORWARD, step, p.y, False))
+                assert got == (ref if isinstance(ref, tuple) else _left_leg_bits(
+                    *ref.points[-1], ref.terminal_time, ref.landing_error,
+                    ref.integration_error + ref.landing_error)), (i, p)
+        assert any(isinstance(e, TangencyError) for e in errors.values())
+        assert any(isinstance(e, DomainError) for e in errors.values())
+        assert any(isinstance(e, IntegrationError) for e in errors.values())
+
+    def test_legs_hold_under_the_x86_64_v2_dispatch(self):
+        # the property above, run once in a process whose numpy takes its x86-64-v2 loops
+        _lefts_run_under_v2_dispatch(f"{type(self).__name__}::test_legs_equal_integrate_in_zone")
 
 
 def _probe_by_legs(system, y, step):
